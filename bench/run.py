@@ -6,8 +6,12 @@ Run from the repository root.  The workload's inputs are generated from the
 seed and written as JSON; the program sees only those files.  After a warm-up,
 whole passes over the workload's operations repeat until ``--seconds`` have
 elapsed.  The last pass's artifacts are checked against references computed
-apart from the program (``oracles.py``), and one operation is run again to
-check that its artifacts are byte-identical.
+apart from the program (``oracles.py``), and one operation's artifacts from
+the warm-up must be byte-identical to those of its last run.
+
+Times (set-up and operations) are put on one speed scale by the host speed
+probe (``hostspeed.py``), which runs all through set-up, warm-up and passes;
+the summary line also gives the unscaled time of a pass.
 
 ``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` splits the time
 between untraced and traced passes and prints the per-layer metrics (spans
@@ -30,15 +34,18 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import workloads
+from hostspeed import HostSpeedProbe
 from tracing import MODULES, Recorder
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 RUN_DIR = os.path.join(ROOT, ".bench_run")
 SETUP_REPEATS = 3
+WARMUP_COPY = "warmup"
 
 # Per-layer metrics: name -> unit.  Spans give "<module>.<function>.self_s"
 # and ".calls"; the rest are counters or ratios of counters.
@@ -71,28 +78,46 @@ LAYER_METRICS = {
 
 @dataclass
 class Pass:
-    seconds: dict = field(default_factory=lambda: {"main": 0.0, "side": 0.0, "fault": 0.0})
+    timings: list = field(default_factory=list)  # (start, end) per op, in order
     attempted: int = 0
     failed: int = 0
     unexpected: list = field(default_factory=list)
 
-    @property
-    def wall(self) -> float:
-        """Time of the operations that are not known faults."""
-        return self.seconds["main"] + self.seconds["side"]
+
+def typical_pass(workload, passes: list[Pass], probe: HostSpeedProbe) -> dict:
+    """Scaled time per role ("main", "side", "fault") of a typical pass, and
+    "wall", the operations that are not known faults.  Each operation counts
+    at the median scaled time of its sample group (the operation and its
+    copies) over the passes."""
+    samples = defaultdict(list)
+    for p in passes:
+        for op, (t0, t1) in zip(workload.ops, p.timings):
+            samples[op.group or op.key].append(probe.scaled(t0, t1))
+    out = {"main": 0.0, "side": 0.0, "fault": 0.0}
+    for op in workload.ops:
+        out[op.role] += statistics.median(samples[op.group or op.key])
+    out["wall"] = out["main"] + out["side"]
+    return out
 
 
-def run_op(cli, op, config_dir, out_dir, recorder=None) -> tuple[int, float]:
+def raw_wall(workload, passes: list[Pass]) -> float:
+    """Median unscaled time of a pass's operations that are not known faults."""
+    return statistics.median(
+        sum(t1 - t0 for op, (t0, t1) in zip(workload.ops, p.timings) if op.role != "fault")
+        for p in passes)
+
+
+def run_op(cli, op, config_dir, out_dir, recorder=None) -> tuple[int, float, float]:
     argv = op.argv(config_dir, out_dir)
     span = recorder.open("op:" + op.key) if recorder else None
     # The CLI reports failures on stderr; the known faults would flood it.
     with contextlib.redirect_stderr(io.StringIO()):
         t0 = time.perf_counter()
         code = cli.main(argv)
-        dt = time.perf_counter() - t0
+        t1 = time.perf_counter()
     if recorder:
         recorder.close(span)
-    return code, dt
+    return code, t0, t1
 
 
 def run_passes(cli, workload, config_dir, out_dir, seconds, recorder=None) -> list[Pass]:
@@ -102,8 +127,8 @@ def run_passes(cli, workload, config_dir, out_dir, seconds, recorder=None) -> li
     while not passes or time.perf_counter() - start < seconds:
         p = Pass()
         for op in workload.ops:
-            code, dt = run_op(cli, op, config_dir, out_dir, recorder)
-            p.seconds[op.role] += dt
+            code, t0, t1 = run_op(cli, op, config_dir, out_dir, recorder)
+            p.timings.append((t0, t1))
             p.attempted += 1
             expected = 2 if op.role == "fault" else 0
             if code != 0:
@@ -114,36 +139,44 @@ def run_passes(cli, workload, config_dir, out_dir, seconds, recorder=None) -> li
     return passes
 
 
-def measure_setup(workload_name, seed, config_dir) -> tuple[float, object]:
+def measure_setup(workload_name, seed, config_dir,
+                  probe: HostSpeedProbe) -> tuple[float, object]:
     """Median over repeats of: a fresh interpreter importing mixedmop.cli,
-    plus generating and writing the workload's inputs."""
+    plus generating and writing the workload's inputs; scaled times.
+
+    Set-up runs on one CPU, so that the probe times the CPU the fresh
+    interpreter runs on: the vCPUs of a shared host change speed apart."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
     times = []
-    for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", "import mixedmop.cli"], env=env,
-                       check=True, cwd=ROOT)
-        workload = workloads.build(workload_name, seed)
-        workload.write_inputs(config_dir)
-        times.append(time.perf_counter() - t0)
+    try:
+        for _ in range(SETUP_REPEATS):
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, "-c", "import mixedmop.cli"], env=env,
+                           check=True, cwd=ROOT)
+            workload = workloads.build(workload_name, seed)
+            workload.write_inputs(config_dir)
+            times.append(probe.scaled(t0, time.perf_counter()))
+    finally:
+        os.sched_setaffinity(0, cpus)
     return statistics.median(times), workload
 
 
-def check_determinism(cli, workload, config_dir, out_dir) -> tuple[str, bool, str]:
-    op = next(o for o in workload.ops if o.key == workload.determinism)
-    again = os.path.join(out_dir, "rerun")
-    run_op(cli, op, config_dir, again)
-    first, second = os.path.join(out_dir, op.key), os.path.join(again, op.key)
+def check_determinism(workload, out_dir) -> tuple[str, bool, str]:
+    """The warm-up run of the determinism operation against its last run in
+    the measured passes: same config and seed, so the same bytes."""
+    key = workload.determinism
+    first, last = os.path.join(out_dir, WARMUP_COPY, key), os.path.join(out_dir, key)
     names = sorted(os.listdir(first))
-    same = (names == sorted(os.listdir(second))
-            and all(filecmp.cmp(os.path.join(first, n), os.path.join(second, n),
+    same = (names == sorted(os.listdir(last))
+            and all(filecmp.cmp(os.path.join(first, n), os.path.join(last, n),
                                 shallow=False) for n in names))
-    return (f"{op.key}: artifacts byte-identical on rerun", same, ", ".join(names))
+    return (f"{key}: artifacts byte-identical on rerun", same, ", ".join(names))
 
 
-def layer_metrics(rec: Recorder, traced: list[Pass], plain: list[Pass]) -> dict:
-    n = len(traced)
+def layer_metrics(rec: Recorder, n: int, traced: dict, plain: dict) -> dict:
     c = rec.counters
     selfs = rec.self_times()
     values = {}
@@ -165,9 +198,8 @@ def layer_metrics(rec: Recorder, traced: list[Pass], plain: list[Pass]) -> dict:
     attempted = c.get("brownian.sample_paths.attempted", 0.0)
     values["brownian.paths_acceptance"] = (c.get("brownian.sample_paths.accepted", 0.0)
                                            / attempted if attempted else 0.0)
-    values["faults.wall_s"] = statistics.median(p.seconds["fault"] for p in traced)
-    values["trace.overhead_s"] = (statistics.median(p.wall for p in traced)
-                                  - statistics.median(p.wall for p in plain))
+    values["faults.wall_s"] = traced["fault"]
+    values["trace.overhead_s"] = traced["wall"] - plain["wall"]
     return values
 
 
@@ -191,31 +223,34 @@ def main(argv=None) -> int:
     work = os.path.join(RUN_DIR, f"{args.workload}-{args.seed}-{os.getpid()}")
     config_dir, out_dir = os.path.join(work, "configs"), os.path.join(work, "out")
     try:
-        setup_s, workload = measure_setup(args.workload, args.seed, config_dir)
-        from mixedmop import cli
-
-        for op in workload.ops:
-            if op.key in workload.warmup:
-                run_op(cli, op, config_dir, out_dir)
-
         recorder = None
-        if args.trace:
-            plain = run_passes(cli, workload, config_dir, out_dir, args.seconds / 2)
-            recorder = Recorder()
-            recorder.install()
-            try:
-                traced = run_passes(cli, workload, config_dir, out_dir,
-                                    args.seconds / 2, recorder)
-            finally:
-                recorder.uninstall()
-            passes = plain + traced
-        else:
-            passes = run_passes(cli, workload, config_dir, out_dir, args.seconds)
+        with HostSpeedProbe() as probe:
+            setup_s, workload = measure_setup(args.workload, args.seed, config_dir, probe)
+            from mixedmop import cli
+
+            for op in workload.ops:
+                if op.key in workload.warmup:
+                    run_op(cli, op, config_dir, out_dir)
+            shutil.copytree(os.path.join(out_dir, workload.determinism),
+                            os.path.join(out_dir, WARMUP_COPY, workload.determinism))
+
+            if args.trace:
+                plain = run_passes(cli, workload, config_dir, out_dir, args.seconds / 2)
+                recorder = Recorder()
+                recorder.install()
+                try:
+                    traced = run_passes(cli, workload, config_dir, out_dir,
+                                        args.seconds / 2, recorder)
+                finally:
+                    recorder.uninstall()
+                passes = plain + traced
+            else:
+                passes = run_passes(cli, workload, config_dir, out_dir, args.seconds)
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
         try:
             checks = workload.check(out_dir)
-            checks.append(check_determinism(cli, workload, config_dir, out_dir))
+            checks.append(check_determinism(workload, out_dir))
         except (OSError, ValueError, KeyError, IndexError) as exc:
             checks = [("artifacts readable", False, f"{type(exc).__name__}: {exc}")]
         unexpected = [u for p in passes for u in p.unexpected]
@@ -228,8 +263,10 @@ def main(argv=None) -> int:
         print(f"unexpected failure: {line}")
 
     if args.trace:
+        values = layer_metrics(recorder, len(traced), typical_pass(workload, traced, probe),
+                               typical_pass(workload, plain, probe))
         metrics = {name: {"value": value, "unit": LAYER_METRICS[name]}
-                   for name, value in layer_metrics(recorder, traced, plain).items()}
+                   for name, value in values.items()}
         os.makedirs(RUN_DIR, exist_ok=True)
         trace_path = os.path.join(RUN_DIR, f"trace-{args.workload}-{args.seed}.json")
         with open(trace_path, "w") as fh:
@@ -238,10 +275,10 @@ def main(argv=None) -> int:
         print(f"{len(plain)} untraced and {len(traced)} traced passes; "
               f"spans in {os.path.relpath(trace_path, ROOT)}")
     else:
-        med = lambda key: statistics.median(p.seconds[key] for p in passes)
+        med = typical_pass(workload, passes, probe).__getitem__
         metrics = {
             "setup_s": {"value": setup_s, "unit": "s"},
-            "wall_s": {"value": statistics.median(p.wall for p in passes), "unit": "s"},
+            "wall_s": {"value": med("wall"), "unit": "s"},
             "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
             "main_cmd_s": {"value": med("main"), "unit": "s"},
             "side_cmd_s": {"value": med("side"), "unit": "s"},
@@ -252,7 +289,8 @@ def main(argv=None) -> int:
               f"{med('main'):.4f} s (main_cmd_s, {runs['main'] / med('main'):.2f}/s), "
               f"{runs['side']} x {workload.side_command} {med('side'):.4f} s "
               f"(side_cmd_s), {runs['fault']} known faults {med('fault'):.4f} s "
-              "(not in wall_s)")
+              "(not in wall_s); times on the probe's speed scale, unscaled wall "
+              f"{raw_wall(workload, passes):.4f} s")
 
     result = {
         "correct": all(ok for _, ok, _ in checks),

@@ -24,9 +24,9 @@ WP = {"w1": [(-0.5, 0.8), (0.6, 1.2)], "w2": [(0.0, 1.0), (0.3, 0.6)]}
 P3 = {"w1": [(-0.8, 0.7), (0.1, 1.1), (0.9, 0.9)],
       "w2": [(-0.4, 1.0), (0.3, 0.6), (0.7, 1.3)]}
 BR = {"starts": (-1.0, 0.0, 1.0), "ends": (-1.0, 0.5, 1.0), "t": 0.5,
-      "count": 10_000}
+      "count": 4_000}
 TWO_WALKERS = {"starts": (-0.6, 0.5), "ends": (-0.4, 0.8), "t": 0.4,
-               "count": 2_000}
+               "count": 1_000}
 PATHS = {"count": 50, "time_points": 128}
 
 GRID_POINTS = 200          # grid-export: x = y grids of 200 points per side
@@ -57,7 +57,8 @@ COM_SIGMAS = 3.0
 @dataclass(frozen=True)
 class Op:
     """One CLI invocation.  ``role`` is "main" or "side" (the workload's two
-    commands) or "fault" (a known fault, expected to exit 2)."""
+    commands) or "fault" (a known fault, expected to exit 2).  Copies of one
+    invocation share a ``group`` and their times are pooled."""
 
     key: str
     command: str
@@ -65,6 +66,7 @@ class Op:
     role: str
     grid: str | None = None
     seed: int = 42
+    group: str | None = None
 
     def argv(self, config_dir: str, out_dir: str) -> list[str]:
         argv = [self.command, "--config", os.path.join(config_dir, self.key + ".json"),
@@ -164,24 +166,28 @@ def _certify(rng, seed):
     cd_p3 = _weight_problem(P3, [2, 2, 2], [2, 2, 2], rng)
     rh_wp = Op("rh-wp", "rh-verify", _weight_problem(WP, [3, 2], [2, 3], rng), "main")
     rh_p3 = Op("rh-p3", "rh-verify", _weight_problem(P3, [2, 2, 2], [2, 2, 2], rng), "main")
-    # cd-check takes milliseconds against seconds for rh-verify; three copies
+    # cd-check takes milliseconds against seconds for rh-verify; six copies
     # spread through the pass give side_cmd_s more samples of the host's
     # varying speed.
-    cd = lambda i: [Op(f"cd-wp-{i}", "cd-check", cd_wp, "side"),
-                    Op(f"cd-p3-{i}", "cd-check", cd_p3, "side")]
-    ops = cd(1) + [rh_wp] + cd(2) + [rh_p3] + cd(3)
+    cd = lambda i: [Op(f"cd-wp-{i}", "cd-check", cd_wp, "side", group="cd-wp"),
+                    Op(f"cd-p3-{i}", "cd-check", cd_p3, "side", group="cd-p3")]
+    ops = cd(1) + cd(2) + [rh_wp] + cd(3) + cd(4) + [rh_p3] + cd(5) + cd(6)
     return Workload("certify", "rh-verify", "cd-check", ops,
-                    warmup=["cd-wp-1", "cd-p3-1"], determinism="rh-wp",
+                    warmup=["cd-wp-1", "cd-p3-1", "rh-wp"], determinism="rh-wp",
                     check=lambda out: _check_certify(ops, out))
 
 
 def _sample(rng, seed):
-    ops = [Op("bd-br", "brownian-density", _brownian(BR, rng), "side"),
-           Op("bd-two", "brownian-density", _brownian(TWO_WALKERS, rng), "side")]
-    ops += [Op("bs-br", "brownian-sample", ops[0].config, "main", seed=seed),
-            Op("bs-two", "brownian-sample", ops[1].config, "main", seed=seed + 1)]
+    br, two = _brownian(BR, rng), _brownian(TWO_WALKERS, rng)
+    # brownian-density takes tens of milliseconds against seconds for
+    # brownian-sample; four copies spread through the pass give side_cmd_s
+    # more samples of the host's varying speed.
+    bd = lambda i: [Op(f"bd-br-{i}", "brownian-density", br, "side", group="bd-br"),
+                    Op(f"bd-two-{i}", "brownian-density", two, "side", group="bd-two")]
+    ops = (bd(1) + [Op("bs-br", "brownian-sample", br, "main", seed=seed)] + bd(2) + bd(3)
+           + [Op("bs-two", "brownian-sample", two, "main", seed=seed + 1)] + bd(4))
     return Workload("sample", "brownian-sample", "brownian-density", ops,
-                    warmup=["bd-two", "bs-two"], determinism="bs-two",
+                    warmup=["bd-two-1", "bs-two"], determinism="bs-two",
                     check=lambda out: _check_sample(ops, out))
 
 
