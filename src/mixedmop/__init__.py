@@ -1,7 +1,7 @@
 """Mixed-type multiple orthogonal polynomials, the associated projection
-kernel computed by three independent routes, and the determinantal process
-of non-intersecting Brownian motions with several starting and ending
-points."""
+kernel (direct and Christoffel-Darboux routes, and read off the
+Riemann-Hilbert matrix), and the determinantal process of non-intersecting
+Brownian motions with several starting and ending points."""
 
 __version__ = "0.1.0"
 

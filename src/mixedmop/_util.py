@@ -1,35 +1,11 @@
-"""Shared plumbing: thread caps and deterministic serialization."""
+"""Shared plumbing: deterministic serialization."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
-import os
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
-
-THREADS_ENV = "MIXEDMOP_THREADS"
-
-
-def worker_count() -> int:
-    """Worker cap for parallel sections, from MIXEDMOP_THREADS (default: up to 4)."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is not None:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return max(1, min(4, os.cpu_count() or 1))
-
-
-def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Order-preserving map, threaded only when a cap > 1 is in effect."""
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def fmt_float(x: float) -> str:

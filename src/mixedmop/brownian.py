@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .kernel import BiorthogonalSystem, build_biorthogonal, kernel_direct_grid
 from .mop import MultiIndexPair
@@ -538,6 +537,8 @@ def chi_square_report(samples: np.ndarray, system: BiorthogonalSystem,
                       box: tuple[float, float], bins: int = 40) -> dict:
     """Chi-squared comparison of pooled sample coordinates against the
     one-point correlation, on equal-mass bins."""
+    from scipy import stats
+
     pooled = np.asarray(samples, dtype=float).ravel()
     edges = equal_mass_bins(system, box, bins)
     observed, _ = np.histogram(pooled, bins=edges)

@@ -29,7 +29,8 @@ from .kernel import (DegeneratePair, build_biorthogonal, build_cd_data,
                      relative_discrepancy)
 from .mop import (MultiIndexPair, Normalization, NotNormalizable,
                   check_normality, moment_table_for, solve_mixed)
-from .rh import RhSystem, kernel_rh_grid, rh_verification_report
+from .rh import (MATRIX_CSV_HEADER, RhSystem, kernel_rh_grid, matrix_rows,
+                 rh_verification_report)
 from .weights import AccuracyError, adaptive_gauss_legendre, weights_from_json
 
 DEFAULT_SEED = 42
@@ -168,10 +169,8 @@ def cmd_rh_verify(args, raw: dict) -> list:
     report.update(rh_verification_report(system, seed=args.seed, tol=tol))
     z0 = complex(report["z_points"][0]["re"], report["z_points"][0]["im"])
     Y0, _ = system.y_matrix(z0)
-    rows = [(r, c, Y0[r, c].real, Y0[r, c].imag)
-            for r in range(Y0.shape[0]) for c in range(Y0.shape[1])]
     return [("rh_report.json", "json", report),
-            ("y_matrix.csv", "csv", (("row", "col", "re", "im"), rows))]
+            ("y_matrix.csv", "csv", (MATRIX_CSV_HEADER, matrix_rows(Y0)))]
 
 
 def _brownian_config(raw: dict) -> BrownianConfig:

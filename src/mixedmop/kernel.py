@@ -382,14 +382,3 @@ def kernel_routes_report(sys: BiorthogonalSystem, data: CdKernelData,
         report["cd_vs_rh"] = relative_discrepancy(Kcd, rh_grid)
     return report
 
-
-def write_kernel_grid_csv(path: str, xs, ys, K_direct: np.ndarray,
-                          K_cd: np.ndarray) -> None:
-    from ._util import write_csv
-    rows = []
-    for ix, x in enumerate(xs):
-        for iy, y in enumerate(ys):
-            kd = K_direct[ix, iy]
-            kc = K_cd[ix, iy]
-            rows.append((x, y, kd, kc, abs(kd - kc)))
-    write_csv(path, ("x", "y", "K_direct", "K_cd", "abs_diff"), rows)

@@ -476,8 +476,9 @@ class NormalityReport:
     """Rank-based answers to which solves the pair admits.
 
     kernel_dimension is dim(F_n intersect G_m-perp); a defining pair is
-    normal exactly when it equals 1.  The admissibility flags test the
-    shifted pairs whose triviality licenses each normalization.
+    normal exactly when it equals 1 and F_n has full dimension |n|.  The
+    admissibility flags test the shifted pairs whose triviality licenses
+    each normalization.
     """
 
     pair: MultiIndexPair
@@ -490,7 +491,7 @@ class NormalityReport:
 
     @property
     def normal(self) -> bool:
-        return self.kernel_dimension == 1
+        return self.f_dimension_ok and self.kernel_dimension == 1
 
     def to_json_dict(self) -> dict:
         return {

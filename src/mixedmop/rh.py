@@ -3,10 +3,13 @@
 The (p+q) x (p+q) matrix Y is assembled entrywise from the neighbor solves:
 polynomial entries in the first p columns, Cauchy transforms of form-times-
 weight products in the last q.  Its inverse transpose X comes from the
-swapped-orientation solves.  Verification checks the four defining
-properties numerically: the multiplicative jump across the real line
-(boundary values by Richardson extrapolation in the offset), the diagonal
-power asymptotics at large |z|, unit determinant, and X^T Y = I.  The
+swapped-orientation solves.  For all-Gaussian families every Cauchy entry
+is a polynomial times a Gaussian, evaluated in closed form through the
+Faddeeva function; tabulated families go through adaptive panel quadrature.
+Verification checks the four defining properties numerically: the
+multiplicative jump across the real line (boundary values by Richardson
+extrapolation in the offset), the diagonal power asymptotics at large |z|,
+unit determinant, and X^T Y = I.  The
 kernel can also be read off Y's polynomial block together with the swapped
 forms, with no Cauchy boundary values involved.
 """
@@ -23,7 +26,7 @@ import numpy as np
 from .kernel import CdKernelData, DiagonalRegion, build_cd_data, kernel_cd_diagonal
 from .mop import MultiIndexPair
 from .weights import (AccuracyError, ProductMomentTable, WeightFamily,
-                      family_interval, _leggauss)
+                      family_interval, gaussian_product_params, _leggauss)
 
 TWO_PI_I = 2j * math.pi
 
@@ -33,6 +36,20 @@ NEAR_AXIS_FACTOR = 0.05
 JUMP_DELTAS = (1e-2, 5e-3, 2.5e-3)
 
 _PANEL_DEGREE = 24
+
+# Closed form.  With t = (x - mean) / sqrt(2 var) for a product Gaussian,
+# C_j(zeta) = int t^j e^{-t^2} / (t - zeta) dt.  For |zeta| < SERIES_RADIUS
+# the C_j come from C_0 = i pi w(zeta) by the forward recursion, whose error
+# grows like |zeta|^j; beyond it from the truncated large-|zeta| series,
+# whose error falls like exp(-|zeta|^2).  Where they meet both lose digits as
+# 6^j / Gamma((j+1)/2): up to 3e-9 relative at j = 7 and 2e-8 at j = 10.
+SERIES_RADIUS = 6.0
+SERIES_TERMS = 80
+# Relative accuracy of scipy.special.wofz (largest seen against mpmath on
+# |zeta| <= 6.5: 1.1e-14).
+WOFZ_REL = 2e-14
+_EPS = float(np.finfo(float).eps)
+BRANCHES = ("recursion", "asymptotic_series", "panel")
 
 
 def _gl_panel(f: Callable, a: float, b: float):
@@ -141,6 +158,73 @@ def cauchy_boundary_plemelj(f: Callable, interval: tuple[float, float],
     return pv + sgn * 1j * math.pi * fx, err
 
 
+def _line_moments(count: int) -> np.ndarray:
+    """G_k = int t^k e^{-t^2} dt over the real line, k < count."""
+    G = np.zeros(count)
+    G[0] = math.sqrt(math.pi)
+    for k in range(2, count, 2):
+        G[k] = 0.5 * (k - 1) * G[k - 2]
+    return G
+
+
+def gaussian_cauchy_moments(zeta, degree: int
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C_j(zeta) = int t^j e^{-t^2} / (t - zeta) dt for j = 0..degree.
+
+    Returns (C, err, series): C and its error estimate err with shape
+    zeta.shape + (degree + 1,), and the mask of arguments that took the
+    asymptotic series (|zeta| >= SERIES_RADIUS) instead of the recursion.
+    """
+    from scipy.special import wofz
+
+    zeta = np.asarray(zeta, dtype=complex)
+    if np.any(zeta.imag == 0.0):
+        raise ValueError("closed-form Cauchy transform needs Im z != 0")
+    G = _line_moments(degree + SERIES_TERMS)
+    C = np.empty(zeta.shape + (degree + 1,), dtype=complex)
+    err = np.empty(C.shape)
+    series = np.abs(zeta) >= SERIES_RADIUS
+
+    near = zeta[~series]
+    if near.size:
+        # C_0 = i pi w(zeta) above the axis, -i pi w(-zeta) below it.
+        sgn = np.sign(near.imag)
+        c = sgn * 1j * math.pi * wofz(sgn * near)
+        e = WOFZ_REL * np.abs(c)
+        cs, es = [c], [e]
+        for j in range(1, degree + 1):
+            step = near * c
+            c = G[j - 1] + step
+            e = np.abs(near) * e + _EPS * (G[j - 1] + np.abs(step))
+            cs.append(c)
+            es.append(e)
+        C[~series] = np.stack(cs, axis=-1)
+        err[~series] = np.stack(es, axis=-1)
+
+    far = zeta[series]
+    if far.size:
+        # C_j = -sum_k G_{j+k} / zeta^{k+1}, cut at its smallest term.
+        k = np.arange(SERIES_TERMS)
+        Gjk = G[np.arange(degree + 1)[:, None] + k[None, :]]
+        terms = -Gjk * ((1.0 / far)[:, None] ** (k + 1))[:, None, :]
+        mag = np.abs(terms)
+        stop = np.argmin(np.where(Gjk > 0.0, mag, np.inf), axis=-1)
+        keep = k <= stop[..., None]
+        C[series] = np.sum(np.where(keep, terms, 0.0), axis=-1)
+        err[series] = (_EPS * np.sum(np.where(keep, mag, 0.0), axis=-1)
+                       + np.take_along_axis(mag, stop[..., None], axis=-1)[..., 0])
+    return C, err, series
+
+
+def _rebased(coeffs: np.ndarray, alpha: float, beta: float, size: int) -> np.ndarray:
+    """Coefficients in t of sum_i coeffs[i] (alpha + beta t)^i, padded to size."""
+    out = np.zeros(size)
+    for c in reversed(np.asarray(coeffs, dtype=float)):
+        out[1:] = alpha * out[1:] + beta * out[:-1]
+        out[0] = alpha * out[0] + c
+    return out
+
+
 def richardson_extrapolate(values: Sequence[np.ndarray],
                            deltas: Sequence[float]) -> np.ndarray:
     """Polynomial extrapolation of values(delta) to delta = 0 (Lagrange)."""
@@ -180,7 +264,7 @@ def jump_matrix(w1: WeightFamily, w2: WeightFamily, x: float) -> JumpMatrix:
 
 @dataclass(frozen=True)
 class RhEvaluation:
-    """One evaluation of Y (or X) with per-entry quadrature error bounds."""
+    """One evaluation of Y (or X) with per-entry error bounds."""
 
     pair: MultiIndexPair
     z: complex
@@ -193,7 +277,17 @@ class RhEvaluation:
 
 
 class RhSystem:
-    """Cached neighbor solves plus geometry for repeated Y/X evaluations."""
+    """Cached neighbor solves plus geometry for repeated Y/X evaluations.
+
+    The Cauchy columns of Y (the last q) and of X (the first p) pair the
+    forms of one orientation with the weights of the other.  For
+    all-Gaussian families each form-times-weight product is a sum of
+    polynomials times product Gaussians; their coefficients in the
+    Gaussians' own variables are tabulated here once, so that an evaluation
+    is one Faddeeva call per product Gaussian and a contraction.
+    branch_counts tallies the Cauchy evaluations by branch: one per product
+    Gaussian and z for the closed form, one per entry and z for the panel.
+    """
 
     def __init__(self, pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
                  table: ProductMomentTable | None = None,
@@ -210,6 +304,69 @@ class RhSystem:
         self.q = len(w2)
         self.interval = family_interval(w1, w2)
         self.spread = data.table.scale
+        self.branch_counts = dict.fromkeys(BRANCHES, 0)
+        # (forms, column weights, row factors) of the Cauchy blocks
+        self._blocks = {
+            "y": (data.x_type2 + data.x_type1, w2,
+                  np.array([1.0 / TWO_PI_I] * self.p + [-1.0] * self.q)),
+            "x": (data.y_type1 + data.y_type2, w1,
+                  np.array([-1.0] * self.p + [-1.0 / TWO_PI_I] * self.q)),
+        }
+        self._closed = None
+        if w1.all_gaussian and w2.all_gaussian:
+            self._closed = self._closed_form_terms()
+
+    def _closed_form_terms(self) -> dict:
+        """Product Gaussians of (w1_j, w2_l) and, per block, the tensor
+        T[r, l, j, d]: amplitude times coefficient d (in that Gaussian's t) of
+        form r's polynomial on its weight j, against column weight l."""
+        params = np.array([[gaussian_product_params(a, b) for b in self.w2]
+                           for a in self.w1])
+        mean, var, amp = params[..., 0], params[..., 1], params[..., 2]
+        sigma = np.sqrt(2.0 * var)
+        forms = self._blocks["y"][0] + self._blocks["x"][0]
+        size = max(len(cf) for sol in forms for cf in sol.coeffs)
+
+        terms = {}
+        for side, (sols, weights, _) in self._blocks.items():
+            T = np.zeros((len(sols), len(weights), len(sols[0].coeffs), size))
+            for r, sol in enumerate(sols):
+                for l in range(len(weights)):
+                    for j, cf in enumerate(sol.coeffs):
+                        g = (j, l) if side == "y" else (l, j)
+                        T[r, l, j] = amp[g] * _rebased(
+                            cf, (mean[g] - sol.center) / sol.scale,
+                            sigma[g] / sol.scale, size)
+            terms[side] = T
+        return {"mean": mean, "sigma": sigma, "degree": size - 1, **terms}
+
+    def _cauchy_block(self, side: str, z: complex) -> tuple[np.ndarray, np.ndarray]:
+        """Row factor times the Cauchy transform of form r times column
+        weight l, for every (r, l) of the block, with error bounds."""
+        sols, weights, factors = self._blocks[side]
+        if self._closed is None:
+            block = np.zeros((len(sols), len(weights)), dtype=complex)
+            acc = np.zeros(block.shape)
+            for l, wl in enumerate(weights):
+                for r, sol in enumerate(sols):
+                    val, err = cauchy_transform(
+                        lambda xs, s=sol, w=wl: s.form(xs) * w(xs),
+                        self.interval, z, spread=self.spread)
+                    block[r, l] = val * factors[r]
+                    acc[r, l] = err * abs(factors[r])
+            self.branch_counts["panel"] += block.size
+            return block, acc
+        cf = self._closed
+        zeta = (z - cf["mean"]) / cf["sigma"]
+        C, err, series = gaussian_cauchy_moments(zeta, cf["degree"])
+        n_series = int(np.count_nonzero(series))
+        self.branch_counts["asymptotic_series"] += n_series
+        self.branch_counts["recursion"] += series.size - n_series
+        spec = "rljd,jld->rl" if side == "y" else "rljd,ljd->rl"
+        T = cf[side]
+        block = np.einsum(spec, T, C) * factors[:, None]
+        acc = np.einsum(spec, np.abs(T), err) * np.abs(factors)[:, None]
+        return block, acc
 
     # -- Y ------------------------------------------------------------------
 
@@ -221,22 +378,7 @@ class RhSystem:
             Y[k, :p] = self.data.x_type2[k].poly_values(z)
         for k in range(q):
             Y[p + k, :p] = -TWO_PI_I * self.data.x_type1[k].poly_values(z)
-        for l in range(q):
-            wl = self.w2[l]
-            for k in range(p):
-                sol = self.data.x_type2[k]
-                val, err = cauchy_transform(
-                    lambda xs, s=sol, w=wl: s.form(xs) * w(xs),
-                    self.interval, z, spread=self.spread)
-                Y[k, p + l] = val / TWO_PI_I
-                acc[k, p + l] = err / (2.0 * math.pi)
-            for k in range(q):
-                sol = self.data.x_type1[k]
-                val, err = cauchy_transform(
-                    lambda xs, s=sol, w=wl: s.form(xs) * w(xs),
-                    self.interval, z, spread=self.spread)
-                Y[p + k, p + l] = -val
-                acc[p + k, p + l] = err
+        Y[:, p:], acc[:, p:] = self._cauchy_block("y", z)
         return Y, acc
 
     # -- X = Y^{-T} ---------------------------------------------------------
@@ -245,22 +387,7 @@ class RhSystem:
         p, q = self.p, self.q
         X = np.zeros((p + q, p + q), dtype=complex)
         acc = np.zeros((p + q, p + q))
-        for l in range(p):
-            wl = self.w1[l]
-            for k in range(p):
-                sol = self.data.y_type1[k]
-                val, err = cauchy_transform(
-                    lambda xs, s=sol, w=wl: s.form(xs) * w(xs),
-                    self.interval, z, spread=self.spread)
-                X[k, l] = -val
-                acc[k, l] = err
-            for k in range(q):
-                sol = self.data.y_type2[k]
-                val, err = cauchy_transform(
-                    lambda xs, s=sol, w=wl: s.form(xs) * w(xs),
-                    self.interval, z, spread=self.spread)
-                X[p + k, l] = -val / TWO_PI_I
-                acc[p + k, l] = err / (2.0 * math.pi)
+        X[:, :p], acc[:, :p] = self._cauchy_block("x", z)
         for k in range(p):
             X[k, p:] = TWO_PI_I * self.data.y_type1[k].poly_values(z)
         for k in range(q):
@@ -424,6 +551,7 @@ def rh_verification_report(system: RhSystem, *, seed: int = 42,
     This certifies that the assembled matrix satisfies the defining
     conditions within tolerance; it does not certify uniqueness.
     """
+    counts_before = dict(system.branch_counts)
     rng = np.random.default_rng(seed)
     lo, hi = system.interval
     span = hi - lo
@@ -458,6 +586,8 @@ def rh_verification_report(system: RhSystem, *, seed: int = 42,
         "jump_details": jump_reports,
         "asymptotic_errors": asym["errors"],
         "asymptotic_ratios": asym["ratios"],
+        "cauchy_branches": {b: system.branch_counts[b] - counts_before[b]
+                            for b in BRANCHES},
         "passed": {
             "det": max(det_residuals) < tol,
             "inverse_transpose": max(xy_residuals) < tol,
@@ -467,11 +597,15 @@ def rh_verification_report(system: RhSystem, *, seed: int = 42,
     }
 
 
+MATRIX_CSV_HEADER = ("row", "col", "re", "im")
+
+
+def matrix_rows(matrix: np.ndarray) -> list[tuple]:
+    """(row, col, re, im) for every entry, row-major."""
+    return [(r, c, complex(v).real, complex(v).imag)
+            for (r, c), v in np.ndenumerate(matrix)]
+
+
 def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
     from ._util import write_csv
-    rows = []
-    for r in range(matrix.shape[0]):
-        for c in range(matrix.shape[1]):
-            v = complex(matrix[r, c])
-            rows.append((r, c, v.real, v.imag))
-    write_csv(path, ("row", "col", "re", "im"), rows)
+    write_csv(path, MATRIX_CSV_HEADER, matrix_rows(matrix))

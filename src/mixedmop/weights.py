@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import parallel_map, write_csv
+from ._util import write_csv
 
 # Truncation rule: 12 spreads of a Gaussian carry all mass to ~1e-31.
 TAIL_SIGMAS = 12.0
@@ -393,8 +393,7 @@ def build_moment_table(w1: WeightFamily, w2: WeightFamily, kmax: int, *,
 
     The basis placement may be overridden (tests exercise invariance of rank
     decisions under that choice); by default it is derived from both
-    families.  Pairs are filled independently, so the loop parallelizes
-    under the MIXEDMOP_THREADS cap.
+    families.
     """
     w1 = w1 if isinstance(w1, WeightFamily) else WeightFamily(w1)
     w2 = w2 if isinstance(w2, WeightFamily) else WeightFamily(w2)
@@ -406,23 +405,16 @@ def build_moment_table(w1: WeightFamily, w2: WeightFamily, kmax: int, *,
     if not s > 0.0:
         raise ValueError("basis scale must be positive")
 
-    pairs = [(j, l) for j in range(len(w1)) for l in range(len(w2))]
-
-    def fill(jl):
-        j, l = jl
-        a, b = w1[j], w2[l]
-        if a.kind == "gaussian" and b.kind == "gaussian":
-            vals = gaussian_pair_moments(a, b, kmax, c, s)
-            errs = (np.arange(kmax + 1) + 2) * 2e-16 * np.abs(vals)
-            return vals, errs
-        return _quad_pair_moments(a, b, kmax, c, s)
-
-    filled = parallel_map(fill, pairs)
     values = np.zeros((len(w1), len(w2), kmax + 1))
     accuracy = np.zeros_like(values)
-    for (j, l), (vals, errs) in zip(pairs, filled):
-        values[j, l] = vals
-        accuracy[j, l] = errs
+    rounding = (np.arange(kmax + 1) + 2) * 2e-16
+    for j, a in enumerate(w1):
+        for l, b in enumerate(w2):
+            if a.kind == "gaussian" and b.kind == "gaussian":
+                values[j, l] = gaussian_pair_moments(a, b, kmax, c, s)
+                accuracy[j, l] = rounding * np.abs(values[j, l])
+            else:
+                values[j, l], accuracy[j, l] = _quad_pair_moments(a, b, kmax, c, s)
     return ProductMomentTable(w1=w1, w2=w2, center=c, scale=s, kmax=kmax,
                               values=values, accuracy=accuracy)
 

@@ -9,9 +9,13 @@ would see them.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mixedmop
 import mixedmop.cli as cli
 from mixedmop.cli import GRID_LIMITS, main
 
@@ -195,6 +199,19 @@ class TestNumericalFailures:
         assert capsys.readouterr().err.startswith("NUMERICAL:")
 
 
+    def test_rank_deficient_forms_are_not_normal(self, tmp_path):
+        # 5 + 5 walkers from +-1 to one end: the F basis u^i w1_l is
+        # numerically rank-deficient, so the pair is not normal.
+        config = {"starts": [[-1.0, 5], [1.0, 5]], "ends": [[0.0, 10]],
+                  "t": 0.5, "n_scaling": True}
+        code, out = run_cli(tmp_path, "brownian-kernel", config,
+                            "--grid", "-2:2:5")
+        assert code == 2
+        normality = read_json(out / "error_report.json")["detail"]["normality"]
+        assert normality["f_dimension_ok"] is False
+        assert normality["normal"] is False
+
+
 class TestInternalFailures:
     def test_unexpected_exception_maps_to_three(self, tmp_path, capsys,
                                                 monkeypatch):
@@ -268,6 +285,24 @@ class TestRhVerify:
         # rank-one problem: the solution matrix is 2 x 2
         assert len(rows) == 4
         assert set(rows[0]) == {"row", "col", "re", "im"}
+        # 20 det points, 10 jump points x 3 offsets x 2 sides, 3 radii; one
+        # product Gaussian, Y and X at the det points, Y elsewhere
+        branches = report["cauchy_branches"]
+        assert branches["panel"] == 0
+        assert branches["recursion"] + branches["asymptotic_series"] == 103
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(mixedmop.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, mixedmop.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestBrownianCommands:

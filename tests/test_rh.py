@@ -1,6 +1,7 @@
 """Riemann-Hilbert route: quadrature backends, Y/X assembly, certificates."""
 
 import cmath
+import copy
 import math
 
 import numpy as np
@@ -13,9 +14,10 @@ from mixedmop import (AccuracyError, MultiIndexPair, RhSystem, Weight,
                       kernel_rh, kernel_rh_grid, rh_verification_report,
                       verify_jump)
 from mixedmop.kernel import build_biorthogonal, relative_discrepancy
-from mixedmop.rh import (JUMP_DELTAS, adaptive_panel_integral,
-                         asymptotic_errors, cauchy_boundary_plemelj,
-                         cauchy_transform, jump_matrix,
+from mixedmop.rh import (BRANCHES, JUMP_DELTAS, SERIES_RADIUS,
+                         adaptive_panel_integral, asymptotic_errors,
+                         cauchy_boundary_plemelj, cauchy_transform,
+                         gaussian_cauchy_moments, jump_matrix,
                          richardson_extrapolate, write_matrix_csv)
 
 from conftest import faddeeva_cauchy_gaussian
@@ -371,3 +373,106 @@ class TestVerificationReport:
         first = lines[1].split(",")
         assert first[:2] == ["0", "0"]
         assert float(first[2]) == 1.0 and float(first[3]) == 2.0
+
+
+# ---------------------------------------------------------------------------
+# Closed-form Cauchy transforms against the panel route and mpmath
+
+
+G = Weight.gaussian
+WP = (WeightFamily([G(-0.5, 0.8), G(0.6, 1.2)]),
+      WeightFamily([G(0.0, 1.0), G(0.3, 0.6)]), [3, 2], [2, 3])
+P3 = (WeightFamily([G(-0.8, 0.7), G(0.1, 1.1), G(0.9, 0.9)]),
+      WeightFamily([G(-0.4, 1.0), G(0.3, 0.6), G(0.7, 1.3)]),
+      [2, 2, 2], [2, 2, 2])
+
+
+def panel_twin(system):
+    """The same system (same solves) with every Cauchy entry by panels."""
+    twin = copy.copy(system)
+    twin._closed = None
+    twin.branch_counts = dict.fromkeys(BRANCHES, 0)
+    return twin
+
+
+def mp_cauchy_moment(j, zeta):
+    import mpmath
+    with mpmath.workdps(30):
+        z = mpmath.mpc(zeta.real, zeta.imag)
+        val = mpmath.quad(lambda t: t ** j * mpmath.exp(-t * t) / (t - z),
+                          [-mpmath.inf, z.real, mpmath.inf])
+    return complex(val)
+
+
+class TestClosedFormCauchy:
+    @pytest.mark.parametrize("config", [WP, P3], ids=["wp", "p3"])
+    def test_entries_match_panel_route(self, config):
+        w1, w2, n, m = config
+        system = RhSystem(MultiIndexPair.balanced(n, m), w1, w2)
+        panel = panel_twin(system)
+        rep = rh_verification_report(system)
+        zs = [complex(pt["re"], pt["im"]) for pt in rep["z_points"]]
+        zs += [complex(x, s * JUMP_DELTAS[-1]) for x in rep["jump_points"]
+               for s in (1, -1)]
+        zs += [10j, 20j, 40j]
+        p = len(w1)
+        cauchy_columns = {"y_matrix": np.s_[:, p:], "x_matrix": np.s_[:, :p]}
+        for z in zs:
+            for fn, cols in cauchy_columns.items():
+                got, acc = getattr(system, fn)(z)
+                want, _ = getattr(panel, fn)(z)
+                assert np.all(np.abs(got - want) <= 1e-10 * (1 + np.abs(want))), \
+                    (fn, z)
+                assert np.all(acc[cols] > 0) and np.all(acc[cols] < 1e-9)
+        assert system.branch_counts["panel"] == 0
+        assert panel.branch_counts["recursion"] == 0
+        assert rep["cauchy_branches"]["panel"] == 0
+        assert rep["cauchy_branches"]["asymptotic_series"] > 0
+
+    def test_hermite_seven_asymptotics_match_panel_route(self):
+        fam = WeightFamily([G(0.0, 1.0)])
+        system = RhSystem(MultiIndexPair.balanced([7], [7]), fam, fam)
+        closed = asymptotic_errors(system)["errors"]
+        panel = asymptotic_errors(panel_twin(system))["errors"]
+        assert closed == pytest.approx(panel, rel=1e-6)
+        assert closed == pytest.approx([0.935, 0.531, 0.275], abs=5e-4)
+
+    @pytest.mark.parametrize("zeta", [
+        3.0 * cmath.exp(0.05j), 3.0 * cmath.exp(-2.3j),
+        9.0 * cmath.exp(0.4j), 9.0 * cmath.exp(-0.5j * math.pi)],
+        ids=["inner-upper", "inner-lower", "outer-upper", "outer-lower"])
+    def test_moments_match_mpmath(self, zeta):
+        C, err, series = gaussian_cauchy_moments(np.array([zeta]), 10)
+        assert bool(series[0]) == (abs(zeta) >= SERIES_RADIUS)
+        for j in range(11):
+            want = mp_cauchy_moment(j, zeta)
+            assert abs(C[0, j] - want) <= 1e-10 * abs(want), j
+
+    @pytest.mark.parametrize("zeta", [5.9 * cmath.exp(0.01j),
+                                      6.1 * cmath.exp(-0.8j)],
+                             ids=["inside-upper", "outside-lower"])
+    def test_moments_at_switch_radius(self, zeta):
+        # Where the branches meet, both lose digits as 6^j / Gamma((j+1)/2):
+        # about 2e-8 relative at j = 10 and 3e-9 at j = 7.
+        C, _, _ = gaussian_cauchy_moments(np.array([zeta]), 10)
+        for j in range(11):
+            want = mp_cauchy_moment(j, zeta)
+            bound = 1e-7 if j > 7 else 1e-8
+            assert abs(C[0, j] - want) <= bound * abs(want), j
+
+    def test_real_argument_rejected(self):
+        with pytest.raises(ValueError):
+            gaussian_cauchy_moments(np.array([0.5 + 0.0j]), 3)
+
+    def test_tabulated_family_uses_panels(self):
+        pair, w1, w2 = rank_one_pair()
+        gauss = gaussian_callable(0.0, 1.0, 1.0)
+        tab = WeightFamily([Weight.tabulated(gauss, (-12.0, 12.0))])
+        system = RhSystem(pair, tab, tab)
+        Y, acc = system.y_matrix(1.0 + 1.0j)
+        assert system.branch_counts == {"recursion": 0,
+                                        "asymptotic_series": 0, "panel": 2}
+        closed = RhSystem(pair, w1, w2)
+        Yc, _ = closed.y_matrix(1.0 + 1.0j)
+        assert closed.branch_counts["panel"] == 0
+        np.testing.assert_allclose(Y, Yc, rtol=1e-9, atol=1e-12)
