@@ -20,14 +20,14 @@ from .kernel import (BiorthogonalSystem, CdKernelData, DegeneratePair,
 from .rh import (RhEvaluation, RhSystem, eval_X, eval_Y, jump_matrix,
                  kernel_rh, kernel_rh_grid, rh_verification_report,
                  verify_jump)
-from .brownian import (BrownianConfig, KarlinMcGregorDensity, PathBundles,
-                       PositionSamples, config_to_weights, correlation_kernel,
-                       km_density, r1_grid, r_m, sample_paths,
-                       sample_positions)
+from .brownian import (BrownianConfig, DppSamples, KarlinMcGregorDensity,
+                       PathBundles, PositionSamples, config_to_weights,
+                       correlation_kernel, km_density, r1_grid, r_m,
+                       sample_paths, sample_positions, sample_projection_dpp)
 
 __all__ = [
     "AccuracyError", "BiorthogonalSystem", "BrownianConfig", "CdKernelData",
-    "DegeneratePair", "DiagonalRegion", "KarlinMcGregorDensity",
+    "DegeneratePair", "DiagonalRegion", "DppSamples", "KarlinMcGregorDensity",
     "MixedMopSolution", "MultiIndex", "MultiIndexPair", "Normalization",
     "NormalityReport", "NotNormalizable", "PathBundles", "PositionSamples",
     "ProductMomentTable", "RhEvaluation", "RhSystem", "Weight", "WeightFamily",
@@ -38,7 +38,7 @@ __all__ = [
     "kernel_direct_grid", "kernel_rh", "kernel_rh_grid",
     "kernel_routes_report", "km_density", "moment_table_for", "product_moment",
     "r1_grid", "r_m", "rh_verification_report", "sample_paths",
-    "sample_positions",
+    "sample_positions", "sample_projection_dpp",
     "solve_mixed", "solve_type1_classical", "solve_type2_classical",
     "trace_quadrature", "transition_weight", "verify_jump",
     "weights_from_json",

@@ -22,7 +22,7 @@ from . import __version__
 from ._util import dump_json, json_ready, write_csv
 from .brownian import (BrownianConfig, chi_square_report, config_to_weights,
                        correlation_kernel, km_density, r1_grid, sample_paths,
-                       sample_positions, write_density_grid_csv,
+                       sample_projection_dpp, write_density_grid_csv,
                        write_paths_csv, write_samples_csv)
 from .kernel import (DegeneratePair, build_biorthogonal, build_cd_data,
                      kernel_cd_grid, kernel_direct_grid, kernel_routes_report,
@@ -227,31 +227,43 @@ def cmd_brownian_density(args, raw: dict) -> list:
             ("brownian_density_report.json", "json", report)]
 
 
+def _positive_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationFailure(f"{what} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _section(raw: dict, key: str) -> dict | None:
+    value = raw.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise ValidationFailure(f"'{key}' must be a JSON object")
+    return value
+
+
 def cmd_brownian_sample(args, raw: dict) -> list:
     config = _brownian_config(raw)
     if not (config.distinct and config.walkers <= 4):
         raise ValidationFailure("sampling needs distinct points and at most "
                                 "4 walkers")
-    sampling = raw.get("sampling", {})
-    count = int(sampling.get("count", 10_000))
-    if count < 1:
-        raise ValidationFailure("sampling count must be positive")
-    density = km_density(config)
-    draws = sample_positions(density, count, args.seed)
+    sampling = _section(raw, "sampling") or {}
+    count = _positive_int(sampling.get("count", 10_000), "sampling count")
+    paths_cfg = _section(raw, "paths")
+    if paths_cfg is not None:
+        n_paths = _positive_int(paths_cfg.get("count", 50), "paths count")
+        n_times = _positive_int(paths_cfg.get("time_points", 128),
+                                "paths time_points")
     system = correlation_kernel(config)
+    box = config.bridge_box()
+    draws = sample_projection_dpp(system, box, count, args.seed)
     report = _base_report(args, raw)
     report["walkers"] = config.walkers
     report["count"] = count
-    report["acceptance_rate"] = draws.acceptance_rate
-    report["psrf"] = list(draws.psrf)
-    report["converged"] = draws.converged
-    report["chi_square_vs_r1"] = chi_square_report(draws.samples, system,
-                                                   config.bridge_box())
+    report["sampler"] = "exact chain-rule projection DPP"
+    report["mass_deviation_max"] = draws.mass_deviation_max
+    report["inversion_residual_max"] = draws.inversion_residual_max
+    report["chi_square_vs_r1"] = chi_square_report(draws.samples, system, box)
     artifacts = [("samples.csv", "samples", draws.samples)]
-    paths_cfg = raw.get("paths")
     if paths_cfg is not None:
-        n_paths = int(paths_cfg.get("count", 50))
-        n_times = int(paths_cfg.get("time_points", 128))
         grid = np.linspace(0.0, 1.0, n_times)
         try:
             bundles = sample_paths(config, grid, n_paths, args.seed + 1)

@@ -8,11 +8,13 @@ from scipy.integrate import dblquad, quad
 
 from mixedmop import (AccuracyError, BrownianConfig, config_to_weights,
                       correlation_kernel, kernel_direct, km_density, r1_grid,
-                      r_m, sample_paths, sample_positions)
+                      r_m, sample_paths, sample_positions,
+                      sample_projection_dpp)
 from mixedmop.brownian import (chi_square_report, equal_mass_bins,
                                gram_normalization, write_density_grid_csv,
                                write_paths_csv, write_samples_csv)
 from mixedmop.kernel import kernel_direct_grid, trace_quadrature
+from mixedmop.weights import _leggauss
 
 
 def two_walker_config(t=0.5):
@@ -319,6 +321,79 @@ class TestPositionSampling:
                                       np.sort(flipped, axis=1))
 
 
+def three_walker_config():
+    return BrownianConfig(starts=((-1.0, 1), (0.0, 1), (1.0, 1)),
+                          ends=((-1.0, 1), (0.5, 1), (1.0, 1)), time=0.5)
+
+
+class TestExactSampler:
+    def test_seed_determinism_and_block_independence(self):
+        cfg = three_walker_config()
+        system = correlation_kernel(cfg)
+        box = cfg.bridge_box()
+        a = sample_projection_dpp(system, box, 300, seed=11)
+        b = sample_projection_dpp(system, box, 300, seed=11)
+        c = sample_projection_dpp(system, box, 300, seed=12)
+        one = sample_projection_dpp(system, box, 300, seed=11, block=1)
+        wide = sample_projection_dpp(system, box, 300, seed=11, block=4096)
+        np.testing.assert_array_equal(a.samples, b.samples)
+        assert not np.array_equal(a.samples, c.samples)
+        np.testing.assert_array_equal(one.samples, wide.samples)
+        assert a.samples.shape == (300, 3)
+        assert np.all(np.diff(a.samples, axis=1) > 0.0)
+        assert a.mass_deviation_max < 1e-9
+        assert a.inversion_residual_max < 1e-11
+
+    def test_two_walker_histogram_matches_one_point_density(self):
+        # criterion 6's configuration and draw count
+        cfg = two_walker_config()
+        system = correlation_kernel(cfg)
+        draws = sample_projection_dpp(system, cfg.bridge_box(), 100_000,
+                                      seed=20240822)
+        rep = chi_square_report(draws.samples, system, cfg.bridge_box(),
+                                bins=40)
+        assert rep["points"] == 200_000
+        assert rep["p_value"] > 0.01
+
+    def test_single_walker_bridge_marginal(self):
+        a, b, t = 0.2, -0.5, 0.4
+        cfg = BrownianConfig(starts=((a, 1),), ends=((b, 1),), time=t,
+                             variance_scaling=False)
+        draws = sample_projection_dpp(correlation_kernel(cfg),
+                                      cfg.bridge_box(), 100_000, seed=42)
+        x = draws.samples[:, 0]
+        mean, var = (1.0 - t) * a + t * b, t * (1.0 - t)
+        # i.i.d. standard errors; the variance SE uses the Gaussian fourth
+        # moment 3 var^2
+        assert abs(x.mean() - mean) < 3.0 * math.sqrt(var / x.size)
+        assert abs(x.var(ddof=1) - var) < 3.0 * math.sqrt(2.0 * var ** 2 / x.size)
+
+    def test_two_point_statistic_matches_r2(self):
+        cfg = three_walker_config()
+        system = correlation_kernel(cfg)
+        lo, hi = cfg.bridge_box()
+        nodes, wts = _leggauss(200)
+        xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+        ws = 0.5 * (hi - lo) * wts
+        K = kernel_direct_grid(system, xs, xs)
+        d = np.diag(K)
+        r2 = d[:, None] * d[None, :] - K * K.T
+        expected = float((ws * xs) @ r2 @ (ws * xs))
+
+        draws = sample_projection_dpp(system, (lo, hi), 20_000, seed=5)
+        X = draws.samples
+        stat = X.sum(axis=1) ** 2 - (X ** 2).sum(axis=1)  # sum over i != j
+        se = stat.std(ddof=1) / math.sqrt(stat.size)
+        assert abs(stat.mean() - expected) < 4.0 * se
+
+    def test_narrowed_box_raises(self):
+        cfg = two_walker_config()
+        lo, hi = cfg.bridge_box()
+        with pytest.raises(AccuracyError, match="conditional mass"):
+            sample_projection_dpp(correlation_kernel(cfg), (lo + 1.0, hi - 1.0),
+                                  50, seed=1)
+
+
 class TestChiSquare:
     def test_equal_mass_edges(self):
         cfg = two_walker_config()
@@ -339,6 +414,19 @@ class TestChiSquare:
         assert rep["points"] == 40_000
         assert sum(rep["observed"]) == 40_000
         assert rep["p_value"] > 0.001
+
+    def test_p_value_matches_scipy_stats(self):
+        from scipy import stats
+
+        cfg = two_walker_config()
+        system = correlation_kernel(cfg)
+        rng = np.random.default_rng(3)
+        for shift in (0.0, 0.05, 0.2):
+            pts = rng.normal(shift, 0.7, (2000, 2))
+            for bins in (10, 40):
+                rep = chi_square_report(pts, system, cfg.bridge_box(), bins)
+                want = stats.chi2.sf(rep["statistic"], rep["degrees_of_freedom"])
+                assert rep["p_value"] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_report_detects_wrong_density(self):
         cfg = two_walker_config()
@@ -435,3 +523,19 @@ class TestCsvWriters:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "time,path_index,position,bundle"
         assert len(lines) == 1 + 2 * 1 * 65
+
+    def test_paths_bytes_match_row_loop(self, tmp_path):
+        from mixedmop._util import write_csv
+
+        bundles = sample_paths(two_walker_config(), np.linspace(0.0, 1.0, 65),
+                               7, seed=4)
+        rows = []
+        for bi in range(bundles.count):
+            for wi in range(bundles.paths.shape[1]):
+                for ti, t in enumerate(bundles.times):
+                    rows.append((t, wi, bundles.paths[bi, wi, ti], bi))
+        oracle = tmp_path / "oracle.csv"
+        write_csv(str(oracle), ("time", "path_index", "position", "bundle"), rows)
+        path = tmp_path / "paths.csv"
+        write_paths_csv(str(path), bundles)
+        assert path.read_bytes() == oracle.read_bytes()

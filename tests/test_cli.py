@@ -174,6 +174,21 @@ class TestValidationFailures:
         assert code == 1
         self.assert_only_error_report(out)
 
+    @pytest.mark.parametrize("extra", [
+        {"sampling": {"count": "many"}},
+        {"sampling": [1]},
+        {"paths": {"count": "x"}},
+        {"paths": [3]},
+        {"sampling": {"count": 10.7}},
+        {"n_scaling": "false"},
+    ], ids=["count-string", "sampling-list", "paths-count-string",
+            "paths-list", "count-float", "n-scaling-string"])
+    def test_sampling_config_types(self, tmp_path, extra):
+        config = {**TWO_WALKERS, "sampling": {"count": 8}, **extra}
+        code, out = run_cli(tmp_path, "brownian-sample", config)
+        assert code == 1
+        self.assert_only_error_report(out)
+
     def test_sampling_rejects_five_walkers(self, tmp_path):
         pts = [[float(i), 1] for i in range(5)]
         config = {"starts": pts, "ends": pts, "t": 0.5}
@@ -305,6 +320,21 @@ class TestImportCost:
         assert result.stdout.strip() == "[]"
 
 
+    def test_brownian_sample_loads_no_scipy_stats(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(TWO_WALKERS, sampling={"count": 20})))
+        src = os.path.dirname(os.path.dirname(mixedmop.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys; from mixedmop.cli import main; "
+                f"code = main(['brownian-sample', '--config', {str(cfg)!r}, "
+                f"'--out', {str(tmp_path / 'out')!r}]); "
+                "print(code, 'scipy.stats' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0 False"
+
+
 class TestBrownianCommands:
     def test_kernel_artifacts(self, tmp_path):
         code, out = run_cli(tmp_path, "brownian-kernel", TWO_WALKERS,
@@ -338,8 +368,9 @@ class TestBrownianCommands:
         assert len(samples) == 300
         assert set(samples[0]) == {"x1", "x2"}
         report = read_json(out1 / "sampling_report.json")
-        assert 0.05 < report["acceptance_rate"] < 0.7
-        assert len(report["psrf"]) == 2
+        assert report["sampler"] == "exact chain-rule projection DPP"
+        assert report["mass_deviation_max"] < 1e-9
+        assert report["inversion_residual_max"] < 1e-11
         assert report["paths"]["count"] == 3
         assert report["chi_square_vs_r1"]["p_value"] >= 0.0
         assert (out1 / "paths.csv").exists()
