@@ -428,8 +428,7 @@ def _invert_in_panel(system: BiorthogonalSystem, M: np.ndarray,
 
 
 def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
-                          count: int, seed: int, *, block: int = DPP_BLOCK
-                          ) -> DppSamples:
+                          count: int, seed: int) -> DppSamples:
     """Exact draws of the rank-n projection process K(x, y) = phi(x).psi(y)
     by the chain rule (Hough-Krishnapur-Peres-Virag, Probab. Surveys 3,
     2006).
@@ -441,8 +440,9 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
     cumulants of phi_a psi_b; the draw is located in a panel and refined by
     safeguarded Newton.  Each conditional mass must equal tr M_k = n - k to
     MASS_TOL relative, or AccuracyError is raised (the box or the panel
-    quadrature misses mass).  Draws run in blocks of ``block`` from
-    uniforms drawn up front, so the output does not depend on ``block``.
+    quadrature misses mass).  Draws run in blocks of DPP_BLOCK from
+    uniforms drawn up front, so the output does not depend on the block
+    size.
     """
     n = system.dimension
     uniforms = np.random.Generator(np.random.PCG64(
@@ -451,8 +451,8 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
     cumulants = _panel_cumulants(system, edges)
     out = np.empty((count, n))
     mass_dev = inversion = 0.0
-    for start in range(0, count, block):
-        u = uniforms[start:start + block]
+    for start in range(0, count, DPP_BLOCK):
+        u = uniforms[start:start + DPP_BLOCK]
         size = u.shape[0]
         M = np.tile(np.eye(n), (size, 1, 1))
         for k in range(n):
@@ -483,7 +483,7 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
             phi, psi = _phi_psi(system, x)
             Mpsi = sum(M[:, :, b] * psi[b, :, None] for b in range(n))
             phiM = sum(phi[a, :, None] * M[:, a, :] for a in range(n))
-            denom = sum(phi[a] * Mpsi[:, a] for a in range(n))
+            denom = _quadratic_form(M, phi, psi)
             M = M - Mpsi[:, :, None] * phiM[:, None, :] / denom[:, None, None]
     return DppSamples(samples=np.sort(out, axis=1), mass_deviation_max=mass_dev,
                       inversion_residual_max=inversion, seed=int(seed))

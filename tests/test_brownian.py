@@ -10,6 +10,7 @@ from mixedmop import (AccuracyError, BrownianConfig, config_to_weights,
                       correlation_kernel, kernel_direct, km_density, r1_grid,
                       r_m, sample_paths, sample_positions,
                       sample_projection_dpp)
+from mixedmop import brownian
 from mixedmop.brownian import (chi_square_report, equal_mass_bins,
                                gram_normalization, write_density_grid_csv,
                                write_paths_csv, write_samples_csv)
@@ -327,18 +328,18 @@ def three_walker_config():
 
 
 class TestExactSampler:
-    def test_seed_determinism_and_block_independence(self):
+    def test_seed_determinism_and_block_independence(self, monkeypatch):
         cfg = three_walker_config()
         system = correlation_kernel(cfg)
         box = cfg.bridge_box()
         a = sample_projection_dpp(system, box, 300, seed=11)
         b = sample_projection_dpp(system, box, 300, seed=11)
         c = sample_projection_dpp(system, box, 300, seed=12)
-        one = sample_projection_dpp(system, box, 300, seed=11, block=1)
-        wide = sample_projection_dpp(system, box, 300, seed=11, block=4096)
+        monkeypatch.setattr(brownian, "DPP_BLOCK", 1)
+        one = sample_projection_dpp(system, box, 300, seed=11)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
-        np.testing.assert_array_equal(one.samples, wide.samples)
+        np.testing.assert_array_equal(one.samples, a.samples)
         assert a.samples.shape == (300, 3)
         assert np.all(np.diff(a.samples, axis=1) > 0.0)
         assert a.mass_deviation_max < 1e-9
