@@ -13,11 +13,9 @@ bridge simulator with grid non-intersection rejection.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +24,9 @@ from .mop import MultiIndexPair
 from .weights import (AccuracyError, WeightFamily, _leggauss,
                       product_moment, transition_weight)
 
-MAX_QUADRATURE_WALKERS = 4
+MAX_PATH_WALKERS = 4
+# Gauss-Legendre degrees per axis tried for the Karlin-McGregor normalization.
+NORMALIZATION_DEGREES = (16, 32, 64, 128)
 MCMC_BURN_IN = 10_000
 MCMC_THIN = 10
 MCMC_CHAINS = 4
@@ -37,7 +37,7 @@ PSRF_LIMIT = 1.05
 # (n - k), and the inverse-CDF search's relative tolerance and step cap.
 DPP_PANELS = 64
 DPP_NODES = 20
-DPP_BLOCK = 4096
+DPP_BLOCK = 512
 MASS_TOL = 1e-9
 INVERSION_TOL = 1e-12
 INVERSION_MAX_STEPS = 60
@@ -108,11 +108,16 @@ class BrownianConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BrownianConfig":
+        """Parse a JSON config.  Points and t must be finite JSON numbers
+        and multiplicities JSON integers >= 1 (booleans are neither), so no
+        input is silently rounded or coerced into different physics."""
         try:
-            starts = tuple((float(a), int(k)) for a, k in d["starts"])
-            ends = tuple((float(b), int(k)) for b, k in d["ends"])
-            t = float(d["t"])
-        except (KeyError, TypeError, ValueError) as exc:
+            starts = tuple((_json_number(a, "start point"),
+                            _json_multiplicity(k)) for a, k in d["starts"])
+            ends = tuple((_json_number(b, "end point"),
+                          _json_multiplicity(k)) for b, k in d["ends"])
+            t = _json_number(d["t"], "t")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid brownian config: {exc}") from exc
         scaling = d.get("n_scaling", True)
         if not isinstance(scaling, bool):
@@ -127,6 +132,20 @@ class BrownianConfig:
             "t": self.time,
             "n_scaling": self.variance_scaling,
         }
+
+
+def _json_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite JSON number, got {value!r}")
+    return float(value)
+
+
+def _json_multiplicity(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"multiplicity must be a JSON integer >= 1, got "
+                         f"{value!r}")
+    return value
 
 
 def config_to_weights(config: BrownianConfig
@@ -153,8 +172,11 @@ class KarlinMcGregorDensity:
     """Joint position density (1/Z) det[w1_j(x_k)] det[w2_j(x_k)].
 
     The determinant product is permutation-symmetric, so evaluation accepts
-    coordinates in any order.  z_n comes from tensorized quadrature on the
-    bridge box; z_n_gram is the independent cross-check n! det[int w1_i w2_j].
+    coordinates in any order.  z_n is the Gauss-Legendre quadrature of the
+    n-fold integral over the bridge box, evaluated by the discrete Andreief
+    identity, and z_n_accuracy the change over its last degree doubling;
+    z_n_gram is the independent closed-form cross-check
+    n! det[int w1_i w2_j].
     """
 
     config: BrownianConfig
@@ -203,62 +225,21 @@ class KarlinMcGregorDensity:
     __call__ = density
 
 
-def _det_on_grid(values_1d: np.ndarray) -> np.ndarray:
-    """det[f_i(x_{j_i})] on the tensor grid, by signed permutation sums.
+def andreief_quadrature(w1: WeightFamily, w2: WeightFamily,
+                        box: tuple[float, float], degree: int) -> float:
+    """integral over box^n of det[w1_i(x_j)] det[w2_i(x_j)] by the tensor
+    Gauss-Legendre rule of the given degree on each axis, evaluated as
+    n! det[sum_k h w_k w1_i(x_k) w2_j(x_k)] (h the half-width of the box).
 
-    values_1d has shape (n, d); the result has shape (d,) * n.  Practical
-    only for the small n this module supports.
+    By the discrete Andreief (Cauchy-Binet) identity this equals the degree^n
+    tensor sum exactly, at O(n^2 degree) cost instead of O(n! degree^n).
     """
-    n, d = values_1d.shape
-    letters = "abcdefgh"[:n]
-    spec = ",".join(letters) + "->" + letters
-    out = np.zeros((d,) * n)
-    for perm in itertools.permutations(range(n)):
-        sign = _permutation_sign(perm)
-        out += sign * np.einsum(spec, *[values_1d[perm[j]] for j in range(n)])
-    return out
-
-
-def _permutation_sign(perm: Sequence[int]) -> float:
-    sign = 1.0
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _tensor_normalization(w1: WeightFamily, w2: WeightFamily,
-                          box: tuple[float, float], n: int, *,
-                          rel_tol: float = 1e-9) -> tuple[float, float]:
-    """integral over box^n of det[w1_i(x_j)] det[w2_i(x_j)], by per-axis
-    Gauss-Legendre with degree doubling until the value settles."""
     lo, hi = box
-    degrees = (16, 32, 48) if n == 4 else (16, 32, 64, 128)
-    prev = None
-    for d in degrees:
-        nodes, wts = _leggauss(d)
-        xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
-        scale = (0.5 * (hi - lo)) ** n
-        F = _det_on_grid(w1.values(xs))
-        G = _det_on_grid(w2.values(xs))
-        M = F * G
-        for _ in range(n):
-            M = np.tensordot(wts, M, axes=(0, 0))
-        value = float(M) * scale
-        if prev is not None and abs(value - prev) <= rel_tol * max(abs(value), 1e-300):
-            return value, abs(value - prev)
-        prev = value
-    achieved = abs(value - prev) if prev is not None else math.inf
-    raise AccuracyError("normalization quadrature did not settle",
-                        value=value, achieved=achieved)
+    h = 0.5 * (hi - lo)
+    nodes, wts = _leggauss(degree)
+    xs = 0.5 * (lo + hi) + h * nodes
+    G = (w1.values(xs) * (h * wts)) @ w2.values(xs).T
+    return float(math.factorial(len(w1)) * np.linalg.det(G))
 
 
 def gram_normalization(w1: WeightFamily, w2: WeightFamily, n: int) -> float:
@@ -269,26 +250,32 @@ def gram_normalization(w1: WeightFamily, w2: WeightFamily, n: int) -> float:
 
 def km_density(config: BrownianConfig, *, rel_tol: float = 1e-9
                ) -> KarlinMcGregorDensity:
-    """Joint density for distinct points.  The normalization is computed by
-    tensor quadrature (n <= 4) and cross-checked against the Gram route."""
+    """Joint density for distinct points.  z_n is Gauss-Legendre quadrature
+    by the discrete Andreief identity (`andreief_quadrature`) at doubling
+    degrees until two values agree to rel_tol, cross-checked against the
+    closed-form Gram route (`gram_normalization`)."""
     if not config.distinct:
         raise ValueError("the Karlin-McGregor determinant form needs all "
                          "multiplicities equal to 1; use the kernel for "
                          "confluent configurations")
-    n = config.walkers
-    if n > MAX_QUADRATURE_WALKERS:
-        raise AccuracyError(
-            f"normalization quadrature is certified only for n <= "
-            f"{MAX_QUADRATURE_WALKERS} walkers (got {n}); larger n would "
-            "need importance sampling with a reported error")
     w1, w2, _ = config_to_weights(config)
     box = config.bridge_box()
-    z, z_acc = _tensor_normalization(w1, w2, box, n, rel_tol=rel_tol)
-    z_gram = gram_normalization(w1, w2, n)
+    z = andreief_quadrature(w1, w2, box, NORMALIZATION_DEGREES[0])
+    for degree in NORMALIZATION_DEGREES[1:]:
+        prev, z = z, andreief_quadrature(w1, w2, box, degree)
+        z_acc = abs(z - prev)
+        if z_acc <= rel_tol * max(abs(z), 1e-300):
+            break
+    else:
+        raise AccuracyError(
+            f"normalization quadrature did not settle at degree "
+            f"{NORMALIZATION_DEGREES[-1]}", value=z, achieved=z_acc)
     if z <= 0.0:
         raise AccuracyError(f"normalization came out nonpositive ({z:.3e})")
     return KarlinMcGregorDensity(config=config, w1=w1, w2=w2, z_n=z,
-                                 z_n_accuracy=z_acc, z_n_gram=z_gram, box=box)
+                                 z_n_accuracy=z_acc,
+                                 z_n_gram=gram_normalization(w1, w2, len(w1)),
+                                 box=box)
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +640,8 @@ def sample_paths(config: BrownianConfig, time_grid, count: int, seed: int
     if not config.distinct:
         raise ValueError("bridge sampling needs distinct start and end points")
     n = config.walkers
-    if n > MAX_QUADRATURE_WALKERS:
-        raise ValueError(f"at most {MAX_QUADRATURE_WALKERS} walkers")
+    if n > MAX_PATH_WALKERS:
+        raise ValueError(f"at most {MAX_PATH_WALKERS} walkers")
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or times.size < PATH_MIN_GRID:
         raise ValueError(f"time grid needs at least {PATH_MIN_GRID} points")

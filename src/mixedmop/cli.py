@@ -35,6 +35,12 @@ from .weights import AccuracyError, adaptive_gauss_legendre, weights_from_json
 
 DEFAULT_SEED = 42
 GRID_LIMITS = (2, 2000)
+# Upper bounds on brownian-sample's sizes, checked before any work: the
+# draws and the path bundles are held in memory until the artifacts are
+# written, and each bundle batch holds 4 x count bundles.
+SAMPLE_COUNT_LIMIT = 1_000_000
+PATH_COUNT_LIMIT = 1_000
+PATH_TIME_POINTS_LIMIT = 1_000
 
 
 class ValidationFailure(ValueError):
@@ -227,9 +233,11 @@ def cmd_brownian_density(args, raw: dict) -> list:
             ("brownian_density_report.json", "json", report)]
 
 
-def _positive_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValidationFailure(f"{what} must be an integer >= 1, got {value!r}")
+def _bounded_count(value, what: str, limit: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or not 1 <= value <= limit:
+        raise ValidationFailure(
+            f"{what} must be an integer in [1, {limit}], got {value!r}")
     return value
 
 
@@ -246,12 +254,14 @@ def cmd_brownian_sample(args, raw: dict) -> list:
         raise ValidationFailure("sampling needs distinct points and at most "
                                 "4 walkers")
     sampling = _section(raw, "sampling") or {}
-    count = _positive_int(sampling.get("count", 10_000), "sampling count")
+    count = _bounded_count(sampling.get("count", 10_000), "sampling count",
+                           SAMPLE_COUNT_LIMIT)
     paths_cfg = _section(raw, "paths")
     if paths_cfg is not None:
-        n_paths = _positive_int(paths_cfg.get("count", 50), "paths count")
-        n_times = _positive_int(paths_cfg.get("time_points", 128),
-                                "paths time_points")
+        n_paths = _bounded_count(paths_cfg.get("count", 50), "paths count",
+                                 PATH_COUNT_LIMIT)
+        n_times = _bounded_count(paths_cfg.get("time_points", 128),
+                                 "paths time_points", PATH_TIME_POINTS_LIMIT)
     system = correlation_kernel(config)
     box = config.bridge_box()
     draws = sample_projection_dpp(system, box, count, args.seed)

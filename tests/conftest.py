@@ -3,10 +3,12 @@
 The oracles deliberately avoid the library's own quadrature and solver
 paths: product moments come from scipy's adaptive quadrature, monic
 orthogonal polynomials from a Hankel-system Gram-Schmidt construction,
-Cauchy transforms from the Faddeeva function, and null spaces from an SVD
+Cauchy transforms from the Faddeeva function, the Karlin-McGregor
+normalization from the plain tensor-grid sum, and null spaces from an SVD
 performed outside the solver.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -102,6 +104,35 @@ def faddeeva_cauchy_gaussian(poly_coeffs, center, variance, amplitude,
             total += (ci * math.comb(i, j) * center ** (i - j) * s ** j
                       * C[j])
     return amplitude * total
+
+
+# ---------------------------------------------------------------------------
+# Tensor-grid oracle for the Karlin-McGregor normalization
+
+
+def tensor_normalization(w1: WeightFamily, w2: WeightFamily, box, degree):
+    """integral over box^n of det[w1_i(x_j)] det[w2_i(x_j)] as the plain
+    degree^n tensor Gauss-Legendre sum, each determinant on the grid built
+    as a signed sum over the n! permutations."""
+    n = len(w1)
+    lo, hi = box
+    nodes, wts = np.polynomial.legendre.leggauss(degree)
+    h = 0.5 * (hi - lo)
+    xs = 0.5 * (lo + hi) + h * nodes
+    letters = "abcdefgh"[:n]
+    spec = ",".join(letters) + "->" + letters
+
+    def det_on_grid(values):
+        out = np.zeros((degree,) * n)
+        for perm in itertools.permutations(range(n)):
+            sign = np.linalg.det(np.eye(n)[list(perm)])
+            out += sign * np.einsum(spec, *[values[p] for p in perm])
+        return out
+
+    total = det_on_grid(w1.values(xs)) * det_on_grid(w2.values(xs))
+    for _ in range(n):
+        total = np.tensordot(h * wts, total, axes=(0, 0))
+    return float(total)
 
 
 # ---------------------------------------------------------------------------

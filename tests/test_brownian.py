@@ -11,11 +11,14 @@ from mixedmop import (AccuracyError, BrownianConfig, config_to_weights,
                       r_m, sample_paths, sample_positions,
                       sample_projection_dpp)
 from mixedmop import brownian
-from mixedmop.brownian import (chi_square_report, equal_mass_bins,
-                               gram_normalization, write_density_grid_csv,
-                               write_paths_csv, write_samples_csv)
+from mixedmop.brownian import (andreief_quadrature, chi_square_report,
+                               equal_mass_bins, gram_normalization,
+                               write_density_grid_csv, write_paths_csv,
+                               write_samples_csv)
 from mixedmop.kernel import kernel_direct_grid, trace_quadrature
 from mixedmop.weights import _leggauss
+
+from conftest import tensor_normalization
 
 
 def two_walker_config(t=0.5):
@@ -146,11 +149,31 @@ class TestKmDensity:
         with pytest.raises(ValueError):
             km_density(cfg)
 
-    def test_too_many_walkers_rejected(self):
+    def test_five_walkers_normalize(self):
         pts = tuple((float(i), 1) for i in range(5))
         cfg = BrownianConfig(starts=pts, ends=pts, time=0.5)
-        with pytest.raises(AccuracyError):
+        dens = km_density(cfg)
+        w1, w2, _ = config_to_weights(cfg)
+        assert dens.z_n == pytest.approx(gram_normalization(w1, w2, 5),
+                                         rel=1e-8)
+
+    def test_unsettled_normalization_reports_gap(self):
+        pts = tuple((float(i), 1) for i in range(6))
+        cfg = BrownianConfig(starts=pts, ends=pts, time=0.5)
+        with pytest.raises(AccuracyError) as info:
             km_density(cfg)
+        assert info.value.achieved > 0.0
+
+    @pytest.mark.parametrize("walkers", [2, 3])
+    @pytest.mark.parametrize("degree", [16, 32])
+    def test_andreief_quadrature_matches_tensor_oracle(self, walkers, degree):
+        starts = tuple((-1.0 + 0.9 * i, 1) for i in range(walkers))
+        ends = tuple((-0.8 + 1.1 * i, 1) for i in range(walkers))
+        cfg = BrownianConfig(starts=starts, ends=ends, time=0.4)
+        w1, w2, _ = config_to_weights(cfg)
+        box = cfg.bridge_box()
+        assert andreief_quadrature(w1, w2, box, degree) == pytest.approx(
+            tensor_normalization(w1, w2, box, degree), rel=1e-13)
 
     def test_log_eval_matches_density(self):
         dens = km_density(two_walker_config())

@@ -181,8 +181,24 @@ class TestValidationFailures:
         {"paths": [3]},
         {"sampling": {"count": 10.7}},
         {"n_scaling": "false"},
+        {"starts": [[-1.0, 1.7], [1.0, 1]]},
+        {"starts": [[-1.0, 1.0], [1.0, 1]]},
+        {"ends": [[-1.0, True], [1.0, 1]]},
+        {"ends": [[-1.0, "1"], [1.0, 1]]},
+        {"starts": [["-1.0", 1], [1.0, 1]]},
+        {"ends": [[False, 1], [1.0, 1]]},
+        {"starts": [[float("nan"), 1], [1.0, 1]]},
+        {"t": "0.5"},
+        {"t": True},
+        {"sampling": {"count": 10 ** 12}},
+        {"paths": {"count": 10 ** 12}},
+        {"paths": {"count": 3, "time_points": 10 ** 12}},
     ], ids=["count-string", "sampling-list", "paths-count-string",
-            "paths-list", "count-float", "n-scaling-string"])
+            "paths-list", "count-float", "n-scaling-string",
+            "multiplicity-fraction", "multiplicity-float",
+            "multiplicity-bool", "multiplicity-string", "point-string",
+            "point-bool", "point-nan", "t-string", "t-bool", "count-huge",
+            "paths-count-huge", "time-points-huge"])
     def test_sampling_config_types(self, tmp_path, extra):
         config = {**TWO_WALKERS, "sampling": {"count": 8}, **extra}
         code, out = run_cli(tmp_path, "brownian-sample", config)
@@ -354,6 +370,16 @@ class TestBrownianCommands:
         assert all(float(r["r1"]) >= 0.0 for r in rows)
         report = read_json(out / "brownian_density_report.json")
         assert report["r1_integral_deviation"] < 1e-6
+        assert report["z_n_route_gap"] < 1e-8
+
+    def test_four_walker_density_normalizes(self, tmp_path):
+        pts = [[-1.5, 1], [-0.5, 1], [0.5, 1], [1.5, 1]]
+        config = {"starts": pts, "ends": pts, "t": 0.5}
+        code, out = run_cli(tmp_path, "brownian-density", config,
+                            "--grid", "-2:2:5")
+        assert code == 0
+        report = read_json(out / "brownian_density_report.json")
+        assert report["walkers"] == 4
         assert report["z_n_route_gap"] < 1e-8
 
     @pytest.mark.filterwarnings("ignore:position sampler")
