@@ -14,9 +14,9 @@ from .mop import (MixedMopSolution, MultiIndex, MultiIndexPair, Normalization,
                   solve_type2_classical)
 from .kernel import (BiorthogonalSystem, CdKernelData, DegeneratePair,
                      DiagonalRegion, build_biorthogonal, build_cd_data,
-                     kernel_cd, kernel_cd_diagonal, kernel_cd_grid,
-                     kernel_direct, kernel_direct_grid, kernel_routes_report,
-                     trace_quadrature)
+                     kernel_cd, kernel_cd_band, kernel_cd_diagonal,
+                     kernel_cd_grid, kernel_direct, kernel_direct_grid,
+                     kernel_routes_report, trace_quadrature)
 from .rh import (RhEvaluation, RhSystem, eval_X, eval_Y, jump_matrix,
                  kernel_rh, kernel_rh_grid, rh_verification_report,
                  verify_jump)
@@ -34,7 +34,7 @@ __all__ = [
     "build_biorthogonal", "build_cd_data", "build_moment_table",
     "check_normality", "config_to_weights", "correlation_kernel", "eval_X",
     "eval_Y", "gaussian_transition", "jump_matrix", "kernel_cd",
-    "kernel_cd_diagonal", "kernel_cd_grid", "kernel_direct",
+    "kernel_cd_band", "kernel_cd_diagonal", "kernel_cd_grid", "kernel_direct",
     "kernel_direct_grid", "kernel_rh", "kernel_rh_grid",
     "kernel_routes_report", "km_density", "moment_table_for", "product_moment",
     "r1_grid", "r_m", "rh_verification_report", "sample_paths",

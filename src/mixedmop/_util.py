@@ -1,34 +1,44 @@
-"""Shared plumbing: deterministic serialization."""
+"""Shared plumbing: deterministic serialization and JSON input checks."""
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Sequence
+import math
+from typing import Any, Sequence
 
 import numpy as np
 
 
-def fmt_float(x: float) -> str:
-    """17-significant-digit decimal form; round-trips any double exactly."""
-    return "%.17g" % float(x)
+CSV_BLOCK_ROWS = 4096  # rows formatted per write; the whole text is never held
 
 
-def _cell(value: Any) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return fmt_float(float(value))
-    return str(value)
-
-
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+def write_csv(path: str, header: Sequence[str], rows) -> None:
+    """Write a header line, then one line per row of ``rows``: anything
+    ``np.asarray(rows, dtype=float)`` makes a (rows, len(header)) array.
+    Every value is ``%.17g``, which round-trips any double and prints an
+    integer-valued column (an index) as a plain integer."""
+    table = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def json_number(value, what: str) -> float:
+    """A finite JSON number as a float; booleans and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite JSON number, got {value!r}")
+    return float(value)
+
+
+def json_count(value, what: str) -> int:
+    """A JSON integer >= 1; booleans and floats such as 1.0 are refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a JSON integer >= 1, got {value!r}")
+    return value
 
 
 def json_ready(obj: Any) -> Any:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import json_count, json_number, write_csv
 from .kernel import BiorthogonalSystem, build_biorthogonal, kernel_direct_grid
 from .mop import MultiIndexPair
 from .weights import (AccuracyError, WeightFamily, _leggauss,
@@ -73,6 +74,7 @@ class BrownianConfig:
                              "(paths are conserved)")
         if not 0.0 < self.time < 1.0:
             raise ValueError("observation time must lie strictly in (0, 1)")
+        config_to_weights(self)  # refuses points too far out for the variance
 
     @property
     def walkers(self) -> int:
@@ -112,11 +114,11 @@ class BrownianConfig:
         and multiplicities JSON integers >= 1 (booleans are neither), so no
         input is silently rounded or coerced into different physics."""
         try:
-            starts = tuple((_json_number(a, "start point"),
-                            _json_multiplicity(k)) for a, k in d["starts"])
-            ends = tuple((_json_number(b, "end point"),
-                          _json_multiplicity(k)) for b, k in d["ends"])
-            t = _json_number(d["t"], "t")
+            starts = tuple((json_number(a, "start point"),
+                            json_count(k, "multiplicity")) for a, k in d["starts"])
+            ends = tuple((json_number(b, "end point"),
+                          json_count(k, "multiplicity")) for b, k in d["ends"])
+            t = json_number(d["t"], "t")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid brownian config: {exc}") from exc
         scaling = d.get("n_scaling", True)
@@ -132,20 +134,6 @@ class BrownianConfig:
             "t": self.time,
             "n_scaling": self.variance_scaling,
         }
-
-
-def _json_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite JSON number, got {value!r}")
-    return float(value)
-
-
-def _json_multiplicity(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"multiplicity must be a JSON integer >= 1, got "
-                         f"{value!r}")
-    return value
 
 
 def config_to_weights(config: BrownianConfig
@@ -731,23 +719,19 @@ def chi_square_report(samples: np.ndarray, system: BiorthogonalSystem,
 
 
 def write_density_grid_csv(path: str, xs, r1_values) -> None:
-    from ._util import write_csv
-    write_csv(path, ("x", "r1"), list(zip(xs, r1_values)))
+    write_csv(path, ("x", "r1"), np.column_stack([xs, r1_values]))
 
 
 def write_samples_csv(path: str, samples: np.ndarray) -> None:
-    from ._util import write_csv
-    n = samples.shape[1]
-    header = tuple(f"x{i + 1}" for i in range(n))
-    write_csv(path, header, [tuple(row) for row in samples])
+    header = tuple(f"x{i + 1}" for i in range(samples.shape[1]))
+    write_csv(path, header, samples)
 
 
 def write_paths_csv(path: str, bundles: PathBundles) -> None:
-    from ._util import write_csv
+    """One row per bundle, walker and time point, time fastest."""
     count, walkers, steps = bundles.paths.shape
-    times = np.tile(bundles.times, count * walkers)
-    walker = np.tile(np.repeat(np.arange(walkers), steps), count)
-    bundle = np.repeat(np.arange(count), walkers * steps)
     write_csv(path, ("time", "path_index", "position", "bundle"),
-              zip(times.tolist(), walker.tolist(),
-                  bundles.paths.ravel().tolist(), bundle.tolist()))
+              np.column_stack([np.tile(bundles.times, count * walkers),
+                               np.tile(np.repeat(np.arange(walkers), steps), count),
+                               bundles.paths.ravel(),
+                               np.repeat(np.arange(count), walkers * steps)]))

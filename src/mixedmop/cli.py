@@ -19,11 +19,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._util import dump_json, json_ready, write_csv
+from ._util import dump_json, json_count, json_ready, write_csv
 from .brownian import (BrownianConfig, chi_square_report, config_to_weights,
                        correlation_kernel, km_density, r1_grid, sample_paths,
-                       sample_projection_dpp, write_density_grid_csv,
-                       write_paths_csv, write_samples_csv)
+                       sample_projection_dpp, write_paths_csv,
+                       write_samples_csv)
 from .kernel import (DegeneratePair, build_biorthogonal, build_cd_data,
                      kernel_cd_grid, kernel_direct_grid, kernel_routes_report,
                      relative_discrepancy)
@@ -74,14 +74,20 @@ def _load_config(path: str) -> dict:
     return raw
 
 
+def _multi_index(value, key: str) -> list[int]:
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"'{key}' must be a nonempty JSON list, got {value!r}")
+    return [json_count(v, f"'{key}' entry") for v in value]
+
+
 def _weight_problem(raw: dict):
-    try:
-        w1, w2 = weights_from_json(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationFailure(f"bad weight families: {exc}") from exc
     if "n" not in raw or "m" not in raw:
         raise ValidationFailure("config needs multi-indices 'n' and 'm'")
-    return w1, w2, [int(v) for v in raw["n"]], [int(v) for v in raw["m"]]
+    try:
+        w1, w2 = weights_from_json(raw)
+        return w1, w2, _multi_index(raw["n"], "n"), _multi_index(raw["m"], "m")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationFailure(f"bad weight problem: {exc}") from exc
 
 
 def _pair(n, m, relation: str) -> MultiIndexPair:
@@ -125,33 +131,41 @@ def cmd_mop_solve(args, raw: dict) -> list:
     return [("solution.json", "json", report)]
 
 
-def _balanced_setup(args, raw: dict):
-    w1, w2, n, m = _weight_problem(raw)
-    pair = _pair(n, m, "balanced")
+def _kernel_systems(args, w1, w2, pair) -> tuple:
     table = moment_table_for(pair, w1, w2)
-    system = build_biorthogonal(pair, w1, w2, table)
-    data = build_cd_data(pair, w1, w2, table, precision=args.precision)
-    return w1, w2, pair, table, system, data
+    return (build_biorthogonal(pair, w1, w2, table),
+            build_cd_data(pair, w1, w2, table, precision=args.precision))
 
 
-def cmd_kernel_grid(args, raw: dict) -> list:
-    _, _, pair, _, system, data = _balanced_setup(args, raw)
-    xs = args.grid if args.grid is not None else np.linspace(-2.0, 2.0, 61)
+def _balanced_setup(args, raw: dict) -> tuple:
+    w1, w2, n, m = _weight_problem(raw)
+    return _kernel_systems(args, w1, w2, _pair(n, m, "balanced"))
+
+
+def _kernel_grid_artifacts(args, raw: dict, system, data, xs: np.ndarray,
+                           report_name: str, **extra) -> list:
+    """kernel_grid.csv, one row (x, y, K_direct, K_cd, abs_diff) per cell of
+    the xs x xs grid with y fastest, and the route report."""
     Kd = kernel_direct_grid(system, xs, xs)
     Kcd = kernel_cd_grid(data, xs, xs)
     report = _base_report(args, raw)
-    report.update(kernel_routes_report(system, data, xs, xs))
-    rows = []
-    for i, x in enumerate(xs):
-        for j, y in enumerate(xs):
-            rows.append((x, y, Kd[i, j], Kcd[i, j], abs(Kd[i, j] - Kcd[i, j])))
-    return [("kernel_grid.csv", "csv", (("x", "y", "K_direct", "K_cd",
-                                         "abs_diff"), rows)),
-            ("kernel_report.json", "json", report)]
+    report.update(kernel_routes_report(system, data, xs, xs), **extra)
+    table = np.column_stack([np.repeat(xs, xs.size), np.tile(xs, xs.size),
+                             Kd.ravel(), Kcd.ravel(), np.abs(Kd - Kcd).ravel()])
+    return [("kernel_grid.csv", "csv",
+             (("x", "y", "K_direct", "K_cd", "abs_diff"), table)),
+            (report_name, "json", report)]
+
+
+def cmd_kernel_grid(args, raw: dict) -> list:
+    system, data = _balanced_setup(args, raw)
+    xs = args.grid if args.grid is not None else np.linspace(-2.0, 2.0, 61)
+    return _kernel_grid_artifacts(args, raw, system, data, xs,
+                                  "kernel_report.json")
 
 
 def cmd_cd_check(args, raw: dict) -> list:
-    _, _, pair, _, system, data = _balanced_setup(args, raw)
+    system, data = _balanced_setup(args, raw)
     xs = args.grid if args.grid is not None else np.linspace(-2.0, 2.0, 41)
     Krh = kernel_rh_grid(data, xs, xs)
     report = _base_report(args, raw)
@@ -188,27 +202,11 @@ def _brownian_config(raw: dict) -> BrownianConfig:
 
 def cmd_brownian_kernel(args, raw: dict) -> list:
     config = _brownian_config(raw)
-    w1, w2, pair = config_to_weights(config)
-    table = moment_table_for(pair, w1, w2)
-    system = build_biorthogonal(pair, w1, w2, table)
-    data = build_cd_data(pair, w1, w2, table, precision=args.precision)
-    if args.grid is not None:
-        xs = args.grid
-    else:
-        lo, hi = config.bridge_box()
-        xs = np.linspace(lo, hi, 61)
-    Kd = kernel_direct_grid(system, xs, xs)
-    Kcd = kernel_cd_grid(data, xs, xs)
-    report = _base_report(args, raw)
-    report.update(kernel_routes_report(system, data, xs, xs))
-    report["walkers"] = config.walkers
-    rows = []
-    for i, x in enumerate(xs):
-        for j, y in enumerate(xs):
-            rows.append((x, y, Kd[i, j], Kcd[i, j], abs(Kd[i, j] - Kcd[i, j])))
-    return [("kernel_grid.csv", "csv", (("x", "y", "K_direct", "K_cd",
-                                         "abs_diff"), rows)),
-            ("brownian_kernel_report.json", "json", report)]
+    system, data = _kernel_systems(args, *config_to_weights(config))
+    xs = args.grid if args.grid is not None else np.linspace(*config.bridge_box(), 61)
+    return _kernel_grid_artifacts(args, raw, system, data, xs,
+                                  "brownian_kernel_report.json",
+                                  walkers=config.walkers)
 
 
 def cmd_brownian_density(args, raw: dict) -> list:
@@ -229,7 +227,7 @@ def cmd_brownian_density(args, raw: dict) -> list:
         report["z_n_quadrature_accuracy"] = dens.z_n_accuracy
         report["z_n_gram_route"] = dens.z_n_gram
         report["z_n_route_gap"] = abs(dens.z_n - dens.z_n_gram) / abs(dens.z_n)
-    return [("density.csv", "csv", (("x", "r1"), list(zip(xs, r1)))),
+    return [("density.csv", "csv", (("x", "r1"), np.column_stack([xs, r1]))),
             ("brownian_density_report.json", "json", report)]
 
 

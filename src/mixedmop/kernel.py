@@ -228,6 +228,11 @@ class CdKernelData:
         sols = self.x_type2 + self.x_type1 + self.y_type1 + self.y_type2
         return max(s.residual for s in sols)
 
+    def terms(self) -> list[tuple[float, MixedMopSolution, MixedMopSolution]]:
+        """(sign, x-side form, y-side form) of each term of the CD numerator."""
+        return ([(1.0, a, b) for a, b in zip(self.x_type2, self.y_type1)]
+                + [(-1.0, a, b) for a, b in zip(self.x_type1, self.y_type2)])
+
 
 def build_cd_data(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
                   table: ProductMomentTable | None = None, *,
@@ -284,10 +289,8 @@ def cd_numerator(data: CdKernelData, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     acc = np.zeros(np.broadcast(x, y).shape)
-    for j in range(data.p):
-        acc = acc + data.x_type2[j].form(x) * data.y_type1[j].form(y)
-    for k in range(data.q):
-        acc = acc - data.x_type1[k].form(x) * data.y_type2[k].form(y)
+    for sign, a, b in data.terms():
+        acc = acc + sign * a.form(x) * b.form(y)
     return acc
 
 
@@ -302,36 +305,34 @@ def kernel_cd_diagonal(data: CdKernelData, x) -> np.ndarray | float:
     """K(x, x) by l'Hopital: the x-derivative of the numerator at y = x."""
     x = np.asarray(x, dtype=float)
     acc = np.zeros_like(x)
-    for j in range(data.p):
-        acc = acc + data.x_type2[j].form_derivative(x) * data.y_type1[j].form(x)
-    for k in range(data.q):
-        acc = acc - data.x_type1[k].form_derivative(x) * data.y_type2[k].form(x)
+    for sign, a, b in data.terms():
+        acc = acc + sign * a.form_derivative(x) * b.form(x)
     if acc.ndim == 0:
         return float(acc)
     return acc
 
 
-def _band_value(data: CdKernelData, x: float, y: float) -> float:
-    """Cancellation-safe CD value for 0 < |x - y| <= delta: divided
-    differences of the x-side forms against the y-side values."""
-    if x == y:
-        return float(kernel_cd_diagonal(data, x))
-    h = x - y
-    acc = 0.0
-    for j in range(data.p):
-        dd = (float(data.x_type2[j].form(x)) - float(data.x_type2[j].form(y))) / h
-        acc += dd * float(data.y_type1[j].form(y))
-    for k in range(data.q):
-        dd = (float(data.x_type1[k].form(x)) - float(data.x_type1[k].form(y))) / h
-        acc -= dd * float(data.y_type2[k].form(y))
-    # The divided-difference form drops the exact-cancellation term
-    # numerator(y, y) = 0, so it stays accurate as h -> 0; add back the
-    # y-side variation via the identity K = [N(x,y) - N(y,y)]/(x-y).
-    return acc
+def kernel_cd_band(data: CdKernelData, x, y) -> np.ndarray:
+    """K at the cells (x[i], y[i]) of the band |x - y| <= delta, all at once:
+    the l'Hopital limit on the exact diagonal, else the divided differences
+    K = [N(x, y) - N(y, y)] / (x - y) of the x-side forms, with N(y, y) = 0
+    dropped, which stay accurate as x - y -> 0."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = np.empty(x.shape)
+    diag = x == y
+    out[diag] = kernel_cd_diagonal(data, x[diag])
+    xo, yo = x[~diag], y[~diag]
+    acc = np.zeros(xo.shape)
+    for sign, a, b in data.terms():
+        acc = acc + sign * (a.form(xo) - a.form(yo)) / (xo - yo) * b.form(yo)
+    out[~diag] = acc
+    return out
 
 
 def kernel_cd_grid(data: CdKernelData, xs, ys) -> np.ndarray:
-    """CD kernel on a product grid; the diagonal band uses the stable path."""
+    """CD kernel on the product grid xs x ys: the numerator over x - y off
+    the band |x - y| <= delta_diag, kernel_cd_band on its cells."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     Ax = np.stack([data.x_type2[j].form(xs) for j in range(data.p)])
@@ -343,8 +344,8 @@ def kernel_cd_grid(data: CdKernelData, xs, ys) -> np.ndarray:
     band = np.abs(denom) <= data.delta_diag
     out = np.empty_like(N)
     np.divide(N, denom, out=out, where=~band)
-    for ix, iy in np.argwhere(band):
-        out[ix, iy] = _band_value(data, float(xs[ix]), float(ys[iy]))
+    ix, iy = np.nonzero(band)
+    out[ix, iy] = kernel_cd_band(data, xs[ix], ys[iy])
     return out
 
 

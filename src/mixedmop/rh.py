@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import CdKernelData, DiagonalRegion, build_cd_data, kernel_cd_diagonal
+from ._util import write_csv
+from .kernel import CdKernelData, DiagonalRegion, build_cd_data, kernel_cd_band
 from .mop import MultiIndexPair
 from .weights import (AccuracyError, ProductMomentTable, WeightFamily,
                       family_interval, gaussian_product_params, _leggauss)
@@ -517,9 +518,9 @@ def kernel_rh(data: CdKernelData, x: float, y: float) -> float:
 
 
 def kernel_rh_grid(data: CdKernelData, xs, ys) -> np.ndarray:
-    """The Y-route kernel on a grid; exact-diagonal cells take the shared
-    l'Hopital limit, other band cells the stable divided difference."""
-    from .kernel import _band_value
+    """The Y-route kernel on the product grid xs x ys: the Y-matrix row
+    times column over 2 pi i (x - y) off the band |x - y| <= delta_diag,
+    the shared CD band values (kernel_cd_band) on its cells."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     col, row = _rh_row_column(data, xs, ys)
@@ -530,8 +531,8 @@ def kernel_rh_grid(data: CdKernelData, xs, ys) -> np.ndarray:
     np.divide(N, denom, out=out, where=~band)
     imag_max = float(np.max(np.abs(out.imag[~band]))) if np.any(~band) else 0.0
     real = out.real.copy()
-    for ix, iy in np.argwhere(band):
-        real[ix, iy] = _band_value(data, float(xs[ix]), float(ys[iy]))
+    ix, iy = np.nonzero(band)
+    real[ix, iy] = kernel_cd_band(data, xs[ix], ys[iy])
     if imag_max > 1e-9 * (1.0 + float(np.max(np.abs(real)))):
         raise AccuracyError(f"kernel_rh grid imaginary part {imag_max:.3e}")
     return real
@@ -600,12 +601,11 @@ def rh_verification_report(system: RhSystem, *, seed: int = 42,
 MATRIX_CSV_HEADER = ("row", "col", "re", "im")
 
 
-def matrix_rows(matrix: np.ndarray) -> list[tuple]:
-    """(row, col, re, im) for every entry, row-major."""
-    return [(r, c, complex(v).real, complex(v).imag)
-            for (r, c), v in np.ndenumerate(matrix)]
+def matrix_rows(matrix: np.ndarray) -> np.ndarray:
+    """(row, col, re, im) for every entry, row-major, as one array."""
+    row, col = np.indices(matrix.shape).reshape(2, -1)
+    return np.column_stack([row, col, matrix.real.ravel(), matrix.imag.ravel()])
 
 
 def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
-    from ._util import write_csv
     write_csv(path, MATRIX_CSV_HEADER, matrix_rows(matrix))

@@ -22,10 +22,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import write_csv
+from ._util import json_number, write_csv
 
 # Truncation rule: 12 spreads of a Gaussian carry all mass to ~1e-31.
 TAIL_SIGMAS = 12.0
+# Largest |center| of a gaussian weight in standard deviations: beyond it a
+# double rounds the center by over 2e-4 sd, and squaring it can overflow.
+MAX_CENTER_SIGMAS = 1e12
 
 # Degree ladder for the doubling quadrature rules.
 MIN_QUAD_DEGREE = 16
@@ -67,6 +70,9 @@ class Weight:
                 raise ValueError("gaussian weight needs variance > 0")
             if not (self.amplitude > 0.0) or not math.isfinite(self.amplitude):
                 raise ValueError("gaussian weight needs amplitude > 0")
+            if not abs(self.center) <= MAX_CENTER_SIGMAS * math.sqrt(self.variance):
+                raise ValueError(f"gaussian weight needs |center| <= {MAX_CENTER_SIGMAS:g}"
+                                 f" sd, got center {self.center!r}")
         elif self.kind == "tabulated":
             if self.fn is None:
                 raise ValueError("tabulated weight needs a callable")
@@ -361,12 +367,11 @@ class ProductMomentTable:
             accuracy=self.accuracy.transpose(1, 0, 2))
 
     def to_csv(self, path: str) -> None:
-        rows = []
-        for j in range(len(self.w1)):
-            for l in range(len(self.w2)):
-                for k in range(self.kmax + 1):
-                    rows.append((j, l, k, self.values[j, l, k], self.accuracy[j, l, k]))
-        write_csv(path, ("j", "l", "k", "value", "error_bound"), rows)
+        """One row (j, l, k, value, error_bound) per entry, k fastest."""
+        index = np.indices(self.values.shape).reshape(3, -1)
+        write_csv(path, ("j", "l", "k", "value", "error_bound"),
+                  np.column_stack([*index, self.values.ravel(),
+                                   self.accuracy.ravel()]))
 
 
 def _quad_pair_moments(w1: Weight, w2: Weight, kmax: int,
@@ -431,8 +436,9 @@ def _weight_from_dict(d: dict) -> Weight:
     if kind != "gaussian":
         raise ValueError(f"unsupported weight kind in config: {kind!r}")
     try:
-        return Weight.gaussian(float(d["center"]), float(d["variance"]),
-                               float(d.get("amplitude", 1.0)))
+        return Weight.gaussian(json_number(d["center"], "center"),
+                               json_number(d["variance"], "variance"),
+                               json_number(d.get("amplitude", 1.0), "amplitude"))
     except KeyError as exc:
         raise ValueError(f"gaussian weight needs 'center' and 'variance': missing {exc}") from exc
 

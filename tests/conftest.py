@@ -5,7 +5,9 @@ paths: product moments come from scipy's adaptive quadrature, monic
 orthogonal polynomials from a Hankel-system Gram-Schmidt construction,
 Cauchy transforms from the Faddeeva function, the Karlin-McGregor
 normalization from the plain tensor-grid sum, and null spaces from an SVD
-performed outside the solver.
+performed outside the solver.  The CSV oracle formats cell by cell from
+each value's Python type; the band oracle evaluates the CD kernel near the
+diagonal one cell at a time.
 """
 
 import itertools
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import integrate, linalg, special
 
-from mixedmop import Weight, WeightFamily
+from mixedmop import Weight, WeightFamily, kernel_cd_diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +143,72 @@ def tensor_normalization(w1: WeightFamily, w2: WeightFamily, box, degree):
 
 def nullspace_oracle(M: np.ndarray) -> np.ndarray:
     return linalg.null_space(M, rcond=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Cell-by-cell CSV oracle
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.17g" % float(value)
+
+
+def csv_oracle_bytes(header, rows) -> bytes:
+    """CSV text of a header and row tuples, one cell at a time: integers by
+    str, floats by %.17g, lines joined by newlines with one at the end."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def kernel_grid_rows(xs, Kd, Kcd):
+    """The (x, y, K_direct, K_cd, abs_diff) rows of kernel_grid.csv by a
+    per-cell loop over the xs x xs grid."""
+    return [(x, y, Kd[i, j], Kcd[i, j], abs(Kd[i, j] - Kcd[i, j]))
+            for i, x in enumerate(xs) for j, y in enumerate(xs)]
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracle for the CD kernel inside the diagonal band
+
+
+def band_value_oracle(data, x: float, y: float) -> float:
+    """CD value at one cell with |x - y| <= delta_diag: the l'Hopital limit
+    on the exact diagonal, else divided differences of the x-side forms
+    against the y-side values, one scalar form evaluation at a time."""
+    if x == y:
+        return float(kernel_cd_diagonal(data, x))
+    h = x - y
+    acc = 0.0
+    for j in range(data.p):
+        dd = (float(data.x_type2[j].form(x)) - float(data.x_type2[j].form(y))) / h
+        acc += dd * float(data.y_type1[j].form(y))
+    for k in range(data.q):
+        dd = (float(data.x_type1[k].form(x)) - float(data.x_type1[k].form(y))) / h
+        acc -= dd * float(data.y_type2[k].form(y))
+    return acc
+
+
+def band_grids(delta):
+    """(xs, ys) grids whose band cells lie strictly off the diagonal, and a
+    mixed pair that also hits the exact diagonal."""
+    xs = np.linspace(-2.0, 2.0, 41)
+    off = (xs, xs + delta / 3.0)
+    mixed = (xs, np.concatenate([xs[:20], xs[20:30] + delta / 3.0,
+                                 xs[30:] - 0.9 * delta]))
+    return {"off": off, "mixed": mixed}
+
+
+def assert_band_matches_oracle(data, xs, ys, K, expect_exact):
+    ix, iy = np.nonzero(np.abs(xs[:, None] - ys[None, :]) <= data.delta_diag)
+    exact = xs[ix] == ys[iy]
+    assert ix.size >= 20 and (np.any(exact) == expect_exact)
+    assert np.count_nonzero(~exact) >= 20
+    want = np.array([band_value_oracle(data, float(xs[i]), float(ys[j]))
+                     for i, j in zip(ix, iy)])
+    assert np.max(np.abs(K[ix, iy] - want) / (1.0 + np.abs(want))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ from mixedmop.brownian import (andreief_quadrature, chi_square_report,
                                write_samples_csv)
 from mixedmop.kernel import kernel_direct_grid, trace_quadrature
 from mixedmop.weights import _leggauss
+from mixedmop._util import CSV_BLOCK_ROWS
 
-from conftest import tensor_normalization
+from conftest import csv_oracle_bytes, tensor_normalization
 
 
 def two_walker_config(t=0.5):
@@ -549,8 +550,6 @@ class TestCsvWriters:
         assert len(lines) == 1 + 2 * 1 * 65
 
     def test_paths_bytes_match_row_loop(self, tmp_path):
-        from mixedmop._util import write_csv
-
         bundles = sample_paths(two_walker_config(), np.linspace(0.0, 1.0, 65),
                                7, seed=4)
         rows = []
@@ -558,8 +557,25 @@ class TestCsvWriters:
             for wi in range(bundles.paths.shape[1]):
                 for ti, t in enumerate(bundles.times):
                     rows.append((t, wi, bundles.paths[bi, wi, ti], bi))
-        oracle = tmp_path / "oracle.csv"
-        write_csv(str(oracle), ("time", "path_index", "position", "bundle"), rows)
         path = tmp_path / "paths.csv"
         write_paths_csv(str(path), bundles)
-        assert path.read_bytes() == oracle.read_bytes()
+        assert path.read_bytes() == csv_oracle_bytes(
+            ("time", "path_index", "position", "bundle"), rows)
+
+    def test_density_grid_bytes_match_oracle(self, tmp_path):
+        xs = np.array([-0.5, -0.0, 0.0, 1.0 / 3.0, 2.0])
+        r1 = np.array([0.1, 1e-300, 2.0, -0.0, math.pi])
+        path = tmp_path / "density.csv"
+        write_density_grid_csv(str(path), xs, r1)
+        assert path.read_bytes() == csv_oracle_bytes(("x", "r1"), zip(xs, r1))
+        assert path.read_text().splitlines()[2] == "-0,1e-300"
+
+    def test_samples_bytes_match_oracle(self, tmp_path):
+        # more rows than one write block, so the block seams are covered
+        samples = np.random.default_rng(5).standard_normal(
+            (2 * CSV_BLOCK_ROWS + 3, 3))
+        samples[7, 1] = -0.0
+        path = tmp_path / "samples.csv"
+        write_samples_csv(str(path), samples)
+        assert path.read_bytes() == csv_oracle_bytes(("x1", "x2", "x3"),
+                                                     samples.tolist())

@@ -13,11 +13,18 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import mixedmop
 import mixedmop.cli as cli
+from mixedmop import (BrownianConfig, MultiIndexPair, RhSystem,
+                      build_biorthogonal, build_cd_data, config_to_weights,
+                      correlation_kernel, kernel_cd_grid, kernel_direct_grid,
+                      r1_grid, sample_projection_dpp, weights_from_json)
 from mixedmop.cli import GRID_LIMITS, main
+
+from conftest import csv_oracle_bytes, kernel_grid_rows
 
 GAUSS = {"kind": "gaussian", "center": 0.0, "variance": 1.0, "amplitude": 1.0}
 
@@ -26,6 +33,11 @@ RANK_ONE = {"w1": [GAUSS], "w2": [GAUSS], "n": [1], "m": [1]}
 
 # Defining-shape problem for mop-solve; type II solution is the monic x.
 DEFINING = {"w1": [GAUSS], "w2": [GAUSS], "n": [2], "m": [1]}
+
+# Two weights per side, for index and weight-parameter input checks.
+SHIFTED = [dict(GAUSS, center=-0.8), dict(GAUSS, center=0.9, variance=0.7)]
+TWO_BY_TWO = {"w1": SHIFTED, "w2": SHIFTED, "n": [2, 1], "m": [1, 1]}
+KERNEL_GRID_HEADER = ("x", "y", "K_direct", "K_cd", "abs_diff")
 
 TWO_WALKERS = {
     "starts": [[-1.0, 1], [1.0, 1]],
@@ -188,6 +200,7 @@ class TestValidationFailures:
         {"starts": [["-1.0", 1], [1.0, 1]]},
         {"ends": [[False, 1], [1.0, 1]]},
         {"starts": [[float("nan"), 1], [1.0, 1]]},
+        {"starts": [[-1e200, 1], [1.0, 1]]},
         {"t": "0.5"},
         {"t": True},
         {"sampling": {"count": 10 ** 12}},
@@ -197,13 +210,35 @@ class TestValidationFailures:
             "paths-list", "count-float", "n-scaling-string",
             "multiplicity-fraction", "multiplicity-float",
             "multiplicity-bool", "multiplicity-string", "point-string",
-            "point-bool", "point-nan", "t-string", "t-bool", "count-huge",
+            "point-bool", "point-nan", "point-huge", "t-string", "t-bool", "count-huge",
             "paths-count-huge", "time-points-huge"])
     def test_sampling_config_types(self, tmp_path, extra):
         config = {**TWO_WALKERS, "sampling": {"count": 8}, **extra}
         code, out = run_cli(tmp_path, "brownian-sample", config)
         assert code == 1
         self.assert_only_error_report(out)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 3), ("n", ["x"]), ("n", [2.7, 1]), ("n", []), ("m", [True, 1]),
+        ("m", [1.0, 1]), ("center", float("nan")), ("center", 1e200),
+        ("center", "0.5"), ("center", True), ("variance", "1"),
+        ("amplitude", False),
+    ], ids=["n-int", "n-string-entry", "n-fraction", "n-empty", "m-bool",
+            "m-float", "center-nan", "center-huge", "center-string",
+            "center-bool", "variance-string", "amplitude-bool"])
+    def test_weight_problem_types(self, tmp_path, key, value):
+        config = json.loads(json.dumps(TWO_BY_TWO))
+        if key in ("n", "m"):
+            config[key] = value
+        else:
+            config["w1"][0][key] = value
+        code, out = run_cli(tmp_path, "mop-solve", config)
+        assert code == 1
+        self.assert_only_error_report(out)
+
+    def test_weight_problem_base_config_solves(self, tmp_path):
+        code, _ = run_cli(tmp_path, "mop-solve", TWO_BY_TWO)
+        assert code == 0
 
     def test_sampling_rejects_five_walkers(self, tmp_path):
         pts = [[float(i), 1] for i in range(5)]
@@ -414,3 +449,66 @@ class TestBrownianCommands:
         assert code == 0
         assert (out1 / "samples.csv").read_bytes() != \
             (out3 / "samples.csv").read_bytes()
+
+
+class TestCsvArtifactBytes:
+    """Each CSV artifact against the cell-by-cell oracle, fed the values
+    the command computes, recomputed here through the library."""
+
+    def test_kernel_grid(self, tmp_path):
+        config = dict(TWO_BY_TWO, n=[2, 1], m=[1, 2])
+        code, out = run_cli(tmp_path, "kernel-grid", config, "--grid", "-2:2:9")
+        assert code == 0
+        w1, w2 = weights_from_json(config)
+        pair = MultiIndexPair.balanced(config["n"], config["m"])
+        xs = np.linspace(-2.0, 2.0, 9)
+        Kd = kernel_direct_grid(build_biorthogonal(pair, w1, w2), xs, xs)
+        Kcd = kernel_cd_grid(build_cd_data(pair, w1, w2), xs, xs)
+        assert (out / "kernel_grid.csv").read_bytes() == csv_oracle_bytes(
+            KERNEL_GRID_HEADER, kernel_grid_rows(xs, Kd, Kcd))
+
+    def test_brownian_kernel(self, tmp_path):
+        code, out = run_cli(tmp_path, "brownian-kernel", TWO_WALKERS,
+                            "--grid", "-2:2:7")
+        assert code == 0
+        w1, w2, pair = config_to_weights(BrownianConfig.from_json_dict(TWO_WALKERS))
+        xs = np.linspace(-2.0, 2.0, 7)
+        Kd = kernel_direct_grid(build_biorthogonal(pair, w1, w2), xs, xs)
+        Kcd = kernel_cd_grid(build_cd_data(pair, w1, w2), xs, xs)
+        assert (out / "kernel_grid.csv").read_bytes() == csv_oracle_bytes(
+            KERNEL_GRID_HEADER, kernel_grid_rows(xs, Kd, Kcd))
+
+    def test_density(self, tmp_path):
+        code, out = run_cli(tmp_path, "brownian-density", TWO_WALKERS,
+                            "--grid", "-2:2:7")
+        assert code == 0
+        xs = np.linspace(-2.0, 2.0, 7)
+        r1 = r1_grid(correlation_kernel(BrownianConfig.from_json_dict(TWO_WALKERS)),
+                     xs)
+        assert (out / "density.csv").read_bytes() == csv_oracle_bytes(
+            ("x", "r1"), zip(xs, r1))
+
+    @pytest.mark.filterwarnings("ignore:position sampler")
+    def test_samples(self, tmp_path):
+        config = dict(TWO_WALKERS, sampling={"count": 40})
+        code, out = run_cli(tmp_path, "brownian-sample", config, "--seed", "3")
+        assert code == 0
+        brownian = BrownianConfig.from_json_dict(config)
+        draws = sample_projection_dpp(correlation_kernel(brownian),
+                                      brownian.bridge_box(), 40, 3)
+        assert (out / "samples.csv").read_bytes() == csv_oracle_bytes(
+            ("x1", "x2"), draws.samples.tolist())
+
+    def test_y_matrix(self, tmp_path):
+        config = dict(TWO_BY_TWO, n=[2, 1], m=[1, 2])
+        code, out = run_cli(tmp_path, "rh-verify", config)
+        assert code == 0
+        z = read_json(out / "rh_report.json")["z_points"][0]
+        w1, w2 = weights_from_json(config)
+        system = RhSystem(MultiIndexPair.balanced(config["n"], config["m"]),
+                          w1, w2)
+        Y, _ = system.y_matrix(complex(z["re"], z["im"]))
+        rows = [(r, c, Y[r, c].real, Y[r, c].imag)
+                for r in range(Y.shape[0]) for c in range(Y.shape[1])]
+        assert (out / "y_matrix.csv").read_bytes() == csv_oracle_bytes(
+            ("row", "col", "re", "im"), rows)

@@ -7,15 +7,15 @@ import pytest
 
 from mixedmop import (DegeneratePair, DiagonalRegion, MultiIndexPair, Weight,
                       WeightFamily, build_biorthogonal, build_cd_data,
-                      kernel_cd, kernel_cd_diagonal, kernel_cd_grid,
-                      kernel_direct, kernel_direct_grid, kernel_routes_report,
-                      transition_weight)
+                      kernel_cd, kernel_cd_band, kernel_cd_diagonal,
+                      kernel_cd_grid, kernel_direct, kernel_direct_grid,
+                      kernel_routes_report, transition_weight)
 from mixedmop.kernel import (cd_numerator, idempotence_residual,
                              relative_discrepancy, trace_quadrature)
 from mixedmop.rh import richardson_extrapolate
 
-from conftest import monic_orthogonal_oracle, random_balanced_parts, \
-    random_gaussian_families
+from conftest import assert_band_matches_oracle, band_grids, \
+    monic_orthogonal_oracle, random_balanced_parts, random_gaussian_families
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -244,6 +244,30 @@ class TestCdRoute:
         data = build_cd_data(MultiIndexPair.balanced([1], [1]), fam, fam)
         assert kernel_cd_diagonal(data, 0.0) == pytest.approx(1.0 / SQRT_PI,
                                                               rel=1e-10)
+
+
+G = Weight.gaussian
+WP = (WeightFamily([G(-0.5, 0.8), G(0.6, 1.2)]),
+      WeightFamily([G(0.0, 1.0), G(0.3, 0.6)]))
+
+
+class TestCdBand:
+    @pytest.mark.parametrize("grid", ["off", "mixed"])
+    def test_grid_band_matches_scalar_oracle(self, grid):
+        pair = MultiIndexPair.balanced([3, 2], [2, 3])
+        data = build_cd_data(pair, *WP)
+        xs, ys = band_grids(data.delta_diag)[grid]
+        K = kernel_cd_grid(data, xs, ys)
+        assert_band_matches_oracle(data, xs, ys, K, expect_exact=grid == "mixed")
+        sys = build_biorthogonal(pair, *WP)
+        assert relative_discrepancy(kernel_direct_grid(sys, xs, ys), K) < 1e-9
+
+    def test_empty_and_all_diagonal_band(self):
+        data = build_cd_data(MultiIndexPair.balanced([3, 2], [2, 3]), *WP)
+        assert kernel_cd_band(data, np.array([]), np.array([])).shape == (0,)
+        xs = np.array([-0.4, 0.1, 0.9])
+        assert np.array_equal(kernel_cd_band(data, xs, xs),
+                              kernel_cd_diagonal(data, xs))
 
 
 class TestRoutesReport:

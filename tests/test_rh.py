@@ -20,7 +20,8 @@ from mixedmop.rh import (BRANCHES, JUMP_DELTAS, SERIES_RADIUS,
                          gaussian_cauchy_moments, jump_matrix,
                          richardson_extrapolate, write_matrix_csv)
 
-from conftest import faddeeva_cauchy_gaussian
+from conftest import assert_band_matches_oracle, band_grids, \
+    csv_oracle_bytes, faddeeva_cauchy_gaussian
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -334,6 +335,15 @@ class TestRhKernelRoute:
         assert K.dtype == np.float64
         assert K[0, 0] == pytest.approx(1.0 / SQRT_PI, rel=1e-10)
 
+    @pytest.mark.parametrize("grid", ["off", "mixed"])
+    def test_grid_band_matches_scalar_oracle(self, grid):
+        w1, w2, n, m = WP
+        data = build_cd_data(MultiIndexPair.balanced(n, m), w1, w2)
+        xs, ys = band_grids(data.delta_diag)[grid]
+        K = kernel_rh_grid(data, xs, ys)
+        assert_band_matches_oracle(data, xs, ys, K, expect_exact=grid == "mixed")
+        assert relative_discrepancy(kernel_cd_grid(data, xs, ys), K) < 1e-10
+
     def test_returns_real_scalar(self):
         pair, w1, w2 = rank_one_pair()
         data = build_cd_data(pair, w1, w2)
@@ -373,6 +383,17 @@ class TestVerificationReport:
         first = lines[1].split(",")
         assert first[:2] == ["0", "0"]
         assert float(first[2]) == 1.0 and float(first[3]) == 2.0
+
+    def test_matrix_csv_bytes_match_oracle(self, tmp_path):
+        matrix = np.array([[1.0 + 2.0j, complex(-0.0, -0.0), 1.0 / 3.0],
+                           [3.0, -1.0j, 1e-300 - 7.25j]])
+        path = tmp_path / "y.csv"
+        write_matrix_csv(str(path), matrix)
+        rows = [(r, c, matrix[r, c].real, matrix[r, c].imag)
+                for r in range(2) for c in range(3)]
+        assert path.read_bytes() == csv_oracle_bytes(("row", "col", "re", "im"),
+                                                     rows)
+        assert path.read_text().splitlines()[2] == "0,1,-0,-0"
 
 
 # ---------------------------------------------------------------------------

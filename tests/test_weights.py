@@ -14,7 +14,7 @@ from mixedmop.weights import (AccuracyError, adaptive_gauss_legendre,
                               product_moment, product_moment_quadrature,
                               transition_weight, weights_to_json_dict)
 
-from conftest import quad_product_moment
+from conftest import csv_oracle_bytes, quad_product_moment
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -217,6 +217,20 @@ class TestBasisAndTable:
         assert lines[0] == "j,l,k,value,error_bound"
         first = lines[1].split(",")
         assert float(first[3]) == table.entry(0, 0, 0)
+
+    def test_table_csv_bytes_match_oracle(self, tmp_path):
+        w1 = WeightFamily([Weight.gaussian(-0.5, 0.8, 1.0),
+                           Weight.gaussian(0.6, 1.2, 1.0)])
+        w2 = WeightFamily([Weight.gaussian(0.3, 0.6, 1.0)])
+        for table in (build_moment_table(w1, w2, 5),
+                      build_moment_table(w1, w2, 5).swapped()):
+            path = tmp_path / "table.csv"
+            table.to_csv(str(path))
+            rows = [(j, l, k, table.values[j, l, k], table.accuracy[j, l, k])
+                    for j in range(len(table.w1)) for l in range(len(table.w2))
+                    for k in range(table.kmax + 1)]
+            assert path.read_bytes() == csv_oracle_bytes(
+                ("j", "l", "k", "value", "error_bound"), rows)
 
     def test_rank_override_center_scale(self):
         w = WeightFamily([Weight.gaussian(0.0, 1.0, 1.0)])
