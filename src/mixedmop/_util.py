@@ -34,10 +34,11 @@ def json_number(value, what: str) -> float:
     return float(value)
 
 
-def json_count(value, what: str) -> int:
-    """A JSON integer >= 1; booleans and floats such as 1.0 are refused."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{what} must be a JSON integer >= 1, got {value!r}")
+def json_count(value, what: str, minimum: int = 1) -> int:
+    """A JSON integer >= minimum; booleans and floats like 1.0 are refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{what} must be a JSON integer >= {minimum}, "
+                         f"got {value!r}")
     return value
 
 

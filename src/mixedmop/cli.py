@@ -117,11 +117,14 @@ def _base_report(args, raw: dict) -> dict:
 def cmd_mop_solve(args, raw: dict) -> list:
     w1, w2, n, m = _weight_problem(raw)
     pair = _pair(n, m, "defining")
-    norm_raw = raw.get("normalization", {"kind": "II", "index": 0})
+    norm_raw = _section(raw, "normalization") or {"kind": "II"}
     try:
-        norm = Normalization(kind=str(norm_raw["kind"]),
-                             index=int(norm_raw.get("index", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
+        norm = Normalization(kind=norm_raw.get("kind"), index=json_count(
+            norm_raw.get("index", 0), "normalization index", minimum=0))
+        if norm.index >= len(pair.n if norm.kind == "II" else pair.m):
+            raise ValueError(f"type {norm.kind} index {norm.index} is out of "
+                             "range")
+    except ValueError as exc:
         raise ValidationFailure(f"bad normalization: {exc}") from exc
     table = moment_table_for(pair, w1, w2)
     solution = solve_mixed(pair, table, norm, precision=args.precision)
@@ -149,7 +152,7 @@ def _kernel_grid_artifacts(args, raw: dict, system, data, xs: np.ndarray,
     Kd = kernel_direct_grid(system, xs, xs)
     Kcd = kernel_cd_grid(data, xs, xs)
     report = _base_report(args, raw)
-    report.update(kernel_routes_report(system, data, xs, xs), **extra)
+    report.update(kernel_routes_report(system, data, xs, xs, Kd, Kcd), **extra)
     table = np.column_stack([np.repeat(xs, xs.size), np.tile(xs, xs.size),
                              Kd.ravel(), Kcd.ravel(), np.abs(Kd - Kcd).ravel()])
     return [("kernel_grid.csv", "csv",
@@ -167,9 +170,10 @@ def cmd_kernel_grid(args, raw: dict) -> list:
 def cmd_cd_check(args, raw: dict) -> list:
     system, data = _balanced_setup(args, raw)
     xs = args.grid if args.grid is not None else np.linspace(-2.0, 2.0, 41)
-    Krh = kernel_rh_grid(data, xs, xs)
     report = _base_report(args, raw)
-    report.update(kernel_routes_report(system, data, xs, xs, rh_grid=Krh))
+    report.update(kernel_routes_report(
+        system, data, xs, xs, kernel_direct_grid(system, xs, xs),
+        kernel_cd_grid(data, xs, xs), rh_grid=kernel_rh_grid(data, xs, xs)))
     tol = args.tol if args.tol is not None else 1e-7
     report["tolerance"] = tol
     report["passed"] = {

@@ -6,10 +6,12 @@ weight products in the last q.  Its inverse transpose X comes from the
 swapped-orientation solves.  For all-Gaussian families every Cauchy entry
 is a polynomial times a Gaussian, evaluated in closed form through the
 Faddeeva function; tabulated families go through adaptive panel quadrature.
+On the real line both evaluate the boundary values Y+ and Y- exactly, as
+Plemelj limits: the Faddeeva function at a real argument, and principal
+value plus or minus i pi times the density for the panels.
 Verification checks the four defining properties numerically: the
-multiplicative jump across the real line (boundary values by Richardson
-extrapolation in the offset), the diagonal power asymptotics at large |z|,
-unit determinant, and X^T Y = I.  The
+multiplicative jump Y+ = Y- J on the real line, the diagonal power
+asymptotics at large |z|, unit determinant, and X^T Y = I.  The
 kernel can also be read off Y's polynomial block together with the swapped
 forms, with no Cauchy boundary values involved.
 """
@@ -32,9 +34,10 @@ from .weights import (AccuracyError, ProductMomentTable, WeightFamily,
 TWO_PI_I = 2j * math.pi
 
 # Below this |Im z| (in units of the basis scale) the transform switches to
-# singularity subtraction; boundary values use the Richardson ladder.
+# singularity subtraction.
 NEAR_AXIS_FACTOR = 0.05
-JUMP_DELTAS = (1e-2, 5e-3, 2.5e-3)
+# Boundary sides: "+" from above the real line, "-" from below.
+SIDES = {"+": 1, "-": -1}
 
 _PANEL_DEGREE = 24
 
@@ -139,8 +142,7 @@ def cauchy_boundary_plemelj(f: Callable, interval: tuple[float, float],
                             x: float, side: str, *,
                             abs_tol: float = 1e-11) -> tuple[complex, float]:
     """Boundary value of the Cauchy transform by Sokhotski-Plemelj:
-    principal value plus (+/-) i pi f(x).  Cross-check for the Richardson
-    route; x must lie inside the interval."""
+    principal value plus (+/-) i pi f(x); x must lie inside the interval."""
     a, b = interval
     if not a < x < b:
         raise ValueError("Plemelj evaluation needs x inside the interval")
@@ -155,8 +157,7 @@ def cauchy_boundary_plemelj(f: Callable, interval: tuple[float, float],
         val, e = adaptive_panel_integral(g, lo, hi, abs_tol=abs_tol)
         pv += val.real
         err += e
-    sgn = {"+": 1.0, "-": -1.0}[side]
-    return pv + sgn * 1j * math.pi * fx, err
+    return pv + SIDES[side] * 1j * math.pi * fx, err
 
 
 def _line_moments(count: int) -> np.ndarray:
@@ -168,10 +169,12 @@ def _line_moments(count: int) -> np.ndarray:
     return G
 
 
-def gaussian_cauchy_moments(zeta, degree: int
+def gaussian_cauchy_moments(zeta, degree: int, side: int = 0
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """C_j(zeta) = int t^j e^{-t^2} / (t - zeta) dt for j = 0..degree.
 
+    Off the real line the half plane of zeta decides; a real zeta needs
+    side = +1 or -1 and gets the boundary value from above or below.
     Returns (C, err, series): C and its error estimate err with shape
     zeta.shape + (degree + 1,), and the mask of arguments that took the
     asymptotic series (|zeta| >= SERIES_RADIUS) instead of the recursion.
@@ -179,8 +182,10 @@ def gaussian_cauchy_moments(zeta, degree: int
     from scipy.special import wofz
 
     zeta = np.asarray(zeta, dtype=complex)
-    if np.any(zeta.imag == 0.0):
-        raise ValueError("closed-form Cauchy transform needs Im z != 0")
+    sgn = np.where(zeta.imag == 0.0, side, np.sign(zeta.imag))
+    if np.any(sgn == 0):
+        raise ValueError("closed-form Cauchy transform of a real argument "
+                         "needs side +1 or -1")
     G = _line_moments(degree + SERIES_TERMS)
     C = np.empty(zeta.shape + (degree + 1,), dtype=complex)
     err = np.empty(C.shape)
@@ -188,9 +193,10 @@ def gaussian_cauchy_moments(zeta, degree: int
 
     near = zeta[~series]
     if near.size:
-        # C_0 = i pi w(zeta) above the axis, -i pi w(-zeta) below it.
-        sgn = np.sign(near.imag)
-        c = sgn * 1j * math.pi * wofz(sgn * near)
+        # C_0 = s i pi w(s zeta) with s the side; on the real line this is
+        # the Plemelj limit, since wofz takes real arguments.
+        s = sgn[~series]
+        c = s * 1j * math.pi * wofz(s * near)
         e = WOFZ_REL * np.abs(c)
         cs, es = [c], [e]
         for j in range(1, degree + 1):
@@ -211,7 +217,16 @@ def gaussian_cauchy_moments(zeta, degree: int
         mag = np.abs(terms)
         stop = np.argmin(np.where(Gjk > 0.0, mag, np.inf), axis=-1)
         keep = k <= stop[..., None]
-        C[series] = np.sum(np.where(keep, terms, 0.0), axis=-1)
+        far_C = np.sum(np.where(keep, terms, 0.0), axis=-1)
+        # On the real line the series is the principal value; the residue
+        # s i pi zeta^j e^{-zeta^2} completes the boundary value.
+        axis = far.imag == 0.0
+        x = np.where(axis, far.real, 0.0)
+        res = np.where(axis, sgn[series] * 1j * math.pi * np.exp(-x * x), 0)
+        for j in range(degree + 1):
+            far_C[:, j] += res
+            res = res * x
+        C[series] = far_C
         err[series] = (_EPS * np.sum(np.where(keep, mag, 0.0), axis=-1)
                        + np.take_along_axis(mag, stop[..., None], axis=-1)[..., 0])
     return C, err, series
@@ -223,20 +238,6 @@ def _rebased(coeffs: np.ndarray, alpha: float, beta: float, size: int) -> np.nda
     for c in reversed(np.asarray(coeffs, dtype=float)):
         out[1:] = alpha * out[1:] + beta * out[:-1]
         out[0] = alpha * out[0] + c
-    return out
-
-
-def richardson_extrapolate(values: Sequence[np.ndarray],
-                           deltas: Sequence[float]) -> np.ndarray:
-    """Polynomial extrapolation of values(delta) to delta = 0 (Lagrange)."""
-    deltas = [float(d) for d in deltas]
-    out = np.zeros_like(np.asarray(values[0], dtype=complex))
-    for i, (vi, di) in enumerate(zip(values, deltas)):
-        wi = 1.0
-        for j, dj in enumerate(deltas):
-            if j != i:
-                wi *= dj / (dj - di)
-        out = out + wi * np.asarray(vi, dtype=complex)
     return out
 
 
@@ -285,9 +286,11 @@ class RhSystem:
     all-Gaussian families each form-times-weight product is a sum of
     polynomials times product Gaussians; their coefficients in the
     Gaussians' own variables are tabulated here once, so that an evaluation
-    is one Faddeeva call per product Gaussian and a contraction.
-    branch_counts tallies the Cauchy evaluations by branch: one per product
-    Gaussian and z for the closed form, one per entry and z for the panel.
+    is one Faddeeva call per product Gaussian and a contraction.  A real z
+    needs side '+' or '-' and gives that boundary value of the Cauchy
+    columns; the polynomial columns carry no jump.  branch_counts tallies
+    the Cauchy evaluations by branch: one per product Gaussian and z for
+    the closed form, one per entry and z for the panel.
     """
 
     def __init__(self, pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
@@ -329,49 +332,61 @@ class RhSystem:
         size = max(len(cf) for sol in forms for cf in sol.coeffs)
 
         terms = {}
-        for side, (sols, weights, _) in self._blocks.items():
+        for block, (sols, weights, _) in self._blocks.items():
             T = np.zeros((len(sols), len(weights), len(sols[0].coeffs), size))
             for r, sol in enumerate(sols):
                 for l in range(len(weights)):
                     for j, cf in enumerate(sol.coeffs):
-                        g = (j, l) if side == "y" else (l, j)
+                        g = (j, l) if block == "y" else (l, j)
                         T[r, l, j] = amp[g] * _rebased(
                             cf, (mean[g] - sol.center) / sol.scale,
                             sigma[g] / sol.scale, size)
-            terms[side] = T
+            terms[block] = T
         return {"mean": mean, "sigma": sigma, "degree": size - 1, **terms}
 
-    def _cauchy_block(self, side: str, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    def _cauchy_block(self, block: str, z: complex, side: str | None
+                      ) -> tuple[np.ndarray, np.ndarray]:
         """Row factor times the Cauchy transform of form r times column
-        weight l, for every (r, l) of the block, with error bounds."""
-        sols, weights, factors = self._blocks[side]
+        weight l, for every (r, l) of the block, with error bounds; on the
+        real line the boundary value from the given side."""
+        z = complex(z)
+        boundary = z.imag == 0.0
+        if boundary and side not in SIDES:
+            raise ValueError("real z requires side '+' or '-'")
+        sols, weights, factors = self._blocks[block]
         if self._closed is None:
-            block = np.zeros((len(sols), len(weights)), dtype=complex)
-            acc = np.zeros(block.shape)
+            out = np.zeros((len(sols), len(weights)), dtype=complex)
+            acc = np.zeros(out.shape)
             for l, wl in enumerate(weights):
                 for r, sol in enumerate(sols):
-                    val, err = cauchy_transform(
-                        lambda xs, s=sol, w=wl: s.form(xs) * w(xs),
-                        self.interval, z, spread=self.spread)
-                    block[r, l] = val * factors[r]
+                    f = lambda xs, s=sol, w=wl: s.form(xs) * w(xs)
+                    if boundary:
+                        val, err = cauchy_boundary_plemelj(f, self.interval,
+                                                           z.real, side)
+                    else:
+                        val, err = cauchy_transform(f, self.interval, z,
+                                                    spread=self.spread)
+                    out[r, l] = val * factors[r]
                     acc[r, l] = err * abs(factors[r])
-            self.branch_counts["panel"] += block.size
-            return block, acc
+            self.branch_counts["panel"] += out.size
+            return out, acc
         cf = self._closed
         zeta = (z - cf["mean"]) / cf["sigma"]
-        C, err, series = gaussian_cauchy_moments(zeta, cf["degree"])
+        C, err, series = gaussian_cauchy_moments(zeta, cf["degree"],
+                                                 SIDES.get(side, 0))
         n_series = int(np.count_nonzero(series))
         self.branch_counts["asymptotic_series"] += n_series
         self.branch_counts["recursion"] += series.size - n_series
-        spec = "rljd,jld->rl" if side == "y" else "rljd,ljd->rl"
-        T = cf[side]
-        block = np.einsum(spec, T, C) * factors[:, None]
+        spec = "rljd,jld->rl" if block == "y" else "rljd,ljd->rl"
+        T = cf[block]
+        out = np.einsum(spec, T, C) * factors[:, None]
         acc = np.einsum(spec, np.abs(T), err) * np.abs(factors)[:, None]
-        return block, acc
+        return out, acc
 
     # -- Y ------------------------------------------------------------------
 
-    def y_matrix(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    def y_matrix(self, z: complex, side: str | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
         p, q = self.p, self.q
         Y = np.zeros((p + q, p + q), dtype=complex)
         acc = np.zeros((p + q, p + q))
@@ -379,86 +394,59 @@ class RhSystem:
             Y[k, :p] = self.data.x_type2[k].poly_values(z)
         for k in range(q):
             Y[p + k, :p] = -TWO_PI_I * self.data.x_type1[k].poly_values(z)
-        Y[:, p:], acc[:, p:] = self._cauchy_block("y", z)
+        Y[:, p:], acc[:, p:] = self._cauchy_block("y", z, side)
         return Y, acc
 
     # -- X = Y^{-T} ---------------------------------------------------------
 
-    def x_matrix(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    def x_matrix(self, z: complex, side: str | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
         p, q = self.p, self.q
         X = np.zeros((p + q, p + q), dtype=complex)
         acc = np.zeros((p + q, p + q))
-        X[:, :p], acc[:, :p] = self._cauchy_block("x", z)
+        X[:, :p], acc[:, :p] = self._cauchy_block("x", z, side)
         for k in range(p):
             X[k, p:] = TWO_PI_I * self.data.y_type1[k].poly_values(z)
         for k in range(q):
             X[p + k, p:] = self.data.y_type2[k].poly_values(z)
         return X, acc
 
-    def _boundary(self, matrix_fn, x: float, side: str,
-                  deltas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        sgn = {"+": 1.0, "-": -1.0}[side]
-        mats, accs = zip(*(matrix_fn(complex(x, sgn * d)) for d in deltas))
-        extrap = richardson_extrapolate(mats, deltas)
-        quad_acc = np.max(np.stack(accs), axis=0)
-        ladder_gap = np.abs(extrap - mats[-1])
-        return extrap, quad_acc + ladder_gap
+
+def _evaluate(matrix: str, pair: MultiIndexPair, w1: WeightFamily,
+              w2: WeightFamily, z, table, data, side, system) -> RhEvaluation:
+    rhs = system or RhSystem(pair, w1, w2, table, data)
+    zc = complex(z)
+    side = side if zc.imag == 0.0 else None
+    mat, acc = getattr(rhs, matrix)(zc, side)
+    return RhEvaluation(pair=pair, z=zc, matrix=mat, accuracy=acc, side=side)
 
 
 def eval_Y(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily, z, *,
            table: ProductMomentTable | None = None,
            data: CdKernelData | None = None, side: str | None = None,
-           deltas: Sequence[float] = JUMP_DELTAS,
            system: RhSystem | None = None) -> RhEvaluation:
-    """Evaluate Y at z; real z needs side '+'/'-' (Richardson boundary value)."""
-    rhs = system or RhSystem(pair, w1, w2, table, data)
-    zc = complex(z)
-    if zc.imag == 0.0:
-        if side not in ("+", "-"):
-            raise ValueError("real z requires side '+' or '-'")
-        mat, acc = rhs._boundary(rhs.y_matrix, zc.real, side, deltas)
-        return RhEvaluation(pair=pair, z=zc, matrix=mat, accuracy=acc, side=side)
-    mat, acc = rhs.y_matrix(zc)
-    return RhEvaluation(pair=pair, z=zc, matrix=mat, accuracy=acc)
+    """Evaluate Y at z; real z needs side '+'/'-' (the boundary value)."""
+    return _evaluate("y_matrix", pair, w1, w2, z, table, data, side, system)
 
 
 def eval_X(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily, z, *,
            table: ProductMomentTable | None = None,
            data: CdKernelData | None = None, side: str | None = None,
-           deltas: Sequence[float] = JUMP_DELTAS,
            system: RhSystem | None = None) -> RhEvaluation:
     """Evaluate the inverse transpose X directly from the swapped solves."""
-    rhs = system or RhSystem(pair, w1, w2, table, data)
-    zc = complex(z)
-    if zc.imag == 0.0:
-        if side not in ("+", "-"):
-            raise ValueError("real z requires side '+' or '-'")
-        mat, acc = rhs._boundary(rhs.x_matrix, zc.real, side, deltas)
-        return RhEvaluation(pair=pair, z=zc, matrix=mat, accuracy=acc, side=side)
-    mat, acc = rhs.x_matrix(zc)
-    return RhEvaluation(pair=pair, z=zc, matrix=mat, accuracy=acc)
+    return _evaluate("x_matrix", pair, w1, w2, z, table, data, side, system)
 
 
-def verify_jump(system: RhSystem, x: float, *,
-                deltas: Sequence[float] = JUMP_DELTAS,
-                tol: float = 1e-6) -> dict:
-    """Richardson-extrapolated residual of Y+ = Y- J at a real point."""
+def verify_jump(system: RhSystem, x: float, *, tol: float = 1e-6) -> dict:
+    """Residual max|Y+ - Y- J| of the jump condition at a real point."""
     J = jump_matrix(system.w1, system.w2, x).value
-    diffs = []
-    norms = []
-    for d in deltas:
-        Yp, _ = system.y_matrix(complex(x, d))
-        Ym, _ = system.y_matrix(complex(x, -d))
-        diffs.append(Yp - Ym @ J)
-        norms.append(float(np.max(np.abs(Yp))))
-    extrap = richardson_extrapolate(diffs, deltas)
-    residual = float(np.max(np.abs(extrap)))
-    y_norm = norms[-1]
+    Yp, _ = system.y_matrix(x, "+")
+    Ym, _ = system.y_matrix(x, "-")
+    residual = float(np.max(np.abs(Yp - Ym @ J)))
+    y_norm = float(np.max(np.abs(Yp)))
     return {
         "x": float(x),
-        "deltas": [float(d) for d in deltas],
-        "residuals_per_delta": [float(np.max(np.abs(D))) for D in diffs],
-        "extrapolated_residual": residual,
+        "residual": residual,
         "y_norm": y_norm,
         "passed": residual < tol * max(y_norm, 1.0),
     }
@@ -545,8 +533,7 @@ def kernel_rh_grid(data: CdKernelData, xs, ys) -> np.ndarray:
 def rh_verification_report(system: RhSystem, *, seed: int = 42,
                            det_points: int = 20, jump_points: int = 10,
                            radii: Sequence[float] = (10.0, 20.0, 40.0),
-                           tol: float = 1e-7, jump_tol: float = 1e-6,
-                           deltas: Sequence[float] = JUMP_DELTAS) -> dict:
+                           tol: float = 1e-7, jump_tol: float = 1e-6) -> dict:
     """The four RH certificates: det, X^T Y, jump, asymptotics.
 
     This certifies that the assembled matrix satisfies the defining
@@ -571,7 +558,7 @@ def rh_verification_report(system: RhSystem, *, seed: int = 42,
         xy_residuals.append(float(np.max(np.abs(X.T @ Y - np.eye(Y.shape[0])))))
 
     xs_real = np.sort(rng.uniform(lo + 0.3 * span, hi - 0.3 * span, jump_points))
-    jump_reports = [verify_jump(system, float(x), deltas=deltas, tol=jump_tol)
+    jump_reports = [verify_jump(system, float(x), tol=jump_tol)
                     for x in xs_real]
     asym = asymptotic_errors(system, radii)
 
@@ -583,7 +570,7 @@ def rh_verification_report(system: RhSystem, *, seed: int = 42,
         "x_y_consistency": xy_residuals,
         "x_y_max": max(xy_residuals),
         "jump_points": [r["x"] for r in jump_reports],
-        "jump_residuals": [r["extrapolated_residual"] for r in jump_reports],
+        "jump_residuals": [r["residual"] for r in jump_reports],
         "jump_details": jump_reports,
         "asymptotic_errors": asym["errors"],
         "asymptotic_ratios": asym["ratios"],

@@ -420,6 +420,11 @@ def build_moment_table(w1: WeightFamily, w2: WeightFamily, kmax: int, *,
                 accuracy[j, l] = rounding * np.abs(values[j, l])
             else:
                 values[j, l], accuracy[j, l] = _quad_pair_moments(a, b, kmax, c, s)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        j, l, k = (int(v) for v in bad[0])
+        raise AccuracyError(f"moment table entry is not finite: weight pair "
+                            f"({j}, {l}), order {k} (value {values[j, l, k]})")
     return ProductMomentTable(w1=w1, w2=w2, center=c, scale=s, kmax=kmax,
                               values=values, accuracy=accuracy)
 

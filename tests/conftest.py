@@ -109,6 +109,22 @@ def faddeeva_cauchy_gaussian(poly_coeffs, center, variance, amplitude,
 
 
 # ---------------------------------------------------------------------------
+# Extrapolation to a zero step
+
+
+def richardson_extrapolate(values, steps):
+    """Polynomial (Lagrange) extrapolation of values(step) to step = 0."""
+    out = 0.0
+    for i, (vi, si) in enumerate(zip(values, steps)):
+        wi = 1.0
+        for j, sj in enumerate(steps):
+            if j != i:
+                wi *= sj / (sj - si)
+        out = out + wi * np.asarray(vi, dtype=complex)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Tensor-grid oracle for the Karlin-McGregor normalization
 
 

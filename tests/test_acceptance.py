@@ -134,7 +134,7 @@ def test_criterion_3_rh_certification():
         assert len(rep["det_residuals"]) == 20
         assert len(rep["jump_residuals"]) == 10
         for detail in rep["jump_details"]:
-            assert detail["extrapolated_residual"] < \
+            assert detail["residual"] < \
                 1e-6 * max(detail["y_norm"], 1.0)
         assert all(ratio >= 1.8 for ratio in rep["asymptotic_ratios"])
         assert rep["passed"] == {"det": True, "inverse_transpose": True,

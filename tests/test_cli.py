@@ -112,6 +112,19 @@ class TestKernelGrid:
                           "--grid", "-2:2:5")
         assert code == 0
 
+    def test_cd_grid_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel_cd_grid(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "kernel_cd_grid", counted)
+        monkeypatch.setattr(mixedmop.kernel, "kernel_cd_grid", counted)
+        code, _ = run_cli(tmp_path, "kernel-grid", RANK_ONE, "--grid", "0:1:3")
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestValidationFailures:
     def assert_only_error_report(self, out, label="VALIDATION"):
@@ -240,6 +253,18 @@ class TestValidationFailures:
         code, _ = run_cli(tmp_path, "mop-solve", TWO_BY_TWO)
         assert code == 0
 
+    @pytest.mark.parametrize("normalization", [
+        {"kind": "II", "index": 1.7}, {"kind": "II", "index": True},
+        {"kind": "II", "index": "1"}, {"kind": "II", "index": -1},
+        {"kind": 2, "index": 0}, {"kind": "I", "index": 2}, [],
+    ], ids=["index-float", "index-bool", "index-string", "index-negative",
+            "kind-number", "index-out-of-range", "not-an-object"])
+    def test_normalization_types(self, tmp_path, normalization):
+        config = dict(TWO_BY_TWO, normalization=normalization)
+        code, out = run_cli(tmp_path, "mop-solve", config)
+        assert code == 1
+        self.assert_only_error_report(out)
+
     def test_sampling_rejects_five_walkers(self, tmp_path):
         pts = [[float(i), 1] for i in range(5)]
         config = {"starts": pts, "ends": pts, "t": 0.5}
@@ -264,6 +289,21 @@ class TestNumericalFailures:
         assert normality["condition_estimate"] == float("inf")
         assert capsys.readouterr().err.startswith("NUMERICAL:")
 
+
+    def test_overflowing_moment_table_is_named(self, tmp_path, capfd):
+        # one variance of 1e300 overflows the w1 x w1 Gram moments
+        gauss = [(-0.5, 0.8), (0.6, 1.2), (0.0, 1.0), (0.3, 0.6)]
+        w = [dict(GAUSS, center=c, variance=v) for c, v in gauss]
+        w[0]["variance"] = 1e300
+        config = {"w1": w[:2], "w2": w[2:], "n": [3, 3], "m": [2, 3]}
+        code, out = run_cli(tmp_path, "mop-solve", config)
+        assert code == 2
+        report = read_json(out / "error_report.json")
+        assert report["error"] == "NUMERICAL"
+        assert "moment table" in report["message"]
+        assert "(0, 0), order 0" in report["message"]
+        captured = capfd.readouterr()
+        assert "DLASCL" not in captured.err + captured.out
 
     def test_rank_deficient_forms_are_not_normal(self, tmp_path):
         # 5 + 5 walkers from +-1 to one end: the F basis u^i w1_l is
@@ -351,11 +391,11 @@ class TestRhVerify:
         # rank-one problem: the solution matrix is 2 x 2
         assert len(rows) == 4
         assert set(rows[0]) == {"row", "col", "re", "im"}
-        # 20 det points, 10 jump points x 3 offsets x 2 sides, 3 radii; one
-        # product Gaussian, Y and X at the det points, Y elsewhere
+        # 20 det points, 10 jump points x 2 sides, 3 radii; one product
+        # Gaussian, Y and X at the det points, Y elsewhere
         branches = report["cauchy_branches"]
         assert branches["panel"] == 0
-        assert branches["recursion"] + branches["asymptotic_series"] == 103
+        assert branches["recursion"] + branches["asymptotic_series"] == 63
 
 
 class TestImportCost:

@@ -1,0 +1,91 @@
+"""Property test of the exit-code contract: whatever JSON values fill the
+fields of a mop-solve or rh-verify config, the command exits 0 (success),
+1 (validation) or 2 (numerical failure), never 3 (internal error).
+
+A draw starts from a valid config (at most 2 weights per side, multi-index
+parts <= 4) and replaces up to two of its fields, at any depth, by an
+arbitrary JSON value, so that every field is reached with the rest valid.
+"""
+
+import json
+import os
+import tempfile
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from mixedmop.cli import main  # noqa: E402
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10),
+    st.sampled_from([10 ** 400, -(10 ** 30), 1e300, -1e300, 1e-300]),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4))
+JUNK = st.one_of(SCALARS, st.lists(SCALARS, max_size=3),
+                 st.dictionaries(st.text(max_size=3), SCALARS, max_size=2))
+
+
+def _parts(draw, total):
+    """Up to two parts <= 4 summing to total (total <= 8)."""
+    if total > 4 or draw(st.booleans()):
+        first = draw(st.integers(max(0, total - 4), min(4, total)))
+        return [first, total - first]
+    return [total]
+
+
+@st.composite
+def configs(draw, command):
+    def weight():
+        return {"kind": "gaussian", "center": draw(st.floats(-1.5, 1.5)),
+                "variance": draw(st.floats(0.3, 2.0)),
+                "amplitude": draw(st.floats(0.5, 2.0))}
+
+    n = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    config = {"n": n, "m": _parts(draw, sum(n) - (command == "mop-solve")),
+              "w1": [weight() for _ in n]}
+    config["w2"] = [weight() for _ in config["m"]]
+    if command == "mop-solve":
+        config["normalization"] = {"kind": draw(st.sampled_from(["I", "II"])),
+                                   "index": draw(st.integers(0, 2))}
+
+    # every place a value sits: (container, key) at any depth
+    slots = []
+
+    def collect(node):
+        for key in (node if isinstance(node, dict) else range(len(node))):
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                collect(node[key])
+
+    collect(config)
+    for i in draw(st.lists(st.integers(0, len(slots) - 1), max_size=2,
+                           unique=True)):
+        node, key = slots[i]
+        node[key] = draw(JUNK)
+    return config
+
+
+def exit_code(command, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        return main([command, "--config", path, "--out",
+                     os.path.join(tmp, "out")])
+
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
+                    database=None)
+
+
+@PROPERTY
+@given(config=configs("mop-solve"))
+def test_mop_solve_exit_code(config):
+    assert exit_code("mop-solve", config) in (0, 1, 2)
+
+
+@PROPERTY
+@given(config=configs("rh-verify"))
+def test_rh_verify_exit_code(config):
+    assert exit_code("rh-verify", config) in (0, 1, 2)

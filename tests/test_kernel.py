@@ -12,10 +12,10 @@ from mixedmop import (DegeneratePair, DiagonalRegion, MultiIndexPair, Weight,
                       kernel_routes_report, transition_weight)
 from mixedmop.kernel import (cd_numerator, idempotence_residual,
                              relative_discrepancy, trace_quadrature)
-from mixedmop.rh import richardson_extrapolate
 
 from conftest import assert_band_matches_oracle, band_grids, \
-    monic_orthogonal_oracle, random_balanced_parts, random_gaussian_families
+    monic_orthogonal_oracle, random_balanced_parts, random_gaussian_families, \
+    richardson_extrapolate
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -277,7 +277,9 @@ class TestRoutesReport:
         sys = build_biorthogonal(pair, fam, fam)
         data = build_cd_data(pair, fam, fam)
         xs = np.linspace(-1.5, 1.5, 7)
-        rep = kernel_routes_report(sys, data, xs, xs)
+        rep = kernel_routes_report(sys, data, xs, xs,
+                                   kernel_direct_grid(sys, xs, xs),
+                                   kernel_cd_grid(data, xs, xs))
         for key in ("dimension", "trace", "trace_deviation",
                     "idempotence_residual", "gram_condition",
                     "max_solve_residual", "direct_vs_cd"):
@@ -294,6 +296,7 @@ class TestRoutesReport:
         data = build_cd_data(pair, fam, fam)
         xs = np.linspace(-1.0, 1.0, 3)
         fake = kernel_direct_grid(sys, xs, xs)
-        rep = kernel_routes_report(sys, data, xs, xs, rh_grid=fake)
+        rep = kernel_routes_report(sys, data, xs, xs, fake,
+                                   kernel_cd_grid(data, xs, xs), rh_grid=fake)
         assert rep["direct_vs_rh"] == 0.0
         assert rep["cd_vs_rh"] < 1e-10

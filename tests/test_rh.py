@@ -14,11 +14,11 @@ from mixedmop import (AccuracyError, MultiIndexPair, RhSystem, Weight,
                       kernel_rh, kernel_rh_grid, rh_verification_report,
                       verify_jump)
 from mixedmop.kernel import build_biorthogonal, relative_discrepancy
-from mixedmop.rh import (BRANCHES, JUMP_DELTAS, SERIES_RADIUS,
-                         adaptive_panel_integral, asymptotic_errors,
-                         cauchy_boundary_plemelj, cauchy_transform,
-                         gaussian_cauchy_moments, jump_matrix,
-                         richardson_extrapolate, write_matrix_csv)
+from mixedmop import rh
+from mixedmop.rh import (BRANCHES, SERIES_RADIUS, adaptive_panel_integral,
+                         asymptotic_errors, cauchy_boundary_plemelj,
+                         cauchy_transform, gaussian_cauchy_moments,
+                         jump_matrix, write_matrix_csv)
 
 from conftest import assert_band_matches_oracle, band_grids, \
     csv_oracle_bytes, faddeeva_cauchy_gaussian
@@ -140,14 +140,23 @@ class TestBoundaryValues:
         assert (plus - minus) == pytest.approx(
             2j * math.pi * math.exp(-0.5 * x * x), rel=1e-12)
 
-    def test_plemelj_agrees_with_richardson_ladder(self):
-        f = gaussian_callable(0.0, 1.0, 1.0)
-        x = 0.25
-        expect, _ = cauchy_boundary_plemelj(f, (-13.0, 13.0), x, "+")
-        vals = [cauchy_transform(f, (-13.0, 13.0), complex(x, d), spread=1.0)[0]
-                for d in JUMP_DELTAS]
-        ladder = complex(richardson_extrapolate(vals, JUMP_DELTAS))
-        assert ladder == pytest.approx(expect, abs=2e-7)
+    @pytest.mark.parametrize("x", [0.25, -2.2, 5.9, 6.1, -6.5])
+    def test_plemelj_matches_closed_form_boundary_values(self, x):
+        # both closed-form branches (recursion below |zeta| = 6, series
+        # plus residue beyond it) against principal value + (+/-) i pi f
+        for side, sign in (("+", 1), ("-", -1)):
+            C, _, series = gaussian_cauchy_moments(np.array([complex(x)]), 7,
+                                                   sign)
+            assert bool(series[0]) == (abs(x) >= SERIES_RADIUS)
+            for j in range(8):
+                want, _ = cauchy_boundary_plemelj(
+                    lambda t, j=j: t ** j * np.exp(-t * t), (-13.0, 13.0),
+                    x, side)
+                assert abs(C[0, j] - want) <= 1e-10 * (1 + abs(want)), (side, j)
+                # the imaginary part is the residue term exactly
+                assert C[0, j].imag == pytest.approx(
+                    sign * math.pi * x ** j * math.exp(-x * x), rel=1e-12,
+                    abs=1e-300)
 
     def test_outside_interval_rejected(self):
         f = gaussian_callable(0.0, 1.0, 1.0)
@@ -251,14 +260,10 @@ class TestXMatrix:
         W = np.outer(w1.values(np.array([x])).ravel(),
                      w2.values(np.array([x])).ravel())
         JX[1:, :1] = -W.T
-        diffs = []
-        for d in JUMP_DELTAS:
-            Xp, _ = system.x_matrix(complex(x, d))
-            Xm, _ = system.x_matrix(complex(x, -d))
-            diffs.append(Xp - Xm @ JX)
-        extrap = richardson_extrapolate(diffs, JUMP_DELTAS)
+        Xp, _ = system.x_matrix(x, "+")
+        Xm, _ = system.x_matrix(x, "-")
         norm = float(np.max(np.abs(Xp)))
-        assert float(np.max(np.abs(extrap))) < 1e-6 * max(norm, 1.0)
+        assert float(np.max(np.abs(Xp - Xm @ JX))) < 1e-6 * max(norm, 1.0)
 
     def test_asymptotics_with_negated_exponents(self):
         pair, w1, w2 = rank_one_pair()
@@ -286,10 +291,11 @@ class TestJumpVerification:
         pair, w1, w2 = rank_one_pair()
         system = RhSystem(pair, w1, w2)
         rep = verify_jump(system, 0.0)
+        assert set(rep) == {"x", "residual", "y_norm", "passed"}
         assert rep["passed"]
-        assert rep["extrapolated_residual"] < 1e-6 * max(rep["y_norm"], 1.0)
-        assert rep["deltas"] == list(JUMP_DELTAS)
-        assert len(rep["residuals_per_delta"]) == len(JUMP_DELTAS)
+        assert rep["residual"] < 1e-6 * max(rep["y_norm"], 1.0)
+        Yp, _ = system.y_matrix(0.0, "+")
+        assert rep["y_norm"] == float(np.max(np.abs(Yp)))
 
     def test_polynomial_columns_carry_no_jump(self):
         pair, w1, w2 = rank_one_pair()
@@ -298,10 +304,30 @@ class TestJumpVerification:
         J = jump_matrix(w1, w2, x).value
         Ym, _ = system.y_matrix(complex(x, -1e-2))
         np.testing.assert_array_equal((Ym @ J)[:, :1], Ym[:, :1])
-        # the extrapolated one-sided boundary values share the entire block
+        # the one-sided boundary values share the entire block
         plus = eval_Y(pair, w1, w2, x, side="+", system=system).matrix
         minus = eval_Y(pair, w1, w2, x, side="-", system=system).matrix
-        assert np.max(np.abs(plus[:, :1] - minus[:, :1])) < 1e-8
+        np.testing.assert_array_equal(plus[:, :1], minus[:, :1])
+
+    @pytest.mark.parametrize("degree", [5, 7])
+    def test_hermite_jump_holds_and_can_fail(self, degree, monkeypatch):
+        fam = WeightFamily([G(0.0, 1.0)])
+        system = RhSystem(MultiIndexPair.balanced([degree], [degree]), fam, fam)
+        rep = rh_verification_report(system)
+        assert rep["passed"]["jump"]
+        for detail in rep["jump_details"]:
+            assert detail["residual"] <= 1e-12 * max(detail["y_norm"], 1.0)
+
+        exact = rh.gaussian_cauchy_moments
+
+        def perturbed(zeta, degree, side=0):
+            C, err, series = exact(zeta, degree, side)
+            return (C * 1.001 if side == 1 else C), err, series
+
+        monkeypatch.setattr(rh, "gaussian_cauchy_moments", perturbed)
+        rep = rh_verification_report(system)
+        assert not rep["passed"]["jump"]
+        assert rep["passed"]["det"]
 
 
 class TestRhKernelRoute:
@@ -432,18 +458,19 @@ class TestClosedFormCauchy:
         system = RhSystem(MultiIndexPair.balanced(n, m), w1, w2)
         panel = panel_twin(system)
         rep = rh_verification_report(system)
-        zs = [complex(pt["re"], pt["im"]) for pt in rep["z_points"]]
-        zs += [complex(x, s * JUMP_DELTAS[-1]) for x in rep["jump_points"]
-               for s in (1, -1)]
-        zs += [10j, 20j, 40j]
+        points = [(complex(pt["re"], pt["im"]), None) for pt in rep["z_points"]]
+        points += [(10j, None), (20j, None), (40j, None)]
+        # boundary values on the real line: the panel twin takes them by
+        # cauchy_boundary_plemelj
+        points += [(x, side) for x in rep["jump_points"] for side in "+-"]
         p = len(w1)
         cauchy_columns = {"y_matrix": np.s_[:, p:], "x_matrix": np.s_[:, :p]}
-        for z in zs:
+        for z, side in points:
             for fn, cols in cauchy_columns.items():
-                got, acc = getattr(system, fn)(z)
-                want, _ = getattr(panel, fn)(z)
+                got, acc = getattr(system, fn)(z, side)
+                want, _ = getattr(panel, fn)(z, side)
                 assert np.all(np.abs(got - want) <= 1e-10 * (1 + np.abs(want))), \
-                    (fn, z)
+                    (fn, z, side)
                 assert np.all(acc[cols] > 0) and np.all(acc[cols] < 1e-9)
         assert system.branch_counts["panel"] == 0
         assert panel.branch_counts["recursion"] == 0
@@ -484,6 +511,8 @@ class TestClosedFormCauchy:
     def test_real_argument_rejected(self):
         with pytest.raises(ValueError):
             gaussian_cauchy_moments(np.array([0.5 + 0.0j]), 3)
+        with pytest.raises(ValueError):
+            RhSystem(*rank_one_pair()).y_matrix(0.5)
 
     def test_tabulated_family_uses_panels(self):
         pair, w1, w2 = rank_one_pair()
