@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from ._util import json_count, json_number, write_csv
 from .kernel import BiorthogonalSystem, build_biorthogonal, kernel_direct_grid
@@ -27,18 +29,20 @@ from .weights import (AccuracyError, WeightFamily, _leggauss,
 
 MAX_PATH_WALKERS = 4
 # Gauss-Legendre degrees per axis tried for the Karlin-McGregor normalization.
-NORMALIZATION_DEGREES = (16, 32, 64, 128)
+NORMALIZATION_DEGREES = (16, 32, 64, 128, 256, 512)
 MCMC_BURN_IN = 10_000
 MCMC_THIN = 10
 MCMC_CHAINS = 4
 ACCEPTANCE_WINDOW = (0.23, 0.40)
 PSRF_LIMIT = 1.05
 # Exact position sampler: Gauss-Legendre panels over the box, nodes per
-# panel, draws per block, the relative tolerance on each conditional mass
-# (n - k), and the inverse-CDF search's relative tolerance and step cap.
+# panel (one more than the degree of each panel's Legendre series), draws
+# per block, the relative tolerance on each conditional mass (n - k) and on
+# the series density, and the inverse-CDF search's relative tolerance and
+# step cap.
 DPP_PANELS = 64
 DPP_NODES = 20
-DPP_BLOCK = 512
+DPP_BLOCK = 1024
 MASS_TOL = 1e-9
 INVERSION_TOL = 1e-12
 INVERSION_MAX_STEPS = 60
@@ -302,12 +306,15 @@ def r1_grid(system: BiorthogonalSystem, xs) -> np.ndarray:
 class DppSamples:
     """Exact draws of the position process (rows ascending) with the
     certificates of the chain rule: the largest relative miss of a
-    conditional mass against n - k, and the largest inversion residual
-    |C(x) - u mass| / mass."""
+    conditional mass against n - k, the largest inversion residual
+    |C(x) - u mass| / mass, and the largest gap between the panel series
+    density and the exact phi^T M psi at a drawn point, times the panel
+    width over n - k."""
 
     samples: np.ndarray
     mass_deviation_max: float
     inversion_residual_max: float
+    series_residual_max: float
     seed: int
 
 
@@ -336,54 +343,72 @@ def _quadratic_form(M: np.ndarray, phi: np.ndarray, psi: np.ndarray
     return out
 
 
-def _panel_cumulants(system: BiorthogonalSystem, edges: np.ndarray
-                     ) -> np.ndarray:
-    """int_{edges[0]}^{edges[e]} phi_a psi_b for every edge e, shape
-    (n*n, len(edges)), by Gauss-Legendre on each panel."""
+@lru_cache(maxsize=None)
+def _legendre_maps(nodes: int) -> np.ndarray:
+    """(nodes, nodes + 1, 2) map from values v_q at the Gauss-Legendre nodes
+    on [-1, 1] to the Legendre coefficients of their degree nodes - 1
+    interpolant ([..., 0], zero-padded) and of the interpolant's integral
+    from -1 ([..., 1]).  By the discrete orthogonality of the rule,
+    c_l = (l + 1/2) sum_q w_q P_l(t_q) v_q."""
+    t, w = _leggauss(nodes)
+    interp = (np.arange(nodes) + 0.5)[:, None] * (
+        legendre.legvander(t, nodes - 1) * w[:, None]).T
+    maps = np.ascontiguousarray(np.stack(
+        [np.vstack([interp, np.zeros((1, nodes))]),
+         legendre.legint(interp, lbnd=-1)], axis=-1).transpose(1, 0, 2))
+    maps.setflags(write=False)
+    return maps
+
+
+def _panel_series(system: BiorthogonalSystem, edges: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """For each product phi_a psi_b (term a n + b): int_{edges[0]}^{edges[e]}
+    at every edge e by Gauss-Legendre on each panel, shape (n*n, len(edges)),
+    and on each panel the Legendre series in s = (x - mid) / half of the
+    product's node interpolant and of its integral from the panel's left
+    edge in x, shape (n*n, panels, DPP_NODES + 1, 2)."""
     t, w = _leggauss(DPP_NODES)
     half = 0.5 * np.diff(edges)
     pts = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * t
     phi, psi = _phi_psi(system, pts)
-    per_panel = np.einsum("apq,bpq,q,p->abp", phi, psi, w, half)
-    n = phi.shape[0]
-    return np.concatenate([np.zeros((n, n, 1)), np.cumsum(per_panel, axis=-1)],
-                          axis=-1).reshape(n * n, -1)
+    n, panels = phi.shape[:2]
+    values = (phi[:, None] * psi[None]).reshape(n * n, panels, DPP_NODES)
+    cumulants = np.concatenate([np.zeros((n * n, 1)),
+                                np.cumsum(values @ w * half, axis=-1)], axis=-1)
+    series = (values @ _legendre_maps(DPP_NODES).reshape(DPP_NODES, -1)
+              ).reshape(n * n, panels, DPP_NODES + 1, 2)
+    series[..., 1] *= half[:, None]
+    return cumulants, series
 
 
-def _partial_mass(system: BiorthogonalSystem, M: np.ndarray, lo: np.ndarray,
-                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int_lo^x phi^T M psi by Gauss-Legendre, and the integrand at x."""
-    t, w = _leggauss(DPP_NODES)
-    half = 0.5 * (x - lo)
-    pts = np.concatenate([(lo + half)[:, None] + half[:, None] * t,
-                          x[:, None]], axis=1)
-    rho = _quadratic_form(M, *_phi_psi(system, pts))
-    return half * (rho[:, :-1] * w).sum(axis=1), rho[:, -1]
+def _invert_in_panel(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     x: np.ndarray, residual: np.ndarray, scale: np.ndarray
+                     ) -> tuple[np.ndarray, float, np.ndarray]:
+    """x in the panel [lo, hi] with (integral from lo to x of the density
+    series) = residual, per draw, from the starting points x.  coef[l, 0]
+    and coef[l, 1] are the Legendre coefficients of each draw's density and
+    CDF series in s = (x - mid) / half on its panel, shape (L, 2, draws).
 
-
-def _invert_in_panel(system: BiorthogonalSystem, M: np.ndarray,
-                     lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
-                     residual: np.ndarray, scale: np.ndarray
-                     ) -> tuple[np.ndarray, float]:
-    """x in [lo, hi] with int_lo^x phi^T M psi = residual, per draw, from
-    the starting points x.
-
-    Newton steps on the exact integrand, replaced by bisection whenever a
-    step leaves the bracket, until the miss is below INVERSION_TOL * scale.
-    Returns the points and the largest miss relative to scale.
+    Newton steps on the series, replaced by bisection whenever a step
+    leaves the bracket, until the miss is below INVERSION_TOL * scale.
+    Returns the points, the largest miss relative to scale, and the series
+    density at the points.
     """
-    edge = lo
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x, lo, hi = x.copy(), lo.copy(), hi.copy()
+    rho_at = np.empty_like(x)
     worst = 0.0
     active = np.arange(x.size)
     for _ in range(INVERSION_MAX_STEPS):
         xa = x[active]
-        mass, rho = _partial_mass(system, M[active], edge[active], xa)
+        rho, mass = legendre.legval((xa - mid[active]) / half[active],
+                                    coef[..., active], tensor=False)
         miss = mass - residual[active]
         done = np.abs(miss) <= INVERSION_TOL * scale[active]
         if done.any():
             worst = max(worst, float(np.max(np.abs(miss[done])
                                             / scale[active][done])))
+            rho_at[active[done]] = rho[done]
         below = miss < 0.0
         lo[active] = np.where(below, xa, lo[active])
         hi[active] = np.where(below, hi[active], xa)
@@ -394,7 +419,7 @@ def _invert_in_panel(system: BiorthogonalSystem, M: np.ndarray,
             inside, step, 0.5 * (lo[active] + hi[active])))
         active = active[~done]
         if active.size == 0:
-            return x, worst
+            return x, worst, rho_at
     achieved = float(np.max(np.abs(miss[~done]) / scale[active]))
     raise AccuracyError(
         f"inverse-CDF search left {active.size} draws with a relative miss "
@@ -412,20 +437,23 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
     M_k = I - Psi_X (Phi_X^T Psi_X)^{-1} Phi_X^T, kept by the rank-one
     update M <- M - M psi(x) phi(x)^T M / (phi(x)^T M psi(x)).  Its CDF at
     the panel edges of the box is one contraction of M with the panel
-    cumulants of phi_a psi_b; the draw is located in a panel and refined by
-    safeguarded Newton.  Each conditional mass must equal tr M_k = n - k to
-    MASS_TOL relative, or AccuracyError is raised (the box or the panel
-    quadrature misses mass).  Draws run in blocks of DPP_BLOCK from
-    uniforms drawn up front, so the output does not depend on the block
-    size.
+    cumulants of phi_a psi_b; the draw is located in a panel, M is
+    contracted with that panel's Legendre series of the products, and the
+    draw is refined by safeguarded Newton on the resulting series.  Each
+    conditional mass must equal tr M_k = n - k to MASS_TOL relative, and
+    the series density must match the exact phi^T M psi at each drawn point
+    to MASS_TOL (n - k) / panel width, or AccuracyError is raised.  Draws
+    run in blocks of DPP_BLOCK from uniforms drawn up front, and every
+    per-draw operation is elementwise, so the output does not depend on
+    the block size.
     """
     n = system.dimension
     uniforms = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(seed))).random((count, n))
     edges = np.linspace(box[0], box[1], DPP_PANELS + 1)
-    cumulants = _panel_cumulants(system, edges)
+    cumulants, series = _panel_series(system, edges)
     out = np.empty((count, n))
-    mass_dev = inversion = 0.0
+    mass_dev = inversion = series_gap = 0.0
     for start in range(0, count, DPP_BLOCK):
         u = uniforms[start:start + DPP_BLOCK]
         size = u.shape[0]
@@ -450,8 +478,11 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
             lo, hi = edges[panel], edges[panel + 1]
             frac = np.divide(target - left, right - left,
                              out=np.full(size, 0.5), where=right > left)
-            x, resid = _invert_in_panel(
-                system, M, lo, hi, lo + np.clip(frac, 0.0, 1.0) * (hi - lo),
+            # gathered (B, L, 2) per term, then coefficient-major for legval
+            coef = sum(flat[:, j, None, None] * series[j].take(panel, axis=0)
+                       for j in range(n * n)).transpose(1, 2, 0).copy()
+            x, resid, rho = _invert_in_panel(
+                coef, lo, hi, lo + np.clip(frac, 0.0, 1.0) * (hi - lo),
                 target - left, mass)
             inversion = max(inversion, resid)
             out[start:start + size, k] = x
@@ -459,9 +490,18 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
             Mpsi = sum(M[:, :, b] * psi[b, :, None] for b in range(n))
             phiM = sum(phi[a, :, None] * M[:, a, :] for a in range(n))
             denom = _quadratic_form(M, phi, psi)
+            gap = float(np.max(np.abs(rho - denom) * (hi - lo))) / (n - k)
+            series_gap = max(series_gap, gap)
+            if not gap <= MASS_TOL:
+                raise AccuracyError(
+                    f"panel series density at step {k} misses phi^T M psi "
+                    f"by {gap:.2e} of n - k = {n - k} per panel width "
+                    f"(tolerance {MASS_TOL:.0e}); the panels are too wide "
+                    f"for degree {DPP_NODES - 1}", achieved=gap)
             M = M - Mpsi[:, :, None] * phiM[:, None, :] / denom[:, None, None]
     return DppSamples(samples=np.sort(out, axis=1), mass_deviation_max=mass_dev,
-                      inversion_residual_max=inversion, seed=int(seed))
+                      inversion_residual_max=inversion,
+                      series_residual_max=series_gap, seed=int(seed))
 
 
 # ---------------------------------------------------------------------------

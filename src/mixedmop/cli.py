@@ -20,10 +20,10 @@ import numpy as np
 
 from . import __version__
 from ._util import dump_json, json_count, json_ready, write_csv
-from .brownian import (BrownianConfig, chi_square_report, config_to_weights,
-                       correlation_kernel, km_density, r1_grid, sample_paths,
-                       sample_projection_dpp, write_paths_csv,
-                       write_samples_csv)
+from .brownian import (MAX_PATH_WALKERS, BrownianConfig, chi_square_report,
+                       config_to_weights, correlation_kernel, km_density,
+                       r1_grid, sample_paths, sample_projection_dpp,
+                       write_paths_csv, write_samples_csv)
 from .kernel import (DegeneratePair, build_biorthogonal, build_cd_data,
                      kernel_cd_grid, kernel_direct_grid, kernel_routes_report,
                      relative_discrepancy)
@@ -252,14 +252,14 @@ def _section(raw: dict, key: str) -> dict | None:
 
 def cmd_brownian_sample(args, raw: dict) -> list:
     config = _brownian_config(raw)
-    if not (config.distinct and config.walkers <= 4):
-        raise ValidationFailure("sampling needs distinct points and at most "
-                                "4 walkers")
     sampling = _section(raw, "sampling") or {}
     count = _bounded_count(sampling.get("count", 10_000), "sampling count",
                            SAMPLE_COUNT_LIMIT)
     paths_cfg = _section(raw, "paths")
     if paths_cfg is not None:
+        if not (config.distinct and config.walkers <= MAX_PATH_WALKERS):
+            raise ValidationFailure("path bundles need distinct points and "
+                                    f"at most {MAX_PATH_WALKERS} walkers")
         n_paths = _bounded_count(paths_cfg.get("count", 50), "paths count",
                                  PATH_COUNT_LIMIT)
         n_times = _bounded_count(paths_cfg.get("time_points", 128),
@@ -273,6 +273,7 @@ def cmd_brownian_sample(args, raw: dict) -> list:
     report["sampler"] = "exact chain-rule projection DPP"
     report["mass_deviation_max"] = draws.mass_deviation_max
     report["inversion_residual_max"] = draws.inversion_residual_max
+    report["series_residual_max"] = draws.series_residual_max
     report["chi_square_vs_r1"] = chi_square_report(draws.samples, system, box)
     artifacts = [("samples.csv", "samples", draws.samples)]
     if paths_cfg is not None:

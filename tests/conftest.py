@@ -4,10 +4,11 @@ The oracles deliberately avoid the library's own quadrature and solver
 paths: product moments come from scipy's adaptive quadrature, monic
 orthogonal polynomials from a Hankel-system Gram-Schmidt construction,
 Cauchy transforms from the Faddeeva function, the Karlin-McGregor
-normalization from the plain tensor-grid sum, and null spaces from an SVD
-performed outside the solver.  The CSV oracle formats cell by cell from
-each value's Python type; the band oracle evaluates the CD kernel near the
-diagonal one cell at a time.
+normalization from the plain tensor-grid sum, the exact sampler's
+inverse-CDF step from Gauss-Legendre quadrature of the exact integrand, and
+null spaces from an SVD performed outside the solver.  The CSV oracle
+formats cell by cell from each value's Python type; the band oracle
+evaluates the CD kernel near the diagonal one cell at a time.
 """
 
 import itertools
@@ -18,6 +19,7 @@ import pytest
 from scipy import integrate, linalg, special
 
 from mixedmop import Weight, WeightFamily, kernel_cd_diagonal
+from mixedmop import brownian
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +153,80 @@ def tensor_normalization(w1: WeightFamily, w2: WeightFamily, box, degree):
     for _ in range(n):
         total = np.tensordot(h * wts, total, axes=(0, 0))
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature oracle for the exact sampler's inverse-CDF step
+
+
+def _partial_mass(system, M, lo, x):
+    """int_lo^x phi^T M psi by Gauss-Legendre on [lo, x], and the integrand
+    at x, from fresh basis evaluations."""
+    t, w = np.polynomial.legendre.leggauss(brownian.DPP_NODES)
+    half = 0.5 * (x - lo)
+    pts = np.concatenate([(lo + half)[:, None] + half[:, None] * t,
+                          x[:, None]], axis=1)
+    rho = brownian._quadratic_form(M, *brownian._phi_psi(system, pts))
+    return half * (rho[:, :-1] * w).sum(axis=1), rho[:, -1]
+
+
+def _invert_by_quadrature(system, M, lo, hi, x, residual, scale):
+    """Safeguarded Newton on the exact integrand: x in [lo, hi] with
+    int_lo^x phi^T M psi = residual to INVERSION_TOL * scale."""
+    edge = lo
+    x, lo, hi = x.copy(), lo.copy(), hi.copy()
+    active = np.arange(x.size)
+    for _ in range(brownian.INVERSION_MAX_STEPS):
+        xa = x[active]
+        mass, rho = _partial_mass(system, M[active], edge[active], xa)
+        miss = mass - residual[active]
+        done = np.abs(miss) <= brownian.INVERSION_TOL * scale[active]
+        below = miss < 0.0
+        lo[active] = np.where(below, xa, lo[active])
+        hi[active] = np.where(below, hi[active], xa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = xa - miss / rho
+        inside = (step > lo[active]) & (step < hi[active])
+        x[active] = np.where(done, xa, np.where(
+            inside, step, 0.5 * (lo[active] + hi[active])))
+        active = active[~done]
+        if active.size == 0:
+            return x
+    raise AssertionError("quadrature inversion did not converge")
+
+
+def quadrature_dpp_oracle(system, box, count, seed):
+    """The chain-rule sampler of `sample_projection_dpp` with the same
+    uniforms, panel cumulants and panel search, but each point refined by
+    Newton on Gauss-Legendre quadrature of phi^T M psi over [panel edge, x]
+    instead of on the panel's Legendre series.  Returns the sorted draws."""
+    n = system.dimension
+    u = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed))).random((count, n))
+    edges = np.linspace(box[0], box[1], brownian.DPP_PANELS + 1)
+    cumulants, _ = brownian._panel_series(system, edges)
+    out = np.empty((count, n))
+    M = np.tile(np.eye(n), (count, 1, 1))
+    rows = np.arange(count)
+    for k in range(n):
+        cdf = np.maximum.accumulate(M.reshape(count, n * n) @ cumulants, axis=1)
+        mass = cdf[:, -1]
+        target = u[:, k] * mass
+        panel = np.count_nonzero(cdf[:, 1:-1] <= target[:, None], axis=1)
+        left, right = cdf[rows, panel], cdf[rows, panel + 1]
+        lo, hi = edges[panel], edges[panel + 1]
+        frac = np.divide(target - left, right - left,
+                         out=np.full(count, 0.5), where=right > left)
+        x = _invert_by_quadrature(system, M, lo, hi,
+                                  lo + np.clip(frac, 0.0, 1.0) * (hi - lo),
+                                  target - left, mass)
+        out[:, k] = x
+        phi, psi = brownian._phi_psi(system, x)
+        Mpsi = np.einsum("iab,bi->ia", M, psi)
+        phiM = np.einsum("ai,iab->ib", phi, M)
+        denom = np.einsum("ia,ia->i", phiM, psi.T)
+        M = M - Mpsi[:, :, None] * phiM[:, None, :] / denom[:, None, None]
+    return np.sort(out, axis=1)
 
 
 # ---------------------------------------------------------------------------

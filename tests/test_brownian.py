@@ -19,7 +19,8 @@ from mixedmop.kernel import kernel_direct_grid, trace_quadrature
 from mixedmop.weights import _leggauss
 from mixedmop._util import CSV_BLOCK_ROWS
 
-from conftest import csv_oracle_bytes, tensor_normalization
+from conftest import (csv_oracle_bytes, quadrature_dpp_oracle,
+                      tensor_normalization)
 
 
 def two_walker_config(t=0.5):
@@ -158,12 +159,19 @@ class TestKmDensity:
         assert dens.z_n == pytest.approx(gram_normalization(w1, w2, 5),
                                          rel=1e-8)
 
-    def test_unsettled_normalization_reports_gap(self):
+    def test_unsettled_normalization_reports_gap(self, monkeypatch):
+        monkeypatch.setattr(brownian, "NORMALIZATION_DEGREES", (16, 32))
         pts = tuple((float(i), 1) for i in range(6))
         cfg = BrownianConfig(starts=pts, ends=pts, time=0.5)
         with pytest.raises(AccuracyError) as info:
             km_density(cfg)
         assert info.value.achieved > 0.0
+
+    @pytest.mark.parametrize("walkers", [6, 8, 10, 12])
+    def test_ladder_settles_on_gram_route(self, walkers):
+        pts = tuple((float(i), 1) for i in range(walkers))
+        dens = km_density(BrownianConfig(starts=pts, ends=pts, time=0.5))
+        assert abs(dens.z_n - dens.z_n_gram) / abs(dens.z_n) <= 1e-8
 
     @pytest.mark.parametrize("walkers", [2, 3])
     @pytest.mark.parametrize("degree", [16, 32])
@@ -410,6 +418,21 @@ class TestExactSampler:
         stat = X.sum(axis=1) ** 2 - (X ** 2).sum(axis=1)  # sum over i != j
         se = stat.std(ddof=1) / math.sqrt(stat.size)
         assert abs(stat.mean() - expected) < 4.0 * se
+
+    @pytest.mark.parametrize("cfg, count", [
+        (three_walker_config(), 400),
+        (BrownianConfig(starts=((-0.6, 1), (0.5, 1)),
+                        ends=((-0.4, 1), (0.8, 1)), time=0.4), 400),
+        (BrownianConfig(starts=((-1.0, 3), (1.0, 3)), ends=((0.0, 6),),
+                        time=0.5), 150),
+    ], ids=["br", "two", "two-start-3+3"])
+    def test_series_inversion_matches_quadrature_oracle(self, cfg, count):
+        system = correlation_kernel(cfg)
+        box = cfg.bridge_box()
+        draws = sample_projection_dpp(system, box, count, seed=931)
+        want = quadrature_dpp_oracle(system, box, count, seed=931)
+        np.testing.assert_allclose(draws.samples, want, rtol=0.0, atol=1e-10)
+        assert 0.0 <= draws.series_residual_max <= 1e-9
 
     def test_narrowed_box_raises(self):
         cfg = two_walker_config()

@@ -186,7 +186,9 @@ class TestValidationFailures:
         capsys.readouterr()
 
     def test_sampling_rejects_confluent_starts(self, tmp_path):
-        config = dict(TWO_WALKERS, starts=[[0.0, 2]], ends=[[0.0, 2]])
+        # positions are drawn for confluent points; path bundles are not
+        config = dict(TWO_WALKERS, starts=[[0.0, 2]], ends=[[0.0, 2]],
+                      sampling={"count": 8}, paths={"count": 2})
         code, out = run_cli(tmp_path, "brownian-sample", config)
         assert code == 1
         self.assert_only_error_report(out)
@@ -265,9 +267,10 @@ class TestValidationFailures:
         assert code == 1
         self.assert_only_error_report(out)
 
-    def test_sampling_rejects_five_walkers(self, tmp_path):
+    def test_path_bundles_reject_five_walkers(self, tmp_path):
         pts = [[float(i), 1] for i in range(5)]
-        config = {"starts": pts, "ends": pts, "t": 0.5}
+        config = {"starts": pts, "ends": pts, "t": 0.5,
+                  "sampling": {"count": 8}, "paths": {"count": 2}}
         code, out = run_cli(tmp_path, "brownian-sample", config)
         assert code == 1
         self.assert_only_error_report(out)
@@ -316,6 +319,17 @@ class TestNumericalFailures:
         normality = read_json(out / "error_report.json")["detail"]["normality"]
         assert normality["f_dimension_ok"] is False
         assert normality["normal"] is False
+
+    def test_five_plus_five_positions_refused_by_mass_check(self, tmp_path):
+        config = {"starts": [[-1.0, 5], [1.0, 5]], "ends": [[0.0, 10]],
+                  "t": 0.5, "sampling": {"count": 20}}
+        code, out = run_cli(tmp_path, "brownian-sample", config)
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == ["error_report.json"]
+        report = read_json(out / "error_report.json")
+        assert report["error"] == "NUMERICAL"
+        assert "conditional mass at step 0" in report["message"]
+        assert report["detail"]["achieved"] > 1e-9
 
 
 class TestInternalFailures:
@@ -457,6 +471,29 @@ class TestBrownianCommands:
         assert report["walkers"] == 4
         assert report["z_n_route_gap"] < 1e-8
 
+    def test_five_walker_positions(self, tmp_path):
+        pts = [[float(i), 1] for i in range(5)]
+        config = {"starts": pts, "ends": pts, "t": 0.5,
+                  "sampling": {"count": 200}}
+        code, out = run_cli(tmp_path, "brownian-sample", config)
+        assert code == 0
+        assert len(read_rows(out / "samples.csv")) == 200
+        report = read_json(out / "sampling_report.json")
+        assert report["walkers"] == 5
+        assert report["mass_deviation_max"] < 1e-9
+        assert report["series_residual_max"] < 1e-9
+
+    def test_two_start_confluent_positions_match_r1(self, tmp_path):
+        config = {"starts": [[-1.0, 3], [1.0, 3]], "ends": [[0.0, 6]],
+                  "t": 0.5, "sampling": {"count": 3000}}
+        code, out = run_cli(tmp_path, "brownian-sample", config)
+        assert code == 0
+        report = read_json(out / "sampling_report.json")
+        assert report["walkers"] == 6
+        chi = report["chi_square_vs_r1"]
+        assert chi["bins"] == 40 and chi["points"] == 18_000
+        assert chi["p_value"] > 0.01
+
     @pytest.mark.filterwarnings("ignore:position sampler")
     def test_sampling_artifacts_and_determinism(self, tmp_path):
         config = dict(TWO_WALKERS,
@@ -472,6 +509,7 @@ class TestBrownianCommands:
         assert report["sampler"] == "exact chain-rule projection DPP"
         assert report["mass_deviation_max"] < 1e-9
         assert report["inversion_residual_max"] < 1e-11
+        assert report["series_residual_max"] < 1e-9
         assert report["paths"]["count"] == 3
         assert report["chi_square_vs_r1"]["p_value"] >= 0.0
         assert (out1 / "paths.csv").exists()

@@ -1,10 +1,13 @@
 """Property test of the exit-code contract: whatever JSON values fill the
-fields of a mop-solve or rh-verify config, the command exits 0 (success),
-1 (validation) or 2 (numerical failure), never 3 (internal error).
+fields of a mop-solve, rh-verify, brownian-sample or brownian-density
+config, the command exits 0 (success), 1 (validation) or 2 (numerical
+failure), never 3 (internal error).
 
-A draw starts from a valid config (at most 2 weights per side, multi-index
-parts <= 4) and replaces up to two of its fields, at any depth, by an
-arbitrary JSON value, so that every field is reached with the rest valid.
+A draw starts from a valid config and replaces up to two of its fields, at
+any depth, by an arbitrary JSON value, so that every field is reached with
+the rest valid.  Weight problems have at most 2 weights per side and
+multi-index parts <= 4; Brownian configs have at most 4 walkers on
+well-separated points, at most 50 draws and at most 5 path bundles.
 """
 
 import json
@@ -48,7 +51,29 @@ def configs(draw, command):
     if command == "mop-solve":
         config["normalization"] = {"kind": draw(st.sampled_from(["I", "II"])),
                                    "index": draw(st.integers(0, 2))}
+    return _replace_fields(draw, config)
 
+
+@st.composite
+def brownian_configs(draw, command):
+    def points(multiplicities):
+        return [[1.5 * i - 1.5 + draw(st.floats(-0.3, 0.3)), k]
+                for i, k in enumerate(multiplicities)]
+
+    paths = command == "brownian-sample" and draw(st.booleans())
+    # path bundles need distinct points, so multiplicities stay 1 with paths
+    starts = draw(st.lists(st.integers(1, 1 if paths else 2), min_size=1,
+                           max_size=3).filter(lambda ks: sum(ks) <= 4))
+    config = {"starts": points(starts), "ends": points([1] * sum(starts)),
+              "t": draw(st.floats(0.1, 0.9)), "n_scaling": draw(st.booleans())}
+    if command == "brownian-sample":
+        config["sampling"] = {"count": draw(st.integers(1, 50))}
+    if paths:
+        config["paths"] = {"count": draw(st.integers(1, 5)), "time_points": 64}
+    return _replace_fields(draw, config)
+
+
+def _replace_fields(draw, config):
     # every place a value sits: (container, key) at any depth
     slots = []
 
@@ -89,3 +114,15 @@ def test_mop_solve_exit_code(config):
 @given(config=configs("rh-verify"))
 def test_rh_verify_exit_code(config):
     assert exit_code("rh-verify", config) in (0, 1, 2)
+
+
+@PROPERTY
+@given(config=brownian_configs("brownian-sample"))
+def test_brownian_sample_exit_code(config):
+    assert exit_code("brownian-sample", config) in (0, 1, 2)
+
+
+@PROPERTY
+@given(config=brownian_configs("brownian-density"))
+def test_brownian_density_exit_code(config):
+    assert exit_code("brownian-density", config) in (0, 1, 2)
