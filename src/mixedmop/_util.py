@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from typing import Any, Sequence
 
 import numpy as np
@@ -24,6 +25,21 @@ def write_csv(path: str, header: Sequence[str], rows) -> None:
         for start in range(0, len(table), CSV_BLOCK_ROWS):
             block = table[start:start + CSV_BLOCK_ROWS]
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def exact_int(value, what: str) -> int:
+    """A Python or numpy integer as an int; bools, floats and the rest are
+    refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def real_number(value, what: str) -> float:
+    """A real number (not a bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def json_number(value, what: str) -> float:

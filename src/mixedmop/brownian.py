@@ -21,11 +21,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
-from ._util import json_count, json_number, write_csv
+from ._util import exact_int, json_count, json_number, real_number, write_csv
 from .kernel import BiorthogonalSystem, build_biorthogonal, kernel_direct_grid
 from .mop import MultiIndexPair
 from .weights import (AccuracyError, WeightFamily, _leggauss,
-                      product_moment, transition_weight)
+                      gaussian_pair_moments, transition_weight)
 
 MAX_PATH_WALKERS = 4
 # Gauss-Legendre degrees per axis tried for the Karlin-McGregor normalization.
@@ -61,8 +61,11 @@ class BrownianConfig:
     variance_scaling: bool = True
 
     def __post_init__(self):
-        starts = tuple((float(a), int(k)) for a, k in self.starts)
-        ends = tuple((float(b), int(k)) for b, k in self.ends)
+        def parsed(label, pts):
+            return tuple((real_number(a, f"{label} point"),
+                          exact_int(k, f"{label} multiplicity")) for a, k in pts)
+
+        starts, ends = parsed("start", self.starts), parsed("end", self.ends)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "ends", ends)
         if not starts or not ends:
@@ -202,18 +205,6 @@ class KarlinMcGregorDensity:
         vals = d1 * d2 / self.z_n
         return float(vals[0]) if scalar else vals
 
-    def log_eval(self, positions) -> float:
-        X = np.asarray(positions, dtype=float)
-        if X.ndim != 1 or X.size != self.walkers:
-            raise ValueError(f"expected {self.walkers} coordinates")
-        W1 = self.w1.values(X)
-        W2 = self.w2.values(X)
-        s1, l1 = np.linalg.slogdet(W1.T)
-        s2, l2 = np.linalg.slogdet(W2.T)
-        if s1 * s2 <= 0.0:
-            return -math.inf
-        return float(l1 + l2 - math.log(self.z_n))
-
     __call__ = density
 
 
@@ -236,7 +227,7 @@ def andreief_quadrature(w1: WeightFamily, w2: WeightFamily,
 
 def gram_normalization(w1: WeightFamily, w2: WeightFamily, n: int) -> float:
     """n! det[ integral w1_i w2_j ], the Andreief identity route."""
-    G = np.array([[product_moment(wa, wb, 0).value for wb in w2] for wa in w1])
+    G = np.array([[gaussian_pair_moments(wa, wb, 0)[0] for wb in w2] for wa in w1])
     return float(math.factorial(n) * np.linalg.det(G))
 
 

@@ -99,6 +99,14 @@ def _pair(n, m, relation: str) -> MultiIndexPair:
         raise ValidationFailure(str(exc)) from exc
 
 
+def _double_only(args) -> None:
+    """Refuse --precision extended where no mixed solve runs."""
+    if args.precision != "double":
+        raise ValidationFailure(
+            f"{args.command} runs no mixed solve; --precision applies to "
+            "mop-solve, kernel-grid, cd-check, rh-verify and brownian-kernel")
+
+
 def _base_report(args, raw: dict) -> dict:
     return {
         "version": __version__,
@@ -214,6 +222,7 @@ def cmd_brownian_kernel(args, raw: dict) -> list:
 
 
 def cmd_brownian_density(args, raw: dict) -> list:
+    _double_only(args)
     config = _brownian_config(raw)
     system = correlation_kernel(config)
     lo, hi = config.bridge_box()
@@ -251,6 +260,7 @@ def _section(raw: dict, key: str) -> dict | None:
 
 
 def cmd_brownian_sample(args, raw: dict) -> list:
+    _double_only(args)
     config = _brownian_config(raw)
     sampling = _section(raw, "sampling") or {}
     count = _bounded_count(sampling.get("count", 10_000), "sampling count",
@@ -353,7 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--precision", choices=("double", "extended"),
-                        default="double")
+                        default="double",
+                        help="arithmetic of the mixed solves (mop-solve, "
+                             "kernel-grid, cd-check, rh-verify, "
+                             "brownian-kernel)")
     return parser
 
 

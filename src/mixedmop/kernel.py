@@ -11,7 +11,6 @@ meaningful check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .mop import (MixedMopSolution, MultiIndexPair, Normalization,
                   NotNormalizable, check_normality, column_layout,
-                  moment_table_for, solve_mixed)
+                  moment_matrix, moment_table_for, solve_mixed)
 from .weights import (ProductMomentTable, WeightFamily, adaptive_gauss_legendre,
                       family_interval, _leggauss)
 
@@ -33,16 +32,6 @@ class DegeneratePair(RuntimeError):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
-
-
-class DiagonalRegion(ValueError):
-    """Raised by the off-diagonal CD ratio inside |x - y| <= delta_diag."""
-
-    def __init__(self, x: float, y: float, delta: float):
-        super().__init__(
-            f"|x - y| = {abs(x - y):.3e} inside the diagonal band {delta:.3e}; "
-            "use the diagonal evaluator or the direct route")
-        self.x, self.y, self.delta = x, y, delta
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +112,7 @@ def build_biorthogonal(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
     if g_order is not None:
         g_layout = [g_layout[i] for i in g_order]
 
-    B = np.empty((len(f_layout), len(g_layout)))
-    for a, (l, i) in enumerate(f_layout):
-        for b, (k, j) in enumerate(g_layout):
-            B[a, b] = table.entry(l, k, i + j)
+    B = moment_matrix(table.values, f_layout, g_layout).T
 
     U, svals, Vt = np.linalg.svd(B)
     tau = max(B.shape) * svals[0] * 1e-10
@@ -142,16 +128,6 @@ def build_biorthogonal(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
     return BiorthogonalSystem(pair=pair, table=table,
                               f_layout=tuple(f_layout), g_layout=tuple(g_layout),
                               gram=B, transform=C, condition=cond)
-
-
-def kernel_direct(sys: BiorthogonalSystem, x, y):
-    """K(x, y) through the biorthogonalized bases; scalars in, scalar out."""
-    F = sys.f_values(x)
-    G = sys.g_values(y)
-    val = F.T @ sys.transform.T @ G
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(val[0, 0])
-    return val
 
 
 def kernel_direct_grid(sys: BiorthogonalSystem, xs, ys) -> np.ndarray:
@@ -282,23 +258,6 @@ def build_cd_data(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
     return CdKernelData(pair=pair, table=table, x_type2=x_type2, x_type1=x_type1,
                         y_type1=y_type1, y_type2=y_type2,
                         delta_diag=DIAG_BAND_FACTOR * table.scale)
-
-
-def cd_numerator(data: CdKernelData, x, y):
-    """(x - y) K(x, y): the CD bilinear combination of neighbor forms."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    acc = np.zeros(np.broadcast(x, y).shape)
-    for sign, a, b in data.terms():
-        acc = acc + sign * a.form(x) * b.form(y)
-    return acc
-
-
-def kernel_cd(data: CdKernelData, x: float, y: float) -> float:
-    """Off-diagonal CD evaluation; raises DiagonalRegion inside the band."""
-    if abs(x - y) <= data.delta_diag:
-        raise DiagonalRegion(x, y, data.delta_diag)
-    return float(cd_numerator(data, x, y)) / (x - y)
 
 
 def kernel_cd_diagonal(data: CdKernelData, x) -> np.ndarray | float:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from ._util import exact_int
 from .weights import (ProductMomentTable, Weight, WeightFamily,
                       build_moment_table)
 
@@ -48,7 +49,7 @@ class MultiIndex:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(v) for v in self.parts)
+        parts = tuple(exact_int(v, "multi-index part") for v in self.parts)
         object.__setattr__(self, "parts", parts)
         if len(parts) == 0:
             raise ValueError("a multi-index needs at least one part")
@@ -135,6 +136,8 @@ class Normalization:
     def __post_init__(self):
         if self.kind not in ("I", "II"):
             raise ValueError("normalization kind must be 'I' or 'II'")
+        object.__setattr__(self, "index",
+                           exact_int(self.index, "normalization index"))
         if self.index < 0:
             raise ValueError("normalization index must be >= 0")
 
@@ -152,24 +155,27 @@ class Normalization:
 
 
 def column_layout(n_parts: Sequence[int]) -> list[tuple[int, int]]:
-    """Unknown order: (weight l, shifted power i), i < n_l, l-major."""
+    """(weight, shifted power i) with i < n_weight, weight-major: the order
+    of the unknowns of a solve and, for the m side, of its conditions."""
     return [(l, i) for l, deg in enumerate(n_parts) for i in range(deg)]
 
 
-def row_layout(m_parts: Sequence[int]) -> list[tuple[int, int]]:
-    """Condition order: (weight k, shifted power j), j < m_k, k-major."""
-    return [(k, j) for k, deg in enumerate(m_parts) for j in range(deg)]
+def moment_matrix(values: np.ndarray, cols: Sequence[tuple[int, int]],
+                  rows: Sequence[tuple[int, int]]) -> np.ndarray:
+    """values[l, k, i + j] at row (k, j) and column (l, i), for a moment
+    array values[w1 index, w2 index, order] of floats or of mpf objects.
 
-
-def _matrix_for_parts(n_parts: Sequence[int], m_parts: Sequence[int],
-                      entry: Callable[[int, int, int], float]) -> np.ndarray:
-    cols = column_layout(n_parts)
-    rows = row_layout(m_parts)
-    M = np.empty((len(rows), len(cols)))
-    for r, (k, j) in enumerate(rows):
-        for c, (l, i) in enumerate(cols):
-            M[r, c] = entry(l, k, i + j)
-    return M
+    The one gather behind the orthogonality system, the normalization
+    row, the normality tests and the kernel's Gram matrix; raises
+    ValueError when the array stops short of the orders it needs.
+    """
+    l, i = np.array(cols, dtype=int).reshape(-1, 2).T
+    k, j = np.array(rows, dtype=int).reshape(-1, 2).T
+    need = int(i.max() + j.max()) if i.size and j.size else 0
+    if need >= values.shape[2]:
+        raise ValueError(f"table kmax={values.shape[2] - 1} too small, "
+                         f"need {need}")
+    return values[l[None, :], k[:, None], i[None, :] + j[:, None]]
 
 
 def assemble_orthogonality_matrix(pair: MultiIndexPair,
@@ -180,12 +186,10 @@ def assemble_orthogonality_matrix(pair: MultiIndexPair,
     i of A_l; the entry is the table moment of order i + j for the pair
     (w1_l, w2_k).
     """
-    need = (max(pair.n.parts) - 1) + max(max(pair.m.parts) - 1, 0)
-    if need > table.kmax:
-        raise ValueError(f"table kmax={table.kmax} too small, need {need}")
     if len(pair.n) != len(table.w1) or len(pair.m) != len(table.w2):
         raise ValueError("pair length does not match the table's families")
-    return _matrix_for_parts(pair.n.parts, pair.m.parts, table.entry)
+    return moment_matrix(table.values, column_layout(pair.n.parts),
+                         column_layout(pair.m.parts))
 
 
 def moment_table_for(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
@@ -196,29 +200,26 @@ def moment_table_for(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
     return build_moment_table(w1, w2, kmax, center=center, scale=scale)
 
 
-def _normalization_row(pair: MultiIndexPair, table: ProductMomentTable,
-                       normalization: Normalization) -> tuple[np.ndarray, float]:
+def _normalization_row(pair: MultiIndexPair, values: np.ndarray, center, scale,
+                       normalization: Normalization) -> tuple[np.ndarray, object]:
+    """The closing row and its right-hand side, in the arithmetic of values,
+    center and scale (floats, or mpf with values an object array)."""
     cols = column_layout(pair.n.parts)
-    row = np.zeros(len(cols))
-    c, s = table.center, table.scale
-    if normalization.kind == "II":
-        k = normalization.index
-        if k >= len(pair.n):
-            raise ValueError("type II index out of range")
-        target = cols.index((k, pair.n[k] - 1))
-        row[target] = 1.0
-        return row, s ** (pair.n[k] - 1)
     k = normalization.index
-    if k >= len(pair.m):
-        raise ValueError("type I index out of range")
+    if k >= len(pair.n if normalization.kind == "II" else pair.m):
+        raise ValueError(f"type {normalization.kind} index out of range")
+    if normalization.kind == "II":
+        row = np.zeros(len(cols), dtype=values.dtype)
+        row[cols.index((k, pair.n[k] - 1))] = 1
+        return row, scale ** (pair.n[k] - 1)
+    # integral Q x^{m_k} w2_k dx = 1, with x^{m_k} expanded in the shifted
+    # basis; the terms are summed in order t = 0..m_k.
     mk = pair.m[k]
-    # integral Q x^{m_k} w2_k dx = 1, with x^{m_k} expanded in the shifted basis.
-    for cidx, (l, i) in enumerate(cols):
-        acc = 0.0
-        for t in range(mk + 1):
-            acc += math.comb(mk, t) * c ** (mk - t) * s**t * table.entry(l, k, i + t)
-        row[cidx] = acc
-    return row, 1.0
+    shifted = moment_matrix(values, cols, [(k, t) for t in range(mk + 1)])
+    row = 0
+    for t in range(mk + 1):
+        row = row + math.comb(mk, t) * center ** (mk - t) * scale ** t * shifted[t]
+    return row, 1
 
 
 @dataclass(frozen=True)
@@ -334,7 +335,8 @@ def solve_mixed(pair: MultiIndexPair, table: ProductMomentTable,
         return _solve_mixed_extended(pair, table, normalization)
 
     M = assemble_orthogonality_matrix(pair, table)
-    row, rhs_last = _normalization_row(pair, table, normalization)
+    row, rhs_last = _normalization_row(pair, table.values, table.center,
+                                       table.scale, normalization)
     A = np.vstack([M, row[None, :]])
     b = np.zeros(A.shape[0])
     b[-1] = rhs_last
@@ -380,18 +382,17 @@ def _split_coefficients(x: np.ndarray, n_parts: Sequence[int]) -> tuple[np.ndarr
 
 
 def _mp_entry_provider(w1: WeightFamily, w2: WeightFamily, kmax: int,
-                       center: float, scale: float):
+                       center, scale) -> np.ndarray:
+    """The (p, q, kmax+1) object array of mpf moments integral u^k w1_j w2_l
+    dx, u = (x - center) / scale, by the product-Gaussian recursion at the
+    working mpmath precision."""
     import mpmath
 
     if not (w1.all_gaussian and w2.all_gaussian):
         raise ValueError("extended precision requires all-gaussian families")
-
-    cache: dict[tuple[int, int], list] = {}
-
-    def moments(j: int, l: int) -> list:
-        key = (j, l)
-        if key not in cache:
-            a, b = w1[j], w2[l]
+    values = np.empty((len(w1), len(w2), kmax + 1), dtype=object)
+    for j, a in enumerate(w1):
+        for l, b in enumerate(w2):
             v1, v2 = mpmath.mpf(a.variance), mpmath.mpf(b.variance)
             c1, c2 = mpmath.mpf(a.center), mpmath.mpf(b.center)
             v = v1 + v2
@@ -399,20 +400,15 @@ def _mp_entry_provider(w1: WeightFamily, w2: WeightFamily, kmax: int,
             mean = (c1 * v2 + c2 * v1) / v
             amp = mpmath.mpf(a.amplitude) * mpmath.mpf(b.amplitude) * \
                 mpmath.e**(-(c1 - c2)**2 / (2 * v))
-            mu = (mean - mpmath.mpf(center)) / mpmath.mpf(scale)
-            sig2 = var / mpmath.mpf(scale)**2
-            vals = [amp * mpmath.mpf(scale) * mpmath.sqrt(2 * mpmath.pi * sig2)]
+            mu = (mean - center) / scale
+            sig2 = var / scale**2
+            vals = [amp * scale * mpmath.sqrt(2 * mpmath.pi * sig2)]
             if kmax >= 1:
                 vals.append(mu * vals[0])
             for k in range(2, kmax + 1):
                 vals.append(mu * vals[k - 1] + (k - 1) * sig2 * vals[k - 2])
-            cache[key] = vals
-        return cache[key]
-
-    def entry(l: int, k: int, power: int):
-        return moments(l, k)[power]
-
-    return entry
+            values[j, l] = vals
+    return values
 
 
 def _solve_mixed_extended(pair: MultiIndexPair, table: ProductMomentTable,
@@ -420,31 +416,15 @@ def _solve_mixed_extended(pair: MultiIndexPair, table: ProductMomentTable,
     import mpmath
 
     with mpmath.workdps(EXTENDED_DPS):
-        c, s = table.center, table.scale
+        c, s = mpmath.mpf(table.center), mpmath.mpf(table.scale)
         kmax = max(pair.n.parts) + max(pair.m.parts) + 2
-        entry = _mp_entry_provider(table.w1, table.w2, kmax, c, s)
-        cols = column_layout(pair.n.parts)
-        rows = row_layout(pair.m.parts)
-        size = len(cols)
-        A = mpmath.zeros(size, size)
-        b = mpmath.matrix(size, 1)
-        for r, (k, j) in enumerate(rows):
-            for cc, (l, i) in enumerate(cols):
-                A[r, cc] = entry(l, k, i + j)
-        if normalization.kind == "II":
-            k = normalization.index
-            A[size - 1, cols.index((k, pair.n[k] - 1))] = mpmath.mpf(1)
-            b[size - 1] = mpmath.mpf(s) ** (pair.n[k] - 1)
-        else:
-            k = normalization.index
-            mk = pair.m[k]
-            for cc, (l, i) in enumerate(cols):
-                acc = mpmath.mpf(0)
-                for t in range(mk + 1):
-                    acc += (mpmath.binomial(mk, t) * mpmath.mpf(c) ** (mk - t)
-                            * mpmath.mpf(s) ** t * entry(l, k, i + t))
-                A[size - 1, cc] = acc
-            b[size - 1] = mpmath.mpf(1)
+        values = _mp_entry_provider(table.w1, table.w2, kmax, c, s)
+        M = moment_matrix(values, column_layout(pair.n.parts),
+                          column_layout(pair.m.parts))
+        row, rhs = _normalization_row(pair, values, c, s, normalization)
+        size = len(row)
+        A = mpmath.matrix(np.vstack([M, row[None, :]]).tolist())
+        b = mpmath.matrix([0] * (size - 1) + [rhs])
 
         svals = mpmath.svd_r(A.copy(), compute_uv=False)
         smax = max(svals[i] for i in range(size))
@@ -518,7 +498,8 @@ def check_normality(pair: MultiIndexPair, table: ProductMomentTable) -> Normalit
     need = max(pair.n.parts) + max(pair.m.parts) + 2
     table = _table_with_kmax(table, need)
 
-    M = _matrix_for_parts(pair.n.parts, pair.m.parts, table.entry)
+    cols = column_layout(pair.n.parts)
+    M = moment_matrix(table.values, cols, column_layout(pair.m.parts))
     rank, svals = numerical_rank(M)
     kernel_dim = pair.n.size - rank
     if svals.size and svals[-1] > 0 and rank == min(M.shape):
@@ -532,7 +513,7 @@ def check_normality(pair: MultiIndexPair, table: ProductMomentTable) -> Normalit
     gram_kmax = 2 * max(pair.n.parts)
     ftable = build_moment_table(table.w1, table.w1, gram_kmax,
                                 center=table.center, scale=table.scale)
-    G = _matrix_for_parts(pair.n.parts, pair.n.parts, ftable.entry)
+    G = moment_matrix(ftable.values, cols, cols)
     grank, _ = numerical_rank(G)
     f_ok = grank == pair.n.size
 
@@ -540,7 +521,7 @@ def check_normality(pair: MultiIndexPair, table: ProductMomentTable) -> Normalit
     for k in range(len(pair.m)):
         m_aug = list(pair.m.parts)
         m_aug[k] += 1
-        aug = _matrix_for_parts(pair.n.parts, m_aug, table.entry)
+        aug = moment_matrix(table.values, cols, column_layout(m_aug))
         r, _ = numerical_rank(aug)
         typeI.append(r == pair.n.size)
 
@@ -548,7 +529,8 @@ def check_normality(pair: MultiIndexPair, table: ProductMomentTable) -> Normalit
     for k in range(len(pair.n)):
         n_red = list(pair.n.parts)
         n_red[k] -= 1
-        red = _matrix_for_parts(n_red, pair.m.parts, table.entry)
+        red = moment_matrix(table.values, column_layout(n_red),
+                            column_layout(pair.m.parts))
         r, _ = numerical_rank(red)
         typeII.append(r == pair.n.size - 1)
 

@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import write_csv
-from .kernel import CdKernelData, DiagonalRegion, build_cd_data, kernel_cd_band
+from .kernel import CdKernelData, build_cd_data, kernel_cd_band
 from .mop import MultiIndexPair
 from .weights import (AccuracyError, ProductMomentTable, WeightFamily,
                       family_interval, gaussian_product_params, _leggauss)
@@ -248,34 +246,12 @@ def _zpow(z: complex, k: int) -> complex:
     return cmath.exp(k * cmath.log(z))
 
 
-@dataclass(frozen=True)
-class JumpMatrix:
+def jump_matrix(w1: WeightFamily, w2: WeightFamily, x: float) -> np.ndarray:
     """The unipotent jump [[I, W(x)], [0, I]] with W = w1(x)^T w2(x)."""
-
-    x: float
-    value: np.ndarray
-
-
-def jump_matrix(w1: WeightFamily, w2: WeightFamily, x: float) -> JumpMatrix:
     p, q = len(w1), len(w2)
     J = np.eye(p + q)
-    W = np.outer(w1.values(x).ravel(), w2.values(x).ravel())
-    J[:p, p:] = W
-    return JumpMatrix(x=float(x), value=J)
-
-
-@dataclass(frozen=True)
-class RhEvaluation:
-    """One evaluation of Y (or X) with per-entry error bounds."""
-
-    pair: MultiIndexPair
-    z: complex
-    matrix: np.ndarray
-    accuracy: np.ndarray
-    side: str | None = None
-
-    def determinant(self) -> complex:
-        return complex(np.linalg.det(self.matrix))
+    J[:p, p:] = np.outer(w1.values(x).ravel(), w2.values(x).ravel())
+    return J
 
 
 class RhSystem:
@@ -412,34 +388,9 @@ class RhSystem:
         return X, acc
 
 
-def _evaluate(matrix: str, pair: MultiIndexPair, w1: WeightFamily,
-              w2: WeightFamily, z, table, data, side, system) -> RhEvaluation:
-    rhs = system or RhSystem(pair, w1, w2, table, data)
-    zc = complex(z)
-    side = side if zc.imag == 0.0 else None
-    mat, acc = getattr(rhs, matrix)(zc, side)
-    return RhEvaluation(pair=pair, z=zc, matrix=mat, accuracy=acc, side=side)
-
-
-def eval_Y(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily, z, *,
-           table: ProductMomentTable | None = None,
-           data: CdKernelData | None = None, side: str | None = None,
-           system: RhSystem | None = None) -> RhEvaluation:
-    """Evaluate Y at z; real z needs side '+'/'-' (the boundary value)."""
-    return _evaluate("y_matrix", pair, w1, w2, z, table, data, side, system)
-
-
-def eval_X(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily, z, *,
-           table: ProductMomentTable | None = None,
-           data: CdKernelData | None = None, side: str | None = None,
-           system: RhSystem | None = None) -> RhEvaluation:
-    """Evaluate the inverse transpose X directly from the swapped solves."""
-    return _evaluate("x_matrix", pair, w1, w2, z, table, data, side, system)
-
-
 def verify_jump(system: RhSystem, x: float, *, tol: float = 1e-6) -> dict:
     """Residual max|Y+ - Y- J| of the jump condition at a real point."""
-    J = jump_matrix(system.w1, system.w2, x).value
+    J = jump_matrix(system.w1, system.w2, x)
     Yp, _ = system.y_matrix(x, "+")
     Ym, _ = system.y_matrix(x, "-")
     residual = float(np.max(np.abs(Yp - Ym @ J)))
@@ -475,10 +426,9 @@ def asymptotic_errors(system: RhSystem, radii: Sequence[float] = (10.0, 20.0, 40
 
 def _rh_row_column(data: CdKernelData, x, y):
     """Column Y+(x) [w1, 0]^T (through the polynomial block) and the row
-    [0, w2(y)] Y+^{-1}(y) (through the swapped forms), both complex."""
+    [0, w2(y)] Y+^{-1}(y) (through the swapped forms), both complex, at the
+    points of the float arrays x and y."""
     p, q = data.p, data.q
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
     w1x = data.table.w1.values(x)
     col = np.zeros((p + q, x.size), dtype=complex)
     for k in range(p):
@@ -492,17 +442,6 @@ def _rh_row_column(data: CdKernelData, x, y):
     for k in range(q):
         row[p + k] = data.y_type2[k].form(y)
     return col, row
-
-
-def kernel_rh(data: CdKernelData, x: float, y: float) -> float:
-    """K(x, y) via the Y-matrix contraction; DiagonalRegion inside the band."""
-    if abs(x - y) <= data.delta_diag:
-        raise DiagonalRegion(x, y, data.delta_diag)
-    col, row = _rh_row_column(data, x, y)
-    val = complex(np.sum(row[:, 0] * col[:, 0])) / (TWO_PI_I * (x - y))
-    if abs(val.imag) > 1e-10 * (1.0 + abs(val.real)):
-        raise AccuracyError(f"kernel_rh produced imaginary part {val.imag:.3e}")
-    return val.real
 
 
 def kernel_rh_grid(data: CdKernelData, xs, ys) -> np.ndarray:
@@ -522,7 +461,7 @@ def kernel_rh_grid(data: CdKernelData, xs, ys) -> np.ndarray:
     ix, iy = np.nonzero(band)
     real[ix, iy] = kernel_cd_band(data, xs[ix], ys[iy])
     if imag_max > 1e-9 * (1.0 + float(np.max(np.abs(real)))):
-        raise AccuracyError(f"kernel_rh grid imaginary part {imag_max:.3e}")
+        raise AccuracyError(f"kernel_rh_grid imaginary part {imag_max:.3e}")
     return real
 
 
@@ -593,6 +532,3 @@ def matrix_rows(matrix: np.ndarray) -> np.ndarray:
     row, col = np.indices(matrix.shape).reshape(2, -1)
     return np.column_stack([row, col, matrix.real.ravel(), matrix.imag.ravel()])
 
-
-def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
-    write_csv(path, MATRIX_CSV_HEADER, matrix_rows(matrix))

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -114,12 +114,6 @@ class Weight:
         x = np.asarray(x, dtype=float)
         return -(x - self.center) / self.variance * self(x)
 
-    def to_json_dict(self) -> dict:
-        if self.kind != "gaussian":
-            raise ValueError("only gaussian weights serialize to JSON")
-        return {"kind": "gaussian", "center": self.center,
-                "variance": self.variance, "amplitude": self.amplitude}
-
 
 class WeightFamily(tuple):
     """An ordered, nonempty tuple of weights playing one side of a pairing."""
@@ -146,22 +140,10 @@ class WeightFamily(tuple):
         return np.stack([w(x) for w in self])
 
 
-def gaussian_transition(t: float, a: float, x, n: int = 1):
-    """Brownian transition density with optional 1/n variance scaling.
-
-    Returns sqrt(n / (2 pi t)) * exp(-n (x-a)^2 / (2 t)); rejects t outside
-    the open unit interval, where the bridge endpoints pin the motion.
-    """
-    if not (0.0 < t < 1.0):
-        raise ValueError(f"time must lie in (0, 1), got {t}")
-    if n < 1:
-        raise ValueError("scaling parameter n must be >= 1")
-    x = np.asarray(x, dtype=float)
-    return math.sqrt(n / (TWO_PI * t)) * np.exp(-n * (x - a) ** 2 / (2.0 * t))
-
-
 def transition_weight(t: float, a: float, n: int = 1) -> Weight:
-    """The transition density packaged as a gaussian Weight."""
+    """The Brownian transition density sqrt(n / (2 pi t)) exp(-n (x - a)^2
+    / (2 t)) as a gaussian Weight; t must lie in the open unit interval,
+    where the bridge endpoints do not pin the motion."""
     if not (0.0 < t < 1.0):
         raise ValueError(f"time must lie in (0, 1), got {t}")
     var = t / n
@@ -214,11 +196,6 @@ def _leggauss(degree: int):
     return np.polynomial.legendre.leggauss(degree)
 
 
-@lru_cache(maxsize=None)
-def _hermgauss(degree: int):
-    return np.polynomial.hermite.hermgauss(degree)
-
-
 def adaptive_gauss_legendre(f: Callable, a: float, b: float, *,
                             abs_tol: float = 1e-12, rel_tol: float = 1e-10,
                             max_degree: int = MAX_QUAD_DEGREE) -> tuple[float, float]:
@@ -249,60 +226,6 @@ def adaptive_gauss_legendre(f: Callable, a: float, b: float, *,
     raise AccuracyError(
         f"Gauss-Legendre did not converge on [{a:g}, {b:g}] at degree {max_degree}",
         value=est, achieved=achieved)
-
-
-def _gauss_hermite_pair_moment(w1: Weight, w2: Weight, k: int) -> tuple[float, float]:
-    """Gauss-Hermite route for a gaussian pair, recentered at the product mean."""
-    mean, var, amp = gaussian_product_params(w1, w2)
-    sd = math.sqrt(var)
-    prev = None
-    degree = MIN_QUAD_DEGREE
-    while degree <= MAX_QUAD_DEGREE:
-        nodes, wts = _hermgauss(degree)
-        xs = mean + math.sqrt(2.0) * sd * nodes
-        est = amp * math.sqrt(2.0) * sd * float(np.sum(wts * xs**k))
-        if prev is not None:
-            err = abs(est - prev)
-            if err <= max(1e-12, 1e-10 * abs(est)):
-                return est, err
-        prev = est
-        degree *= 2
-    raise AccuracyError("Gauss-Hermite moment did not converge", value=prev)
-
-
-class MomentValue(NamedTuple):
-    value: float
-    error_bound: float
-
-
-def product_moment(w1: Weight, w2: Weight, k: int) -> MomentValue:
-    """integral x^k w1(x) w2(x) dx with an absolute error bound.
-
-    Gaussian pairs go through the exact recursion (bound is a rounding-level
-    estimate); any pair involving a tabulated weight goes through adaptive
-    quadrature on the intersection of the declared supports and raises
-    AccuracyError, with the achieved bound attached, if that fails to settle.
-    """
-    if k < 0:
-        raise ValueError("moment order must be >= 0")
-    if w1.kind == "gaussian" and w2.kind == "gaussian":
-        vals = gaussian_pair_moments(w1, w2, k)
-        return MomentValue(float(vals[k]), (k + 2) * 2e-16 * abs(float(vals[k])))
-    return product_moment_quadrature(w1, w2, k)
-
-
-def product_moment_quadrature(w1: Weight, w2: Weight, k: int) -> MomentValue:
-    """Quadrature route for the same integral; the fallback and the oracle."""
-    if w1.kind == "gaussian" and w2.kind == "gaussian":
-        val, err = _gauss_hermite_pair_moment(w1, w2, k)
-        return MomentValue(val, err)
-    lo1, hi1 = w1.interval()
-    lo2, hi2 = w2.interval()
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
-    if hi <= lo:
-        return MomentValue(0.0, 0.0)
-    val, err = adaptive_gauss_legendre(lambda x: x**k * w1(x) * w2(x), lo, hi)
-    return MomentValue(float(val), float(err))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +387,3 @@ def weights_from_json(source) -> tuple[WeightFamily, WeightFamily]:
     w2 = WeightFamily([_weight_from_dict(d) for d in data["w2"]])
     return w1, w2
 
-
-def weights_to_json_dict(w1: WeightFamily, w2: WeightFamily) -> dict:
-    return {"w1": [w.to_json_dict() for w in w1],
-            "w2": [w.to_json_dict() for w in w2]}

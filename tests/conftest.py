@@ -263,6 +263,17 @@ def kernel_grid_rows(xs, Kd, Kcd):
 
 
 # ---------------------------------------------------------------------------
+# One-point evaluation of the grid routes
+
+
+def kernel_at(route, system, x: float, y: float) -> float:
+    """K(x, y) from a grid route (kernel_direct_grid, kernel_cd_grid or
+    kernel_rh_grid) on the one-point grid {x} x {y}."""
+    return float(route(system, np.array([x], dtype=float),
+                       np.array([y], dtype=float))[0, 0])
+
+
+# ---------------------------------------------------------------------------
 # Scalar oracle for the CD kernel inside the diagonal band
 
 

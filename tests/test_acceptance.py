@@ -15,7 +15,7 @@ from numpy.polynomial import polynomial as P
 
 from mixedmop import (BrownianConfig, MultiIndexPair, Weight, WeightFamily,
                       build_biorthogonal, build_cd_data, check_normality,
-                      correlation_kernel, kernel_cd_grid, kernel_direct,
+                      correlation_kernel, kernel_cd_grid,
                       kernel_direct_grid, kernel_rh_grid, km_density,
                       moment_table_for, r_m, sample_positions,
                       solve_type1_classical, solve_type2_classical)
@@ -25,8 +25,8 @@ from mixedmop.kernel import (idempotence_residual, relative_discrepancy,
 from mixedmop.rh import RhSystem, rh_verification_report
 from mixedmop.weights import gaussian_product_params
 
-from conftest import (monic_orthogonal_oracle, random_balanced_parts,
-                      random_gaussian_families)
+from conftest import (kernel_at, monic_orthogonal_oracle,
+                      random_balanced_parts, random_gaussian_families)
 
 SEED = 20240822
 
@@ -347,8 +347,8 @@ def test_criterion_8_confluence_continuity():
     for eta in (0.2, 0.1, 0.05):
         separated = correlation_kernel(
             BrownianConfig(starts=((-eta, 1), (0.0, 1)), ends=ends, time=0.5))
-        sups.append(max(abs(kernel_direct(separated, x, y)
-                            - kernel_direct(limit, x, y))
+        sups.append(max(abs(kernel_at(kernel_direct_grid, separated, x, y)
+                            - kernel_at(kernel_direct_grid, limit, x, y))
                         for x, y in probes))
 
     ok = sups[0] > sups[1] > sups[2]

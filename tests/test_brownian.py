@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 from mixedmop import (AccuracyError, BrownianConfig, config_to_weights,
-                      correlation_kernel, kernel_direct, km_density, r1_grid,
+                      correlation_kernel, km_density, r1_grid,
                       r_m, sample_paths, sample_positions,
                       sample_projection_dpp)
 from mixedmop import brownian
@@ -19,7 +19,7 @@ from mixedmop.kernel import kernel_direct_grid, trace_quadrature
 from mixedmop.weights import _leggauss
 from mixedmop._util import CSV_BLOCK_ROWS
 
-from conftest import (csv_oracle_bytes, quadrature_dpp_oracle,
+from conftest import (csv_oracle_bytes, kernel_at, quadrature_dpp_oracle,
                       tensor_normalization)
 
 
@@ -184,12 +184,6 @@ class TestKmDensity:
         assert andreief_quadrature(w1, w2, box, degree) == pytest.approx(
             tensor_normalization(w1, w2, box, degree), rel=1e-13)
 
-    def test_log_eval_matches_density(self):
-        dens = km_density(two_walker_config())
-        x = np.array([-0.8, 0.6])
-        assert dens.log_eval(x) == pytest.approx(math.log(dens(x)), rel=1e-12)
-        assert dens.log_eval(np.array([0.2, 0.2])) == -math.inf
-
     def test_batch_evaluation(self):
         dens = km_density(two_walker_config())
         pts = np.array([[-0.8, 0.6], [0.1, 0.9], [-1.5, -0.2]])
@@ -240,11 +234,11 @@ class TestCorrelationKernel:
         system = correlation_kernel(two_walker_config())
         for x in (-1.0, 0.0, 0.7):
             assert r_m(system, [x]) == pytest.approx(
-                kernel_direct(system, x, x), rel=1e-13)
+                kernel_at(kernel_direct_grid, system, x, x), rel=1e-13)
         xs = np.linspace(-2, 2, 9)
         np.testing.assert_allclose(
             r1_grid(system, xs),
-            [kernel_direct(system, x, x) for x in xs], rtol=1e-12)
+            np.diag(kernel_direct_grid(system, xs, xs)), rtol=1e-12)
 
     def test_r2_vanishes_on_diagonal(self):
         system = correlation_kernel(two_walker_config())
@@ -283,8 +277,8 @@ class TestCorrelationKernel:
             system = correlation_kernel(
                 BrownianConfig(starts=((-eta, 1), (0.0, 1),), ends=ends,
                                time=0.5))
-            sups.append(max(abs(kernel_direct(system, x, y)
-                                - kernel_direct(limit, x, y))
+            sups.append(max(abs(kernel_at(kernel_direct_grid, system, x, y)
+                                - kernel_at(kernel_direct_grid, limit, x, y))
                             for x, y in probes))
         assert sups[0] > sups[1] > sups[2]
 

@@ -275,6 +275,22 @@ class TestValidationFailures:
         assert code == 1
         self.assert_only_error_report(out)
 
+    @pytest.mark.parametrize("command", ["brownian-density",
+                                         "brownian-sample"])
+    def test_extended_precision_refused_without_mixed_solve(self, tmp_path,
+                                                            command, capsys):
+        config = dict(TWO_WALKERS, sampling={"count": 8})
+        code, out = run_cli(tmp_path, command, config, "--precision",
+                            "extended")
+        assert code == 1
+        report = self.assert_only_error_report(out)
+        assert report["message"].startswith(f"{command} runs no mixed solve")
+        assert "mop-solve, kernel-grid, cd-check, rh-verify and " \
+            "brownian-kernel" in report["message"]
+        assert capsys.readouterr().err.startswith("VALIDATION: ")
+        # the default precision still runs
+        assert run_cli(tmp_path, command, config, out_name="double")[0] == 0
+
 
 class TestNumericalFailures:
     def test_duplicated_weight_family(self, tmp_path, capsys):

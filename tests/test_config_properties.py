@@ -1,13 +1,14 @@
 """Property test of the exit-code contract: whatever JSON values fill the
-fields of a mop-solve, rh-verify, brownian-sample or brownian-density
-config, the command exits 0 (success), 1 (validation) or 2 (numerical
-failure), never 3 (internal error).
+fields of a config for any of the seven commands, the command exits 0
+(success), 1 (validation) or 2 (numerical failure), never 3 (internal
+error).
 
 A draw starts from a valid config and replaces up to two of its fields, at
 any depth, by an arbitrary JSON value, so that every field is reached with
 the rest valid.  Weight problems have at most 2 weights per side and
 multi-index parts <= 4; Brownian configs have at most 4 walkers on
-well-separated points, at most 50 draws and at most 5 path bundles.
+well-separated points, at most 50 draws and at most 5 path bundles.  The
+grid commands run on the fixed 5-point grid GRID.
 """
 
 import json
@@ -91,13 +92,16 @@ def _replace_fields(draw, config):
     return config
 
 
-def exit_code(command, config):
+GRID = ("--grid", "-2:2:5")
+
+
+def exit_code(command, config, *extra):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
             json.dump(config, fh)
         return main([command, "--config", path, "--out",
-                     os.path.join(tmp, "out")])
+                     os.path.join(tmp, "out"), *extra])
 
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
@@ -126,3 +130,21 @@ def test_brownian_sample_exit_code(config):
 @given(config=brownian_configs("brownian-density"))
 def test_brownian_density_exit_code(config):
     assert exit_code("brownian-density", config) in (0, 1, 2)
+
+
+@PROPERTY
+@given(config=configs("kernel-grid"))
+def test_kernel_grid_exit_code(config):
+    assert exit_code("kernel-grid", config, *GRID) in (0, 1, 2)
+
+
+@PROPERTY
+@given(config=configs("cd-check"))
+def test_cd_check_exit_code(config):
+    assert exit_code("cd-check", config, *GRID) in (0, 1, 2)
+
+
+@PROPERTY
+@given(config=brownian_configs("brownian-kernel"))
+def test_brownian_kernel_exit_code(config):
+    assert exit_code("brownian-kernel", config, *GRID) in (0, 1, 2)

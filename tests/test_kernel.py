@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from mixedmop import (DegeneratePair, DiagonalRegion, MultiIndexPair, Weight,
-                      WeightFamily, build_biorthogonal, build_cd_data,
-                      kernel_cd, kernel_cd_band, kernel_cd_diagonal,
-                      kernel_cd_grid, kernel_direct, kernel_direct_grid,
-                      kernel_routes_report, transition_weight)
-from mixedmop.kernel import (cd_numerator, idempotence_residual,
-                             relative_discrepancy, trace_quadrature)
+from mixedmop import (DegeneratePair, MultiIndexPair, Weight, WeightFamily,
+                      build_biorthogonal, build_cd_data, build_moment_table,
+                      kernel_cd_band, kernel_cd_diagonal, kernel_cd_grid,
+                      kernel_direct_grid, kernel_routes_report,
+                      transition_weight)
+from mixedmop.kernel import (idempotence_residual, relative_discrepancy,
+                             trace_quadrature)
 
-from conftest import assert_band_matches_oracle, band_grids, \
+from conftest import assert_band_matches_oracle, band_grids, kernel_at, \
     monic_orthogonal_oracle, random_balanced_parts, random_gaussian_families, \
     richardson_extrapolate
 
@@ -53,6 +53,14 @@ class TestBiorthogonal:
             build_biorthogonal(pair, fam, w2)
         assert info.value.report is not None
 
+    def test_short_table_is_refused(self):
+        # a caller's table that stops short of the Gram matrix's orders
+        rng = np.random.default_rng(9)
+        w1, w2 = random_gaussian_families(rng, 2, 2)
+        pair = MultiIndexPair.balanced([2, 1], [1, 2])
+        with pytest.raises(ValueError, match="kmax=1 too small, need 2"):
+            build_biorthogonal(pair, w1, w2, build_moment_table(w1, w2, 1))
+
     def test_dimension_and_layouts(self):
         rng = np.random.default_rng(9)
         w1, w2 = random_gaussian_families(rng, 2, 2)
@@ -80,13 +88,13 @@ class TestKernelDirect:
         sys = rank_one_system(unit_gaussian)
         for x, y in ((0.0, 0.0), (0.7, -0.3), (1.5, 1.5)):
             expect = math.exp(-0.5 * x * x) * math.exp(-0.5 * y * y) / SQRT_PI
-            assert kernel_direct(sys, x, y) == pytest.approx(expect,
-                                                            rel=1e-12)
+            assert kernel_at(kernel_direct_grid, sys, x, y) == pytest.approx(
+                expect, rel=1e-12)
 
     def test_value_at_origin(self, unit_gaussian):
         sys = rank_one_system(unit_gaussian)
-        assert kernel_direct(sys, 0.0, 0.0) == pytest.approx(1.0 / SQRT_PI,
-                                                             rel=1e-12)
+        assert kernel_at(kernel_direct_grid, sys, 0.0, 0.0) == pytest.approx(
+            1.0 / SQRT_PI, rel=1e-12)
 
     def test_grid_matches_pointwise(self, unit_gaussian):
         rng = np.random.default_rng(17)
@@ -98,8 +106,9 @@ class TestKernelDirect:
         K = kernel_direct_grid(sys, xs, ys)
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                assert K[i, j] == pytest.approx(kernel_direct(sys, x, y),
-                                                rel=1e-13, abs=1e-15)
+                assert K[i, j] == pytest.approx(
+                    kernel_at(kernel_direct_grid, sys, x, y), rel=1e-13,
+                    abs=1e-15)
 
     def test_trace_equals_dimension(self):
         rng = np.random.default_rng(19)
@@ -148,8 +157,8 @@ class TestCdRoute:
         sys = rank_one_system(unit_gaussian)
         data = build_cd_data(sys.pair, sys.w1, sys.w2)
         for x, y in ((0.4, -0.2), (1.0, 0.0), (-1.3, 0.9)):
-            assert kernel_cd(data, x, y) == pytest.approx(
-                kernel_direct(sys, x, y), rel=1e-10, abs=1e-13)
+            assert kernel_at(kernel_cd_grid, data, x, y) == pytest.approx(
+                kernel_at(kernel_direct_grid, sys, x, y), rel=1e-10, abs=1e-13)
 
     def test_agrees_with_direct_mixed_config(self):
         rng = np.random.default_rng(27)
@@ -159,15 +168,9 @@ class TestCdRoute:
         data = build_cd_data(pair, w1, w2)
         xs = np.linspace(-1.8, 1.8, 9)
         ys = xs + 0.37  # keep clear of the diagonal band
-        Kd = np.array([[kernel_direct(sys, x, y) for y in ys] for x in xs])
-        Kc = np.array([[kernel_cd(data, x, y) for y in ys] for x in xs])
+        Kd = kernel_direct_grid(sys, xs, ys)
+        Kc = kernel_cd_grid(data, xs, ys)
         assert relative_discrepancy(Kd, Kc) < 1e-9
-
-    def test_diagonal_band_raises(self, unit_gaussian):
-        fam = WeightFamily([unit_gaussian])
-        data = build_cd_data(MultiIndexPair.balanced([2], [2]), fam, fam)
-        with pytest.raises(DiagonalRegion):
-            kernel_cd(data, 0.3, 0.3 + 0.1 * data.delta_diag)
 
     def test_grid_handles_band_entries(self, unit_gaussian):
         fam = WeightFamily([unit_gaussian])
@@ -187,13 +190,18 @@ class TestCdRoute:
         pair = MultiIndexPair.balanced([2, 1], [3])
         data = build_cd_data(pair, w1, w2)
         swapped = build_cd_data(MultiIndexPair.balanced([3], [2, 1]), w2, w1)
+        def numerator(data, x, y):
+            # (x - y) K(x, y): the CD combination of the neighbor forms
+            return sum(float(sign * a.form(x) * b.form(y))
+                       for sign, a, b in data.terms())
+
         for x, y in ((0.3, -0.8), (1.1, 0.2)):
-            a = float(cd_numerator(data, x, y))
-            b = float(cd_numerator(swapped, y, x))
+            a = numerator(data, x, y)
+            b = numerator(swapped, y, x)
             assert a == pytest.approx(-b, rel=1e-10, abs=1e-13)
             # the same value read through either orientation of the kernel
-            assert kernel_cd(data, x, y) == pytest.approx(
-                kernel_cd(swapped, y, x), rel=1e-10, abs=1e-13)
+            assert kernel_at(kernel_cd_grid, data, x, y) == pytest.approx(
+                kernel_at(kernel_cd_grid, swapped, y, x), rel=1e-10, abs=1e-13)
 
     def test_reduces_to_orthogonal_polynomials(self):
         # both families the same single gaussian: the kernel collapses to
@@ -212,8 +220,8 @@ class TestCdRoute:
                 * np.polynomial.polynomial.polyval(y, coeffs[j]) / hs[j]
                 for j in range(count))
             expect = w(x) * w(y) * series
-            assert kernel_direct(sys, x, y) == pytest.approx(expect, rel=1e-8,
-                                                             abs=1e-12)
+            assert kernel_at(kernel_direct_grid, sys, x, y) == pytest.approx(
+                expect, rel=1e-8, abs=1e-12)
 
     def test_diagonal_against_direct_grid(self, unit_gaussian):
         rng = np.random.default_rng(35)
@@ -223,7 +231,7 @@ class TestCdRoute:
         data = build_cd_data(pair, w1, w2)
         xs = np.linspace(-2.0, 2.0, 50)
         diag_cd = kernel_cd_diagonal(data, xs)
-        diag_direct = np.array([kernel_direct(sys, x, x) for x in xs])
+        diag_direct = np.diag(kernel_direct_grid(sys, xs, xs))
         assert relative_discrepancy(diag_direct, diag_cd) < 1e-7
 
     def test_diagonal_against_finite_difference(self, unit_gaussian):
@@ -231,7 +239,7 @@ class TestCdRoute:
         data = build_cd_data(MultiIndexPair.balanced([3], [3]), fam, fam)
         x = 0.6
         hs = (0.2, 0.1, 0.05, 0.025)
-        vals = [kernel_cd(data, x + h, x - h) for h in hs]
+        vals = [kernel_at(kernel_cd_grid, data, x + h, x - h) for h in hs]
         # equal families make K symmetric, so the centered values are even
         # in h: extrapolate the ladder in h^2
         extr = richardson_extrapolate(vals, [h * h for h in hs])

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mixedmop import (MultiIndex, MultiIndexPair, Normalization,
-                      NotNormalizable, Weight, WeightFamily, check_normality,
+from mixedmop import (BrownianConfig, MultiIndex, MultiIndexPair,
+                      Normalization, NotNormalizable, Weight, WeightFamily,
+                      check_normality,
                       moment_table_for, solve_mixed, solve_type1_classical,
                       solve_type2_classical)
 from mixedmop.mop import (assemble_orthogonality_matrix, numerical_rank,
@@ -54,6 +55,34 @@ class TestMultiIndex:
     def test_first_index_parts_stay_positive(self):
         with pytest.raises(ValueError):
             MultiIndexPair.defining([0, 1], [0])
+
+    @pytest.mark.parametrize("build", [
+        lambda: MultiIndex((2.9, 1)),
+        lambda: MultiIndex((2, "1")),
+        lambda: MultiIndexPair.balanced([True, 2.5], [1, 2]),
+        lambda: MultiIndexPair.defining([3], [np.float64(2.0)]),
+        lambda: Normalization.type2(True),
+        lambda: Normalization("I", 0.0),
+        lambda: BrownianConfig(starts=((-1.0, 1.7), (1.0, 1)),
+                               ends=((-1.0, 1), (1.0, 1)), time=0.5),
+        lambda: BrownianConfig(starts=((-1.0, 1), (1.0, 1)),
+                               ends=((-1.0, True), (1.0, 1)), time=0.5),
+        lambda: BrownianConfig(starts=((False, 1),), ends=((0.0, 1),),
+                               time=0.5),
+        lambda: BrownianConfig(starts=(("0.5", 1),), ends=((0.0, 1),),
+                               time=0.5),
+    ], ids=["float-part", "str-part", "bool-and-float-parts",
+            "numpy-float-part", "bool-normalization-index",
+            "float-normalization-index", "float-multiplicity",
+            "bool-multiplicity", "bool-point", "str-point"])
+    def test_constructors_refuse_inexact_values(self, build):
+        with pytest.raises(ValueError):
+            build()
+        # integers of either kind, and real points, are taken as given
+        assert MultiIndex((np.int64(2), 1)).parts == (2, 1)
+        cfg = BrownianConfig(starts=((np.float32(-1.0), np.int32(1)), (1, 1)),
+                             ends=((-1.0, 1), (1.0, 1)), time=0.5)
+        assert cfg.starts == ((-1.0, 1), (1.0, 1))
 
 
 class TestOrthogonalityMatrix:
@@ -206,6 +235,21 @@ class TestSolveMixed:
                                    np.concatenate(d.coeffs),
                                    rtol=1e-12, atol=1e-14)
         assert e.precision == "extended"
+
+    def test_extended_type1_agrees_with_double(self):
+        # the type I row expands x^{m_k} in the shifted basis in both
+        # precisions; a shifted family makes every binomial term count
+        w1 = WeightFamily([Weight.gaussian(-0.6, 0.8, 1.0),
+                           Weight.gaussian(0.7, 1.2, 0.9)])
+        w2 = WeightFamily([Weight.gaussian(0.4, 1.0, 1.1)])
+        pair = MultiIndexPair.defining([3, 2], [4])
+        table = moment_table_for(pair, w1, w2)
+        d = solve_mixed(pair, table, Normalization.type1(0))
+        e = solve_mixed(pair, table, Normalization.type1(0),
+                        precision="extended")
+        np.testing.assert_allclose(np.concatenate(e.coeffs),
+                                   np.concatenate(d.coeffs), rtol=1e-9)
+        assert e.residual < 1e-40
 
 
 class TestClassicalReductions:

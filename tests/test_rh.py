@@ -9,19 +9,19 @@ import pytest
 from scipy.integrate import quad
 
 from mixedmop import (AccuracyError, MultiIndexPair, RhSystem, Weight,
-                      WeightFamily, build_cd_data, eval_X, eval_Y,
-                      kernel_cd, kernel_cd_grid, kernel_direct_grid,
-                      kernel_rh, kernel_rh_grid, rh_verification_report,
-                      verify_jump)
+                      WeightFamily, build_cd_data, kernel_cd_grid,
+                      kernel_direct_grid, kernel_rh_grid,
+                      rh_verification_report, verify_jump)
 from mixedmop.kernel import build_biorthogonal, relative_discrepancy
 from mixedmop import rh
-from mixedmop.rh import (BRANCHES, SERIES_RADIUS, adaptive_panel_integral,
-                         asymptotic_errors, cauchy_boundary_plemelj,
-                         cauchy_transform, gaussian_cauchy_moments,
-                         jump_matrix, write_matrix_csv)
+from mixedmop._util import write_csv
+from mixedmop.rh import (BRANCHES, MATRIX_CSV_HEADER, SERIES_RADIUS,
+                         adaptive_panel_integral, asymptotic_errors,
+                         cauchy_boundary_plemelj, cauchy_transform,
+                         gaussian_cauchy_moments, jump_matrix, matrix_rows)
 
 from conftest import assert_band_matches_oracle, band_grids, \
-    csv_oracle_bytes, faddeeva_cauchy_gaussian
+    csv_oracle_bytes, faddeeva_cauchy_gaussian, kernel_at
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -169,7 +169,7 @@ class TestJumpMatrix:
         w1 = WeightFamily([Weight.gaussian(-1.0, 1.0, 1.0),
                            Weight.gaussian(1.0, 1.0, 1.0)])
         w2 = WeightFamily([Weight.gaussian(0.0, 1.0, 1.0)])
-        J = jump_matrix(w1, w2, 0.4).value
+        J = jump_matrix(w1, w2, 0.4)
         assert J.shape == (3, 3)
         np.testing.assert_array_equal(np.diag(J), np.ones(3))
         np.testing.assert_array_equal(J[2, :2], np.zeros(2))
@@ -183,7 +183,7 @@ class TestJumpMatrix:
         w2 = WeightFamily([Weight.gaussian(0.0, 1.0, 1.0),
                            Weight.gaussian(0.3, 0.7, 1.0)])
         for x in (-1.0, 0.0, 0.6):
-            assert np.linalg.det(jump_matrix(w1, w2, x).value) == 1.0
+            assert np.linalg.det(jump_matrix(w1, w2, x)) == 1.0
 
 
 class TestYMatrix:
@@ -213,8 +213,10 @@ class TestYMatrix:
 
     def test_eval_y_boundary_needs_side(self):
         pair, w1, w2 = rank_one_pair()
-        with pytest.raises(ValueError):
-            eval_Y(pair, w1, w2, 0.5)
+        system = RhSystem(pair, w1, w2)
+        for side in (None, "0"):
+            with pytest.raises(ValueError):
+                system.y_matrix(0.5, side)
 
     def test_determinant_one_off_axis_mixed_config(self):
         w1 = WeightFamily([Weight.gaussian(-0.8, 0.9, 1.0),
@@ -280,10 +282,14 @@ class TestXMatrix:
         assert errors[1] / errors[2] >= 1.8
 
     def test_eval_x_boundary_side(self):
+        # the two boundary values of X differ only in its Cauchy columns
         pair, w1, w2 = rank_one_pair()
-        ev = eval_X(pair, w1, w2, 0.1, side="+")
-        assert ev.side == "+"
-        assert ev.matrix.shape == (2, 2)
+        system = RhSystem(pair, w1, w2)
+        plus, _ = system.x_matrix(0.1, "+")
+        minus, _ = system.x_matrix(0.1, "-")
+        assert plus.shape == (2, 2)
+        np.testing.assert_array_equal(plus[:, 1:], minus[:, 1:])
+        assert np.all(plus[:, :1] != minus[:, :1])
 
 
 class TestJumpVerification:
@@ -301,12 +307,12 @@ class TestJumpVerification:
         pair, w1, w2 = rank_one_pair()
         system = RhSystem(pair, w1, w2)
         x = 0.35
-        J = jump_matrix(w1, w2, x).value
+        J = jump_matrix(w1, w2, x)
         Ym, _ = system.y_matrix(complex(x, -1e-2))
         np.testing.assert_array_equal((Ym @ J)[:, :1], Ym[:, :1])
         # the one-sided boundary values share the entire block
-        plus = eval_Y(pair, w1, w2, x, side="+", system=system).matrix
-        minus = eval_Y(pair, w1, w2, x, side="-", system=system).matrix
+        plus, _ = system.y_matrix(x, "+")
+        minus, _ = system.y_matrix(x, "-")
         np.testing.assert_array_equal(plus[:, :1], minus[:, :1])
 
     @pytest.mark.parametrize("degree", [5, 7])
@@ -335,8 +341,8 @@ class TestRhKernelRoute:
         pair, w1, w2 = rank_one_pair()
         data = build_cd_data(pair, w1, w2)
         for x, y in ((0.5, -0.1), (1.2, 0.3), (-0.9, 1.1)):
-            assert kernel_rh(data, x, y) == pytest.approx(
-                kernel_cd(data, x, y), rel=1e-10, abs=1e-13)
+            assert kernel_at(kernel_rh_grid, data, x, y) == pytest.approx(
+                kernel_at(kernel_cd_grid, data, x, y), rel=1e-10, abs=1e-13)
 
     def test_matches_direct_on_grid(self):
         w1 = WeightFamily([Weight.gaussian(-0.8, 0.9, 1.0),
@@ -373,8 +379,8 @@ class TestRhKernelRoute:
     def test_returns_real_scalar(self):
         pair, w1, w2 = rank_one_pair()
         data = build_cd_data(pair, w1, w2)
-        val = kernel_rh(data, 0.7, -0.2)
-        assert isinstance(val, float)
+        K = kernel_rh_grid(data, np.array([0.7]), np.array([-0.2]))
+        assert K.shape == (1, 1) and K.dtype == np.float64
 
 
 class TestVerificationReport:
@@ -401,8 +407,8 @@ class TestVerificationReport:
 
     def test_matrix_csv_layout(self, tmp_path):
         path = tmp_path / "y.csv"
-        write_matrix_csv(str(path), np.array([[1.0 + 2.0j, 0.0],
-                                              [3.0, -1.0j]]))
+        write_csv(str(path), MATRIX_CSV_HEADER,
+                  matrix_rows(np.array([[1.0 + 2.0j, 0.0], [3.0, -1.0j]])))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "row,col,re,im"
         assert len(lines) == 5
@@ -414,7 +420,7 @@ class TestVerificationReport:
         matrix = np.array([[1.0 + 2.0j, complex(-0.0, -0.0), 1.0 / 3.0],
                            [3.0, -1.0j, 1e-300 - 7.25j]])
         path = tmp_path / "y.csv"
-        write_matrix_csv(str(path), matrix)
+        write_csv(str(path), MATRIX_CSV_HEADER, matrix_rows(matrix))
         rows = [(r, c, matrix[r, c].real, matrix[r, c].imag)
                 for r in range(2) for c in range(3)]
         assert path.read_bytes() == csv_oracle_bytes(("row", "col", "re", "im"),

@@ -10,9 +10,7 @@ from mixedmop import Weight, WeightFamily, weights_from_json
 from mixedmop.weights import (AccuracyError, adaptive_gauss_legendre,
                               basis_center_scale, build_moment_table,
                               family_interval, gaussian_pair_moments,
-                              gaussian_product_params, gaussian_transition,
-                              product_moment, product_moment_quadrature,
-                              transition_weight, weights_to_json_dict)
+                              gaussian_product_params, transition_weight)
 
 from conftest import csv_oracle_bytes, quad_product_moment
 
@@ -58,21 +56,29 @@ class TestWeightBasics:
             WeightFamily([])
 
 
+def plain_moments(w1: Weight, w2: Weight, kmax: int):
+    """The table row of integral x^k w1 w2 dx, k = 0..kmax (unshifted,
+    unscaled basis), and its error bounds."""
+    table = build_moment_table(WeightFamily([w1]), WeightFamily([w2]), kmax,
+                               center=0.0, scale=1.0)
+    return table.values[0, 0], table.accuracy[0, 0]
+
+
 class TestTransition:
     def test_transition_at_origin(self):
         # value 1/sqrt(pi) at t=0.5, a=x=0, unscaled
-        assert gaussian_transition(0.5, 0.0, 0.0, 1) == pytest.approx(
+        assert transition_weight(0.5, 0.0, 1)(0.0) == pytest.approx(
             1.0 / SQRT_PI, rel=1e-15)
 
     def test_transition_scaled_peak(self):
         # n=4 at the center quadruples the exponent and doubles the peak
-        assert gaussian_transition(0.5, 1.0, 1.0, 4) == pytest.approx(
+        assert transition_weight(0.5, 1.0, 4)(1.0) == pytest.approx(
             2.0 / SQRT_PI, rel=1e-15)
 
     def test_transition_integrates_to_one(self):
         from scipy.integrate import quad
-        val, _ = quad(lambda x: gaussian_transition(0.3, 0.7, x, 2),
-                      -10.0, 10.0)
+        w = transition_weight(0.3, 0.7, 2)
+        val, _ = quad(lambda x: float(w(x)), -10.0, 10.0)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_transition_rejects_bad_time(self):
@@ -81,20 +87,21 @@ class TestTransition:
                 transition_weight(t, 0.0, 1)
 
     def test_transition_weight_matches_function(self):
+        # sqrt(n / (2 pi t)) exp(-n (x - a)^2 / (2 t)) at t = 0.25, a = -1, n = 3
         w = transition_weight(0.25, -1.0, 3)
         xs = np.linspace(-2, 0, 7)
-        np.testing.assert_allclose(w(xs), gaussian_transition(0.25, -1.0, xs, 3),
-                                   rtol=1e-14)
+        expect = math.sqrt(3 / (2 * math.pi * 0.25)) * np.exp(
+            -3 * (xs + 1.0) ** 2 / 0.5)
+        np.testing.assert_allclose(w(xs), expect, rtol=1e-14)
 
 
 class TestProductMoments:
     def test_frozen_gaussian_moments(self, unit_gaussian):
         # product e^{-x^2}: k=0 -> sqrt(pi), k=1 -> 0, k=2 -> sqrt(pi)/2
-        assert product_moment(unit_gaussian, unit_gaussian, 0).value == \
-            pytest.approx(SQRT_PI, rel=1e-15)
-        assert product_moment(unit_gaussian, unit_gaussian, 1).value == 0.0
-        assert product_moment(unit_gaussian, unit_gaussian, 2).value == \
-            pytest.approx(SQRT_PI / 2.0, rel=1e-15)
+        vals, _ = plain_moments(unit_gaussian, unit_gaussian, 2)
+        assert vals[0] == pytest.approx(SQRT_PI, rel=1e-15)
+        assert vals[1] == 0.0
+        assert vals[2] == pytest.approx(SQRT_PI / 2.0, rel=1e-15)
 
     def test_odd_moments_exactly_zero_for_shared_center(self):
         w1 = Weight.gaussian(0.7, 0.9, 1.1)
@@ -109,19 +116,21 @@ class TestProductMoments:
                                  rng.uniform(0.5, 1.5))
             w2 = Weight.gaussian(rng.uniform(-2, 2), rng.uniform(0.4, 2.0),
                                  rng.uniform(0.5, 1.5))
+            vals, bounds = plain_moments(w1, w2, 6)
             for k in (0, 1, 3, 6):
-                got = product_moment(w1, w2, k)
                 expect = quad_product_moment(w1, w2, k)
-                assert got.value == pytest.approx(expect, abs=2e-12 + 1e-11 * abs(expect))
-                assert abs(got.value - expect) <= max(got.error_bound, 5e-13)
+                assert vals[k] == pytest.approx(expect, abs=2e-12 + 1e-11 * abs(expect))
+                assert abs(vals[k] - expect) <= max(bounds[k], 5e-13)
 
     def test_closed_form_matches_internal_quadrature(self):
+        # the same pair as tabulated weights goes through the table's
+        # adaptive Gauss-Legendre route
         w1 = Weight.gaussian(-0.4, 0.8, 1.0)
         w2 = Weight.gaussian(0.9, 1.1, 0.7)
-        for k in range(8):
-            a = product_moment(w1, w2, k).value
-            b = product_moment_quadrature(w1, w2, k).value
-            assert a == pytest.approx(b, abs=1e-12 + 1e-11 * abs(b))
+        closed, _ = plain_moments(w1, w2, 7)
+        quadrature, _ = plain_moments(Weight.tabulated(w1, w1.interval()),
+                                      Weight.tabulated(w2, w2.interval()), 7)
+        np.testing.assert_allclose(closed, quadrature, rtol=1e-11, atol=1e-12)
 
     def test_product_params_reproduce_pointwise_product(self):
         w1 = Weight.gaussian(-1.0, 0.5, 2.0)
@@ -137,9 +146,9 @@ class TestProductMoments:
                                                  np.exp(-x ** 2), 0.0),
                               (-3.0, 3.0))
         w2 = Weight.gaussian(0.0, 0.5, 1.0)
-        got = product_moment(w1, w2, 2).value
+        vals, _ = plain_moments(w1, w2, 2)
         expect = quad_product_moment(w1, w2, 2)
-        assert got == pytest.approx(expect, rel=1e-9)
+        assert vals[2] == pytest.approx(expect, rel=1e-9)
 
 
 class TestAdaptiveQuadrature:
@@ -246,7 +255,10 @@ class TestJsonConfig:
         w1 = WeightFamily([Weight.gaussian(-1.0, 0.5, 1.0)])
         w2 = WeightFamily([Weight.gaussian(1.0, 1.5, 0.7),
                            Weight.gaussian(2.0, 1.0, 1.0)])
-        blob = json.dumps(weights_to_json_dict(w1, w2))
+        blob = json.dumps({
+            key: [{"kind": "gaussian", "center": w.center,
+                   "variance": w.variance, "amplitude": w.amplitude}
+                  for w in fam] for key, fam in (("w1", w1), ("w2", w2))})
         r1, r2 = weights_from_json(json.loads(blob))
         assert len(r1) == 1 and len(r2) == 2
         assert r2[1].center == 2.0
