@@ -50,11 +50,13 @@ def json_number(value, what: str) -> float:
     return float(value)
 
 
-def json_count(value, what: str, minimum: int = 1) -> int:
-    """A JSON integer >= minimum; booleans and floats like 1.0 are refused."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"{what} must be a JSON integer >= {minimum}, "
-                         f"got {value!r}")
+def json_count(value, what: str, minimum: int = 1, maximum=math.inf) -> int:
+    """A JSON integer in [minimum, maximum]; booleans and floats like 1.0 are
+    refused."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or not minimum <= value <= maximum:
+        bound = f"in [{minimum}, {maximum}]" if maximum < math.inf else f">= {minimum}"
+        raise ValueError(f"{what} must be a JSON integer {bound}, got {value!r}")
     return value
 
 

@@ -99,20 +99,12 @@ def _pair(n, m, relation: str) -> MultiIndexPair:
         raise ValidationFailure(str(exc)) from exc
 
 
-def _double_only(args) -> None:
-    """Refuse --precision extended where no mixed solve runs."""
-    if args.precision != "double":
-        raise ValidationFailure(
-            f"{args.command} runs no mixed solve; --precision applies to "
-            "mop-solve, kernel-grid, cd-check, rh-verify and brownian-kernel")
-
-
-def _base_report(args, raw: dict) -> dict:
+def _base_report(args, raw: dict, precision: str) -> dict:
     return {
         "version": __version__,
         "command": args.command,
         "seed": args.seed,
-        "precision": args.precision,
+        "precision": precision,
         "config": raw,
     }
 
@@ -135,22 +127,22 @@ def cmd_mop_solve(args, raw: dict) -> list:
     except ValueError as exc:
         raise ValidationFailure(f"bad normalization: {exc}") from exc
     table = moment_table_for(pair, w1, w2)
-    solution = solve_mixed(pair, table, norm, precision=args.precision)
-    report = _base_report(args, raw)
+    solution = solve_mixed(pair, table, norm)
+    report = _base_report(args, raw, solution.precision)
     report["solution"] = solution.to_json_dict()
     report["normality"] = check_normality(pair, table).to_json_dict()
     return [("solution.json", "json", report)]
 
 
-def _kernel_systems(args, w1, w2, pair) -> tuple:
+def _kernel_systems(w1, w2, pair) -> tuple:
     table = moment_table_for(pair, w1, w2)
     return (build_biorthogonal(pair, w1, w2, table),
-            build_cd_data(pair, w1, w2, table, precision=args.precision))
+            build_cd_data(pair, w1, w2, table))
 
 
-def _balanced_setup(args, raw: dict) -> tuple:
+def _balanced_setup(raw: dict) -> tuple:
     w1, w2, n, m = _weight_problem(raw)
-    return _kernel_systems(args, w1, w2, _pair(n, m, "balanced"))
+    return _kernel_systems(w1, w2, _pair(n, m, "balanced"))
 
 
 def _kernel_grid_artifacts(args, raw: dict, system, data, xs: np.ndarray,
@@ -159,7 +151,7 @@ def _kernel_grid_artifacts(args, raw: dict, system, data, xs: np.ndarray,
     the xs x xs grid with y fastest, and the route report."""
     Kd = kernel_direct_grid(system, xs, xs)
     Kcd = kernel_cd_grid(data, xs, xs)
-    report = _base_report(args, raw)
+    report = _base_report(args, raw, data.precision)
     report.update(kernel_routes_report(system, data, xs, xs, Kd, Kcd), **extra)
     table = np.column_stack([np.repeat(xs, xs.size), np.tile(xs, xs.size),
                              Kd.ravel(), Kcd.ravel(), np.abs(Kd - Kcd).ravel()])
@@ -169,16 +161,16 @@ def _kernel_grid_artifacts(args, raw: dict, system, data, xs: np.ndarray,
 
 
 def cmd_kernel_grid(args, raw: dict) -> list:
-    system, data = _balanced_setup(args, raw)
+    system, data = _balanced_setup(raw)
     xs = args.grid if args.grid is not None else np.linspace(-2.0, 2.0, 61)
     return _kernel_grid_artifacts(args, raw, system, data, xs,
                                   "kernel_report.json")
 
 
 def cmd_cd_check(args, raw: dict) -> list:
-    system, data = _balanced_setup(args, raw)
+    system, data = _balanced_setup(raw)
     xs = args.grid if args.grid is not None else np.linspace(-2.0, 2.0, 41)
-    report = _base_report(args, raw)
+    report = _base_report(args, raw, data.precision)
     report.update(kernel_routes_report(
         system, data, xs, xs, kernel_direct_grid(system, xs, xs),
         kernel_cd_grid(data, xs, xs), rh_grid=kernel_rh_grid(data, xs, xs)))
@@ -195,9 +187,9 @@ def cmd_cd_check(args, raw: dict) -> list:
 def cmd_rh_verify(args, raw: dict) -> list:
     w1, w2, n, m = _weight_problem(raw)
     pair = _pair(n, m, "balanced")
-    system = RhSystem(pair, w1, w2, precision=args.precision)
+    system = RhSystem(pair, w1, w2)
     tol = args.tol if args.tol is not None else 1e-7
-    report = _base_report(args, raw)
+    report = _base_report(args, raw, system.data.precision)
     report.update(rh_verification_report(system, seed=args.seed, tol=tol))
     z0 = complex(report["z_points"][0]["re"], report["z_points"][0]["im"])
     Y0, _ = system.y_matrix(z0)
@@ -214,7 +206,7 @@ def _brownian_config(raw: dict) -> BrownianConfig:
 
 def cmd_brownian_kernel(args, raw: dict) -> list:
     config = _brownian_config(raw)
-    system, data = _kernel_systems(args, *config_to_weights(config))
+    system, data = _kernel_systems(*config_to_weights(config))
     xs = args.grid if args.grid is not None else np.linspace(*config.bridge_box(), 61)
     return _kernel_grid_artifacts(args, raw, system, data, xs,
                                   "brownian_kernel_report.json",
@@ -222,7 +214,6 @@ def cmd_brownian_kernel(args, raw: dict) -> list:
 
 
 def cmd_brownian_density(args, raw: dict) -> list:
-    _double_only(args)
     config = _brownian_config(raw)
     system = correlation_kernel(config)
     lo, hi = config.bridge_box()
@@ -230,7 +221,7 @@ def cmd_brownian_density(args, raw: dict) -> list:
     r1 = r1_grid(system, xs)
     integral, _ = adaptive_gauss_legendre(
         lambda t: r1_grid(system, t), lo, hi, abs_tol=1e-9)
-    report = _base_report(args, raw)
+    report = _base_report(args, raw, "double")
     report["walkers"] = config.walkers
     report["r1_integral"] = float(integral)
     report["r1_integral_deviation"] = abs(float(integral) - config.walkers)
@@ -244,14 +235,6 @@ def cmd_brownian_density(args, raw: dict) -> list:
             ("brownian_density_report.json", "json", report)]
 
 
-def _bounded_count(value, what: str, limit: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) \
-            or not 1 <= value <= limit:
-        raise ValidationFailure(
-            f"{what} must be an integer in [1, {limit}], got {value!r}")
-    return value
-
-
 def _section(raw: dict, key: str) -> dict | None:
     value = raw.get(key)
     if value is not None and not isinstance(value, dict):
@@ -260,24 +243,27 @@ def _section(raw: dict, key: str) -> dict | None:
 
 
 def cmd_brownian_sample(args, raw: dict) -> list:
-    _double_only(args)
     config = _brownian_config(raw)
     sampling = _section(raw, "sampling") or {}
-    count = _bounded_count(sampling.get("count", 10_000), "sampling count",
-                           SAMPLE_COUNT_LIMIT)
-    paths_cfg = _section(raw, "paths")
-    if paths_cfg is not None:
-        if not (config.distinct and config.walkers <= MAX_PATH_WALKERS):
-            raise ValidationFailure("path bundles need distinct points and "
-                                    f"at most {MAX_PATH_WALKERS} walkers")
-        n_paths = _bounded_count(paths_cfg.get("count", 50), "paths count",
-                                 PATH_COUNT_LIMIT)
-        n_times = _bounded_count(paths_cfg.get("time_points", 128),
-                                 "paths time_points", PATH_TIME_POINTS_LIMIT)
+    try:
+        count = json_count(sampling.get("count", 10_000), "sampling count",
+                           maximum=SAMPLE_COUNT_LIMIT)
+        paths_cfg = _section(raw, "paths")
+        if paths_cfg is not None:
+            if not (config.distinct and config.walkers <= MAX_PATH_WALKERS):
+                raise ValueError("path bundles need distinct points and at "
+                                 f"most {MAX_PATH_WALKERS} walkers")
+            n_paths = json_count(paths_cfg.get("count", 50), "paths count",
+                                 maximum=PATH_COUNT_LIMIT)
+            n_times = json_count(paths_cfg.get("time_points", 128),
+                                 "paths time_points",
+                                 maximum=PATH_TIME_POINTS_LIMIT)
+    except ValueError as exc:
+        raise ValidationFailure(str(exc)) from exc
     system = correlation_kernel(config)
     box = config.bridge_box()
     draws = sample_projection_dpp(system, box, count, args.seed)
-    report = _base_report(args, raw)
+    report = _base_report(args, raw, "double")
     report["walkers"] = config.walkers
     report["count"] = count
     report["sampler"] = "exact chain-rule projection DPP"
@@ -362,11 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grid", default=None, help="grid as min:max:count")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--precision", choices=("double", "extended"),
-                        default="double",
-                        help="arithmetic of the mixed solves (mop-solve, "
-                             "kernel-grid, cd-check, rh-verify, "
-                             "brownian-kernel)")
     return parser
 
 

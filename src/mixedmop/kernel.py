@@ -18,7 +18,7 @@ import numpy as np
 
 from .mop import (MixedMopSolution, MultiIndexPair, Normalization,
                   NotNormalizable, check_normality, column_layout,
-                  moment_matrix, moment_table_for, solve_mixed)
+                  moment_matrix, moment_table_for, rank_threshold, solve_mixed)
 from .weights import (ProductMomentTable, WeightFamily, adaptive_gauss_legendre,
                       family_interval, _leggauss)
 
@@ -115,8 +115,7 @@ def build_biorthogonal(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
     B = moment_matrix(table.values, f_layout, g_layout).T
 
     U, svals, Vt = np.linalg.svd(B)
-    tau = max(B.shape) * svals[0] * 1e-10
-    if svals[-1] <= tau:
+    if svals[-1] <= rank_threshold(B.shape, svals):
         report = check_normality(pair, table)
         raise DegeneratePair(
             f"Gram matrix singular for pair n={pair.n.parts} m={pair.m.parts}",
@@ -200,9 +199,18 @@ class CdKernelData:
     def q(self) -> int:
         return len(self.x_type1)
 
+    @property
+    def solutions(self) -> tuple[MixedMopSolution, ...]:
+        return self.x_type2 + self.x_type1 + self.y_type1 + self.y_type2
+
+    @property
+    def precision(self) -> str:
+        """'extended' when any neighbor solve fell back to it, else 'double'."""
+        fell_back = any(s.precision == "extended" for s in self.solutions)
+        return "extended" if fell_back else "double"
+
     def max_residual(self) -> float:
-        sols = self.x_type2 + self.x_type1 + self.y_type1 + self.y_type2
-        return max(s.residual for s in sols)
+        return max(s.residual for s in self.solutions)
 
     def terms(self) -> list[tuple[float, MixedMopSolution, MixedMopSolution]]:
         """(sign, x-side form, y-side form) of each term of the CD numerator."""
@@ -211,10 +219,11 @@ class CdKernelData:
 
 
 def build_cd_data(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
-                  table: ProductMomentTable | None = None, *,
-                  precision: str = "double") -> CdKernelData:
+                  table: ProductMomentTable | None = None) -> CdKernelData:
     """Run the neighbor solves the CD formula needs, both orientations.
 
+    Each solve picks its own arithmetic (see solve_mixed); the data's
+    precision property reports whether any fell back to extended.
     NotNormalizable from any solve is re-raised with the offending
     (orientation, normalization kind, index) attached as context.
     """
@@ -229,7 +238,7 @@ def build_cd_data(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
 
     def run(orientation, kind, k, spair, stable, normalization):
         try:
-            return solve_mixed(spair, stable, normalization, precision=precision)
+            return solve_mixed(spair, stable, normalization)
         except NotNormalizable as exc:
             raise NotNormalizable(str(exc), report=exc.report,
                                   context=(orientation, kind, k)) from exc

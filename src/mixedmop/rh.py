@@ -271,11 +271,11 @@ class RhSystem:
 
     def __init__(self, pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
                  table: ProductMomentTable | None = None,
-                 data: CdKernelData | None = None, *, precision: str = "double"):
+                 data: CdKernelData | None = None):
         w1 = w1 if isinstance(w1, WeightFamily) else WeightFamily(w1)
         w2 = w2 if isinstance(w2, WeightFamily) else WeightFamily(w2)
         if data is None:
-            data = build_cd_data(pair, w1, w2, table, precision=precision)
+            data = build_cd_data(pair, w1, w2, table)
         self.pair = pair
         self.w1 = w1
         self.w2 = w2

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import json_number, write_csv
+from ._util import exact_int, json_number, real_number, write_csv
 
 # Truncation rule: 12 spreads of a Gaussian carry all mass to ~1e-31.
 TAIL_SIGMAS = 12.0
@@ -86,8 +86,9 @@ class Weight:
 
     @staticmethod
     def gaussian(center: float, variance: float, amplitude: float = 1.0) -> "Weight":
-        return Weight(kind="gaussian", center=float(center), variance=float(variance),
-                      amplitude=float(amplitude))
+        return Weight(kind="gaussian", center=real_number(center, "center"),
+                      variance=real_number(variance, "variance"),
+                      amplitude=real_number(amplitude, "amplitude"))
 
     @staticmethod
     def tabulated(fn: Callable, support: tuple[float, float]) -> "Weight":
@@ -143,9 +144,10 @@ class WeightFamily(tuple):
 def transition_weight(t: float, a: float, n: int = 1) -> Weight:
     """The Brownian transition density sqrt(n / (2 pi t)) exp(-n (x - a)^2
     / (2 t)) as a gaussian Weight; t must lie in the open unit interval,
-    where the bridge endpoints do not pin the motion."""
-    if not (0.0 < t < 1.0):
-        raise ValueError(f"time must lie in (0, 1), got {t}")
+    where the bridge endpoints do not pin the motion, and n >= 1."""
+    t, n = real_number(t, "time"), exact_int(n, "variance scale n")
+    if not (0.0 < t < 1.0 and n >= 1):
+        raise ValueError(f"need time in (0, 1) and n >= 1, got t={t}, n={n}")
     var = t / n
     return Weight.gaussian(a, var, 1.0 / math.sqrt(TWO_PI * var))
 

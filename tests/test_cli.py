@@ -275,21 +275,14 @@ class TestValidationFailures:
         assert code == 1
         self.assert_only_error_report(out)
 
-    @pytest.mark.parametrize("command", ["brownian-density",
-                                         "brownian-sample"])
-    def test_extended_precision_refused_without_mixed_solve(self, tmp_path,
-                                                            command, capsys):
-        config = dict(TWO_WALKERS, sampling={"count": 8})
-        code, out = run_cli(tmp_path, command, config, "--precision",
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_precision_option_refused(self, tmp_path, command, capsys):
+        # the solves pick their arithmetic; no option selects it
+        code, out = run_cli(tmp_path, command, RANK_ONE, "--precision",
                             "extended")
         assert code == 1
-        report = self.assert_only_error_report(out)
-        assert report["message"].startswith(f"{command} runs no mixed solve")
-        assert "mop-solve, kernel-grid, cd-check, rh-verify and " \
-            "brownian-kernel" in report["message"]
-        assert capsys.readouterr().err.startswith("VALIDATION: ")
-        # the default precision still runs
-        assert run_cli(tmp_path, command, config, out_name="double")[0] == 0
+        assert not out.exists()
+        assert "unrecognized arguments: --precision" in capsys.readouterr().err
 
 
 class TestNumericalFailures:
@@ -323,18 +316,6 @@ class TestNumericalFailures:
         assert "(0, 0), order 0" in report["message"]
         captured = capfd.readouterr()
         assert "DLASCL" not in captured.err + captured.out
-
-    def test_rank_deficient_forms_are_not_normal(self, tmp_path):
-        # 5 + 5 walkers from +-1 to one end: the F basis u^i w1_l is
-        # numerically rank-deficient, so the pair is not normal.
-        config = {"starts": [[-1.0, 5], [1.0, 5]], "ends": [[0.0, 10]],
-                  "t": 0.5, "n_scaling": True}
-        code, out = run_cli(tmp_path, "brownian-kernel", config,
-                            "--grid", "-2:2:5")
-        assert code == 2
-        normality = read_json(out / "error_report.json")["detail"]["normality"]
-        assert normality["f_dimension_ok"] is False
-        assert normality["normal"] is False
 
     def test_five_plus_five_positions_refused_by_mass_check(self, tmp_path):
         config = {"starts": [[-1.0, 5], [1.0, 5]], "ends": [[0.0, 10]],
@@ -390,6 +371,30 @@ class TestMopSolve:
         solution = read_json(out / "solution.json")["solution"]
         assert solution["normalization"] == {"kind": "I", "index": 0}
 
+    @pytest.mark.parametrize("degree, precision", [
+        (10, "double"), (11, "extended"), (19, "extended")])
+    def test_hermite_solves_pick_their_arithmetic(self, tmp_path, degree,
+                                                  precision):
+        config = dict(DEFINING, n=[degree + 1], m=[degree])
+        code, out = run_cli(tmp_path, "mop-solve", config)
+        assert code == 0
+        report = read_json(out / "solution.json")
+        assert report["precision"] == precision
+        assert report["solution"]["precision"] == precision
+        got = np.array(report["solution"]["coefficients_original"][0])
+        want = np.polynomial.hermite.herm2poly([0.0] * degree + [1.0]) \
+            / 2.0 ** degree
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_hermite_twenty_is_not_normalizable(self, tmp_path):
+        config = dict(DEFINING, n=[21], m=[20])
+        code, out = run_cli(tmp_path, "mop-solve", config)
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == ["error_report.json"]
+        report = read_json(out / "error_report.json")
+        assert report["error"] == "NUMERICAL"
+        assert report["detail"]["normality"]["pair"] == {"n": [21], "m": [20]}
+
     def test_bad_normalization_rejected(self, tmp_path):
         config = dict(DEFINING, normalization={"kind": "III"})
         code, out = run_cli(tmp_path, "mop-solve", config)
@@ -440,6 +445,14 @@ class TestImportCost:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_cli_import_loads_no_mpmath(self):
+        # mpmath serves only the extended fallback of the mixed solves
+        src = os.path.dirname(os.path.dirname(mixedmop.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import mixedmop.cli, sys; assert 'mpmath' not in sys.modules"
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
     def test_brownian_sample_loads_no_scipy_stats(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -465,6 +478,18 @@ class TestBrownianCommands:
         assert report["walkers"] == 2
         assert report["direct_vs_cd"] < 1e-9
         assert len(read_rows(out / "kernel_grid.csv")) == 25
+
+    def test_five_plus_five_kernel_falls_back_to_extended(self, tmp_path):
+        # 5 + 5 walkers from +-1 to one end: a CD neighbour solve fails the
+        # double rank gate and is rerun in extended arithmetic
+        config = {"starts": [[-1.0, 5], [1.0, 5]], "ends": [[0.0, 10]],
+                  "t": 0.5, "n_scaling": True}
+        code, out = run_cli(tmp_path, "brownian-kernel", config,
+                            "--grid", "-2:2:5")
+        assert code == 0
+        report = read_json(out / "brownian_kernel_report.json")
+        assert report["precision"] == "extended"
+        assert report["trace_deviation"] <= 1e-9
 
     def test_density_artifacts(self, tmp_path):
         code, out = run_cli(tmp_path, "brownian-density", TWO_WALKERS,

@@ -11,8 +11,9 @@ from mixedmop import (BrownianConfig, MultiIndex, MultiIndexPair,
                       check_normality,
                       moment_table_for, solve_mixed, solve_type1_classical,
                       solve_type2_classical)
-from mixedmop.mop import (assemble_orthogonality_matrix, numerical_rank,
-                          shifted_to_monomial)
+from mixedmop import mop
+from mixedmop.mop import (EXTENDED_MAX_UNKNOWNS, assemble_orthogonality_matrix,
+                          numerical_rank, shifted_to_monomial)
 from mixedmop.weights import build_moment_table
 
 from conftest import nullspace_oracle, random_balanced_parts, \
@@ -229,8 +230,8 @@ class TestSolveMixed:
         pair = MultiIndexPair.defining([4], [3])
         table = moment_table_for(pair, fam, fam)
         d = solve_mixed(pair, table, Normalization.type2(0))
-        e = solve_mixed(pair, table, Normalization.type2(0),
-                        precision="extended")
+        e = mop._solve_mixed_extended(pair, table, Normalization.type2(0))
+        assert d.precision == "double"
         np.testing.assert_allclose(np.concatenate(e.coeffs),
                                    np.concatenate(d.coeffs),
                                    rtol=1e-12, atol=1e-14)
@@ -245,11 +246,56 @@ class TestSolveMixed:
         pair = MultiIndexPair.defining([3, 2], [4])
         table = moment_table_for(pair, w1, w2)
         d = solve_mixed(pair, table, Normalization.type1(0))
-        e = solve_mixed(pair, table, Normalization.type1(0),
-                        precision="extended")
+        e = mop._solve_mixed_extended(pair, table, Normalization.type1(0))
         np.testing.assert_allclose(np.concatenate(e.coeffs),
                                    np.concatenate(d.coeffs), rtol=1e-9)
         assert e.residual < 1e-40
+
+    @pytest.mark.parametrize("degree", [11, 19])
+    def test_hermite_past_the_double_gate_falls_back(self, unit_gaussian,
+                                                     degree):
+        # double calls these systems singular; extended solves them.  The
+        # product weight is exp(-x^2), so the answer is H_d / 2^d.
+        fam = WeightFamily([unit_gaussian])
+        pair = MultiIndexPair.defining([degree + 1], [degree])
+        sol = solve_mixed(pair, moment_table_for(pair, fam, fam),
+                          Normalization.type2(0))
+        assert sol.precision == "extended"
+        want = np.polynomial.hermite.herm2poly([0.0] * degree + [1.0]) \
+            / 2.0 ** degree
+        got = sol.polynomials_original()[0]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_hermite_twenty_stays_singular(self, unit_gaussian):
+        fam = WeightFamily([unit_gaussian])
+        pair = MultiIndexPair.defining([21], [20])
+        with pytest.raises(NotNormalizable, match="extended") as info:
+            solve_mixed(pair, moment_table_for(pair, fam, fam),
+                        Normalization.type2(0))
+        assert info.value.report is not None
+
+    def test_fallback_only_for_small_gaussian_systems(self, unit_gaussian,
+                                                      monkeypatch):
+        calls = []
+
+        def extended(pair, table, normalization):
+            calls.append(pair.n.size)
+            return "extended"
+
+        def hermite(size):
+            pair = MultiIndexPair.defining([size], [size - 1])
+            return solve_mixed(pair, moment_table_for(pair, fam, fam),
+                               Normalization.type2(0))
+
+        monkeypatch.setattr(mop, "_solve_mixed_extended", extended)
+        fam = WeightFamily([unit_gaussian])
+        assert hermite(EXTENDED_MAX_UNKNOWNS) == "extended"
+        with pytest.raises(NotNormalizable):
+            hermite(EXTENDED_MAX_UNKNOWNS + 1)
+        # the classical reductions pair a tabulated box with the family
+        with pytest.raises(NotNormalizable):
+            solve_type2_classical(fam, [11])
+        assert calls == [EXTENDED_MAX_UNKNOWNS]
 
 
 class TestClassicalReductions:

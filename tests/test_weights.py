@@ -55,6 +55,21 @@ class TestWeightBasics:
         with pytest.raises(ValueError):
             WeightFamily([])
 
+    @pytest.mark.parametrize("build", [
+        lambda: Weight.gaussian(True, 1.0),
+        lambda: Weight.gaussian(0.0, "1.0"),
+        lambda: Weight.gaussian(0.0, 1.0, None),
+        lambda: transition_weight(0.5, 0.0, 2.5),
+        lambda: transition_weight(0.5, 0.0, True),
+        lambda: transition_weight(0.5, 0.0, 0),
+        lambda: transition_weight("0.5", 0.0, 1),
+        lambda: transition_weight(0.5, False, 1),
+    ], ids=["bool-center", "str-variance", "none-amplitude", "float-scale",
+            "bool-scale", "zero-scale", "str-time", "bool-start"])
+    def test_constructors_refuse_coerced_values(self, build):
+        with pytest.raises(ValueError):
+            build()
+
 
 def plain_moments(w1: Weight, w2: Weight, kmax: int):
     """The table row of integral x^k w1 w2 dx, k = 0..kmax (unshifted,
