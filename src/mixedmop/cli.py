@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -58,6 +59,8 @@ def _parse_grid(spec: str) -> np.ndarray:
             f"grid count must lie in [{GRID_LIMITS[0]}, {GRID_LIMITS[1]}]")
     if not hi > lo:
         raise ValidationFailure("grid max must exceed min")
+    if not math.isfinite(hi - lo):
+        raise ValidationFailure("grid bounds and their span must be finite")
     return np.linspace(lo, hi, count)
 
 
@@ -320,10 +323,12 @@ def _write_artifacts(out_dir: str, artifacts: list) -> None:
             raise RuntimeError(f"unknown artifact kind {kind}")
 
 
-def _fail(out_dir: str, code: int, label: str, message: str,
+def _fail(out_dir: str | None, code: int, label: str, message: str,
           detail: dict | None = None) -> int:
     flat = " ".join(str(message).split())
     print(f"{label}: {flat}", file=sys.stderr)
+    if out_dir is None:
+        return code
     try:
         os.makedirs(out_dir, exist_ok=True)
         dump_json(os.path.join(out_dir, "error_report.json"), {
@@ -337,8 +342,16 @@ def _fail(out_dir: str, code: int, label: str, message: str,
     return code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument error raises ValidationFailure instead of printing the
+    usage and exiting, so it takes the VALIDATION path of every bad input."""
+
+    def error(self, message):
+        raise ValidationFailure(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mixedmop",
         description="Mixed-type multiple orthogonal polynomials, projection "
                     "kernels, and non-intersecting Brownian motions")
@@ -366,18 +379,29 @@ def _join_grid_value(argv: list[str]) -> list[str]:
     return out
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+def _out_dir(argv: list[str]) -> str | None:
+    """The --out value of an argument list the full parser refused, if it
+    has one."""
+    parser = _ArgumentParser(add_help=False)
+    parser.add_argument("--out")
     try:
-        args = parser.parse_args(_join_grid_value(list(argv)))
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
+        return parser.parse_known_args(argv)[0].out
+    except ValidationFailure:
+        return None
+
+
+def main(argv=None) -> int:
+    argv = _join_grid_value(list(sys.argv[1:] if argv is None else argv))
+    try:
+        args = build_parser().parse_args(argv)
+    except ValidationFailure as exc:
+        return _fail(_out_dir(argv), 1, "VALIDATION", str(exc))
+    except SystemExit:  # --help; argument errors raise ValidationFailure
+        return 0
     out_dir = args.out
     try:
-        if args.tol is not None and not args.tol > 0.0:
-            raise ValidationFailure("tolerance must be positive")
+        if args.tol is not None and not 0.0 < args.tol < math.inf:
+            raise ValidationFailure("tolerance must be positive and finite")
         if args.seed < 0:
             raise ValidationFailure("seed must be nonnegative")
         args.grid = _parse_grid(args.grid) if args.grid is not None else None

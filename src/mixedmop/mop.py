@@ -437,10 +437,11 @@ def _solve_mixed_extended(pair: MultiIndexPair, table: ProductMomentTable,
                 f"singular system (extended) for pair n={pair.n.parts} "
                 f"m={pair.m.parts}", report=report)
         x = mpmath.lu_solve(A, b)
-        resid = A * x - b
-        scale_res = max(mpmath.mpf(1), smax * mpmath.norm(x, p=mpmath.inf))
-        residual = float(mpmath.norm(resid, p=mpmath.inf) / scale_res)
         xs = np.array([float(x[i]) for i in range(size)])
+        # the residual of the doubles returned, not of the 60-digit x
+        x = mpmath.matrix(xs.tolist())
+        scale_res = max(mpmath.mpf(1), smax * mpmath.norm(x, p=mpmath.inf))
+        residual = float(mpmath.norm(A * x - b, p=mpmath.inf) / scale_res)
 
     coeffs = _split_coefficients(xs, pair.n.parts)
     return MixedMopSolution(pair=pair, normalization=normalization,

@@ -153,7 +153,8 @@ class TestValidationFailures:
         self.assert_only_error_report(out)
 
     @pytest.mark.parametrize("spec", ["0:1", "0:1:1", "0:1:2001", "1:1:5",
-                                      "a:b:c"])
+                                      "a:b:c", "-inf:inf:5", "0:inf:5",
+                                      "-1e308:1e308:5"])
     def test_bad_grids(self, tmp_path, spec):
         code, out = run_cli(tmp_path, "kernel-grid", RANK_ONE,
                             "--grid", spec)
@@ -169,13 +170,30 @@ class TestValidationFailures:
         code, _ = run_cli(tmp_path, "cd-check", RANK_ONE, "--tol", "0.0")
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["inf", "1e400"])
+    def test_infinite_tolerance(self, tmp_path, tol):
+        # an infinite tolerance would pass every route gate and write
+        # "tolerance": Infinity, which is not JSON
+        code, out = run_cli(tmp_path, "cd-check", RANK_ONE, "--tol", tol)
+        assert code == 1
+        self.assert_only_error_report(out)
+
     def test_negative_seed(self, tmp_path):
         code, _ = run_cli(tmp_path, "kernel-grid", RANK_ONE, "--seed", "-1")
         assert code == 1
 
     def test_missing_required_arguments(self, capsys):
+        # no --out, so the stderr line is all a failed run can leave
         assert main(["kernel-grid"]) == 1
-        capsys.readouterr()
+        assert capsys.readouterr().err == ("VALIDATION: the following "
+                                           "arguments are required: --config, --out\n")
+
+    def test_argument_type_error(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "kernel-grid", RANK_ONE, "--seed", "x")
+        assert code == 1
+        report = self.assert_only_error_report(out)
+        assert report["message"] == "argument --seed: invalid int value: 'x'"
+        assert capsys.readouterr().err == f"VALIDATION: {report['message']}\n"
 
     def test_unknown_command(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -281,8 +299,9 @@ class TestValidationFailures:
         code, out = run_cli(tmp_path, command, RANK_ONE, "--precision",
                             "extended")
         assert code == 1
-        assert not out.exists()
-        assert "unrecognized arguments: --precision" in capsys.readouterr().err
+        self.assert_only_error_report(out)
+        assert capsys.readouterr().err == ("VALIDATION: unrecognized "
+                                           "arguments: --precision extended\n")
 
 
 class TestNumericalFailures:
