@@ -42,6 +42,11 @@ GRID_LIMITS = (2, 2000)
 SAMPLE_COUNT_LIMIT = 1_000_000
 PATH_COUNT_LIMIT = 1_000
 PATH_TIME_POINTS_LIMIT = 1_000
+# The commands that read each optional argument; the others refuse it.
+OPTION_READERS = {
+    "grid": ("kernel-grid", "cd-check", "brownian-kernel", "brownian-density"),
+    "tol": ("cd-check", "rh-verify"),
+}
 
 
 class ValidationFailure(ValueError):
@@ -195,7 +200,7 @@ def cmd_rh_verify(args, raw: dict) -> list:
     report = _base_report(args, raw, system.data.precision)
     report.update(rh_verification_report(system, seed=args.seed, tol=tol))
     z0 = complex(report["z_points"][0]["re"], report["z_points"][0]["im"])
-    Y0, _ = system.y_matrix(z0)
+    Y0 = system.y_matrix(z0)
     return [("rh_report.json", "json", report),
             ("y_matrix.csv", "csv", (MATRIX_CSV_HEADER, matrix_rows(Y0)))]
 
@@ -400,6 +405,10 @@ def main(argv=None) -> int:
         return 0
     out_dir = args.out
     try:
+        for option, readers in OPTION_READERS.items():
+            if getattr(args, option) is not None and args.command not in readers:
+                raise ValidationFailure(f"--{option} is read only by "
+                                        + ", ".join(readers))
         if args.tol is not None and not 0.0 < args.tol < math.inf:
             raise ValidationFailure("tolerance must be positive and finite")
         if args.seed < 0:
@@ -411,10 +420,7 @@ def main(argv=None) -> int:
         return 0
     except ValidationFailure as exc:
         return _fail(out_dir, 1, "VALIDATION", str(exc))
-    except NotNormalizable as exc:
-        detail = {"normality": exc.report.to_json_dict()} if exc.report else None
-        return _fail(out_dir, 2, "NUMERICAL", str(exc), detail)
-    except DegeneratePair as exc:
+    except (NotNormalizable, DegeneratePair) as exc:
         detail = {"normality": exc.report.to_json_dict()} if exc.report else None
         return _fail(out_dir, 2, "NUMERICAL", str(exc), detail)
     except AccuracyError as exc:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,10 +47,6 @@ _PANEL_DEGREE = 24
 # 6^j / Gamma((j+1)/2): up to 3e-9 relative at j = 7 and 2e-8 at j = 10.
 SERIES_RADIUS = 6.0
 SERIES_TERMS = 80
-# Relative accuracy of scipy.special.wofz (largest seen against mpmath on
-# |zeta| <= 6.5: 1.1e-14).
-WOFZ_REL = 2e-14
-_EPS = float(np.finfo(float).eps)
 BRANCHES = ("recursion", "asymptotic_series", "panel")
 
 
@@ -94,68 +90,42 @@ def adaptive_panel_integral(f: Callable, a: float, b: float, *,
     return value, err
 
 
-def cauchy_transform(f: Callable, interval: tuple[float, float], z: complex, *,
-                     spread: float, abs_tol: float = 1e-11) -> tuple[complex, float]:
-    """integral f(x) / (x - z) dx over the interval, z off the real line.
+def cauchy_transform(f: Callable, interval: tuple[float, float], z: complex,
+                     side: str | None = None, *, spread: float,
+                     abs_tol: float = 1e-11) -> tuple[complex, float]:
+    """integral f(x) / (x - z) dx over the interval.
 
-    Near the axis (|Im z| < 0.05 * spread) the constant term is subtracted
-    and reinstated through the exact log primitive, which keeps the
-    remaining integrand's pole residue O(f' * Im z).
+    A real z must lie inside the interval and needs side '+' or '-': the
+    boundary value from above or below, principal value plus or minus
+    i pi f(z) (Sokhotski-Plemelj); off the real line side is not read.  On
+    the axis and near it (|Im z| < 0.05 * spread) the constant term is
+    subtracted and reinstated through the exact log primitive, which keeps
+    the remaining integrand's pole residue O(f' * Im z).
     """
     a, b = interval
-    zim = z.imag
-    if zim == 0.0:
-        raise ValueError("cauchy_transform needs Im z != 0; use the boundary "
-                         "evaluators for real arguments")
+    z = complex(z)
+    inside = a < z.real < b
+    if z.imag == 0.0 and not (inside and side in SIDES):
+        raise ValueError("a real z needs side '+' or '-' inside the interval")
     x0 = float(np.clip(z.real, a, b))
-    pieces = [(a, x0), (x0, b)] if a < x0 < b else [(a, b)]
-
-    if abs(zim) < NEAR_AXIS_FACTOR * spread and a < z.real < b:
-        fx0 = complex(np.asarray(f(np.array([x0])), dtype=float)[0])
-
-        def g(xs):
-            return (f(xs) - fx0.real) / (xs - z)
-
-        total = fx0 * (cmath.log(b - z) - cmath.log(a - z))
-        err = 0.0
-        for lo, hi in pieces:
-            val, e = adaptive_panel_integral(g, lo, hi, abs_tol=abs_tol)
-            total += val
-            err += e
-        return total, err
+    fx0, total = 0.0, 0.0 + 0.0j
+    if inside and abs(z.imag) < NEAR_AXIS_FACTOR * spread:
+        fx0 = float(np.asarray(f(np.array([x0])), dtype=float)[0])
+        if z.imag == 0.0:
+            total = fx0 * (math.log((b - x0) / (x0 - a))
+                           + SIDES[side] * 1j * math.pi)
+        else:
+            total = fx0 * (cmath.log(b - z) - cmath.log(a - z))
 
     def g(xs):
-        return f(xs) / (xs - z)
+        return (f(xs) - fx0) / (xs - z)
 
-    total = 0.0 + 0.0j
     err = 0.0
-    for lo, hi in pieces:
+    for lo, hi in ([(a, x0), (x0, b)] if inside else [(a, b)]):
         val, e = adaptive_panel_integral(g, lo, hi, abs_tol=abs_tol)
         total += val
         err += e
     return total, err
-
-
-def cauchy_boundary_plemelj(f: Callable, interval: tuple[float, float],
-                            x: float, side: str, *,
-                            abs_tol: float = 1e-11) -> tuple[complex, float]:
-    """Boundary value of the Cauchy transform by Sokhotski-Plemelj:
-    principal value plus (+/-) i pi f(x); x must lie inside the interval."""
-    a, b = interval
-    if not a < x < b:
-        raise ValueError("Plemelj evaluation needs x inside the interval")
-    fx = float(np.asarray(f(np.array([x])), dtype=float)[0])
-
-    def g(xs):
-        return (f(xs) - fx) / (xs - x)
-
-    pv = fx * math.log((b - x) / (x - a))
-    err = 0.0
-    for lo, hi in ((a, x), (x, b)):
-        val, e = adaptive_panel_integral(g, lo, hi, abs_tol=abs_tol)
-        pv += val.real
-        err += e
-    return pv + SIDES[side] * 1j * math.pi * fx, err
 
 
 def _line_moments(count: int) -> np.ndarray:
@@ -168,14 +138,14 @@ def _line_moments(count: int) -> np.ndarray:
 
 
 def gaussian_cauchy_moments(zeta, degree: int, side: int = 0
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                            ) -> tuple[np.ndarray, np.ndarray]:
     """C_j(zeta) = int t^j e^{-t^2} / (t - zeta) dt for j = 0..degree.
 
     Off the real line the half plane of zeta decides; a real zeta needs
     side = +1 or -1 and gets the boundary value from above or below.
-    Returns (C, err, series): C and its error estimate err with shape
-    zeta.shape + (degree + 1,), and the mask of arguments that took the
-    asymptotic series (|zeta| >= SERIES_RADIUS) instead of the recursion.
+    Returns (C, series): C with shape zeta.shape + (degree + 1,), and the
+    mask of arguments that took the asymptotic series (|zeta| >=
+    SERIES_RADIUS) instead of the recursion.
     """
     from scipy.special import wofz
 
@@ -186,7 +156,6 @@ def gaussian_cauchy_moments(zeta, degree: int, side: int = 0
                          "needs side +1 or -1")
     G = _line_moments(degree + SERIES_TERMS)
     C = np.empty(zeta.shape + (degree + 1,), dtype=complex)
-    err = np.empty(C.shape)
     series = np.abs(zeta) >= SERIES_RADIUS
 
     near = zeta[~series]
@@ -194,17 +163,10 @@ def gaussian_cauchy_moments(zeta, degree: int, side: int = 0
         # C_0 = s i pi w(s zeta) with s the side; on the real line this is
         # the Plemelj limit, since wofz takes real arguments.
         s = sgn[~series]
-        c = s * 1j * math.pi * wofz(s * near)
-        e = WOFZ_REL * np.abs(c)
-        cs, es = [c], [e]
+        cs = [s * 1j * math.pi * wofz(s * near)]
         for j in range(1, degree + 1):
-            step = near * c
-            c = G[j - 1] + step
-            e = np.abs(near) * e + _EPS * (G[j - 1] + np.abs(step))
-            cs.append(c)
-            es.append(e)
+            cs.append(G[j - 1] + near * cs[-1])
         C[~series] = np.stack(cs, axis=-1)
-        err[~series] = np.stack(es, axis=-1)
 
     far = zeta[series]
     if far.size:
@@ -212,10 +174,8 @@ def gaussian_cauchy_moments(zeta, degree: int, side: int = 0
         k = np.arange(SERIES_TERMS)
         Gjk = G[np.arange(degree + 1)[:, None] + k[None, :]]
         terms = -Gjk * ((1.0 / far)[:, None] ** (k + 1))[:, None, :]
-        mag = np.abs(terms)
-        stop = np.argmin(np.where(Gjk > 0.0, mag, np.inf), axis=-1)
-        keep = k <= stop[..., None]
-        far_C = np.sum(np.where(keep, terms, 0.0), axis=-1)
+        stop = np.argmin(np.where(Gjk > 0.0, np.abs(terms), np.inf), axis=-1)
+        far_C = np.sum(np.where(k <= stop[..., None], terms, 0.0), axis=-1)
         # On the real line the series is the principal value; the residue
         # s i pi zeta^j e^{-zeta^2} completes the boundary value.
         axis = far.imag == 0.0
@@ -225,9 +185,7 @@ def gaussian_cauchy_moments(zeta, degree: int, side: int = 0
             far_C[:, j] += res
             res = res * x
         C[series] = far_C
-        err[series] = (_EPS * np.sum(np.where(keep, mag, 0.0), axis=-1)
-                       + np.take_along_axis(mag, stop[..., None], axis=-1)[..., 0])
-    return C, err, series
+    return C, series
 
 
 def _rebased(coeffs: np.ndarray, alpha: float, beta: float, size: int) -> np.ndarray:
@@ -252,6 +210,36 @@ def jump_matrix(w1: WeightFamily, w2: WeightFamily, x: float) -> np.ndarray:
     J = np.eye(p + q)
     J[:p, p:] = np.outer(w1.values(x).ravel(), w2.values(x).ravel())
     return J
+
+
+class _Block(NamedTuple):
+    """One of Y = [P | C] and X = [C | P].  Row r holds poly_factors[r]
+    times forms[r]'s polynomials and cauchy_factors[r] times the Cauchy
+    transforms of forms[r] times each column weight."""
+
+    forms: tuple
+    weights: WeightFamily
+    cauchy_factors: np.ndarray
+    poly_factors: np.ndarray
+
+
+def _block_table(data: CdKernelData) -> dict[str, _Block]:
+    """The blocks of Y (the (w1, w2) forms, Cauchy columns against w2) and
+    of X (the swapped forms, Cauchy columns against w1)."""
+    p, q = data.p, data.q
+    return {
+        "y": _Block(data.x_type2 + data.x_type1, data.table.w2,
+                    np.array([1.0 / TWO_PI_I] * p + [-1.0] * q),
+                    np.array([1.0] * p + [-TWO_PI_I] * q)),
+        "x": _Block(data.y_type1 + data.y_type2, data.table.w1,
+                    np.array([-1.0] * p + [-1.0 / TWO_PI_I] * q),
+                    np.array([TWO_PI_I] * p + [1.0] * q)),
+    }
+
+
+def _poly_block(block: _Block, values: Callable) -> np.ndarray:
+    """Polynomial row factor times values(form), stacked over the forms."""
+    return block.poly_factors[:, None] * np.stack([values(s) for s in block.forms])
 
 
 class RhSystem:
@@ -280,18 +268,10 @@ class RhSystem:
         self.w1 = w1
         self.w2 = w2
         self.data = data
-        self.p = len(w1)
-        self.q = len(w2)
         self.interval = family_interval(w1, w2)
         self.spread = data.table.scale
         self.branch_counts = dict.fromkeys(BRANCHES, 0)
-        # (forms, column weights, row factors) of the Cauchy blocks
-        self._blocks = {
-            "y": (data.x_type2 + data.x_type1, w2,
-                  np.array([1.0 / TWO_PI_I] * self.p + [-1.0] * self.q)),
-            "x": (data.y_type1 + data.y_type2, w1,
-                  np.array([-1.0] * self.p + [-1.0 / TWO_PI_I] * self.q)),
-        }
+        self._blocks = _block_table(data)
         self._closed = None
         if w1.all_gaussian and w2.all_gaussian:
             self._closed = self._closed_form_terms()
@@ -304,95 +284,62 @@ class RhSystem:
                            for a in self.w1])
         mean, var, amp = params[..., 0], params[..., 1], params[..., 2]
         sigma = np.sqrt(2.0 * var)
-        forms = self._blocks["y"][0] + self._blocks["x"][0]
+        forms = self._blocks["y"].forms + self._blocks["x"].forms
         size = max(len(cf) for sol in forms for cf in sol.coeffs)
 
         terms = {}
-        for block, (sols, weights, _) in self._blocks.items():
+        for name, (sols, weights, _, _) in self._blocks.items():
             T = np.zeros((len(sols), len(weights), len(sols[0].coeffs), size))
             for r, sol in enumerate(sols):
                 for l in range(len(weights)):
                     for j, cf in enumerate(sol.coeffs):
-                        g = (j, l) if block == "y" else (l, j)
+                        g = (j, l) if name == "y" else (l, j)
                         T[r, l, j] = amp[g] * _rebased(
                             cf, (mean[g] - sol.center) / sol.scale,
                             sigma[g] / sol.scale, size)
-            terms[block] = T
+            terms[name] = T
         return {"mean": mean, "sigma": sigma, "degree": size - 1, **terms}
 
-    def _cauchy_block(self, block: str, z: complex, side: str | None
-                      ) -> tuple[np.ndarray, np.ndarray]:
+    def _cauchy_block(self, name: str, z: complex, side: str | None) -> np.ndarray:
         """Row factor times the Cauchy transform of form r times column
-        weight l, for every (r, l) of the block, with error bounds; on the
-        real line the boundary value from the given side."""
+        weight l, for every (r, l) of the block; on the real line the
+        boundary value from the given side."""
         z = complex(z)
-        boundary = z.imag == 0.0
-        if boundary and side not in SIDES:
-            raise ValueError("real z requires side '+' or '-'")
-        sols, weights, factors = self._blocks[block]
+        block = self._blocks[name]
+        factors = block.cauchy_factors[:, None]
         if self._closed is None:
-            out = np.zeros((len(sols), len(weights)), dtype=complex)
-            acc = np.zeros(out.shape)
-            for l, wl in enumerate(weights):
-                for r, sol in enumerate(sols):
-                    f = lambda xs, s=sol, w=wl: s.form(xs) * w(xs)
-                    if boundary:
-                        val, err = cauchy_boundary_plemelj(f, self.interval,
-                                                           z.real, side)
-                    else:
-                        val, err = cauchy_transform(f, self.interval, z,
-                                                    spread=self.spread)
-                    out[r, l] = val * factors[r]
-                    acc[r, l] = err * abs(factors[r])
+            out = np.array([[cauchy_transform(
+                lambda xs, s=sol, w=wl: s.form(xs) * w(xs), self.interval, z,
+                side, spread=self.spread)[0] for wl in block.weights]
+                for sol in block.forms])
             self.branch_counts["panel"] += out.size
-            return out, acc
+            return out * factors
         cf = self._closed
         zeta = (z - cf["mean"]) / cf["sigma"]
-        C, err, series = gaussian_cauchy_moments(zeta, cf["degree"],
-                                                 SIDES.get(side, 0))
+        C, series = gaussian_cauchy_moments(zeta, cf["degree"],
+                                            SIDES.get(side, 0))
         n_series = int(np.count_nonzero(series))
         self.branch_counts["asymptotic_series"] += n_series
         self.branch_counts["recursion"] += series.size - n_series
-        spec = "rljd,jld->rl" if block == "y" else "rljd,ljd->rl"
-        T = cf[block]
-        out = np.einsum(spec, T, C) * factors[:, None]
-        acc = np.einsum(spec, np.abs(T), err) * np.abs(factors)[:, None]
-        return out, acc
+        spec = "rljd,jld->rl" if name == "y" else "rljd,ljd->rl"
+        return np.einsum(spec, cf[name], C) * factors
 
-    # -- Y ------------------------------------------------------------------
+    def y_matrix(self, z: complex, side: str | None = None) -> np.ndarray:
+        """Y(z) = [P | C]; a real z takes the boundary value from side."""
+        poly = _poly_block(self._blocks["y"], lambda s: s.poly_values(z))
+        return np.hstack([poly, self._cauchy_block("y", z, side)])
 
-    def y_matrix(self, z: complex, side: str | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        p, q = self.p, self.q
-        Y = np.zeros((p + q, p + q), dtype=complex)
-        acc = np.zeros((p + q, p + q))
-        for k in range(p):
-            Y[k, :p] = self.data.x_type2[k].poly_values(z)
-        for k in range(q):
-            Y[p + k, :p] = -TWO_PI_I * self.data.x_type1[k].poly_values(z)
-        Y[:, p:], acc[:, p:] = self._cauchy_block("y", z, side)
-        return Y, acc
-
-    # -- X = Y^{-T} ---------------------------------------------------------
-
-    def x_matrix(self, z: complex, side: str | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        p, q = self.p, self.q
-        X = np.zeros((p + q, p + q), dtype=complex)
-        acc = np.zeros((p + q, p + q))
-        X[:, :p], acc[:, :p] = self._cauchy_block("x", z, side)
-        for k in range(p):
-            X[k, p:] = TWO_PI_I * self.data.y_type1[k].poly_values(z)
-        for k in range(q):
-            X[p + k, p:] = self.data.y_type2[k].poly_values(z)
-        return X, acc
+    def x_matrix(self, z: complex, side: str | None = None) -> np.ndarray:
+        """X(z) = Y(z)^{-T} = [C | P] from the swapped-orientation forms."""
+        poly = _poly_block(self._blocks["x"], lambda s: s.poly_values(z))
+        return np.hstack([self._cauchy_block("x", z, side), poly])
 
 
 def verify_jump(system: RhSystem, x: float, *, tol: float = 1e-6) -> dict:
     """Residual max|Y+ - Y- J| of the jump condition at a real point."""
     J = jump_matrix(system.w1, system.w2, x)
-    Yp, _ = system.y_matrix(x, "+")
-    Ym, _ = system.y_matrix(x, "-")
+    Yp = system.y_matrix(x, "+")
+    Ym = system.y_matrix(x, "-")
     residual = float(np.max(np.abs(Yp - Ym @ J)))
     y_norm = float(np.max(np.abs(Yp)))
     return {
@@ -411,7 +358,7 @@ def asymptotic_errors(system: RhSystem, radii: Sequence[float] = (10.0, 20.0, 40
     errors = []
     for R in radii:
         z = complex(0.0, float(R))
-        Y, _ = system.y_matrix(z)
+        Y = system.y_matrix(z)
         scales = np.array([_zpow(z, -nl) for nl in n_parts]
                           + [_zpow(z, +mk) for mk in m_parts])
         scaled = Y * scales[None, :]
@@ -428,20 +375,11 @@ def _rh_row_column(data: CdKernelData, x, y):
     """Column Y+(x) [w1, 0]^T (through the polynomial block) and the row
     [0, w2(y)] Y+^{-1}(y) (through the swapped forms), both complex, at the
     points of the float arrays x and y."""
-    p, q = data.p, data.q
+    blocks = _block_table(data)
     w1x = data.table.w1.values(x)
-    col = np.zeros((p + q, x.size), dtype=complex)
-    for k in range(p):
-        col[k] = np.einsum("lx,lx->x", data.x_type2[k].poly_values(x), w1x)
-    for k in range(q):
-        col[p + k] = -TWO_PI_I * np.einsum(
-            "lx,lx->x", data.x_type1[k].poly_values(x), w1x)
-    row = np.zeros((p + q, y.size), dtype=complex)
-    for k in range(p):
-        row[k] = TWO_PI_I * data.y_type1[k].form(y)
-    for k in range(q):
-        row[p + k] = data.y_type2[k].form(y)
-    return col, row
+    col = _poly_block(blocks["y"], lambda s: np.einsum(
+        "lx,lx->x", s.poly_values(x), w1x))
+    return col, _poly_block(blocks["x"], lambda s: s.form(y))
 
 
 def kernel_rh_grid(data: CdKernelData, xs, ys) -> np.ndarray:
@@ -490,11 +428,15 @@ def rh_verification_report(system: RhSystem, *, seed: int = 42,
 
     det_residuals = []
     xy_residuals = []
+    xy_floors = []
     for z in zs:
-        Y, _ = system.y_matrix(z)
-        X, _ = system.x_matrix(z)
+        Y = system.y_matrix(z)
+        X = system.x_matrix(z)
         det_residuals.append(abs(np.linalg.det(Y) - 1.0))
         xy_residuals.append(float(np.max(np.abs(X.T @ Y - np.eye(Y.shape[0])))))
+        # rounding floor of X^T Y: (p + q) u max|X| max|Y| with u = 2^-52
+        xy_floors.append(Y.shape[0] * 2.0 ** -52
+                         * float(np.max(np.abs(X)) * np.max(np.abs(Y))))
 
     xs_real = np.sort(rng.uniform(lo + 0.3 * span, hi - 0.3 * span, jump_points))
     jump_reports = [verify_jump(system, float(x), tol=jump_tol)
@@ -508,6 +450,7 @@ def rh_verification_report(system: RhSystem, *, seed: int = 42,
         "det_max": max(det_residuals),
         "x_y_consistency": xy_residuals,
         "x_y_max": max(xy_residuals),
+        "x_y_floor_max": max(xy_floors),
         "jump_points": [r["x"] for r in jump_reports],
         "jump_residuals": [r["residual"] for r in jump_reports],
         "jump_details": jump_reports,

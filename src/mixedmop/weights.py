@@ -14,7 +14,6 @@ always reported in the original variable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import exact_int, json_number, real_number, write_csv
+from ._util import exact_int, json_number, real_number
 
 # Truncation rule: 12 spreads of a Gaussian carry all mass to ~1e-31.
 TAIL_SIGMAS = 12.0
@@ -279,24 +278,12 @@ class ProductMomentTable:
     values: np.ndarray
     accuracy: np.ndarray
 
-    def entry(self, j: int, l: int, k: int) -> float:
-        if k > self.kmax:
-            raise ValueError(f"moment order {k} exceeds table kmax={self.kmax}")
-        return float(self.values[j, l, k])
-
     def swapped(self) -> "ProductMomentTable":
         """The same table with the two families' roles exchanged."""
         return ProductMomentTable(
             w1=self.w2, w2=self.w1, center=self.center, scale=self.scale,
             kmax=self.kmax, values=self.values.transpose(1, 0, 2),
             accuracy=self.accuracy.transpose(1, 0, 2))
-
-    def to_csv(self, path: str) -> None:
-        """One row (j, l, k, value, error_bound) per entry, k fastest."""
-        index = np.indices(self.values.shape).reshape(3, -1)
-        write_csv(path, ("j", "l", "k", "value", "error_bound"),
-                  np.column_stack([*index, self.values.ravel(),
-                                   self.accuracy.ravel()]))
 
 
 def _quad_pair_moments(w1: Weight, w2: Weight, kmax: int,
@@ -373,16 +360,8 @@ def _weight_from_dict(d: dict) -> Weight:
         raise ValueError(f"gaussian weight needs 'center' and 'variance': missing {exc}") from exc
 
 
-def weights_from_json(source) -> tuple[WeightFamily, WeightFamily]:
-    """Load the two weight families from a config dict, JSON text, or path."""
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError:
-            with open(source) as fh:
-                data = json.load(fh)
-    else:
-        data = source
+def weights_from_json(data: dict) -> tuple[WeightFamily, WeightFamily]:
+    """The two weight families of a config dict's 'w1' and 'w2' lists."""
     if not isinstance(data, dict) or "w1" not in data or "w2" not in data:
         raise ValueError("weight config must provide 'w1' and 'w2' lists")
     w1 = WeightFamily([_weight_from_dict(d) for d in data["w1"]])

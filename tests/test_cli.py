@@ -178,6 +178,25 @@ class TestValidationFailures:
         assert code == 1
         self.assert_only_error_report(out)
 
+    @pytest.mark.parametrize("command, option", [
+        ("mop-solve", "--grid"), ("rh-verify", "--grid"),
+        ("brownian-sample", "--grid"), ("mop-solve", "--tol"),
+        ("kernel-grid", "--tol"), ("brownian-kernel", "--tol"),
+        ("brownian-density", "--tol"), ("brownian-sample", "--tol")])
+    def test_unread_option_refused(self, tmp_path, command, option):
+        # the run succeeds without the option, and fails with it
+        config = {"mop-solve": DEFINING, "rh-verify": RANK_ONE,
+                  "kernel-grid": RANK_ONE}.get(
+            command, dict(TWO_WALKERS, sampling={"count": 40}))
+        assert run_cli(tmp_path, command, config, out_name="plain")[0] == 0
+        value = "0:1:3" if option == "--grid" else "1e-6"
+        code, out = run_cli(tmp_path, command, config, option, value)
+        assert code == 1
+        message = self.assert_only_error_report(out)["message"]
+        readers = cli.OPTION_READERS[option[2:]]
+        assert command not in readers
+        assert message == f"{option} is read only by " + ", ".join(readers)
+
     def test_negative_seed(self, tmp_path):
         code, _ = run_cli(tmp_path, "kernel-grid", RANK_ONE, "--seed", "-1")
         assert code == 1
@@ -645,7 +664,7 @@ class TestCsvArtifactBytes:
         w1, w2 = weights_from_json(config)
         system = RhSystem(MultiIndexPair.balanced(config["n"], config["m"]),
                           w1, w2)
-        Y, _ = system.y_matrix(complex(z["re"], z["im"]))
+        Y = system.y_matrix(complex(z["re"], z["im"]))
         rows = [(r, c, Y[r, c].real, Y[r, c].imag)
                 for r in range(Y.shape[0]) for c in range(Y.shape[1])]
         assert (out / "y_matrix.csv").read_bytes() == csv_oracle_bytes(

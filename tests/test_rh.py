@@ -17,8 +17,8 @@ from mixedmop import rh
 from mixedmop._util import write_csv
 from mixedmop.rh import (BRANCHES, MATRIX_CSV_HEADER, SERIES_RADIUS,
                          adaptive_panel_integral, asymptotic_errors,
-                         cauchy_boundary_plemelj, cauchy_transform,
-                         gaussian_cauchy_moments, jump_matrix, matrix_rows)
+                         cauchy_transform, gaussian_cauchy_moments,
+                         jump_matrix, matrix_rows)
 
 from conftest import assert_band_matches_oracle, band_grids, \
     csv_oracle_bytes, faddeeva_cauchy_gaussian, kernel_at
@@ -117,17 +117,30 @@ class TestCauchyTransform:
             assert val == pytest.approx(expect, rel=1e-8)
 
     def test_real_argument_rejected(self):
+        # a real z needs a side
         f = gaussian_callable(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            cauchy_transform(f, (-13.0, 13.0), 0.5 + 0.0j, spread=1.0)
+        for side in (None, "0"):
+            with pytest.raises(ValueError):
+                cauchy_transform(f, (-13.0, 13.0), 0.5 + 0.0j, side,
+                                 spread=1.0)
+
+    def test_side_ignored_off_axis(self):
+        f = gaussian_callable(0.0, 1.0, 1.0)
+        for z in (0.4 + 1e-3j, 1.0 - 1.5j):
+            plain = cauchy_transform(f, (-13.0, 13.0), z, spread=1.0)
+            for side in "+-":
+                assert cauchy_transform(f, (-13.0, 13.0), z, side,
+                                        spread=1.0) == plain
 
 
 class TestBoundaryValues:
+    """Boundary values of cauchy_transform on the real line (Plemelj)."""
+
     def test_plemelj_matches_faddeeva_on_minus_side(self):
         c, v, a = 0.1, 0.8, 1.0
         f = gaussian_callable(c, v, a)
         for x in (-0.7, 0.0, 1.2):
-            val, err = cauchy_boundary_plemelj(f, (-13.0, 13.0), x, "-")
+            val, err = cauchy_transform(f, (-13.0, 13.0), x, "-", spread=1.0)
             expect = faddeeva_cauchy_gaussian([1.0], c, v, a, complex(x))
             assert val == pytest.approx(expect, rel=1e-9)
             assert err < 1e-9
@@ -135,23 +148,34 @@ class TestBoundaryValues:
     def test_plemelj_sides_differ_by_residue(self):
         f = gaussian_callable(0.0, 1.0, 1.0)
         x = 0.3
-        plus, _ = cauchy_boundary_plemelj(f, (-13.0, 13.0), x, "+")
-        minus, _ = cauchy_boundary_plemelj(f, (-13.0, 13.0), x, "-")
+        plus, _ = cauchy_transform(f, (-13.0, 13.0), x, "+", spread=1.0)
+        minus, _ = cauchy_transform(f, (-13.0, 13.0), x, "-", spread=1.0)
         assert (plus - minus) == pytest.approx(
             2j * math.pi * math.exp(-0.5 * x * x), rel=1e-12)
+
+    def test_boundary_values_are_limits_from_each_side(self):
+        # the value from above (below) is the limit of the transform at
+        # x + i d (x - i d), which falls linearly in d
+        f = gaussian_callable(0.1, 0.8, 1.0)
+        x = 0.45
+        for side, sign in (("+", 1), ("-", -1)):
+            edge, _ = cauchy_transform(f, (-13.0, 13.0), x, side, spread=1.0)
+            near, _ = cauchy_transform(f, (-13.0, 13.0), complex(x, sign * 1e-6),
+                                       spread=1.0)
+            assert abs(edge - near) < 1e-5
 
     @pytest.mark.parametrize("x", [0.25, -2.2, 5.9, 6.1, -6.5])
     def test_plemelj_matches_closed_form_boundary_values(self, x):
         # both closed-form branches (recursion below |zeta| = 6, series
         # plus residue beyond it) against principal value + (+/-) i pi f
         for side, sign in (("+", 1), ("-", -1)):
-            C, _, series = gaussian_cauchy_moments(np.array([complex(x)]), 7,
-                                                   sign)
+            C, series = gaussian_cauchy_moments(np.array([complex(x)]), 7,
+                                                sign)
             assert bool(series[0]) == (abs(x) >= SERIES_RADIUS)
             for j in range(8):
-                want, _ = cauchy_boundary_plemelj(
+                want, _ = cauchy_transform(
                     lambda t, j=j: t ** j * np.exp(-t * t), (-13.0, 13.0),
-                    x, side)
+                    x, side, spread=1.0)
                 assert abs(C[0, j] - want) <= 1e-10 * (1 + abs(want)), (side, j)
                 # the imaginary part is the residue term exactly
                 assert C[0, j].imag == pytest.approx(
@@ -160,8 +184,9 @@ class TestBoundaryValues:
 
     def test_outside_interval_rejected(self):
         f = gaussian_callable(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            cauchy_boundary_plemelj(f, (-1.0, 1.0), 2.0, "+")
+        for x in (2.0, -1.0, 1.0):
+            with pytest.raises(ValueError):
+                cauchy_transform(f, (-1.0, 1.0), x, "+", spread=1.0)
 
 
 class TestJumpMatrix:
@@ -190,17 +215,16 @@ class TestYMatrix:
     def test_frozen_rank_one_values(self):
         pair, w1, w2 = rank_one_pair()
         system = RhSystem(pair, w1, w2)
-        Y, acc = system.y_matrix(2j)
+        Y = system.y_matrix(2j)
         assert Y.shape == (2, 2)
         assert Y[0, 0] == pytest.approx(2j, abs=1e-12)
         assert abs(np.linalg.det(Y) - 1.0) < 1e-8
-        assert np.max(acc) < 1e-9
 
     def test_entries_against_faddeeva_oracle(self):
         pair, w1, w2 = rank_one_pair()
         system = RhSystem(pair, w1, w2)
         z = 0.6 + 0.9j
-        Y, _ = system.y_matrix(z)
+        Y = system.y_matrix(z)
         # row 1: A(x) = x against the product weight e^{-x^2}
         expect01 = faddeeva_cauchy_gaussian([0.0, 1.0], 0.0, 0.5, 1.0, z) \
             / (2j * math.pi)
@@ -224,7 +248,7 @@ class TestYMatrix:
         w2 = WeightFamily([Weight.gaussian(0.0, 1.0, 1.0)])
         system = RhSystem(MultiIndexPair.balanced([2, 1], [3]), w1, w2)
         for z in (1.5j, 1.0 - 0.7j, -2.0 + 0.4j):
-            Y, _ = system.y_matrix(z)
+            Y = system.y_matrix(z)
             assert abs(np.linalg.det(Y) - 1.0) < 1e-7
 
     def test_asymptotic_decay(self):
@@ -240,8 +264,8 @@ class TestXMatrix:
         pair, w1, w2 = rank_one_pair()
         system = RhSystem(pair, w1, w2)
         z = 1.0 + 1.0j
-        Y, _ = system.y_matrix(z)
-        X, _ = system.x_matrix(z)
+        Y = system.y_matrix(z)
+        X = system.x_matrix(z)
         assert np.max(np.abs(X.T @ Y - np.eye(2))) < 1e-7
 
     def test_transpose_inverse_mixed_config(self):
@@ -250,8 +274,8 @@ class TestXMatrix:
         w2 = WeightFamily([Weight.gaussian(-0.3, 1.0, 1.0),
                            Weight.gaussian(0.5, 0.8, 1.0)])
         system = RhSystem(MultiIndexPair.balanced([2, 1], [2, 1]), w1, w2)
-        Y, _ = system.y_matrix(1.0 + 1.0j)
-        X, _ = system.x_matrix(1.0 + 1.0j)
+        Y = system.y_matrix(1.0 + 1.0j)
+        X = system.x_matrix(1.0 + 1.0j)
         assert np.max(np.abs(X.T @ Y - np.eye(4))) < 1e-7
 
     def test_jump_with_lower_triangular_factor(self):
@@ -262,8 +286,8 @@ class TestXMatrix:
         W = np.outer(w1.values(np.array([x])).ravel(),
                      w2.values(np.array([x])).ravel())
         JX[1:, :1] = -W.T
-        Xp, _ = system.x_matrix(x, "+")
-        Xm, _ = system.x_matrix(x, "-")
+        Xp = system.x_matrix(x, "+")
+        Xm = system.x_matrix(x, "-")
         norm = float(np.max(np.abs(Xp)))
         assert float(np.max(np.abs(Xp - Xm @ JX))) < 1e-6 * max(norm, 1.0)
 
@@ -273,7 +297,7 @@ class TestXMatrix:
         errors = []
         for R in (10.0, 20.0, 40.0):
             z = complex(0.0, R)
-            X, _ = system.x_matrix(z)
+            X = system.x_matrix(z)
             scales = np.array([z ** nl for nl in pair.n.parts]
                               + [z ** (-mk) for mk in pair.m.parts])
             errors.append(float(np.max(np.abs(X * scales[None, :]
@@ -285,8 +309,8 @@ class TestXMatrix:
         # the two boundary values of X differ only in its Cauchy columns
         pair, w1, w2 = rank_one_pair()
         system = RhSystem(pair, w1, w2)
-        plus, _ = system.x_matrix(0.1, "+")
-        minus, _ = system.x_matrix(0.1, "-")
+        plus = system.x_matrix(0.1, "+")
+        minus = system.x_matrix(0.1, "-")
         assert plus.shape == (2, 2)
         np.testing.assert_array_equal(plus[:, 1:], minus[:, 1:])
         assert np.all(plus[:, :1] != minus[:, :1])
@@ -300,7 +324,7 @@ class TestJumpVerification:
         assert set(rep) == {"x", "residual", "y_norm", "passed"}
         assert rep["passed"]
         assert rep["residual"] < 1e-6 * max(rep["y_norm"], 1.0)
-        Yp, _ = system.y_matrix(0.0, "+")
+        Yp = system.y_matrix(0.0, "+")
         assert rep["y_norm"] == float(np.max(np.abs(Yp)))
 
     def test_polynomial_columns_carry_no_jump(self):
@@ -308,11 +332,11 @@ class TestJumpVerification:
         system = RhSystem(pair, w1, w2)
         x = 0.35
         J = jump_matrix(w1, w2, x)
-        Ym, _ = system.y_matrix(complex(x, -1e-2))
+        Ym = system.y_matrix(complex(x, -1e-2))
         np.testing.assert_array_equal((Ym @ J)[:, :1], Ym[:, :1])
         # the one-sided boundary values share the entire block
-        plus, _ = system.y_matrix(x, "+")
-        minus, _ = system.y_matrix(x, "-")
+        plus = system.y_matrix(x, "+")
+        minus = system.y_matrix(x, "-")
         np.testing.assert_array_equal(plus[:, :1], minus[:, :1])
 
     @pytest.mark.parametrize("degree", [5, 7])
@@ -327,8 +351,8 @@ class TestJumpVerification:
         exact = rh.gaussian_cauchy_moments
 
         def perturbed(zeta, degree, side=0):
-            C, err, series = exact(zeta, degree, side)
-            return (C * 1.001 if side == 1 else C), err, series
+            C, series = exact(zeta, degree, side)
+            return (C * 1.001 if side == 1 else C), series
 
         monkeypatch.setattr(rh, "gaussian_cauchy_moments", perturbed)
         rep = rh_verification_report(system)
@@ -389,13 +413,21 @@ class TestVerificationReport:
         system = RhSystem(pair, w1, w2)
         rep = rh_verification_report(system, det_points=6, jump_points=3)
         for key in ("det_residuals", "det_max", "x_y_consistency", "x_y_max",
-                    "jump_points", "jump_residuals", "jump_details",
+                    "x_y_floor_max", "jump_points", "jump_residuals", "jump_details",
                     "asymptotic_errors", "asymptotic_ratios", "passed"):
             assert key in rep
         assert len(rep["det_residuals"]) == 6
         assert len(rep["jump_residuals"]) == 3
         assert rep["passed"] == {"det": True, "inverse_transpose": True,
                                  "jump": True, "asymptotics": True}
+
+    @pytest.mark.parametrize("config", ["wp", "p3"])
+    def test_inverse_transpose_at_rounding_floor(self, config):
+        # X^T Y - I sits at the rounding floor (p + q) u max|X| max|Y|
+        w1, w2, n, m = {"wp": WP, "p3": P3}[config]
+        rep = rh_verification_report(
+            RhSystem(MultiIndexPair.balanced(n, m), w1, w2))
+        assert 0.0 < rep["x_y_max"] <= 2.0 * rep["x_y_floor_max"]
 
     def test_report_is_seed_deterministic(self):
         pair, w1, w2 = rank_one_pair()
@@ -467,17 +499,14 @@ class TestClosedFormCauchy:
         points = [(complex(pt["re"], pt["im"]), None) for pt in rep["z_points"]]
         points += [(10j, None), (20j, None), (40j, None)]
         # boundary values on the real line: the panel twin takes them by
-        # cauchy_boundary_plemelj
+        # cauchy_transform with a side
         points += [(x, side) for x in rep["jump_points"] for side in "+-"]
-        p = len(w1)
-        cauchy_columns = {"y_matrix": np.s_[:, p:], "x_matrix": np.s_[:, :p]}
         for z, side in points:
-            for fn, cols in cauchy_columns.items():
-                got, acc = getattr(system, fn)(z, side)
-                want, _ = getattr(panel, fn)(z, side)
+            for fn in ("y_matrix", "x_matrix"):
+                got = getattr(system, fn)(z, side)
+                want = getattr(panel, fn)(z, side)
                 assert np.all(np.abs(got - want) <= 1e-10 * (1 + np.abs(want))), \
                     (fn, z, side)
-                assert np.all(acc[cols] > 0) and np.all(acc[cols] < 1e-9)
         assert system.branch_counts["panel"] == 0
         assert panel.branch_counts["recursion"] == 0
         assert rep["cauchy_branches"]["panel"] == 0
@@ -496,7 +525,7 @@ class TestClosedFormCauchy:
         9.0 * cmath.exp(0.4j), 9.0 * cmath.exp(-0.5j * math.pi)],
         ids=["inner-upper", "inner-lower", "outer-upper", "outer-lower"])
     def test_moments_match_mpmath(self, zeta):
-        C, err, series = gaussian_cauchy_moments(np.array([zeta]), 10)
+        C, series = gaussian_cauchy_moments(np.array([zeta]), 10)
         assert bool(series[0]) == (abs(zeta) >= SERIES_RADIUS)
         for j in range(11):
             want = mp_cauchy_moment(j, zeta)
@@ -508,7 +537,7 @@ class TestClosedFormCauchy:
     def test_moments_at_switch_radius(self, zeta):
         # Where the branches meet, both lose digits as 6^j / Gamma((j+1)/2):
         # about 2e-8 relative at j = 10 and 3e-9 at j = 7.
-        C, _, _ = gaussian_cauchy_moments(np.array([zeta]), 10)
+        C, _ = gaussian_cauchy_moments(np.array([zeta]), 10)
         for j in range(11):
             want = mp_cauchy_moment(j, zeta)
             bound = 1e-7 if j > 7 else 1e-8
@@ -525,10 +554,10 @@ class TestClosedFormCauchy:
         gauss = gaussian_callable(0.0, 1.0, 1.0)
         tab = WeightFamily([Weight.tabulated(gauss, (-12.0, 12.0))])
         system = RhSystem(pair, tab, tab)
-        Y, acc = system.y_matrix(1.0 + 1.0j)
+        Y = system.y_matrix(1.0 + 1.0j)
         assert system.branch_counts == {"recursion": 0,
                                         "asymptotic_series": 0, "panel": 2}
         closed = RhSystem(pair, w1, w2)
-        Yc, _ = closed.y_matrix(1.0 + 1.0j)
+        Yc = closed.y_matrix(1.0 + 1.0j)
         assert closed.branch_counts["panel"] == 0
         np.testing.assert_allclose(Y, Yc, rtol=1e-9, atol=1e-12)

@@ -12,7 +12,7 @@ from mixedmop.weights import (AccuracyError, adaptive_gauss_legendre,
                               family_interval, gaussian_pair_moments,
                               gaussian_product_params, transition_weight)
 
-from conftest import csv_oracle_bytes, quad_product_moment
+from conftest import quad_product_moment
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -218,7 +218,7 @@ class TestBasisAndTable:
                 lo, hi = family_interval(w1, w2)
                 expect, _ = quad(lambda x: ((x - c) / s) ** k * wj(x) * wl(x),
                                  lo, hi, limit=300, epsabs=1e-13)
-                assert table.entry(j, 0, k) == pytest.approx(
+                assert table.values[j, 0, k] == pytest.approx(
                     expect, abs=3e-12 + 1e-10 * abs(expect))
 
     def test_swapped_table_transposes_families(self):
@@ -229,40 +229,16 @@ class TestBasisAndTable:
         sw = table.swapped()
         for l in range(2):
             for k in range(5):
-                assert sw.entry(l, 0, k) == table.entry(0, l, k)
+                assert sw.values[l, 0, k] == table.values[0, l, k]
         assert sw.center == table.center and sw.scale == table.scale
-
-    def test_table_csv_round_trip_precision(self, tmp_path):
-        w = WeightFamily([Weight.gaussian(0.0, 1.0, 1.0)])
-        table = build_moment_table(w, w, 3)
-        path = tmp_path / "table.csv"
-        table.to_csv(str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "j,l,k,value,error_bound"
-        first = lines[1].split(",")
-        assert float(first[3]) == table.entry(0, 0, 0)
-
-    def test_table_csv_bytes_match_oracle(self, tmp_path):
-        w1 = WeightFamily([Weight.gaussian(-0.5, 0.8, 1.0),
-                           Weight.gaussian(0.6, 1.2, 1.0)])
-        w2 = WeightFamily([Weight.gaussian(0.3, 0.6, 1.0)])
-        for table in (build_moment_table(w1, w2, 5),
-                      build_moment_table(w1, w2, 5).swapped()):
-            path = tmp_path / "table.csv"
-            table.to_csv(str(path))
-            rows = [(j, l, k, table.values[j, l, k], table.accuracy[j, l, k])
-                    for j in range(len(table.w1)) for l in range(len(table.w2))
-                    for k in range(table.kmax + 1)]
-            assert path.read_bytes() == csv_oracle_bytes(
-                ("j", "l", "k", "value", "error_bound"), rows)
 
     def test_rank_override_center_scale(self):
         w = WeightFamily([Weight.gaussian(0.0, 1.0, 1.0)])
         t1 = build_moment_table(w, w, 4, center=0.0, scale=2.0)
         t2 = build_moment_table(w, w, 4)
         assert t1.scale == 2.0
-        assert t1.entry(0, 0, 2) == pytest.approx(t2.entry(0, 0, 2) / 4.0,
-                                                  rel=1e-12)
+        assert t1.values[0, 0, 2] == pytest.approx(t2.values[0, 0, 2] / 4.0,
+                                                   rel=1e-12)
 
 
 class TestJsonConfig:
