@@ -48,6 +48,8 @@ INVERSION_TOL = 1e-12
 INVERSION_MAX_STEPS = 60
 PATH_MIN_GRID = 64
 PATH_MIN_ACCEPTANCE = 1e-5
+# Equal-mass bins of the chi-squared goodness-of-fit test.
+CHI_SQUARE_BINS = 40
 
 
 @dataclass(frozen=True)
@@ -107,13 +109,13 @@ class BrownianConfig:
         t = self.time
         return math.sqrt(t * (1.0 - t) / self.n_scale)
 
-    def bridge_box(self, sigmas: float = 8.0) -> tuple[float, float]:
-        """Box containing the observed positions to the stated number of
-        bridge standard deviations (i-th ordered start pairs with i-th end)."""
+    def bridge_box(self) -> tuple[float, float]:
+        """Box containing the observed positions to 8 bridge standard
+        deviations (i-th ordered start pairs with i-th end)."""
         t = self.time
         means = (1.0 - t) * self.flat_starts() + t * self.flat_ends()
-        sd = self.bridge_sd()
-        return float(means.min() - sigmas * sd), float(means.max() + sigmas * sd)
+        half = 8.0 * self.bridge_sd()
+        return float(means.min() - half), float(means.max() + half)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BrownianConfig":
@@ -133,14 +135,6 @@ class BrownianConfig:
             raise ValueError("invalid brownian config: n_scaling must be a "
                              f"JSON boolean, got {scaling!r}")
         return cls(starts=starts, ends=ends, time=t, variance_scaling=scaling)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "starts": [[a, k] for a, k in self.starts],
-            "ends": [[b, k] for b, k in self.ends],
-            "t": self.time,
-            "n_scaling": self.variance_scaling,
-        }
 
 
 def config_to_weights(config: BrownianConfig
@@ -231,12 +225,11 @@ def gram_normalization(w1: WeightFamily, w2: WeightFamily, n: int) -> float:
     return float(math.factorial(n) * np.linalg.det(G))
 
 
-def km_density(config: BrownianConfig, *, rel_tol: float = 1e-9
-               ) -> KarlinMcGregorDensity:
+def km_density(config: BrownianConfig) -> KarlinMcGregorDensity:
     """Joint density for distinct points.  z_n is Gauss-Legendre quadrature
     by the discrete Andreief identity (`andreief_quadrature`) at doubling
-    degrees until two values agree to rel_tol, cross-checked against the
-    closed-form Gram route (`gram_normalization`)."""
+    degrees until two values agree to 1e-9 relative, cross-checked against
+    the closed-form Gram route (`gram_normalization`)."""
     if not config.distinct:
         raise ValueError("the Karlin-McGregor determinant form needs all "
                          "multiplicities equal to 1; use the kernel for "
@@ -247,7 +240,7 @@ def km_density(config: BrownianConfig, *, rel_tol: float = 1e-9
     for degree in NORMALIZATION_DEGREES[1:]:
         prev, z = z, andreief_quadrature(w1, w2, box, degree)
         z_acc = abs(z - prev)
-        if z_acc <= rel_tol * max(abs(z), 1e-300):
+        if z_acc <= 1e-9 * max(abs(z), 1e-300):
             break
     else:
         raise AccuracyError(
@@ -306,7 +299,6 @@ class DppSamples:
     mass_deviation_max: float
     inversion_residual_max: float
     series_residual_max: float
-    seed: int
 
 
 def _phi_psi(system: BiorthogonalSystem, x: np.ndarray
@@ -492,7 +484,7 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
             M = M - Mpsi[:, :, None] * phiM[:, None, :] / denom[:, None, None]
     return DppSamples(samples=np.sort(out, axis=1), mass_deviation_max=mass_dev,
                       inversion_residual_max=inversion,
-                      series_residual_max=series_gap, seed=int(seed))
+                      series_residual_max=series_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +634,6 @@ class PathBundles:
     paths: np.ndarray
     acceptance_rate: float
     attempted: int
-    seed: int
 
     @property
     def count(self) -> int:
@@ -697,38 +688,40 @@ def sample_paths(config: BrownianConfig, time_grid, count: int, seed: int
     paths = np.concatenate(accepted, axis=0)[:count]
     return PathBundles(times=times, paths=paths,
                        acceptance_rate=total_ok / attempted,
-                       attempted=attempted, seed=int(seed))
+                       attempted=attempted)
 
 
 # ---------------------------------------------------------------------------
 # Goodness of fit against the kernel route
 
 
-def equal_mass_bins(system: BiorthogonalSystem, box: tuple[float, float],
-                    bins: int = 40, resolution: int = 4096) -> np.ndarray:
-    """Bin edges carrying equal r1/n mass, from a dense trapezoid CDF.
+def equal_mass_bins(system: BiorthogonalSystem, box: tuple[float, float]
+                    ) -> np.ndarray:
+    """CHI_SQUARE_BINS bin edges carrying equal r1/n mass, from a
+    trapezoid CDF on 4096 points.
 
     Outer edges are pushed to +-inf so every draw lands in some bin.
     """
     lo, hi = box
-    xs = np.linspace(lo, hi, resolution)
+    xs = np.linspace(lo, hi, 4096)
     dens = np.maximum(r1_grid(system, xs), 0.0)
     cdf = np.concatenate([[0.0], np.cumsum(
         0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))])
     cdf /= cdf[-1]
-    qs = np.arange(1, bins) / bins
+    qs = np.arange(1, CHI_SQUARE_BINS) / CHI_SQUARE_BINS
     inner = np.interp(qs, cdf, xs)
     return np.concatenate([[-np.inf], inner, [np.inf]])
 
 
 def chi_square_report(samples: np.ndarray, system: BiorthogonalSystem,
-                      box: tuple[float, float], bins: int = 40) -> dict:
+                      box: tuple[float, float]) -> dict:
     """Chi-squared comparison of pooled sample coordinates against the
     one-point correlation, on equal-mass bins."""
     from scipy.special import chdtrc
 
     pooled = np.asarray(samples, dtype=float).ravel()
-    edges = equal_mass_bins(system, box, bins)
+    bins = CHI_SQUARE_BINS
+    edges = equal_mass_bins(system, box)
     observed, _ = np.histogram(pooled, bins=edges)
     expected = np.full(bins, pooled.size / bins)
     statistic = float(np.sum((observed - expected) ** 2 / expected))

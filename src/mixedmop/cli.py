@@ -93,9 +93,14 @@ def _weight_problem(raw: dict):
         raise ValidationFailure("config needs multi-indices 'n' and 'm'")
     try:
         w1, w2 = weights_from_json(raw)
-        return w1, w2, _multi_index(raw["n"], "n"), _multi_index(raw["m"], "m")
+        n, m = _multi_index(raw["n"], "n"), _multi_index(raw["m"], "m")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationFailure(f"bad weight problem: {exc}") from exc
+    if len(n) != len(w1) or len(m) != len(w2):
+        raise ValidationFailure(
+            f"'n' has {len(n)} part(s) for {len(w1)} 'w1' weight(s) and 'm' "
+            f"{len(m)} for {len(w2)} 'w2' weight(s): need one part per weight")
+    return w1, w2, n, m
 
 
 def _pair(n, m, relation: str) -> MultiIndexPair:
@@ -312,7 +317,6 @@ COMMANDS = {
 
 
 def _write_artifacts(out_dir: str, artifacts: list) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     for name, kind, payload in artifacts:
         path = os.path.join(out_dir, name)
         if kind == "json":
@@ -415,6 +419,11 @@ def main(argv=None) -> int:
             raise ValidationFailure("seed must be nonnegative")
         args.grid = _parse_grid(args.grid) if args.grid is not None else None
         raw = _load_config(args.config)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValidationFailure(
+                f"cannot create output directory {out_dir}: {exc}") from exc
         artifacts = COMMANDS[args.command](args, raw)
         _write_artifacts(out_dir, artifacts)
         return 0

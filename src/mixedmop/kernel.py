@@ -12,13 +12,12 @@ meaningful check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .mop import (MixedMopSolution, MultiIndexPair, Normalization,
-                  NotNormalizable, check_normality, column_layout,
-                  moment_matrix, moment_table_for, rank_threshold, solve_mixed)
+                  NotNormalizable, check_normality, moment_matrix,
+                  moment_table_for, pair_layouts, rank_threshold, solve_mixed)
 from .weights import (ProductMomentTable, WeightFamily, adaptive_gauss_legendre,
                       family_interval, _leggauss)
 
@@ -44,7 +43,7 @@ class BiorthogonalSystem:
 
     B is the Gram matrix of the raw bases, C its (refined) inverse; the
     kernel is K(x, y) = f(x)^T C^T g(y) with f, g the raw basis value
-    vectors.  The represented kernel is invariant under the basis ordering.
+    vectors.
     """
 
     pair: MultiIndexPair
@@ -89,29 +88,18 @@ def _basis_values(layout, family, center, scale, x) -> np.ndarray:
 
 
 def build_biorthogonal(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
-                       table: ProductMomentTable | None = None, *,
-                       f_order: Sequence[int] | None = None,
-                       g_order: Sequence[int] | None = None) -> BiorthogonalSystem:
+                       table: ProductMomentTable | None = None) -> BiorthogonalSystem:
     """Gram-matrix biorthogonalization of the raw F and G bases.
 
-    Optional f_order/g_order permute the raw bases (the kernel must not care;
-    tests exercise that).  Raises DegeneratePair, with the normality report
-    attached, when the Gram matrix is numerically singular.
+    Raises DegeneratePair, with the normality report attached, when the
+    Gram matrix is numerically singular.
     """
     if pair.relation != "balanced":
         raise ValueError("kernel construction needs a balanced pair (|n| = |m|)")
-    w1 = w1 if isinstance(w1, WeightFamily) else WeightFamily(w1)
-    w2 = w2 if isinstance(w2, WeightFamily) else WeightFamily(w2)
     if table is None:
         table = moment_table_for(pair, w1, w2)
 
-    f_layout = column_layout(pair.n.parts)
-    g_layout = column_layout(pair.m.parts)
-    if f_order is not None:
-        f_layout = [f_layout[i] for i in f_order]
-    if g_order is not None:
-        g_layout = [g_layout[i] for i in g_order]
-
+    f_layout, g_layout = pair_layouts(pair, table)
     B = moment_matrix(table.values, f_layout, g_layout).T
 
     U, svals, Vt = np.linalg.svd(B)
@@ -136,7 +124,7 @@ def kernel_direct_grid(sys: BiorthogonalSystem, xs, ys) -> np.ndarray:
     return F.T @ sys.transform.T @ G
 
 
-def trace_quadrature(sys: BiorthogonalSystem, *, abs_tol: float = 1e-10) -> tuple[float, float]:
+def trace_quadrature(sys: BiorthogonalSystem) -> tuple[float, float]:
     """integral K(x, x) dx by adaptive quadrature; equals |n| for a projection."""
     lo, hi = sys.interval()
 
@@ -145,7 +133,7 @@ def trace_quadrature(sys: BiorthogonalSystem, *, abs_tol: float = 1e-10) -> tupl
         G = sys.g_values(xs)
         return np.einsum("an,ja,jn->n", F, sys.transform, G)
 
-    val, err = adaptive_gauss_legendre(diag, lo, hi, abs_tol=abs_tol, rel_tol=1e-12)
+    val, err = adaptive_gauss_legendre(diag, lo, hi, abs_tol=1e-10, rel_tol=1e-12)
     return float(val), float(err)
 
 
@@ -229,8 +217,6 @@ def build_cd_data(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
     """
     if pair.relation != "balanced":
         raise ValueError("CD data needs a balanced pair (|n| = |m|)")
-    w1 = w1 if isinstance(w1, WeightFamily) else WeightFamily(w1)
-    w2 = w2 if isinstance(w2, WeightFamily) else WeightFamily(w2)
     if table is None:
         table = moment_table_for(pair, w1, w2)
     swapped = table.swapped()

@@ -181,6 +181,18 @@ def moment_matrix(values: np.ndarray, cols: Sequence[tuple[int, int]],
     return values[l[None, :], k[:, None], i[None, :] + j[:, None]]
 
 
+def pair_layouts(pair: MultiIndexPair, table: ProductMomentTable
+                 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The column layouts of pair.n and pair.m.  Raises ValueError unless
+    n has one part per weight of table.w1 and m one per weight of table.w2:
+    the one check wherever a pair meets a table."""
+    if len(pair.n) != len(table.w1) or len(pair.m) != len(table.w2):
+        raise ValueError(
+            f"pair has {len(pair.n)} part(s) in n and {len(pair.m)} in m, but "
+            f"the families have {len(table.w1)} and {len(table.w2)} weight(s)")
+    return column_layout(pair.n.parts), column_layout(pair.m.parts)
+
+
 def assemble_orthogonality_matrix(pair: MultiIndexPair,
                                   table: ProductMomentTable) -> np.ndarray:
     """The |m| x |n| matrix of the orthogonality conditions.
@@ -189,18 +201,14 @@ def assemble_orthogonality_matrix(pair: MultiIndexPair,
     i of A_l; the entry is the table moment of order i + j for the pair
     (w1_l, w2_k).
     """
-    if len(pair.n) != len(table.w1) or len(pair.m) != len(table.w2):
-        raise ValueError("pair length does not match the table's families")
-    return moment_matrix(table.values, column_layout(pair.n.parts),
-                         column_layout(pair.m.parts))
+    return moment_matrix(table.values, *pair_layouts(pair, table))
 
 
-def moment_table_for(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
-                     *, margin: int = 4, center: float | None = None,
-                     scale: float | None = None) -> ProductMomentTable:
-    """A table sized for the pair, its +-e_k neighbors, and normalization rows."""
-    kmax = max(pair.n.parts) + max(pair.m.parts) + margin
-    return build_moment_table(w1, w2, kmax, center=center, scale=scale)
+def moment_table_for(pair: MultiIndexPair, w1: WeightFamily,
+                     w2: WeightFamily) -> ProductMomentTable:
+    """A table sized for the pair, its +-e_k neighbors, and normalization
+    rows: orders up to max(n) + max(m) + 4."""
+    return build_moment_table(w1, w2, max(pair.n.parts) + max(pair.m.parts) + 4)
 
 
 def _normalization_row(pair: MultiIndexPair, values: np.ndarray, center, scale,
@@ -421,8 +429,7 @@ def _solve_mixed_extended(pair: MultiIndexPair, table: ProductMomentTable,
         c, s = mpmath.mpf(table.center), mpmath.mpf(table.scale)
         kmax = max(pair.n.parts) + max(pair.m.parts) + 2
         values = _mp_entry_provider(table.w1, table.w2, kmax, c, s)
-        M = moment_matrix(values, column_layout(pair.n.parts),
-                          column_layout(pair.m.parts))
+        M = moment_matrix(values, *pair_layouts(pair, table))
         row, rhs = _normalization_row(pair, values, c, s, normalization)
         size = len(row)
         A = mpmath.matrix(np.vstack([M, row[None, :]]).tolist())
@@ -498,11 +505,9 @@ def _table_with_kmax(table: ProductMomentTable, kmax: int) -> ProductMomentTable
 
 def check_normality(pair: MultiIndexPair, table: ProductMomentTable) -> NormalityReport:
     """Rank tests behind normality and both normalization admissibilities."""
-    need = max(pair.n.parts) + max(pair.m.parts) + 2
-    table = _table_with_kmax(table, need)
-
-    cols = column_layout(pair.n.parts)
-    M = moment_matrix(table.values, cols, column_layout(pair.m.parts))
+    cols, rows = pair_layouts(pair, table)
+    table = _table_with_kmax(table, max(pair.n.parts) + max(pair.m.parts) + 2)
+    M = moment_matrix(table.values, cols, rows)
     rank, svals = numerical_rank(M)
     kernel_dim = pair.n.size - rank
     if svals.size and svals[-1] > 0 and rank == min(M.shape):
@@ -532,8 +537,7 @@ def check_normality(pair: MultiIndexPair, table: ProductMomentTable) -> Normalit
     for k in range(len(pair.n)):
         n_red = list(pair.n.parts)
         n_red[k] -= 1
-        red = moment_matrix(table.values, column_layout(n_red),
-                            column_layout(pair.m.parts))
+        red = moment_matrix(table.values, column_layout(n_red), rows)
         r, _ = numerical_rank(red)
         typeII.append(r == pair.n.size - 1)
 
@@ -569,7 +573,6 @@ def solve_type1_classical(weights: WeightFamily, n: Sequence[int]) -> MixedMopSo
     j <= |n| - 2, and integral Q x^{|n|-1} dx = 1.  Realized as a mixed
     solve against a single truncated-constant test weight.
     """
-    weights = weights if isinstance(weights, WeightFamily) else WeightFamily(weights)
     n = MultiIndex(tuple(n))
     box = WeightFamily([_lebesgue_box([weights])])
     pair = MultiIndexPair.defining(n.parts, (n.size - 1,))
@@ -584,7 +587,6 @@ def solve_type2_classical(weights: WeightFamily, m: Sequence[int]) -> MixedMopSo
     Returned as a mixed solution whose single polynomial is P (the constant
     box weight carries it); .polynomials_original()[0] are its coefficients.
     """
-    weights = weights if isinstance(weights, WeightFamily) else WeightFamily(weights)
     m = MultiIndex(tuple(m))
     box = WeightFamily([_lebesgue_box([weights])])
     pair = MultiIndexPair.defining((m.size + 1,), m.parts)

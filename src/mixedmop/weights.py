@@ -198,8 +198,8 @@ def _leggauss(degree: int):
 
 
 def adaptive_gauss_legendre(f: Callable, a: float, b: float, *,
-                            abs_tol: float = 1e-12, rel_tol: float = 1e-10,
-                            max_degree: int = MAX_QUAD_DEGREE) -> tuple[float, float]:
+                            abs_tol: float = 1e-12,
+                            rel_tol: float = 1e-10) -> tuple[float, float]:
     """Integrate a vectorized integrand on [a, b], doubling the degree.
 
     Stops when two successive estimates agree to abs_tol or rel_tol; raises
@@ -212,7 +212,7 @@ def adaptive_gauss_legendre(f: Callable, a: float, b: float, *,
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     prev = None
     degree = MIN_QUAD_DEGREE
-    while degree <= max_degree:
+    while degree <= MAX_QUAD_DEGREE:
         nodes, wts = _leggauss(degree)
         vals = np.asarray(f(mid + half * nodes))
         est = half * np.tensordot(vals, wts, axes=(vals.ndim - 1, 0))
@@ -223,10 +223,9 @@ def adaptive_gauss_legendre(f: Callable, a: float, b: float, *,
                 return est, err
         prev = est
         degree *= 2
-    achieved = float(np.max(np.abs(est - prev))) if prev is not None else math.inf
     raise AccuracyError(
-        f"Gauss-Legendre did not converge on [{a:g}, {b:g}] at degree {max_degree}",
-        value=est, achieved=achieved)
+        f"Gauss-Legendre did not converge on [{a:g}, {b:g}] at degree "
+        f"{MAX_QUAD_DEGREE}", value=est, achieved=err)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +265,7 @@ def family_interval(*families: WeightFamily) -> tuple[float, float]:
 class ProductMomentTable:
     """Moments integral u^k w1_j w2_l dx in the shared shifted-scaled basis.
 
-    values has shape (p, q, kmax+1); accuracy holds an absolute error bound
-    per entry (rounding-level for gaussian pairs, quadrature bound else).
+    values has shape (p, q, kmax+1).
     """
 
     w1: WeightFamily
@@ -276,31 +274,28 @@ class ProductMomentTable:
     scale: float
     kmax: int
     values: np.ndarray
-    accuracy: np.ndarray
 
     def swapped(self) -> "ProductMomentTable":
         """The same table with the two families' roles exchanged."""
         return ProductMomentTable(
             w1=self.w2, w2=self.w1, center=self.center, scale=self.scale,
-            kmax=self.kmax, values=self.values.transpose(1, 0, 2),
-            accuracy=self.accuracy.transpose(1, 0, 2))
+            kmax=self.kmax, values=self.values.transpose(1, 0, 2))
 
 
 def _quad_pair_moments(w1: Weight, w2: Weight, kmax: int,
-                       center: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+                       center: float, scale: float) -> np.ndarray:
     lo1, hi1 = w1.interval()
     lo2, hi2 = w2.interval()
     lo, hi = max(lo1, lo2), min(hi1, hi2)
     if hi <= lo:
-        return np.zeros(kmax + 1), np.zeros(kmax + 1)
+        return np.zeros(kmax + 1)
 
     def integrand(x):
         u = (x - center) / scale
         pows = np.vander(u, kmax + 1, increasing=True).T
         return pows * (w1(x) * w2(x))
 
-    vals, err = adaptive_gauss_legendre(integrand, lo, hi)
-    return np.asarray(vals, dtype=float), np.full(kmax + 1, err)
+    return np.asarray(adaptive_gauss_legendre(integrand, lo, hi)[0], dtype=float)
 
 
 def build_moment_table(w1: WeightFamily, w2: WeightFamily, kmax: int, *,
@@ -312,8 +307,6 @@ def build_moment_table(w1: WeightFamily, w2: WeightFamily, kmax: int, *,
     decisions under that choice); by default it is derived from both
     families.
     """
-    w1 = w1 if isinstance(w1, WeightFamily) else WeightFamily(w1)
-    w2 = w2 if isinstance(w2, WeightFamily) else WeightFamily(w2)
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     auto_c, auto_s = basis_center_scale(w1, w2)
@@ -323,22 +316,19 @@ def build_moment_table(w1: WeightFamily, w2: WeightFamily, kmax: int, *,
         raise ValueError("basis scale must be positive")
 
     values = np.zeros((len(w1), len(w2), kmax + 1))
-    accuracy = np.zeros_like(values)
-    rounding = (np.arange(kmax + 1) + 2) * 2e-16
     for j, a in enumerate(w1):
         for l, b in enumerate(w2):
             if a.kind == "gaussian" and b.kind == "gaussian":
                 values[j, l] = gaussian_pair_moments(a, b, kmax, c, s)
-                accuracy[j, l] = rounding * np.abs(values[j, l])
             else:
-                values[j, l], accuracy[j, l] = _quad_pair_moments(a, b, kmax, c, s)
+                values[j, l] = _quad_pair_moments(a, b, kmax, c, s)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         j, l, k = (int(v) for v in bad[0])
         raise AccuracyError(f"moment table entry is not finite: weight pair "
                             f"({j}, {l}), order {k} (value {values[j, l, k]})")
     return ProductMomentTable(w1=w1, w2=w2, center=c, scale=s, kmax=kmax,
-                              values=values, accuracy=accuracy)
+                              values=values)
 
 
 # ---------------------------------------------------------------------------

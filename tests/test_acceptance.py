@@ -249,7 +249,7 @@ def test_criterion_6_mcmc_validation():
                             ends=((-1.0, 1), (1.0, 1)), time=0.5)
     draws = sample_positions(km_density(config), 100_000, SEED)
     report = chi_square_report(draws.samples, correlation_kernel(config),
-                               config.bridge_box(), bins=40)
+                               config.bridge_box())
 
     a, b, t = 0.2, -0.5, 0.4
     single = BrownianConfig(starts=((a, 1),), ends=((b, 1),), time=t,

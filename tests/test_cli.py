@@ -23,6 +23,7 @@ from mixedmop import (BrownianConfig, MultiIndexPair, RhSystem,
                       correlation_kernel, kernel_cd_grid, kernel_direct_grid,
                       r1_grid, sample_projection_dpp, weights_from_json)
 from mixedmop.cli import GRID_LIMITS, main
+from mixedmop.kernel import relative_discrepancy
 
 from conftest import csv_oracle_bytes, kernel_grid_rows
 
@@ -37,6 +38,14 @@ DEFINING = {"w1": [GAUSS], "w2": [GAUSS], "n": [2], "m": [1]}
 # Two weights per side, for index and weight-parameter input checks.
 SHIFTED = [dict(GAUSS, center=-0.8), dict(GAUSS, center=0.9, variance=0.7)]
 TWO_BY_TWO = {"w1": SHIFTED, "w2": SHIFTED, "n": [2, 1], "m": [1, 1]}
+
+# The benchmark's wp problem: two weights per side, n = [3, 2], m = [2, 3].
+WP = {"w1": [dict(GAUSS, center=-0.5, variance=0.8),
+             dict(GAUSS, center=0.6, variance=1.2)],
+      "w2": [dict(GAUSS, center=0.0, variance=1.0),
+             dict(GAUSS, center=0.3, variance=0.6)],
+      "n": [3, 2], "m": [2, 3]}
+
 KERNEL_GRID_HEADER = ("x", "y", "K_direct", "K_cd", "abs_diff")
 
 TWO_WALKERS = {
@@ -111,6 +120,24 @@ class TestKernelGrid:
         code, _ = run_cli(tmp_path, "kernel-grid", RANK_ONE,
                           "--grid", "-2:2:5")
         assert code == 0
+
+    def test_kernel_ignores_family_order(self, tmp_path):
+        # writing both families, n and m in reverse order describes the same
+        # kernel; the bytes may differ at rounding level, since the basis
+        # center is a mean over the weight centers
+        reverse = {key: value[::-1] for key, value in WP.items()}
+        grids = []
+        for name, config in (("wp", WP), ("reverse", reverse)):
+            code, out = run_cli(tmp_path, "kernel-grid", config, "--grid",
+                                "-2:2:41", out_name=name,
+                                config_name=name + ".json")
+            assert code == 0
+            grids.append(np.loadtxt(out / "kernel_grid.csv", delimiter=",",
+                                    skiprows=1))
+        a, b = grids
+        np.testing.assert_array_equal(a[:, :2], b[:, :2])
+        for column in (2, 3):  # K_direct, K_cd
+            assert relative_discrepancy(a[:, column], b[:, column]) <= 1e-10
 
     def test_cd_grid_computed_once(self, tmp_path, monkeypatch):
         calls = []
@@ -200,6 +227,42 @@ class TestValidationFailures:
     def test_negative_seed(self, tmp_path):
         code, _ = run_cli(tmp_path, "kernel-grid", RANK_ONE, "--seed", "-1")
         assert code == 1
+
+    @pytest.mark.parametrize("command, w2, n, m", [
+        ("kernel-grid", [GAUSS], [1, 1], [2]),
+        ("cd-check", [GAUSS], [1, 1], [2]),
+        ("rh-verify", [GAUSS], [1, 1], [2]),
+        ("mop-solve", [GAUSS], [1, 1], [1]),
+        ("kernel-grid", [GAUSS, GAUSS], [2], [2])],
+        ids=["kernel-grid", "cd-check", "rh-verify", "mop-solve", "m-short"])
+    def test_part_count_must_match_family(self, tmp_path, capsys, command,
+                                          w2, n, m):
+        config = {"w1": [GAUSS], "w2": w2, "n": n, "m": m}
+        code, out = run_cli(tmp_path, command, config)
+        assert code == 1
+        message = self.assert_only_error_report(out)["message"]
+        assert message == (
+            f"'n' has {len(n)} part(s) for 1 'w1' weight(s) and 'm' "
+            f"{len(m)} for {len(w2)} 'w2' weight(s): need one part per weight")
+        assert capsys.readouterr().err == f"VALIDATION: {message}\n"
+
+    @pytest.mark.parametrize("out_name", ["taken", "taken/sub"])
+    def test_out_must_be_a_directory(self, tmp_path, capsys, monkeypatch,
+                                     out_name):
+        # refused before the command computes: a run that reached the
+        # moment table would exit 3 here
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "moment_table_for", boom)
+        (tmp_path / "taken").write_text("kept")
+        code, _ = run_cli(tmp_path, "kernel-grid", RANK_ONE, out_name=out_name)
+        assert code == 1
+        assert (tmp_path / "taken").read_text() == "kept"
+        err = capsys.readouterr().err
+        assert err.startswith("VALIDATION: cannot create output directory "
+                              + str(tmp_path / out_name))
+        assert err.count("\n") == 1
 
     def test_missing_required_arguments(self, capsys):
         # no --out, so the stderr line is all a failed run can leave

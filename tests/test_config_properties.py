@@ -3,12 +3,14 @@ fields of a config for any of the seven commands, the command exits 0
 (success), 1 (validation) or 2 (numerical failure), never 3 (internal
 error).
 
-A draw starts from a valid config and replaces up to two of its fields, at
-any depth, by an arbitrary JSON value, so that every field is reached with
-the rest valid.  Weight problems have at most 2 weights per side and
-multi-index parts <= 4; Brownian configs have at most 4 walkers on
-well-separated points, at most 50 draws and at most 5 path bundles.  The
-grid commands run on the fixed 5-point grid GRID.
+A draw starts from a config and replaces up to two of its fields, at any
+depth, by an arbitrary JSON value, so that every field is reached with the
+rest as drawn.  Weight problems have 1 or 2 weights per side, drawn apart
+from the number of parts of n and m (so a family and its multi-index may
+disagree), and multi-index parts <= 4.  Brownian configs are valid before
+the replacement, with at most 4 walkers on well-separated points, at most
+50 draws and at most 5 path bundles.  The grid commands run on the fixed
+5-point grid GRID.
 """
 
 import json
@@ -46,9 +48,9 @@ def configs(draw, command):
                 "amplitude": draw(st.floats(0.5, 2.0))}
 
     n = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
-    config = {"n": n, "m": _parts(draw, sum(n) - (command == "mop-solve")),
-              "w1": [weight() for _ in n]}
-    config["w2"] = [weight() for _ in config["m"]]
+    config = {"n": n, "m": _parts(draw, sum(n) - (command == "mop-solve"))}
+    for side in ("w1", "w2"):
+        config[side] = [weight() for _ in range(draw(st.integers(1, 2)))]
     if command == "mop-solve":
         config["normalization"] = {"kind": draw(st.sampled_from(["I", "II"])),
                                    "index": draw(st.integers(0, 2))}

@@ -7,8 +7,8 @@ import pytest
 
 from mixedmop import (DegeneratePair, MultiIndexPair, Weight, WeightFamily,
                       build_biorthogonal, build_cd_data, build_moment_table,
-                      kernel_cd_band, kernel_cd_diagonal, kernel_cd_grid,
-                      kernel_direct_grid, kernel_routes_report,
+                      check_normality, kernel_cd_band, kernel_cd_diagonal,
+                      kernel_cd_grid, kernel_direct_grid, kernel_routes_report,
                       transition_weight)
 from mixedmop.kernel import (idempotence_residual, relative_discrepancy,
                              trace_quadrature)
@@ -69,18 +69,16 @@ class TestBiorthogonal:
         assert sys.dimension == 3
         assert len(sys.f_layout) == len(sys.g_layout) == 3
 
-    def test_kernel_ignores_basis_order(self):
-        rng = np.random.default_rng(13)
-        w1, w2 = random_gaussian_families(rng, 2, 1)
-        pair = MultiIndexPair.balanced([2, 2], [4])
-        sys = build_biorthogonal(pair, w1, w2)
-        shuffled = build_biorthogonal(pair, w1, w2,
-                                      f_order=[3, 0, 2, 1],
-                                      g_order=[1, 3, 0, 2])
-        xs = np.linspace(-2.0, 2.0, 7)
-        A = kernel_direct_grid(sys, xs, xs)
-        B = kernel_direct_grid(shuffled, xs, xs)
-        assert np.max(np.abs(A - B)) < 1e-12
+    @pytest.mark.parametrize("build", [
+        build_biorthogonal, build_cd_data,
+        lambda pair, w1, w2: check_normality(
+            pair, build_moment_table(w1, w2, 8))],
+        ids=["build_biorthogonal", "build_cd_data", "check_normality"])
+    def test_part_count_must_match_family(self, build):
+        # n = [2] on two w1 weights would drop the second weight
+        w1, w2 = random_gaussian_families(np.random.default_rng(13), 2, 1)
+        with pytest.raises(ValueError, match="families have 2 and 1 weight"):
+            build(MultiIndexPair.balanced([2], [2]), w1, w2)
 
 
 class TestKernelDirect:

@@ -411,13 +411,13 @@ class TestVerificationReport:
     def test_report_keys_and_certificates(self):
         pair, w1, w2 = rank_one_pair()
         system = RhSystem(pair, w1, w2)
-        rep = rh_verification_report(system, det_points=6, jump_points=3)
+        rep = rh_verification_report(system)
         for key in ("det_residuals", "det_max", "x_y_consistency", "x_y_max",
                     "x_y_floor_max", "jump_points", "jump_residuals", "jump_details",
                     "asymptotic_errors", "asymptotic_ratios", "passed"):
             assert key in rep
-        assert len(rep["det_residuals"]) == 6
-        assert len(rep["jump_residuals"]) == 3
+        assert len(rep["det_residuals"]) == 20
+        assert len(rep["jump_residuals"]) == 10
         assert rep["passed"] == {"det": True, "inverse_transpose": True,
                                  "jump": True, "asymptotics": True}
 
@@ -432,8 +432,8 @@ class TestVerificationReport:
     def test_report_is_seed_deterministic(self):
         pair, w1, w2 = rank_one_pair()
         system = RhSystem(pair, w1, w2)
-        a = rh_verification_report(system, seed=7, det_points=2, jump_points=1)
-        b = rh_verification_report(system, seed=7, det_points=2, jump_points=1)
+        a = rh_verification_report(system, seed=7)
+        b = rh_verification_report(system, seed=7)
         assert a["z_points"] == b["z_points"]
         assert a["det_residuals"] == b["det_residuals"]
 
