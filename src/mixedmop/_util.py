@@ -82,6 +82,15 @@ def json_count(value, what: str, minimum: int = 1, maximum=math.inf) -> int:
     return value
 
 
+def known_keys(obj: dict, allowed: Sequence[str], what: str) -> None:
+    """Refuse a key of a JSON object that allowed does not list, so that a
+    misspelled setting cannot silently fall back to its default."""
+    unknown = [key for key in obj if key not in allowed]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {what} (allowed: "
+                         + ", ".join(allowed) + ")")
+
+
 def json_ready(obj: Any) -> Any:
     """Recursively convert numpy scalars/arrays so json.dump can take them."""
     if isinstance(obj, dict):

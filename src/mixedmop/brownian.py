@@ -276,10 +276,8 @@ def r_m(system: BiorthogonalSystem, points) -> float:
 
 
 def r1_grid(system: BiorthogonalSystem, xs) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    F = system.f_values(xs)
-    G = system.g_values(xs)
-    return np.einsum("an,ab,bn->n", F, system.transform.T, G)
+    """The one-point function r1(x) = K(x, x) at the points xs."""
+    return system.diagonal(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +310,6 @@ def _phi_psi(system: BiorthogonalSystem, x: np.ndarray
     phi = sum(C[:, c, None] * F[c] for c in range(len(F)))
     shape = (len(F),) + x.shape
     return phi.reshape(shape), system.g_values(flat).reshape(shape)
-
-
-def _quadratic_form(M: np.ndarray, phi: np.ndarray, psi: np.ndarray
-                    ) -> np.ndarray:
-    """phi^T M psi per draw: M is (B, n, n), phi and psi are (n, B, ...)."""
-    n = M.shape[1]
-    tail = (None,) * (phi.ndim - 2)
-    out = 0.0
-    for a in range(n):
-        row = sum(M[(slice(None), a, b) + tail] * psi[b] for b in range(n))
-        out = out + phi[a] * row
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -472,7 +458,7 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
             phi, psi = _phi_psi(system, x)
             Mpsi = sum(M[:, :, b] * psi[b, :, None] for b in range(n))
             phiM = sum(phi[a, :, None] * M[:, a, :] for a in range(n))
-            denom = _quadratic_form(M, phi, psi)
+            denom = sum(phi[a] * Mpsi[:, a] for a in range(n))
             gap = float(np.max(np.abs(rho - denom) * (hi - lo))) / (n - k)
             series_gap = max(series_gap, gap)
             if not gap <= MASS_TOL:

@@ -20,13 +20,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._util import dump_json, json_count, json_ready, write_csv
-from .brownian import (MAX_PATH_WALKERS, BrownianConfig, chi_square_report,
-                       config_to_weights, correlation_kernel, km_density,
-                       r1_grid, sample_paths, sample_projection_dpp,
+from ._util import dump_json, json_count, json_ready, known_keys, write_csv
+from .brownian import (MAX_PATH_WALKERS, PATH_MIN_GRID, BrownianConfig,
+                       chi_square_report, config_to_weights, correlation_kernel,
+                       km_density, r1_grid, sample_paths, sample_projection_dpp,
                        write_paths_csv, write_samples_csv)
-from .kernel import (DegeneratePair, build_biorthogonal, build_cd_data,
-                     kernel_cd_grid, kernel_direct_grid, kernel_routes_report,
+from .kernel import (build_biorthogonal, build_cd_data, kernel_cd_grid,
+                     kernel_direct_grid, kernel_routes_report,
                      relative_discrepancy)
 from .mop import (MultiIndexPair, Normalization, NotNormalizable,
                   check_normality, moment_table_for, solve_mixed)
@@ -46,6 +46,16 @@ PATH_TIME_POINTS_LIMIT = 1_000
 OPTION_READERS = {
     "grid": ("kernel-grid", "cd-check", "brownian-kernel", "brownian-density"),
     "tol": ("cd-check", "rh-verify"),
+}
+# The keys each config object may carry (weight entries: WEIGHT_KEYS); any
+# other key is refused.  Every Brownian command accepts the whole set.
+CONFIG_KEYS = {
+    "the weight-problem config": ("w1", "w2", "n", "m", "normalization"),
+    "the brownian config": ("starts", "ends", "t", "n_scaling", "sampling",
+                            "paths"),
+    "'normalization'": ("kind", "index"),
+    "'sampling'": ("count",),
+    "'paths'": ("count", "time_points"),
 }
 
 
@@ -88,7 +98,26 @@ def _multi_index(value, key: str) -> list[int]:
     return [json_count(v, f"'{key}' entry") for v in value]
 
 
+def _known_keys(obj: dict, what: str) -> None:
+    try:
+        known_keys(obj, CONFIG_KEYS[what], what)
+    except ValueError as exc:
+        raise ValidationFailure(str(exc)) from exc
+
+
+def _section(raw: dict, key: str) -> dict | None:
+    """raw[key] if present: a JSON object with only the keys it may carry."""
+    value = raw.get(key)
+    if value is not None:
+        if not isinstance(value, dict):
+            raise ValidationFailure(f"'{key}' must be a JSON object")
+        _known_keys(value, f"'{key}'")
+    return value
+
+
 def _weight_problem(raw: dict):
+    _known_keys(raw, "the weight-problem config")
+    _section(raw, "normalization")
     if "n" not in raw or "m" not in raw:
         raise ValidationFailure("config needs multi-indices 'n' and 'm'")
     try:
@@ -123,8 +152,9 @@ def _base_report(args, raw: dict, precision: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations.  Each returns a list of (filename, kind, payload)
-# artifacts; nothing touches the filesystem until the run has succeeded.
+# Command implementations.  Each returns a list of (filename, writer,
+# *payload) artifacts, the writer looked up here when the command runs;
+# nothing touches the filesystem until the run has succeeded.
 
 
 def cmd_mop_solve(args, raw: dict) -> list:
@@ -144,7 +174,7 @@ def cmd_mop_solve(args, raw: dict) -> list:
     report = _base_report(args, raw, solution.precision)
     report["solution"] = solution.to_json_dict()
     report["normality"] = check_normality(pair, table).to_json_dict()
-    return [("solution.json", "json", report)]
+    return [("solution.json", dump_json, report)]
 
 
 def _kernel_systems(w1, w2, pair) -> tuple:
@@ -168,9 +198,9 @@ def _kernel_grid_artifacts(args, raw: dict, system, data, xs: np.ndarray,
     report.update(kernel_routes_report(system, data, xs, xs, Kd, Kcd), **extra)
     table = np.column_stack([np.repeat(xs, xs.size), np.tile(xs, xs.size),
                              Kd.ravel(), Kcd.ravel(), np.abs(Kd - Kcd).ravel()])
-    return [("kernel_grid.csv", "csv",
-             (("x", "y", "K_direct", "K_cd", "abs_diff"), table)),
-            (report_name, "json", report)]
+    return [("kernel_grid.csv", write_csv,
+             ("x", "y", "K_direct", "K_cd", "abs_diff"), table),
+            (report_name, dump_json, report)]
 
 
 def cmd_kernel_grid(args, raw: dict) -> list:
@@ -194,7 +224,7 @@ def cmd_cd_check(args, raw: dict) -> list:
         "direct_vs_rh": report["direct_vs_rh"] < tol,
         "cd_vs_rh": report["cd_vs_rh"] < tol,
     }
-    return [("cd_report.json", "json", report)]
+    return [("cd_report.json", dump_json, report)]
 
 
 def cmd_rh_verify(args, raw: dict) -> list:
@@ -206,11 +236,14 @@ def cmd_rh_verify(args, raw: dict) -> list:
     report.update(rh_verification_report(system, seed=args.seed, tol=tol))
     z0 = complex(report["z_points"][0]["re"], report["z_points"][0]["im"])
     Y0 = system.y_matrix(z0)
-    return [("rh_report.json", "json", report),
-            ("y_matrix.csv", "csv", (MATRIX_CSV_HEADER, matrix_rows(Y0)))]
+    return [("rh_report.json", dump_json, report),
+            ("y_matrix.csv", write_csv, MATRIX_CSV_HEADER, matrix_rows(Y0))]
 
 
 def _brownian_config(raw: dict) -> BrownianConfig:
+    _known_keys(raw, "the brownian config")
+    _section(raw, "sampling")
+    _section(raw, "paths")
     try:
         return BrownianConfig.from_json_dict(raw)
     except ValueError as exc:
@@ -244,15 +277,8 @@ def cmd_brownian_density(args, raw: dict) -> list:
         report["z_n_quadrature_accuracy"] = dens.z_n_accuracy
         report["z_n_gram_route"] = dens.z_n_gram
         report["z_n_route_gap"] = abs(dens.z_n - dens.z_n_gram) / abs(dens.z_n)
-    return [("density.csv", "csv", (("x", "r1"), np.column_stack([xs, r1]))),
-            ("brownian_density_report.json", "json", report)]
-
-
-def _section(raw: dict, key: str) -> dict | None:
-    value = raw.get(key)
-    if value is not None and not isinstance(value, dict):
-        raise ValidationFailure(f"'{key}' must be a JSON object")
-    return value
+    return [("density.csv", write_csv, ("x", "r1"), np.column_stack([xs, r1])),
+            ("brownian_density_report.json", dump_json, report)]
 
 
 def cmd_brownian_sample(args, raw: dict) -> list:
@@ -269,7 +295,7 @@ def cmd_brownian_sample(args, raw: dict) -> list:
             n_paths = json_count(paths_cfg.get("count", 50), "paths count",
                                  maximum=PATH_COUNT_LIMIT)
             n_times = json_count(paths_cfg.get("time_points", 128),
-                                 "paths time_points",
+                                 "paths time_points", minimum=PATH_MIN_GRID,
                                  maximum=PATH_TIME_POINTS_LIMIT)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
@@ -284,13 +310,10 @@ def cmd_brownian_sample(args, raw: dict) -> list:
     report["inversion_residual_max"] = draws.inversion_residual_max
     report["series_residual_max"] = draws.series_residual_max
     report["chi_square_vs_r1"] = chi_square_report(draws.samples, system, box)
-    artifacts = [("samples.csv", "samples", draws.samples)]
+    artifacts = [("samples.csv", write_samples_csv, draws.samples)]
     if paths_cfg is not None:
-        grid = np.linspace(0.0, 1.0, n_times)
-        try:
-            bundles = sample_paths(config, grid, n_paths, args.seed + 1)
-        except ValueError as exc:
-            raise ValidationFailure(str(exc)) from exc
+        bundles = sample_paths(config, np.linspace(0.0, 1.0, n_times), n_paths,
+                               args.seed + 1)
         report["paths"] = {
             "count": bundles.count,
             "time_points": n_times,
@@ -300,8 +323,8 @@ def cmd_brownian_sample(args, raw: dict) -> list:
                                   "only; crossings between grid times are "
                                   "not detected",
         }
-        artifacts.append(("paths.csv", "paths", bundles))
-    artifacts.append(("sampling_report.json", "json", report))
+        artifacts.append(("paths.csv", write_paths_csv, bundles))
+    artifacts.append(("sampling_report.json", dump_json, report))
     return artifacts
 
 
@@ -317,19 +340,8 @@ COMMANDS = {
 
 
 def _write_artifacts(out_dir: str, artifacts: list) -> None:
-    for name, kind, payload in artifacts:
-        path = os.path.join(out_dir, name)
-        if kind == "json":
-            dump_json(path, payload)
-        elif kind == "csv":
-            header, rows = payload
-            write_csv(path, header, rows)
-        elif kind == "samples":
-            write_samples_csv(path, payload)
-        elif kind == "paths":
-            write_paths_csv(path, payload)
-        else:
-            raise RuntimeError(f"unknown artifact kind {kind}")
+    for name, writer, *payload in artifacts:
+        writer(os.path.join(out_dir, name), *payload)
 
 
 def _fail(out_dir: str | None, code: int, label: str, message: str,
@@ -429,7 +441,7 @@ def main(argv=None) -> int:
         return 0
     except ValidationFailure as exc:
         return _fail(out_dir, 1, "VALIDATION", str(exc))
-    except (NotNormalizable, DegeneratePair) as exc:
+    except NotNormalizable as exc:  # DegeneratePair among them
         detail = {"normality": exc.report.to_json_dict()} if exc.report else None
         return _fail(out_dir, 2, "NUMERICAL", str(exc), detail)
     except AccuracyError as exc:

@@ -25,12 +25,8 @@ from .weights import (ProductMomentTable, WeightFamily, adaptive_gauss_legendre,
 DIAG_BAND_FACTOR = 1e-4
 
 
-class DegeneratePair(RuntimeError):
+class DegeneratePair(NotNormalizable):
     """F_n intersects the annihilator of G_m: no projection kernel exists."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +72,11 @@ class BiorthogonalSystem:
 
     def interval(self) -> tuple[float, float]:
         return family_interval(self.table.w1, self.table.w2)
+
+    def diagonal(self, x) -> np.ndarray:
+        """K(x, x) at the points x."""
+        return np.einsum("an,ja,jn->n", self.f_values(x), self.transform,
+                         self.g_values(x))
 
 
 def _basis_values(layout, family, center, scale, x) -> np.ndarray:
@@ -127,13 +128,8 @@ def kernel_direct_grid(sys: BiorthogonalSystem, xs, ys) -> np.ndarray:
 def trace_quadrature(sys: BiorthogonalSystem) -> tuple[float, float]:
     """integral K(x, x) dx by adaptive quadrature; equals |n| for a projection."""
     lo, hi = sys.interval()
-
-    def diag(xs):
-        F = sys.f_values(xs)
-        G = sys.g_values(xs)
-        return np.einsum("an,ja,jn->n", F, sys.transform, G)
-
-    val, err = adaptive_gauss_legendre(diag, lo, hi, abs_tol=1e-10, rel_tol=1e-12)
+    val, err = adaptive_gauss_legendre(sys.diagonal, lo, hi, abs_tol=1e-10,
+                                       rel_tol=1e-12)
     return float(val), float(err)
 
 
@@ -163,33 +159,33 @@ def idempotence_residual(sys: BiorthogonalSystem, xs, ys) -> tuple[float, float]
 
 @dataclass(frozen=True)
 class CdKernelData:
-    """The 2(p+q) neighbor solves feeding the CD numerator.
+    """The 2(p+q) neighbor solves feeding the CD numerator, in term order.
 
-    x_type2[j] and x_type1[k] live in the (w1, w2) orientation and are
-    evaluated at the first kernel argument; y_type1[j] and y_type2[k] live in
-    the swapped (w2, w1) orientation and take the second argument.  Every
+    x_forms holds the p type II solves (n + e_j, m), then the q type I solves
+    (n, m - e_k), in the (w1, w2) orientation; they take the first kernel
+    argument.  y_forms[r] is the swapped (w2, w1) orientation partner of
+    x_forms[r], type I (m, n - e_j) then type II (m + e_k, n), and takes the
+    second argument.  Term r carries sign +1 for r < p and -1 after.  Every
     stored pair is defining in its own orientation.
     """
 
     pair: MultiIndexPair
     table: ProductMomentTable
-    x_type2: tuple[MixedMopSolution, ...]
-    x_type1: tuple[MixedMopSolution, ...]
-    y_type1: tuple[MixedMopSolution, ...]
-    y_type2: tuple[MixedMopSolution, ...]
+    x_forms: tuple[MixedMopSolution, ...]
+    y_forms: tuple[MixedMopSolution, ...]
     delta_diag: float
 
     @property
     def p(self) -> int:
-        return len(self.x_type2)
+        return len(self.pair.n)
 
     @property
     def q(self) -> int:
-        return len(self.x_type1)
+        return len(self.pair.m)
 
     @property
     def solutions(self) -> tuple[MixedMopSolution, ...]:
-        return self.x_type2 + self.x_type1 + self.y_type1 + self.y_type2
+        return self.x_forms + self.y_forms
 
     @property
     def precision(self) -> str:
@@ -202,8 +198,8 @@ class CdKernelData:
 
     def terms(self) -> list[tuple[float, MixedMopSolution, MixedMopSolution]]:
         """(sign, x-side form, y-side form) of each term of the CD numerator."""
-        return ([(1.0, a, b) for a, b in zip(self.x_type2, self.y_type1)]
-                + [(-1.0, a, b) for a, b in zip(self.x_type1, self.y_type2)])
+        return [(1.0 if r < self.p else -1.0, a, b)
+                for r, (a, b) in enumerate(zip(self.x_forms, self.y_forms))]
 
 
 def build_cd_data(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
@@ -219,39 +215,22 @@ def build_cd_data(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
         raise ValueError("CD data needs a balanced pair (|n| = |m|)")
     if table is None:
         table = moment_table_for(pair, w1, w2)
-    swapped = table.swapped()
+    tables = {"x": table, "y": table.swapped()}
     n, m = pair.n, pair.m
 
-    def run(orientation, kind, k, spair, stable, normalization):
+    def run(orientation, kind, k, n_side, m_side):
+        spair = MultiIndexPair.defining(n_side.parts, m_side.parts)
         try:
-            return solve_mixed(spair, stable, normalization)
+            return solve_mixed(spair, tables[orientation], Normalization(kind, k))
         except NotNormalizable as exc:
             raise NotNormalizable(str(exc), report=exc.report,
                                   context=(orientation, kind, k)) from exc
 
-    x_type2 = tuple(
-        run("x", "II", j,
-            MultiIndexPair.defining(n.bumped(j, +1).parts, m.parts),
-            table, Normalization.type2(j))
-        for j in range(len(n)))
-    x_type1 = tuple(
-        run("x", "I", k,
-            MultiIndexPair.defining(n.parts, m.bumped(k, -1).parts),
-            table, Normalization.type1(k))
-        for k in range(len(m)))
-    y_type1 = tuple(
-        run("y", "I", j,
-            MultiIndexPair.defining(m.parts, n.bumped(j, -1).parts),
-            swapped, Normalization.type1(j))
-        for j in range(len(n)))
-    y_type2 = tuple(
-        run("y", "II", k,
-            MultiIndexPair.defining(m.bumped(k, +1).parts, n.parts),
-            swapped, Normalization.type2(k))
-        for k in range(len(m)))
-
-    return CdKernelData(pair=pair, table=table, x_type2=x_type2, x_type1=x_type1,
-                        y_type1=y_type1, y_type2=y_type2,
+    x_forms = tuple([run("x", "II", j, n.bumped(j, +1), m) for j in range(len(n))]
+                    + [run("x", "I", k, n, m.bumped(k, -1)) for k in range(len(m))])
+    y_forms = tuple([run("y", "I", j, m, n.bumped(j, -1)) for j in range(len(n))]
+                    + [run("y", "II", k, m.bumped(k, +1), n) for k in range(len(m))])
+    return CdKernelData(pair=pair, table=table, x_forms=x_forms, y_forms=y_forms,
                         delta_diag=DIAG_BAND_FACTOR * table.scale)
 
 
@@ -289,11 +268,10 @@ def kernel_cd_grid(data: CdKernelData, xs, ys) -> np.ndarray:
     the band |x - y| <= delta_diag, kernel_cd_band on its cells."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    Ax = np.stack([data.x_type2[j].form(xs) for j in range(data.p)])
-    By = np.stack([data.y_type1[j].form(ys) for j in range(data.p)])
-    Cx = np.stack([data.x_type1[k].form(xs) for k in range(data.q)])
-    Dy = np.stack([data.y_type2[k].form(ys) for k in range(data.q)])
-    N = np.einsum("jx,jy->xy", Ax, By) - np.einsum("kx,ky->xy", Cx, Dy)
+    p = data.p
+    X = np.stack([s.form(xs) for s in data.x_forms])
+    Y = np.stack([s.form(ys) for s in data.y_forms])
+    N = np.einsum("jx,jy->xy", X[:p], Y[:p]) - np.einsum("kx,ky->xy", X[p:], Y[p:])
     denom = xs[:, None] - ys[None, :]
     band = np.abs(denom) <= data.delta_diag
     out = np.empty_like(N)

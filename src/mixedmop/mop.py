@@ -468,7 +468,8 @@ class NormalityReport:
     kernel_dimension is dim(F_n intersect G_m-perp); a defining pair is
     normal exactly when it equals 1 and F_n has full dimension |n|.  The
     admissibility flags test the shifted pairs whose triviality licenses
-    each normalization.
+    each normalization.  condition_estimate is None when the orthogonality
+    matrix is rank-deficient.
     """
 
     pair: MultiIndexPair
@@ -477,7 +478,7 @@ class NormalityReport:
     orthogonality_rank: int
     typeI_admissible: tuple[bool, ...]
     typeII_admissible: tuple[bool, ...]
-    condition_estimate: float
+    condition_estimate: float | None
 
     @property
     def normal(self) -> bool:
@@ -496,24 +497,17 @@ class NormalityReport:
         }
 
 
-def _table_with_kmax(table: ProductMomentTable, kmax: int) -> ProductMomentTable:
-    if table.kmax >= kmax:
-        return table
-    return build_moment_table(table.w1, table.w2, kmax,
-                              center=table.center, scale=table.scale)
-
-
 def check_normality(pair: MultiIndexPair, table: ProductMomentTable) -> NormalityReport:
-    """Rank tests behind normality and both normalization admissibilities."""
+    """Rank tests behind normality and both normalization admissibilities.
+    Raises moment_matrix's ValueError when the table stops short of them."""
     cols, rows = pair_layouts(pair, table)
-    table = _table_with_kmax(table, max(pair.n.parts) + max(pair.m.parts) + 2)
     M = moment_matrix(table.values, cols, rows)
     rank, svals = numerical_rank(M)
     kernel_dim = pair.n.size - rank
     if svals.size and svals[-1] > 0 and rank == min(M.shape):
         cond = float(svals[0] / svals[min(M.shape) - 1])
     elif svals.size:
-        cond = math.inf
+        cond = None  # rank-deficient: unbounded, written as JSON null
     else:
         cond = 1.0
 
@@ -525,27 +519,20 @@ def check_normality(pair: MultiIndexPair, table: ProductMomentTable) -> Normalit
     grank, _ = numerical_rank(G)
     f_ok = grank == pair.n.size
 
-    typeI = []
-    for k in range(len(pair.m)):
-        m_aug = list(pair.m.parts)
-        m_aug[k] += 1
-        aug = moment_matrix(table.values, cols, column_layout(m_aug))
-        r, _ = numerical_rank(aug)
-        typeI.append(r == pair.n.size)
+    # type I at k needs full column rank for (n, m + e_k), type II for (n - e_k, m)
+    def rank_of(n, m):
+        return numerical_rank(moment_matrix(table.values, column_layout(n.parts),
+                                            column_layout(m.parts)))[0]
 
-    typeII = []
-    for k in range(len(pair.n)):
-        n_red = list(pair.n.parts)
-        n_red[k] -= 1
-        red = moment_matrix(table.values, column_layout(n_red), rows)
-        r, _ = numerical_rank(red)
-        typeII.append(r == pair.n.size - 1)
-
+    typeI = tuple(rank_of(pair.n, pair.m.bumped(k, +1)) == pair.n.size
+                  for k in range(len(pair.m)))
+    typeII = tuple(rank_of(pair.n.bumped(k, -1), pair.m) == pair.n.size - 1
+                   for k in range(len(pair.n)))
     return NormalityReport(pair=pair, f_dimension_ok=f_ok,
                            kernel_dimension=kernel_dim,
                            orthogonality_rank=rank,
-                           typeI_admissible=tuple(typeI),
-                           typeII_admissible=tuple(typeII),
+                           typeI_admissible=typeI,
+                           typeII_admissible=typeII,
                            condition_estimate=cond)
 
 

@@ -228,10 +228,10 @@ def _block_table(data: CdKernelData) -> dict[str, _Block]:
     of X (the swapped forms, Cauchy columns against w1)."""
     p, q = data.p, data.q
     return {
-        "y": _Block(data.x_type2 + data.x_type1, data.table.w2,
+        "y": _Block(data.x_forms, data.table.w2,
                     np.array([1.0 / TWO_PI_I] * p + [-1.0] * q),
                     np.array([1.0] * p + [-TWO_PI_I] * q)),
-        "x": _Block(data.y_type1 + data.y_type2, data.table.w1,
+        "x": _Block(data.y_forms, data.table.w1,
                     np.array([-1.0] * p + [-1.0 / TWO_PI_I] * q),
                     np.array([TWO_PI_I] * p + [1.0] * q)),
     }

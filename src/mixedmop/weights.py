@@ -21,13 +21,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import exact_int, json_number, real_number
+from ._util import exact_int, json_number, known_keys, real_number
 
 # Truncation rule: 12 spreads of a Gaussian carry all mass to ~1e-31.
 TAIL_SIGMAS = 12.0
 # Largest |center| of a gaussian weight in standard deviations: beyond it a
 # double rounds the center by over 2e-4 sd, and squaring it can overflow.
 MAX_CENTER_SIGMAS = 1e12
+# The keys of a weight entry in a JSON config.
+WEIGHT_KEYS = ("kind", "center", "variance", "amplitude")
 
 # Degree ladder for the doubling quadrature rules.
 MIN_QUAD_DEGREE = 16
@@ -342,6 +344,7 @@ def _weight_from_dict(d: dict) -> Weight:
         raise ValueError("weight entry must be an object with a 'kind'") from exc
     if kind != "gaussian":
         raise ValueError(f"unsupported weight kind in config: {kind!r}")
+    known_keys(d, WEIGHT_KEYS, "a weight entry")
     try:
         return Weight.gaussian(json_number(d["center"], "center"),
                                json_number(d["variance"], "variance"),

@@ -166,7 +166,8 @@ def _partial_mass(system, M, lo, x):
     half = 0.5 * (x - lo)
     pts = np.concatenate([(lo + half)[:, None] + half[:, None] * t,
                           x[:, None]], axis=1)
-    rho = brownian._quadratic_form(M, *brownian._phi_psi(system, pts))
+    phi, psi = brownian._phi_psi(system, pts)
+    rho = np.einsum("adk,dac,cdk->dk", phi, M, psi)
     return half * (rho[:, :-1] * w).sum(axis=1), rho[:, -1]
 
 
@@ -285,12 +286,10 @@ def band_value_oracle(data, x: float, y: float) -> float:
         return float(kernel_cd_diagonal(data, x))
     h = x - y
     acc = 0.0
-    for j in range(data.p):
-        dd = (float(data.x_type2[j].form(x)) - float(data.x_type2[j].form(y))) / h
-        acc += dd * float(data.y_type1[j].form(y))
-    for k in range(data.q):
-        dd = (float(data.x_type1[k].form(x)) - float(data.x_type1[k].form(y))) / h
-        acc -= dd * float(data.y_type2[k].form(y))
+    for r, (a, b) in enumerate(zip(data.x_forms, data.y_forms)):
+        dd = (float(a.form(x)) - float(a.form(y))) / h
+        # the p type II terms first, then the q type I terms
+        acc += (1.0 if r < data.p else -1.0) * dd * float(b.form(y))
     return acc
 
 

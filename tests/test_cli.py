@@ -367,6 +367,57 @@ class TestValidationFailures:
         assert code == 1
         self.assert_only_error_report(out)
 
+    @pytest.mark.parametrize("command, config, key, where", [
+        ("brownian-kernel", dict(TWO_WALKERS, n_scalling=False), "n_scalling",
+         "the brownian config"),
+        ("mop-solve", dict(TWO_BY_TWO, normalisation={"kind": "I"}),
+         "normalisation", "the weight-problem config"),
+        ("mop-solve", dict(TWO_BY_TWO, w1=[
+            {"kind": "gaussian", "center": -0.8, "variance": 1.0,
+             "amplitud": 5}, SHIFTED[1]]), "amplitud", "a weight entry"),
+        ("mop-solve", dict(TWO_BY_TWO, normalization={"kind": "I", "indx": 1}),
+         "indx", "'normalization'"),
+        ("brownian-density", dict(TWO_WALKERS, sampling={"cont": 8}), "cont",
+         "'sampling'"),
+        ("brownian-sample", dict(TWO_WALKERS, sampling={"count": 8},
+                                 paths={"count": 2, "timepoints": 64}),
+         "timepoints", "'paths'"),
+    ], ids=["n-scaling", "normalisation", "amplitude", "normalization-index",
+            "sampling-count", "paths-time-points"])
+    def test_misspelled_key_refused(self, tmp_path, capsys, command, config,
+                                    key, where):
+        # each of these ran with a default in place of the misspelled setting
+        code, out = run_cli(tmp_path, command, config)
+        assert code == 1
+        message = self.assert_only_error_report(out)["message"]
+        assert f"unknown key {key!r} in {where} (allowed: " in message
+        assert capsys.readouterr().err == f"VALIDATION: {message}\n"
+
+    @pytest.mark.parametrize("command", ["brownian-kernel", "brownian-density",
+                                         "brownian-sample"])
+    def test_brownian_commands_accept_every_key(self, tmp_path, command):
+        config = dict(TWO_WALKERS, n_scaling=True, sampling={"count": 8},
+                      paths={"count": 2, "time_points": 64})
+        assert run_cli(tmp_path, command, config)[0] == 0
+
+    def test_short_time_grid_refused_before_sampling(self, tmp_path,
+                                                     monkeypatch):
+        calls = []
+
+        def sampler(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("the sampler ran")
+
+        monkeypatch.setattr(cli, "sample_projection_dpp", sampler)
+        config = dict(TWO_WALKERS, sampling={"count": 200_000},
+                      paths={"count": 2, "time_points": 10})
+        code, out = run_cli(tmp_path, "brownian-sample", config)
+        assert code == 1
+        message = self.assert_only_error_report(out)["message"]
+        assert message == ("paths time_points must be a JSON integer in "
+                           "[64, 1000], got 10")
+        assert calls == []
+
     def test_path_bundles_reject_five_walkers(self, tmp_path):
         pts = [[float(i), 1] for i in range(5)]
         config = {"starts": pts, "ends": pts, "t": 0.5,
@@ -399,9 +450,29 @@ class TestNumericalFailures:
         normality = report["detail"]["normality"]
         assert normality["pair"] == {"n": [1, 1], "m": [1, 1]}
         assert normality["f_dimension_ok"] is False
-        assert normality["condition_estimate"] == float("inf")
+        assert normality["condition_estimate"] is None
         assert capsys.readouterr().err.startswith("NUMERICAL:")
 
+
+    @pytest.mark.parametrize("command, n, m, extra, code", [
+        ("mop-solve", [13], [12], (), 0),
+        ("mop-solve", [20], [19], (), 0),
+        ("kernel-grid", [12], [12], ("--grid", "0:1:2"), 2)],
+        ids=["hermite-12", "hermite-19", "hermite-12-kernel"])
+    def test_rank_deficient_reports_are_strict_json(self, tmp_path, command,
+                                                    n, m, extra, code):
+        # a rank-deficient orthogonality matrix has no finite condition
+        # number; the report says null, never the non-JSON Infinity
+        def refuse(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        got, out = run_cli(tmp_path, command, dict(DEFINING, n=n, m=m), *extra)
+        assert got == code
+        name = "solution.json" if code == 0 else "error_report.json"
+        report = json.loads((out / name).read_text(), parse_constant=refuse)
+        normality = report["normality"] if code == 0 \
+            else report["detail"]["normality"]
+        assert normality["condition_estimate"] is None
 
     def test_overflowing_moment_table_is_named(self, tmp_path, capfd):
         # one variance of 1e300 overflows the w1 x w1 Gram moments

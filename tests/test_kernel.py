@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from mixedmop import (DegeneratePair, MultiIndexPair, Weight, WeightFamily,
-                      build_biorthogonal, build_cd_data, build_moment_table,
-                      check_normality, kernel_cd_band, kernel_cd_diagonal,
-                      kernel_cd_grid, kernel_direct_grid, kernel_routes_report,
-                      transition_weight)
+from mixedmop import (DegeneratePair, MultiIndexPair, NotNormalizable, Weight,
+                      WeightFamily, build_biorthogonal, build_cd_data,
+                      build_moment_table, check_normality, kernel_cd_band,
+                      kernel_cd_diagonal, kernel_cd_grid, kernel_direct_grid,
+                      kernel_routes_report, transition_weight)
 from mixedmop.kernel import (idempotence_residual, relative_discrepancy,
                              trace_quadrature)
 
@@ -52,14 +52,21 @@ class TestBiorthogonal:
         with pytest.raises(DegeneratePair) as info:
             build_biorthogonal(pair, fam, w2)
         assert info.value.report is not None
+        # one exception family: a handler of NotNormalizable catches it
+        assert isinstance(info.value, NotNormalizable)
 
-    def test_short_table_is_refused(self):
-        # a caller's table that stops short of the Gram matrix's orders
+    @pytest.mark.parametrize("build", [
+        build_biorthogonal,
+        lambda pair, w1, w2, table: check_normality(pair, table)],
+        ids=["build_biorthogonal", "check_normality"])
+    def test_short_table_is_refused(self, build):
+        # a caller's table that stops short of the orders the Gram matrix
+        # or the rank tests need is refused, not silently extended
         rng = np.random.default_rng(9)
         w1, w2 = random_gaussian_families(rng, 2, 2)
         pair = MultiIndexPair.balanced([2, 1], [1, 2])
         with pytest.raises(ValueError, match="kmax=1 too small, need 2"):
-            build_biorthogonal(pair, w1, w2, build_moment_table(w1, w2, 1))
+            build(pair, w1, w2, build_moment_table(w1, w2, 1))
 
     def test_dimension_and_layouts(self):
         rng = np.random.default_rng(9)
@@ -132,17 +139,22 @@ class TestCdRoute:
     def test_solve_count_rank_one(self, unit_gaussian):
         fam = WeightFamily([unit_gaussian])
         data = build_cd_data(MultiIndexPair.balanced([1], [1]), fam, fam)
-        assert (len(data.x_type2), len(data.x_type1)) == (1, 1)
-        assert (len(data.y_type1), len(data.y_type2)) == (1, 1)
+        assert (data.p, data.q) == (1, 1)
+        assert (len(data.x_forms), len(data.y_forms)) == (2, 2)
 
     def test_solve_count_one_two(self):
         rng = np.random.default_rng(25)
         w1, w2 = random_gaussian_families(rng, 1, 2)
         data = build_cd_data(MultiIndexPair.balanced([3], [2, 1]), w1, w2)
-        total = (len(data.x_type2) + len(data.x_type1)
-                 + len(data.y_type1) + len(data.y_type2))
+        total = len(data.x_forms) + len(data.y_forms)
         assert total == 6
         assert (data.p, data.q) == (1, 2)
+        # CD term order: the p type II solves, then the q type I solves,
+        # each y-side form the swapped partner of its x-side form
+        assert [s.normalization.kind for s in data.x_forms] == ["II", "I", "I"]
+        assert [s.normalization.kind for s in data.y_forms] == ["I", "II", "II"]
+        assert [s.pair.n.parts for s in data.x_forms] == [(4,), (3,), (3,)]
+        assert [s.pair.m.parts for s in data.y_forms] == [(2,), (3,), (3,)]
 
     def test_transition_weight_solves_clean(self):
         # two starting and two ending points, four walkers
