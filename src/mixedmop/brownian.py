@@ -37,12 +37,14 @@ ACCEPTANCE_WINDOW = (0.23, 0.40)
 PSRF_LIMIT = 1.05
 # Exact position sampler: Gauss-Legendre panels over the box, nodes per
 # panel (one more than the degree of each panel's Legendre series), draws
-# per block, the relative tolerance on each conditional mass (n - k) and on
-# the series density, and the inverse-CDF search's relative tolerance and
-# step cap.
+# per block, draws per gather of panel series within a block (it bounds the
+# gathered slabs' memory), the relative tolerance on each conditional mass
+# (n - k) and on the series density, and the inverse-CDF search's relative
+# tolerance and step cap.
 DPP_PANELS = 64
 DPP_NODES = 20
 DPP_BLOCK = 1024
+DPP_GATHER = 128
 MASS_TOL = 1e-9
 INVERSION_TOL = 1e-12
 INVERSION_MAX_STEPS = 60
@@ -335,7 +337,8 @@ def _panel_series(system: BiorthogonalSystem, edges: np.ndarray
     at every edge e by Gauss-Legendre on each panel, shape (n*n, len(edges)),
     and on each panel the Legendre series in s = (x - mid) / half of the
     product's node interpolant and of its integral from the panel's left
-    edge in x, shape (n*n, panels, DPP_NODES + 1, 2)."""
+    edge in x, shape (panels, n*n, 2 (DPP_NODES + 1)) with coefficient l of
+    the interpolant at 2 l and of the integral at 2 l + 1."""
     t, w = _leggauss(DPP_NODES)
     half = 0.5 * np.diff(edges)
     pts = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * t
@@ -347,7 +350,8 @@ def _panel_series(system: BiorthogonalSystem, edges: np.ndarray
     series = (values @ _legendre_maps(DPP_NODES).reshape(DPP_NODES, -1)
               ).reshape(n * n, panels, DPP_NODES + 1, 2)
     series[..., 1] *= half[:, None]
-    return cumulants, series
+    return cumulants, np.ascontiguousarray(
+        series.transpose(1, 0, 2, 3)).reshape(panels, n * n, -1)
 
 
 def _invert_in_panel(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -364,34 +368,33 @@ def _invert_in_panel(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     density at the points.
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    x, lo, hi = x.copy(), lo.copy(), hi.copy()
-    rho_at = np.empty_like(x)
+    out, rho_at = np.empty_like(x), np.empty_like(x)
     worst = 0.0
-    active = np.arange(x.size)
+    index = np.arange(x.size)
     for _ in range(INVERSION_MAX_STEPS):
-        xa = x[active]
-        rho, mass = legendre.legval((xa - mid[active]) / half[active],
-                                    coef[..., active], tensor=False)
-        miss = mass - residual[active]
-        done = np.abs(miss) <= INVERSION_TOL * scale[active]
-        if done.any():
-            worst = max(worst, float(np.max(np.abs(miss[done])
-                                            / scale[active][done])))
-            rho_at[active[done]] = rho[done]
+        rho, mass = legendre.legval((x - mid) / half, coef, tensor=False)
+        miss = mass - residual
+        done = np.abs(miss) <= INVERSION_TOL * scale
         below = miss < 0.0
-        lo[active] = np.where(below, xa, lo[active])
-        hi[active] = np.where(below, hi[active], xa)
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = xa - miss / rho
-        inside = (step > lo[active]) & (step < hi[active])
-        x[active] = np.where(done, xa, np.where(
-            inside, step, 0.5 * (lo[active] + hi[active])))
-        active = active[~done]
-        if active.size == 0:
-            return x, worst, rho_at
-    achieved = float(np.max(np.abs(miss[~done]) / scale[active]))
+            step = x - miss / rho
+        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        if done.any():
+            worst = max(worst, float(np.max(np.abs(miss[done]) / scale[done])))
+            out[index[done]], rho_at[index[done]] = x[done], rho[done]
+            # the draws still searching, compacted once per step that ends some
+            keep = ~done
+            index = index[keep]
+            if index.size == 0:
+                return out, worst, rho_at
+            coef = coef[..., keep]
+            step, lo, hi, mid, half, residual, scale, miss = (
+                a[keep] for a in (step, lo, hi, mid, half, residual, scale, miss))
+        x = step
+    achieved = float(np.max(np.abs(miss) / scale))
     raise AccuracyError(
-        f"inverse-CDF search left {active.size} draws with a relative miss "
+        f"inverse-CDF search left {index.size} draws with a relative miss "
         f"up to {achieved:.2e} after {INVERSION_MAX_STEPS} steps (tolerance "
         f"{INVERSION_TOL:.0e})", achieved=achieved)
 
@@ -413,8 +416,8 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
     the series density must match the exact phi^T M psi at each drawn point
     to MASS_TOL (n - k) / panel width, or AccuracyError is raised.  Draws
     run in blocks of DPP_BLOCK from uniforms drawn up front, and every
-    per-draw operation is elementwise, so the output does not depend on
-    the block size.
+    per-draw operation is elementwise or a stacked per-draw product on
+    contiguous operands, so the output does not depend on the block size.
     """
     n = system.dimension
     uniforms = np.random.Generator(np.random.PCG64(
@@ -428,9 +431,9 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
         size = u.shape[0]
         M = np.tile(np.eye(n), (size, 1, 1))
         for k in range(n):
-            flat = M.reshape(size, n * n)
-            cdf = np.maximum.accumulate(sum(
-                flat[:, j, None] * cumulants[j] for j in range(n * n)), axis=1)
+            flat = M.reshape(size, 1, n * n)
+            cdf = np.maximum.accumulate(
+                np.matmul(flat, cumulants).reshape(size, -1), axis=1)
             mass = cdf[:, -1]
             dev = float(np.max(np.abs(mass - (n - k)))) / (n - k)
             mass_dev = max(mass_dev, dev)
@@ -447,18 +450,22 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
             lo, hi = edges[panel], edges[panel + 1]
             frac = np.divide(target - left, right - left,
                              out=np.full(size, 0.5), where=right > left)
-            # gathered (B, L, 2) per term, then coefficient-major for legval
-            coef = sum(flat[:, j, None, None] * series[j].take(panel, axis=0)
-                       for j in range(n * n)).transpose(1, 2, 0).copy()
+            # each draw's panel slab times its row of M, coefficient-major
+            coef = np.empty((DPP_NODES + 1, 2, size))
+            for c in range(0, size, DPP_GATHER):
+                rows = slice(c, c + DPP_GATHER)
+                terms = np.matmul(flat[rows], series[panel[rows]])
+                coef[..., rows] = np.moveaxis(
+                    terms.reshape(-1, DPP_NODES + 1, 2), 0, -1)
             x, resid, rho = _invert_in_panel(
                 coef, lo, hi, lo + np.clip(frac, 0.0, 1.0) * (hi - lo),
                 target - left, mass)
             inversion = max(inversion, resid)
             out[start:start + size, k] = x
-            phi, psi = _phi_psi(system, x)
-            Mpsi = sum(M[:, :, b] * psi[b, :, None] for b in range(n))
-            phiM = sum(phi[a, :, None] * M[:, a, :] for a in range(n))
-            denom = sum(phi[a] * Mpsi[:, a] for a in range(n))
+            phi, psi = (np.ascontiguousarray(v.T) for v in _phi_psi(system, x))
+            Mpsi = np.matmul(M, psi[:, :, None])
+            phiM = np.matmul(phi[:, None, :], M)
+            denom = np.matmul(phiM, psi[:, :, None])[:, 0, 0]
             gap = float(np.max(np.abs(rho - denom) * (hi - lo))) / (n - k)
             series_gap = max(series_gap, gap)
             if not gap <= MASS_TOL:
@@ -467,7 +474,7 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
                     f"by {gap:.2e} of n - k = {n - k} per panel width "
                     f"(tolerance {MASS_TOL:.0e}); the panels are too wide "
                     f"for degree {DPP_NODES - 1}", achieved=gap)
-            M = M - Mpsi[:, :, None] * phiM[:, None, :] / denom[:, None, None]
+            M = M - Mpsi * phiM / denom[:, None, None]
     return DppSamples(samples=np.sort(out, axis=1), mass_deviation_max=mass_dev,
                       inversion_residual_max=inversion,
                       series_residual_max=series_gap)

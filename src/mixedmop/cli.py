@@ -24,7 +24,8 @@ from ._util import dump_json, json_count, json_ready, known_keys, write_csv
 from .brownian import (MAX_PATH_WALKERS, PATH_MIN_GRID, BrownianConfig,
                        chi_square_report, config_to_weights, correlation_kernel,
                        km_density, r1_grid, sample_paths, sample_projection_dpp,
-                       write_paths_csv, write_samples_csv)
+                       write_density_grid_csv, write_paths_csv,
+                       write_samples_csv)
 from .kernel import (build_biorthogonal, build_cd_data, kernel_cd_grid,
                      kernel_direct_grid, kernel_routes_report,
                      relative_discrepancy)
@@ -188,12 +189,27 @@ def _balanced_setup(raw: dict) -> tuple:
     return _kernel_systems(w1, w2, _pair(n, m, "balanced"))
 
 
+def _refuse_nonfinite(xs: np.ndarray, **routes: np.ndarray) -> None:
+    """AccuracyError naming the grid and its first (x, y) in row order where
+    a route's kernel is not finite, so that no artifact is written."""
+    finite = np.logical_and.reduce([np.isfinite(K) for K in routes.values()])
+    if finite.all():
+        return
+    i, j = np.unravel_index(np.argmin(finite), finite.shape)
+    names = [name for name, K in routes.items() if not np.isfinite(K[i, j])]
+    grid = ":".join(repr(float(v)) for v in (xs[0], xs[-1])) + f":{xs.size}"
+    raise AccuracyError(
+        f"{', '.join(names)} not finite at (x, y) = ({float(xs[i])!r}, "
+        f"{float(xs[j])!r}) on the grid {grid}")
+
+
 def _kernel_grid_artifacts(args, raw: dict, system, data, xs: np.ndarray,
                            report_name: str, **extra) -> list:
     """kernel_grid.csv, one row (x, y, K_direct, K_cd, abs_diff) per cell of
     the xs x xs grid with y fastest, and the route report."""
     Kd = kernel_direct_grid(system, xs, xs)
     Kcd = kernel_cd_grid(data, xs, xs)
+    _refuse_nonfinite(xs, K_direct=Kd, K_cd=Kcd)
     report = _base_report(args, raw, data.precision)
     report.update(kernel_routes_report(system, data, xs, xs, Kd, Kcd), **extra)
     table = np.column_stack([np.repeat(xs, xs.size), np.tile(xs, xs.size),
@@ -213,10 +229,13 @@ def cmd_kernel_grid(args, raw: dict) -> list:
 def cmd_cd_check(args, raw: dict) -> list:
     system, data = _balanced_setup(raw)
     xs = args.grid if args.grid is not None else np.linspace(-2.0, 2.0, 41)
+    Kd = kernel_direct_grid(system, xs, xs)
+    Kcd = kernel_cd_grid(data, xs, xs)
+    Krh = kernel_rh_grid(data, xs, xs)
+    _refuse_nonfinite(xs, K_direct=Kd, K_cd=Kcd, K_rh=Krh)
     report = _base_report(args, raw, data.precision)
-    report.update(kernel_routes_report(
-        system, data, xs, xs, kernel_direct_grid(system, xs, xs),
-        kernel_cd_grid(data, xs, xs), rh_grid=kernel_rh_grid(data, xs, xs)))
+    report.update(kernel_routes_report(system, data, xs, xs, Kd, Kcd,
+                                       rh_grid=Krh))
     tol = args.tol if args.tol is not None else 1e-7
     report["tolerance"] = tol
     report["passed"] = {
@@ -277,7 +296,7 @@ def cmd_brownian_density(args, raw: dict) -> list:
         report["z_n_quadrature_accuracy"] = dens.z_n_accuracy
         report["z_n_gram_route"] = dens.z_n_gram
         report["z_n_route_gap"] = abs(dens.z_n - dens.z_n_gram) / abs(dens.z_n)
-    return [("density.csv", write_csv, ("x", "r1"), np.column_stack([xs, r1])),
+    return [("density.csv", write_density_grid_csv, xs, r1),
             ("brownian_density_report.json", dump_json, report)]
 
 

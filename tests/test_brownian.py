@@ -374,6 +374,41 @@ class TestExactSampler:
         assert a.mass_deviation_max < 1e-9
         assert a.inversion_residual_max < 1e-11
 
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("cfg", [
+        BrownianConfig(starts=tuple((i - 2.5, 1) for i in range(6)),
+                       ends=tuple((0.9 * (i - 2.5) + 0.1, 1) for i in range(6)),
+                       time=0.5),
+        BrownianConfig(starts=((-1.0, 3), (1.0, 3)), ends=((0.0, 6),),
+                       time=0.5),
+    ], ids=["six-distinct", "two-start-3+3"])
+    def test_block_independence_beyond_three_walkers(self, monkeypatch, cfg,
+                                                     block):
+        # numpy may pick another matmul loop for a one-draw stack whose
+        # operand is a strided view; the stacked products must not see it
+        system = correlation_kernel(cfg)
+        box = cfg.bridge_box()
+        want = sample_projection_dpp(system, box, 100, seed=11)
+        monkeypatch.setattr(brownian, "DPP_BLOCK", block)
+        got = sample_projection_dpp(system, box, 100, seed=11)
+        np.testing.assert_array_equal(got.samples, want.samples)
+
+    @pytest.mark.parametrize("setting, value, message, tolerance", [
+        ("INVERSION_MAX_STEPS", 1, "inverse-CDF search left 50 draws with a "
+         "relative miss up to ", brownian.INVERSION_TOL),
+        ("DPP_NODES", 4, "panel series density at step 0 misses phi^T M psi "
+         "by ", brownian.MASS_TOL),
+    ], ids=["step-cap", "series-degree"])
+    def test_accuracy_gates_raise(self, monkeypatch, setting, value, message,
+                                  tolerance):
+        cfg = three_walker_config()
+        system = correlation_kernel(cfg)
+        monkeypatch.setattr(brownian, setting, value)
+        with pytest.raises(AccuracyError) as info:
+            sample_projection_dpp(system, cfg.bridge_box(), 50, seed=1)
+        assert str(info.value).startswith(message)
+        assert info.value.achieved > tolerance
+
     def test_two_walker_histogram_matches_one_point_density(self):
         # criterion 6's configuration and draw count
         cfg = two_walker_config()

@@ -500,6 +500,46 @@ class TestNumericalFailures:
         assert "conditional mass at step 0" in report["message"]
         assert report["detail"]["achieved"] > 1e-9
 
+    @pytest.mark.parametrize("setting, value, gate", [
+        ("INVERSION_MAX_STEPS", 1, "inverse-CDF search left 20 draws"),
+        ("DPP_NODES", 4, "panel series density at step 0 misses"),
+    ], ids=["step-cap", "series-degree"])
+    def test_sampler_gate_exits_two(self, tmp_path, monkeypatch, setting,
+                                    value, gate):
+        monkeypatch.setattr(mixedmop.brownian, setting, value)
+        config = dict(TWO_WALKERS, sampling={"count": 20})
+        code, out = run_cli(tmp_path, "brownian-sample", config)
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == ["error_report.json"]
+        report = read_json(out / "error_report.json")
+        assert report["error"] == "NUMERICAL"
+        assert report["message"].startswith(gate)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command, config, routes", [
+        ("kernel-grid", WP, "K_direct, K_cd"),
+        ("cd-check", WP, "K_direct, K_cd, K_rh"),
+        ("brownian-kernel", {"starts": [[-1.0, 1], [1.0, 1]],
+                             "ends": [[0.0, 2]], "t": 0.5}, "K_cd"),
+    ], ids=["kernel-grid", "cd-check", "brownian-kernel-two-start"])
+    def test_nonfinite_kernel_grid_refused(self, tmp_path, capsys, command,
+                                           config, routes):
+        # at |x| = 1e200 the basis values are inf * 0, so the kernel is nan
+        def refuse(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        code, out = run_cli(tmp_path, command, config,
+                            "--grid", "-1e200:1e200:3")
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == ["error_report.json"]
+        report = json.loads((out / "error_report.json").read_text(),
+                            parse_constant=refuse)
+        assert report["error"] == "NUMERICAL"
+        assert report["message"] == (
+            f"{routes} not finite at (x, y) = (-1e+200, -1e+200) on the grid "
+            "-1e+200:1e+200:3")
+        assert capsys.readouterr().err == f"NUMERICAL: {report['message']}\n"
+
 
 class TestInternalFailures:
     def test_unexpected_exception_maps_to_three(self, tmp_path, capsys,
