@@ -455,7 +455,11 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ValidationFailure(
                 f"cannot create output directory {out_dir}: {exc}") from exc
-        artifacts = COMMANDS[args.command](args, raw)
+        # Overflow and invalid values surface as non-finite results, which
+        # the commands refuse with their own message; numpy's warnings would
+        # add lines to stderr beside it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            artifacts = COMMANDS[args.command](args, raw)
         _write_artifacts(out_dir, artifacts)
         return 0
     except ValidationFailure as exc:

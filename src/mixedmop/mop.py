@@ -255,10 +255,25 @@ class MixedMopSolution:
         return (np.asarray(x, dtype=float) - self.center) / self.scale
 
     def poly_values(self, x) -> np.ndarray:
-        """A_l(x) for every l, stacked; accepts real or complex input."""
+        """A_l(x) for every l, stacked; accepts real or complex input.
+
+        Complex input runs Horner's rule on the real and imaginary parts,
+        so each point of an array rounds as it would alone: numpy's vector
+        complex product may fuse multiply-adds where its scalar one does
+        not, which moves a cancelling high-degree sum in its last digits.
+        """
         x = np.asarray(x)
+        if not np.iscomplexobj(x):
+            return np.stack([P.polyval(self._u(x), cf) for cf in self.coeffs])
         u = (x - self.center) / self.scale
-        return np.stack([P.polyval(u, cf) for cf in self.coeffs])
+        ur, ui = u.real, u.imag
+        out = np.empty((len(self.coeffs),) + x.shape, dtype=complex)
+        for k, cf in enumerate(self.coeffs):
+            re, im = np.full(x.shape, cf[-1]), np.zeros(x.shape)
+            for c in cf[-2::-1]:
+                re, im = c + (re * ur - im * ui), re * ui + im * ur
+            out.real[k], out.imag[k] = re, im
+        return out
 
     def form(self, x) -> np.ndarray:
         """Q(x) = sum_l A_l(x) w1_l(x) on real input."""

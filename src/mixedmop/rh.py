@@ -197,18 +197,13 @@ def _rebased(coeffs: np.ndarray, alpha: float, beta: float, size: int) -> np.nda
     return out
 
 
-def _zpow(z: complex, k: int) -> complex:
-    """z**k through the log, steady at large |z| and large k."""
-    if k == 0:
-        return 1.0 + 0.0j
-    return cmath.exp(k * cmath.log(z))
-
-
-def jump_matrix(w1: WeightFamily, w2: WeightFamily, x: float) -> np.ndarray:
-    """The unipotent jump [[I, W(x)], [0, I]] with W = w1(x)^T w2(x)."""
+def jump_matrix(w1: WeightFamily, w2: WeightFamily, x) -> np.ndarray:
+    """The unipotent jump [[I, W(x)], [0, I]] with W = w1(x)^T w2(x): one
+    (p+q) x (p+q) matrix at a real x, a stack of them at an array of x."""
+    x = np.asarray(x, dtype=float)
     p, q = len(w1), len(w2)
-    J = np.eye(p + q)
-    J[:p, p:] = np.outer(w1.values(x).ravel(), w2.values(x).ravel())
+    J = np.broadcast_to(np.eye(p + q), x.shape + (p + q, p + q)).copy()
+    J[..., :p, p:] = np.einsum("j...,l...->...jl", w1.values(x), w2.values(x))
     return J
 
 
@@ -238,8 +233,10 @@ def _block_table(data: CdKernelData) -> dict[str, _Block]:
 
 
 def _poly_block(block: _Block, values: Callable) -> np.ndarray:
-    """Polynomial row factor times values(form), stacked over the forms."""
-    return block.poly_factors[:, None] * np.stack([values(s) for s in block.forms])
+    """Polynomial row factor times values(form), stacked over the forms on
+    the first axis."""
+    stacked = np.stack([values(s) for s in block.forms])
+    return block.poly_factors.reshape((-1,) + (1,) * (stacked.ndim - 1)) * stacked
 
 
 class RhSystem:
@@ -294,69 +291,79 @@ class RhSystem:
             terms[name] = T
         return {"mean": mean, "sigma": sigma, "degree": size - 1, **terms}
 
-    def _cauchy_block(self, name: str, z: complex, side: str | None) -> np.ndarray:
+    def _cauchy_block(self, name: str, zs: np.ndarray, side: str | None
+                      ) -> np.ndarray:
         """Row factor times the Cauchy transform of form r times column
-        weight l, for every (r, l) of the block; on the real line the
-        boundary value from the given side."""
-        z = complex(z)
+        weight l, for every (r, l) of the block at each of the points zs,
+        shape (Z, rows, columns); on the real line the boundary value from
+        the given side."""
         block = self._blocks[name]
         factors = block.cauchy_factors[:, None]
         if self._closed is None:
-            out = np.array([[cauchy_transform(
+            out = np.array([[[cauchy_transform(
                 lambda xs, s=sol, w=wl: s.form(xs) * w(xs), self.interval, z,
                 side, spread=self.spread)[0] for wl in block.weights]
-                for sol in block.forms])
+                for sol in block.forms] for z in zs])
             self.branch_counts["panel"] += out.size
             return out * factors
         cf = self._closed
-        zeta = (z - cf["mean"]) / cf["sigma"]
+        zeta = (zs.astype(complex)[:, None, None] - cf["mean"]) / cf["sigma"]
         C, series = gaussian_cauchy_moments(zeta, cf["degree"],
                                             SIDES.get(side, 0))
         n_series = int(np.count_nonzero(series))
         self.branch_counts["asymptotic_series"] += n_series
         self.branch_counts["recursion"] += series.size - n_series
-        spec = "rljd,jld->rl" if name == "y" else "rljd,ljd->rl"
+        spec = "rljd,zjld->zrl" if name == "y" else "rljd,zljd->zrl"
         return np.einsum(spec, cf[name], C) * factors
 
-    def y_matrix(self, z: complex, side: str | None = None) -> np.ndarray:
-        """Y(z) = [P | C]; a real z takes the boundary value from side."""
-        poly = _poly_block(self._blocks["y"], lambda s: s.poly_values(z))
-        return np.hstack([poly, self._cauchy_block("y", z, side)])
+    def _matrix(self, name: str, z, side: str | None) -> np.ndarray:
+        """Y or X at z: (N, N) at a scalar z, (Z, N, N) at a 1-D array."""
+        zs = np.asarray(z)
+        points = zs.reshape(-1)
+        poly = np.moveaxis(_poly_block(self._blocks[name],
+                                       lambda s: s.poly_values(points)), -1, 0)
+        cauchy = self._cauchy_block(name, points, side)
+        out = np.concatenate([poly, cauchy] if name == "y" else [cauchy, poly],
+                             axis=-1)
+        return out.reshape(zs.shape + out.shape[1:])
 
-    def x_matrix(self, z: complex, side: str | None = None) -> np.ndarray:
-        """X(z) = Y(z)^{-T} = [C | P] from the swapped-orientation forms."""
-        poly = _poly_block(self._blocks["x"], lambda s: s.poly_values(z))
-        return np.hstack([self._cauchy_block("x", z, side), poly])
+    def y_matrix(self, z, side: str | None = None) -> np.ndarray:
+        """Y(z) = [P | C]; a real z takes the boundary value from side.
+        A scalar z gives the (N, N) matrix, a 1-D array of points the
+        (Z, N, N) stack; side holds for every real point of the call."""
+        return self._matrix("y", z, side)
+
+    def x_matrix(self, z, side: str | None = None) -> np.ndarray:
+        """X(z) = Y(z)^{-T} = [C | P] from the swapped-orientation forms,
+        with the shapes of y_matrix."""
+        return self._matrix("x", z, side)
 
 
-def verify_jump(system: RhSystem, x: float) -> dict:
-    """Residual max|Y+ - Y- J| of the jump condition at a real point,
-    passed below 1e-6 max(max|Y+|, 1)."""
-    J = jump_matrix(system.w1, system.w2, x)
-    Yp = system.y_matrix(x, "+")
-    Ym = system.y_matrix(x, "-")
-    residual = float(np.max(np.abs(Yp - Ym @ J)))
-    y_norm = float(np.max(np.abs(Yp)))
-    return {
-        "x": float(x),
-        "residual": residual,
-        "y_norm": y_norm,
-        "passed": residual < 1e-6 * max(y_norm, 1.0),
-    }
+def verify_jump(system: RhSystem, xs) -> list[dict]:
+    """Residual max|Y+ - Y- J| of the jump condition at each real point of
+    xs, passed below 1e-6 max(max|Y+|, 1); one dict per point."""
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    J = jump_matrix(system.w1, system.w2, xs)
+    Yp = system.y_matrix(xs, "+")
+    Ym = system.y_matrix(xs, "-")
+    residuals = np.max(np.abs(Yp - Ym @ J), axis=(-2, -1))
+    y_norms = np.max(np.abs(Yp), axis=(-2, -1))
+    return [{"x": x, "residual": r, "y_norm": y,
+             "passed": r < 1e-6 * max(y, 1.0)}
+            for x, r, y in zip(xs.tolist(), residuals.tolist(),
+                               y_norms.tolist())]
 
 
 def asymptotic_errors(system: RhSystem) -> dict:
     """|| Y(iR) diag(z^-n, z^m) - I || for R = 10, 20, 40, with decay ratios."""
-    n_parts = system.pair.n.parts
-    m_parts = system.pair.m.parts
-    errors = []
-    for R in (10.0, 20.0, 40.0):
-        z = complex(0.0, R)
-        Y = system.y_matrix(z)
-        scales = np.array([_zpow(z, -nl) for nl in n_parts]
-                          + [_zpow(z, +mk) for mk in m_parts])
-        scaled = Y * scales[None, :]
-        errors.append(float(np.max(np.abs(scaled - np.eye(len(scales))))))
+    zs = 1j * np.array([10.0, 20.0, 40.0])
+    Y = system.y_matrix(zs)
+    # z**k through the log, steady at large |z| and large k
+    powers = np.array([-nl for nl in system.pair.n.parts]
+                      + list(system.pair.m.parts))
+    scales = np.exp(powers[None, :] * np.log(zs)[:, None])
+    scaled = Y * scales[:, None, :]
+    errors = np.max(np.abs(scaled - np.eye(len(powers))), axis=(-2, -1)).tolist()
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     return {"errors": errors, "ratios": ratios}
 
@@ -419,20 +426,19 @@ def rh_verification_report(system: RhSystem, *, seed: int = 42,
         im = rng.uniform(0.1, 2.0) * (1 if rng.uniform() < 0.5 else -1)
         zs.append(complex(re, im))
 
-    det_residuals = []
-    xy_residuals = []
-    xy_floors = []
-    for z in zs:
-        Y = system.y_matrix(z)
-        X = system.x_matrix(z)
-        det_residuals.append(abs(np.linalg.det(Y) - 1.0))
-        xy_residuals.append(float(np.max(np.abs(X.T @ Y - np.eye(Y.shape[0])))))
-        # rounding floor of X^T Y: (p + q) u max|X| max|Y| with u = 2^-52
-        xy_floors.append(Y.shape[0] * 2.0 ** -52
-                         * float(np.max(np.abs(X)) * np.max(np.abs(Y))))
+    points = np.array(zs)
+    Y = system.y_matrix(points)
+    X = system.x_matrix(points)
+    size = Y.shape[-1]
+    det_residuals = np.abs(np.linalg.det(Y) - 1.0).tolist()
+    xy_residuals = np.max(np.abs(np.swapaxes(X, -2, -1) @ Y - np.eye(size)),
+                          axis=(-2, -1)).tolist()
+    # rounding floor of X^T Y: (p + q) u max|X| max|Y| with u = 2^-52
+    xy_floors = size * 2.0 ** -52 * (np.max(np.abs(X), axis=(-2, -1))
+                                     * np.max(np.abs(Y), axis=(-2, -1)))
 
     xs_real = np.sort(rng.uniform(lo + 0.3 * span, hi - 0.3 * span, 10))
-    jump_reports = [verify_jump(system, float(x)) for x in xs_real]
+    jump_reports = verify_jump(system, xs_real)
     asym = asymptotic_errors(system)
 
     return {
@@ -442,7 +448,7 @@ def rh_verification_report(system: RhSystem, *, seed: int = 42,
         "det_max": max(det_residuals),
         "x_y_consistency": xy_residuals,
         "x_y_max": max(xy_residuals),
-        "x_y_floor_max": max(xy_floors),
+        "x_y_floor_max": float(np.max(xy_floors)),
         "jump_points": [r["x"] for r in jump_reports],
         "jump_residuals": [r["residual"] for r in jump_reports],
         "jump_details": jump_reports,

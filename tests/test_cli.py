@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -515,7 +516,6 @@ class TestNumericalFailures:
         assert report["error"] == "NUMERICAL"
         assert report["message"].startswith(gate)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command, config, routes", [
         ("kernel-grid", WP, "K_direct, K_cd"),
         ("cd-check", WP, "K_direct, K_cd, K_rh"),
@@ -528,8 +528,11 @@ class TestNumericalFailures:
         def refuse(token):
             raise ValueError(f"non-JSON token {token}")
 
-        code, out = run_cli(tmp_path, command, config,
-                            "--grid", "-1e200:1e200:3")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, command, config,
+                                "--grid", "-1e200:1e200:3")
+        assert not [w for w in caught if w.category is RuntimeWarning]
         assert code == 2
         assert [p.name for p in out.iterdir()] == ["error_report.json"]
         report = json.loads((out / "error_report.json").read_text(),
@@ -539,6 +542,21 @@ class TestNumericalFailures:
             f"{routes} not finite at (x, y) = (-1e+200, -1e+200) on the grid "
             "-1e+200:1e+200:3")
         assert capsys.readouterr().err == f"NUMERICAL: {report['message']}\n"
+
+    def test_overflow_leaves_one_stderr_line(self, tmp_path):
+        # numpy's overflow and invalid-value warnings stay off stderr
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(WP))
+        src = os.path.dirname(os.path.dirname(mixedmop.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-m", "mixedmop.cli", "kernel-grid", "--config",
+             str(cfg), "--out", str(tmp_path / "out"),
+             "--grid=-1e200:1e200:3"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("NUMERICAL: "), lines
 
 
 class TestInternalFailures:

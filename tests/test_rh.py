@@ -320,7 +320,7 @@ class TestJumpVerification:
     def test_rank_one_at_origin(self):
         pair, w1, w2 = rank_one_pair()
         system = RhSystem(pair, w1, w2)
-        rep = verify_jump(system, 0.0)
+        rep, = verify_jump(system, [0.0])
         assert set(rep) == {"x", "residual", "y_norm", "passed"}
         assert rep["passed"]
         assert rep["residual"] < 1e-6 * max(rep["y_norm"], 1.0)
@@ -561,3 +561,105 @@ class TestClosedFormCauchy:
         Yc = closed.y_matrix(1.0 + 1.0j)
         assert closed.branch_counts["panel"] == 0
         np.testing.assert_allclose(Y, Yc, rtol=1e-9, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Array evaluation: a batch of points against one call per point
+
+
+HERMITE5 = (WeightFamily([G(0.0, 1.0)]), WeightFamily([G(0.0, 1.0)]),
+            [5], [5])
+# off the axis, out in the series branch (|zeta| >= 6), and on the real line
+BATCH_POINTS = np.array([0.3 + 0.7j, -1.1 - 0.4j, 0.2 - 1.9j, 8j, 0.5 - 9j,
+                         0.2, -0.45, 1.3])
+
+
+def assert_batch_matches_points(system, points, sides):
+    batch_sys = copy.copy(system)
+    batch_sys.branch_counts = dict.fromkeys(BRANCHES, 0)
+    single_sys = copy.copy(system)
+    single_sys.branch_counts = dict.fromkeys(BRANCHES, 0)
+    for side in sides:
+        for fn in ("y_matrix", "x_matrix"):
+            batch = getattr(batch_sys, fn)(points, side)
+            assert batch.shape[0] == len(points)
+            for z, got in zip(points, batch):
+                want = getattr(single_sys, fn)(z, side)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), \
+                    (fn, z, side)
+    assert batch_sys.branch_counts == single_sys.branch_counts
+    return batch_sys.branch_counts
+
+
+class TestBatchEvaluation:
+    @pytest.mark.parametrize("config", [WP, P3, HERMITE5],
+                             ids=["wp", "p3", "hermite5"])
+    def test_batch_equals_single_points(self, config):
+        w1, w2, n, m = config
+        system = RhSystem(MultiIndexPair.balanced(n, m), w1, w2)
+        counts = assert_batch_matches_points(system, BATCH_POINTS, "+-")
+        assert counts["recursion"] > 0 and counts["asymptotic_series"] > 0
+
+    def test_polynomial_values_round_per_point(self):
+        # bitwise: each point of an array rounds as it would alone, so the
+        # cancelling high-degree sums of Hermite (12) match too
+        fam = WeightFamily([G(0.0, 1.0)])
+        system = RhSystem(MultiIndexPair.balanced([12], [12]), fam, fam)
+        zs = np.random.default_rng(3).uniform(-2.0, 2.0, (40, 2)) @ [1, 1j]
+        for sol in system.data.x_forms + system.data.y_forms:
+            np.testing.assert_array_equal(
+                sol.poly_values(zs),
+                np.stack([sol.poly_values(z) for z in zs], axis=-1))
+
+    def test_tabulated_batch_equals_single_points(self):
+        pair, _, _ = rank_one_pair()
+        tab = WeightFamily([Weight.tabulated(gaussian_callable(0.0, 1.0, 1.0),
+                                             (-12.0, 12.0))])
+        system = RhSystem(pair, tab, tab)
+        counts = assert_batch_matches_points(
+            system, np.array([1.0 + 1.0j, -0.5 - 0.8j]), [None])
+        assert counts == {"recursion": 0, "asymptotic_series": 0, "panel": 8}
+
+    def test_jump_helpers_batch_equal_single_points(self):
+        w1, w2, n, m = WP
+        system = RhSystem(MultiIndexPair.balanced(n, m), w1, w2)
+        xs = np.array([-0.7, 0.1, 0.9])
+        J = jump_matrix(w1, w2, xs)
+        reports = verify_jump(system, xs)
+        assert len(reports) == len(xs)
+        for x, Jx, rep in zip(xs, J, reports):
+            np.testing.assert_array_equal(Jx, jump_matrix(w1, w2, x))
+            assert rep == verify_jump(system, [x])[0]
+
+    def test_report_evaluates_in_few_array_calls(self, monkeypatch):
+        # one Y and one X call at the det points, Y+ and Y- at the jump
+        # points and Y at the three radii: a per-point loop would call the
+        # closed form 63 times
+        calls = []
+        exact = rh.gaussian_cauchy_moments
+
+        def counted(zeta, degree, side=0):
+            calls.append(np.shape(zeta))
+            return exact(zeta, degree, side)
+
+        monkeypatch.setattr(rh, "gaussian_cauchy_moments", counted)
+        w1, w2, n, m = WP
+        rep = rh_verification_report(
+            RhSystem(MultiIndexPair.balanced(n, m), w1, w2))
+        assert len(calls) <= 6
+        assert sum(math.prod(shape) for shape in calls) == sum(
+            rep["cauchy_branches"].values())
+
+    def test_misaligned_points_fail_inverse_transpose(self, monkeypatch):
+        # X evaluated at the det points in reverse order no longer pairs
+        # with Y, while Y alone still has unit determinant
+        system = RhSystem(*rank_one_pair())
+        assert rh_verification_report(system)["passed"]["inverse_transpose"]
+        exact = system.x_matrix
+        monkeypatch.setattr(system, "x_matrix", lambda z, side=None: exact(
+            np.asarray(z)[::-1], side))
+        rep = rh_verification_report(system)
+        assert not rep["passed"]["inverse_transpose"]
+        assert rep["x_y_max"] > 1e-3
+        assert rep["passed"]["det"]
