@@ -252,9 +252,8 @@ def cmd_rh_verify(args, raw: dict) -> list:
     system = RhSystem(pair, w1, w2)
     tol = args.tol if args.tol is not None else 1e-7
     report = _base_report(args, raw, system.data.precision)
-    report.update(rh_verification_report(system, seed=args.seed, tol=tol))
-    z0 = complex(report["z_points"][0]["re"], report["z_points"][0]["im"])
-    Y0 = system.y_matrix(z0)
+    certificates, Y0 = rh_verification_report(system, seed=args.seed, tol=tol)
+    report.update(certificates)
     return [("rh_report.json", dump_json, report),
             ("y_matrix.csv", write_csv, MATRIX_CSV_HEADER, matrix_rows(Y0))]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mop import (MixedMopSolution, MultiIndexPair, Normalization,
+from .mop import (FormStack, MixedMopSolution, MultiIndexPair, Normalization,
                   NotNormalizable, check_normality, moment_matrix,
                   moment_table_for, pair_layouts, rank_threshold, solve_mixed)
 from .weights import (ProductMomentTable, WeightFamily, adaptive_gauss_legendre,
@@ -120,8 +120,13 @@ def build_biorthogonal(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
 
 def kernel_direct_grid(sys: BiorthogonalSystem, xs, ys) -> np.ndarray:
     """K on the product grid xs x ys, shape (len(xs), len(ys))."""
-    F = sys.f_values(np.asarray(xs, dtype=float))
-    G = sys.g_values(np.asarray(ys, dtype=float))
+    return _direct_product(sys, sys.f_values(np.asarray(xs, dtype=float)),
+                           sys.g_values(np.asarray(ys, dtype=float)))
+
+
+def _direct_product(sys: BiorthogonalSystem, F: np.ndarray, G: np.ndarray
+                    ) -> np.ndarray:
+    """K from the F basis values at the rows and the G values at the columns."""
     return F.T @ sys.transform.T @ G
 
 
@@ -139,14 +144,15 @@ def idempotence_residual(sys: BiorthogonalSystem, xs, ys) -> tuple[float, float]
     lo, hi = sys.interval()
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    K = kernel_direct_grid(sys, xs, ys)
+    F, G = sys.f_values(xs), sys.g_values(ys)
+    K = _direct_product(sys, F, G)
     results = []
     for degree in (256, 384):
         nodes, wts = _leggauss(degree)
         zs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
         wz = 0.5 * (hi - lo) * wts
-        Kxz = kernel_direct_grid(sys, xs, zs)
-        Kzy = kernel_direct_grid(sys, zs, ys)
+        Kxz = _direct_product(sys, F, sys.g_values(zs))
+        Kzy = _direct_product(sys, sys.f_values(zs), G)
         results.append(Kxz @ (wz[:, None] * Kzy))
     resid = float(np.max(np.abs(results[-1] - K)))
     quad_est = float(np.max(np.abs(results[-1] - results[0])))
@@ -166,13 +172,16 @@ class CdKernelData:
     argument.  y_forms[r] is the swapped (w2, w1) orientation partner of
     x_forms[r], type I (m, n - e_j) then type II (m + e_k, n), and takes the
     second argument.  Term r carries sign +1 for r < p and -1 after.  Every
-    stored pair is defining in its own orientation.
+    stored pair is defining in its own orientation.  x_stack and y_stack
+    evaluate each orientation's forms as one array.
     """
 
     pair: MultiIndexPair
     table: ProductMomentTable
     x_forms: tuple[MixedMopSolution, ...]
     y_forms: tuple[MixedMopSolution, ...]
+    x_stack: FormStack
+    y_stack: FormStack
     delta_diag: float
 
     @property
@@ -196,10 +205,10 @@ class CdKernelData:
     def max_residual(self) -> float:
         return max(s.residual for s in self.solutions)
 
-    def terms(self) -> list[tuple[float, MixedMopSolution, MixedMopSolution]]:
-        """(sign, x-side form, y-side form) of each term of the CD numerator."""
-        return [(1.0 if r < self.p else -1.0, a, b)
-                for r, (a, b) in enumerate(zip(self.x_forms, self.y_forms))]
+    @property
+    def signs(self) -> np.ndarray:
+        """The sign of each term of the CD numerator."""
+        return np.array([1.0] * self.p + [-1.0] * self.q)
 
 
 def build_cd_data(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
@@ -231,15 +240,24 @@ def build_cd_data(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
     y_forms = tuple([run("y", "I", j, m, n.bumped(j, -1)) for j in range(len(n))]
                     + [run("y", "II", k, m.bumped(k, +1), n) for k in range(len(m))])
     return CdKernelData(pair=pair, table=table, x_forms=x_forms, y_forms=y_forms,
+                        x_stack=FormStack.of(x_forms),
+                        y_stack=FormStack.of(y_forms),
                         delta_diag=DIAG_BAND_FACTOR * table.scale)
+
+
+def _term_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first (term) axis from zero, one term after another."""
+    acc = np.zeros(terms.shape[1:])
+    for term in terms:
+        acc = acc + term
+    return acc
 
 
 def kernel_cd_diagonal(data: CdKernelData, x) -> np.ndarray | float:
     """K(x, x) by l'Hopital: the x-derivative of the numerator at y = x."""
     x = np.asarray(x, dtype=float)
-    acc = np.zeros_like(x)
-    for sign, a, b in data.terms():
-        acc = acc + sign * a.form_derivative(x) * b.form(x)
+    signs = data.signs.reshape((-1,) + (1,) * x.ndim)
+    acc = _term_sum(signs * data.x_stack.derivatives(x) * data.y_stack.values(x))
     if acc.ndim == 0:
         return float(acc)
     return acc
@@ -254,12 +272,14 @@ def kernel_cd_band(data: CdKernelData, x, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     out = np.empty(x.shape)
     diag = x == y
-    out[diag] = kernel_cd_diagonal(data, x[diag])
-    xo, yo = x[~diag], y[~diag]
-    acc = np.zeros(xo.shape)
-    for sign, a, b in data.terms():
-        acc = acc + sign * (a.form(xo) - a.form(yo)) / (xo - yo) * b.form(yo)
-    out[~diag] = acc
+    if diag.any():
+        out[diag] = kernel_cd_diagonal(data, x[diag])
+    if not diag.all():
+        xo, yo = x[~diag], y[~diag]
+        Axo, Ayo = np.split(data.x_stack.values(np.concatenate([xo, yo])), 2,
+                            axis=1)
+        out[~diag] = _term_sum(data.signs[:, None] * (Axo - Ayo) / (xo - yo)
+                               * data.y_stack.values(yo))
     return out
 
 
@@ -269,8 +289,8 @@ def kernel_cd_grid(data: CdKernelData, xs, ys) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     p = data.p
-    X = np.stack([s.form(xs) for s in data.x_forms])
-    Y = np.stack([s.form(ys) for s in data.y_forms])
+    X = data.x_stack.values(xs)
+    Y = data.y_stack.values(ys)
     N = np.einsum("jx,jy->xy", X[:p], Y[:p]) - np.einsum("kx,ky->xy", X[p:], Y[p:])
     denom = xs[:, None] - ys[None, :]
     band = np.abs(denom) <= data.delta_diag

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -251,8 +252,9 @@ class MixedMopSolution:
     residual: float
     precision: str = "double"
 
-    def _u(self, x):
-        return (np.asarray(x, dtype=float) - self.center) / self.scale
+    @cached_property
+    def _stack(self) -> "FormStack":
+        return FormStack.of((self,))
 
     def poly_values(self, x) -> np.ndarray:
         """A_l(x) for every l, stacked; accepts real or complex input.
@@ -264,7 +266,7 @@ class MixedMopSolution:
         """
         x = np.asarray(x)
         if not np.iscomplexobj(x):
-            return np.stack([P.polyval(self._u(x), cf) for cf in self.coeffs])
+            return self._stack.poly_values(x)[0]
         u = (x - self.center) / self.scale
         ur, ui = u.real, u.imag
         out = np.empty((len(self.coeffs),) + x.shape, dtype=complex)
@@ -277,23 +279,7 @@ class MixedMopSolution:
 
     def form(self, x) -> np.ndarray:
         """Q(x) = sum_l A_l(x) w1_l(x) on real input."""
-        x = np.asarray(x, dtype=float)
-        u = self._u(x)
-        out = np.zeros_like(u)
-        for cf, w in zip(self.coeffs, self.weights):
-            out = out + P.polyval(u, cf) * w(x)
-        return out
-
-    def form_derivative(self, x) -> np.ndarray:
-        """d/dx of the form; needs gaussian weights (analytic derivative)."""
-        x = np.asarray(x, dtype=float)
-        u = self._u(x)
-        out = np.zeros_like(u)
-        for cf, w in zip(self.coeffs, self.weights):
-            dcf = P.polyder(cf) if len(cf) > 1 else np.zeros(1)
-            out = out + (P.polyval(u, dcf) / self.scale) * w(x)
-            out = out + P.polyval(u, cf) * w.log_derivative_factor(x)
-        return out
+        return self._stack.values(x)[0]
 
     def polynomials_original(self) -> list[np.ndarray]:
         """Coefficient arrays of A_l in the plain monomial basis.
@@ -322,6 +308,70 @@ class MixedMopSolution:
             "residual": self.residual,
             "precision": self.precision,
         }
+
+
+@dataclass(frozen=True)
+class FormStack:
+    """The forms Q_r = sum_l A_rl w_l of R solutions, evaluated as one
+    array; the solutions must share their weight family, center and scale.
+
+    coeffs[r, l] holds the shifted-basis coefficients of A_rl, padded with
+    zeros at the high-degree end to one length D, and derivative_coeffs[r,
+    l] those of dA_rl/du.  One Horner recurrence (polyval's, on the whole
+    (R, L) stack) and one evaluation of each weight per point set give
+    every value bitwise equal to the per-form, per-weight evaluation.
+    """
+
+    weights: WeightFamily
+    center: float
+    scale: float
+    coeffs: np.ndarray
+    derivative_coeffs: np.ndarray
+
+    @staticmethod
+    def of(solutions: Sequence[MixedMopSolution]) -> "FormStack":
+        first = solutions[0]
+        size = max(len(cf) for s in solutions for cf in s.coeffs)
+        shape = (len(solutions), len(first.weights))
+        coeffs = np.zeros(shape + (size,))
+        derivative = np.zeros(shape + (max(size - 1, 1),))
+        for r, s in enumerate(solutions):
+            for l, cf in enumerate(s.coeffs):
+                coeffs[r, l, :len(cf)] = cf
+                derivative[r, l, :len(cf) - 1] = cf[1:] * np.arange(1, len(cf))
+        return FormStack(weights=first.weights, center=first.center,
+                         scale=first.scale, coeffs=coeffs,
+                         derivative_coeffs=derivative)
+
+    def _polyval(self, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return P.polyval((x - self.center) / self.scale,
+                         np.moveaxis(coeffs, -1, 0))
+
+    def poly_values(self, x) -> np.ndarray:
+        """A_rl(x), shape (R, L) + x.shape, on real input."""
+        return self._polyval(self.coeffs, np.asarray(x, dtype=float))
+
+    def values(self, x) -> np.ndarray:
+        """Q_r(x), shape (R,) + x.shape, on real input."""
+        x = np.asarray(x, dtype=float)
+        A = self.poly_values(x)
+        out = np.zeros(A.shape[:1] + x.shape)
+        for l, wx in enumerate(self.weights.values(x)):
+            out = out + A[:, l] * wx
+        return out
+
+    def derivatives(self, x) -> np.ndarray:
+        """dQ_r/dx, shape (R,) + x.shape, on real input; needs gaussian
+        weights (analytic derivative)."""
+        x = np.asarray(x, dtype=float)
+        A = self.poly_values(x)
+        dA = self._polyval(self.derivative_coeffs, x)
+        out = np.zeros(A.shape[:1] + x.shape)
+        for l, w in enumerate(self.weights):
+            wx = w(x)
+            out = out + (dA[:, l] / self.scale) * wx
+            out = out + A[:, l] * (w.log_derivative_factor(x) * wx)
+        return out
 
 
 def shifted_to_monomial(coeffs: np.ndarray, center: float, scale: float) -> np.ndarray:

@@ -232,10 +232,9 @@ def _block_table(data: CdKernelData) -> dict[str, _Block]:
     }
 
 
-def _poly_block(block: _Block, values: Callable) -> np.ndarray:
-    """Polynomial row factor times values(form), stacked over the forms on
-    the first axis."""
-    stacked = np.stack([values(s) for s in block.forms])
+def _poly_block(block: _Block, stacked: np.ndarray) -> np.ndarray:
+    """Polynomial row factor times a stack of values with one row per form
+    on the first axis."""
     return block.poly_factors.reshape((-1,) + (1,) * (stacked.ndim - 1)) * stacked
 
 
@@ -320,8 +319,9 @@ class RhSystem:
         """Y or X at z: (N, N) at a scalar z, (Z, N, N) at a 1-D array."""
         zs = np.asarray(z)
         points = zs.reshape(-1)
-        poly = np.moveaxis(_poly_block(self._blocks[name],
-                                       lambda s: s.poly_values(points)), -1, 0)
+        block = self._blocks[name]
+        poly = np.moveaxis(_poly_block(block, np.stack(
+            [s.poly_values(points) for s in block.forms])), -1, 0)
         cauchy = self._cauchy_block(name, points, side)
         out = np.concatenate([poly, cauchy] if name == "y" else [cauchy, poly],
                              axis=-1)
@@ -377,10 +377,9 @@ def _rh_row_column(data: CdKernelData, x, y):
     [0, w2(y)] Y+^{-1}(y) (through the swapped forms), both complex, at the
     points of the float arrays x and y."""
     blocks = _block_table(data)
-    w1x = data.table.w1.values(x)
-    col = _poly_block(blocks["y"], lambda s: np.einsum(
-        "lx,lx->x", s.poly_values(x), w1x))
-    return col, _poly_block(blocks["x"], lambda s: s.form(y))
+    col = _poly_block(blocks["y"], np.einsum(
+        "rlx,lx->rx", data.x_stack.poly_values(x), data.table.w1.values(x)))
+    return col, _poly_block(blocks["x"], data.y_stack.values(y))
 
 
 def kernel_rh_grid(data: CdKernelData, xs, ys) -> np.ndarray:
@@ -409,9 +408,10 @@ def kernel_rh_grid(data: CdKernelData, xs, ys) -> np.ndarray:
 
 
 def rh_verification_report(system: RhSystem, *, seed: int = 42,
-                           tol: float = 1e-7) -> dict:
+                           tol: float = 1e-7) -> tuple[dict, np.ndarray]:
     """The four RH certificates: det and X^T Y at 20 random points off the
     real line, the jump at 10 random points on it, and the asymptotics.
+    Returns the report and Y at the first of the 20 points.
 
     This certifies that the assembled matrix satisfies the defining
     conditions within tolerance; it does not certify uniqueness.
@@ -441,7 +441,7 @@ def rh_verification_report(system: RhSystem, *, seed: int = 42,
     jump_reports = verify_jump(system, xs_real)
     asym = asymptotic_errors(system)
 
-    return {
+    report = {
         "pair": system.pair.to_json_dict(),
         "z_points": [{"re": z.real, "im": z.imag} for z in zs],
         "det_residuals": det_residuals,
@@ -463,6 +463,7 @@ def rh_verification_report(system: RhSystem, *, seed: int = 42,
             "asymptotics": all(r >= 1.8 for r in asym["ratios"]),
         },
     }
+    return report, Y[0]
 
 
 MATRIX_CSV_HEADER = ("row", "col", "re", "im")

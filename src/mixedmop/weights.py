@@ -110,11 +110,11 @@ class Weight:
         return self.support
 
     def log_derivative_factor(self, x):
-        """d/dx of the weight, for gaussian kind only."""
+        """w'(x) / w(x), for gaussian kind only."""
         if self.kind != "gaussian":
             raise ValueError("derivative available for gaussian weights only")
         x = np.asarray(x, dtype=float)
-        return -(x - self.center) / self.variance * self(x)
+        return -(x - self.center) / self.variance
 
 
 class WeightFamily(tuple):

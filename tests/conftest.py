@@ -16,10 +16,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from scipy import integrate, linalg, special
 
 from mixedmop import Weight, WeightFamily, kernel_cd_diagonal
-from mixedmop import brownian
+from mixedmop import brownian, rh
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +287,102 @@ def band_value_oracle(data, x: float, y: float) -> float:
         return float(kernel_cd_diagonal(data, x))
     h = x - y
     acc = 0.0
-    for r, (a, b) in enumerate(zip(data.x_forms, data.y_forms)):
+    # the p type II terms first, then the q type I terms
+    for sign, a, b in cd_terms(data):
         dd = (float(a.form(x)) - float(a.form(y))) / h
-        # the p type II terms first, then the q type I terms
-        acc += (1.0 if r < data.p else -1.0) * dd * float(b.form(y))
+        acc += sign * dd * float(b.form(y))
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Per-form oracles for the stacked CD evaluation
+
+
+def form_oracle(sol, x):
+    """Q(x) of one solution, one polyval and one weight call per weight."""
+    x = np.asarray(x, dtype=float)
+    u = (x - sol.center) / sol.scale
+    out = np.zeros_like(u)
+    for cf, w in zip(sol.coeffs, sol.weights):
+        out = out + P.polyval(u, cf) * w(x)
+    return out
+
+
+def form_derivative_oracle(sol, x):
+    """dQ/dx of one solution with polyder per weight (gaussian weights)."""
+    x = np.asarray(x, dtype=float)
+    u = (x - sol.center) / sol.scale
+    out = np.zeros_like(u)
+    for cf, w in zip(sol.coeffs, sol.weights):
+        dcf = P.polyder(cf) if len(cf) > 1 else np.zeros(1)
+        out = out + (P.polyval(u, dcf) / sol.scale) * w(x)
+        out = out + P.polyval(u, cf) * (-(x - w.center) / w.variance * w(x))
+    return out
+
+
+def cd_terms(data):
+    """(sign, x-side form, y-side form) of each term of the CD numerator."""
+    return [(1.0 if r < data.p else -1.0, a, b)
+            for r, (a, b) in enumerate(zip(data.x_forms, data.y_forms))]
+
+
+def cd_diagonal_oracle(data, x):
+    """K(x, x) summed term by term from per-form derivatives and values."""
+    x = np.asarray(x, dtype=float)
+    acc = np.zeros_like(x)
+    for sign, a, b in cd_terms(data):
+        acc = acc + sign * form_derivative_oracle(a, x) * form_oracle(b, x)
+    return acc
+
+
+def cd_band_oracle(data, x, y):
+    """kernel_cd_band term by term from per-form values."""
+    out = np.empty(x.shape)
+    diag = x == y
+    out[diag] = cd_diagonal_oracle(data, x[diag])
+    xo, yo = x[~diag], y[~diag]
+    acc = np.zeros(xo.shape)
+    for sign, a, b in cd_terms(data):
+        acc = acc + sign * (form_oracle(a, xo) - form_oracle(a, yo)) \
+            / (xo - yo) * form_oracle(b, yo)
+    out[~diag] = acc
+    return out
+
+
+def cd_grid_oracle(data, xs, ys):
+    """kernel_cd_grid from per-form values, with cd_band_oracle on the band."""
+    p = data.p
+    X = np.stack([form_oracle(s, xs) for s in data.x_forms])
+    Y = np.stack([form_oracle(s, ys) for s in data.y_forms])
+    N = np.einsum("jx,jy->xy", X[:p], Y[:p]) - np.einsum("kx,ky->xy", X[p:], Y[p:])
+    denom = xs[:, None] - ys[None, :]
+    band = np.abs(denom) <= data.delta_diag
+    out = np.empty_like(N)
+    np.divide(N, denom, out=out, where=~band)
+    ix, iy = np.nonzero(band)
+    out[ix, iy] = cd_band_oracle(data, xs[ix], ys[iy])
+    return out
+
+
+def rh_grid_oracle(data, xs, ys):
+    """kernel_rh_grid with its Y-column and row taken form by form."""
+    blocks = rh._block_table(data)
+    w1x = data.table.w1.values(xs)
+    u = (xs - data.table.center) / data.table.scale
+    col = blocks["y"].poly_factors[:, None] * np.stack([np.einsum(
+        "lx,lx->x", np.stack([P.polyval(u, cf) for cf in s.coeffs]), w1x)
+        for s in data.x_forms])
+    row = blocks["x"].poly_factors[:, None] * np.stack(
+        [form_oracle(s, ys) for s in data.y_forms])
+    N = np.einsum("rx,ry->xy", col, row)
+    denom = rh.TWO_PI_I * (xs[:, None] - ys[None, :])
+    band = np.abs(xs[:, None] - ys[None, :]) <= data.delta_diag
+    out = np.empty(N.shape, dtype=complex)
+    np.divide(N, denom, out=out, where=~band)
+    real = out.real.copy()
+    ix, iy = np.nonzero(band)
+    real[ix, iy] = cd_band_oracle(data, xs[ix], ys[iy])
+    return real
 
 
 def band_grids(delta):

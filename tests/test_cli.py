@@ -19,10 +19,12 @@ import pytest
 
 import mixedmop
 import mixedmop.cli as cli
+from mixedmop import rh
 from mixedmop import (BrownianConfig, MultiIndexPair, RhSystem,
                       build_biorthogonal, build_cd_data, config_to_weights,
                       correlation_kernel, kernel_cd_grid, kernel_direct_grid,
                       r1_grid, sample_projection_dpp, weights_from_json)
+from mixedmop._util import write_csv
 from mixedmop.cli import GRID_LIMITS, main
 from mixedmop.kernel import relative_discrepancy
 
@@ -661,6 +663,31 @@ class TestRhVerify:
         branches = report["cauchy_branches"]
         assert branches["panel"] == 0
         assert branches["recursion"] + branches["asymptotic_series"] == 63
+
+    def test_matrix_dump_adds_no_evaluation(self, tmp_path, monkeypatch):
+        # y_matrix.csv is Y at the first z point, taken from the report's
+        # stack: the command makes the report's closed-form calls and no more
+        calls = []
+        exact = rh.gaussian_cauchy_moments
+
+        def counted(zeta, degree, side=0):
+            calls.append(np.shape(zeta))
+            return exact(zeta, degree, side)
+
+        monkeypatch.setattr(rh, "gaussian_cauchy_moments", counted)
+        code, out = run_cli(tmp_path, "rh-verify", WP)
+        assert code == 0
+        cli_calls = list(calls)
+        calls.clear()
+        system = RhSystem(MultiIndexPair.balanced(WP["n"], WP["m"]),
+                          *weights_from_json(WP))
+        report, _ = rh.rh_verification_report(system)
+        assert cli_calls == calls
+        z0 = complex(report["z_points"][0]["re"], report["z_points"][0]["im"])
+        write_csv(str(tmp_path / "y0.csv"), rh.MATRIX_CSV_HEADER,
+                  rh.matrix_rows(system.y_matrix(z0)))
+        assert (out / "y_matrix.csv").read_bytes() == \
+            (tmp_path / "y0.csv").read_bytes()
 
 
 class TestImportCost:

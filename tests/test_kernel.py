@@ -5,17 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from mixedmop import (DegeneratePair, MultiIndexPair, NotNormalizable, Weight,
-                      WeightFamily, build_biorthogonal, build_cd_data,
-                      build_moment_table, check_normality, kernel_cd_band,
+from mixedmop import (BiorthogonalSystem, BrownianConfig, DegeneratePair,
+                      MultiIndexPair, NotNormalizable, Weight, WeightFamily,
+                      build_biorthogonal, build_cd_data, build_moment_table,
+                      check_normality, config_to_weights, kernel_cd_band,
                       kernel_cd_diagonal, kernel_cd_grid, kernel_direct_grid,
-                      kernel_routes_report, transition_weight)
+                      kernel_rh_grid, kernel_routes_report, transition_weight)
 from mixedmop.kernel import (idempotence_residual, relative_discrepancy,
                              trace_quadrature)
+from mixedmop.weights import _leggauss
 
-from conftest import assert_band_matches_oracle, band_grids, kernel_at, \
-    monic_orthogonal_oracle, random_balanced_parts, random_gaussian_families, \
-    richardson_extrapolate
+from conftest import assert_band_matches_oracle, band_grids, \
+    cd_diagonal_oracle, cd_grid_oracle, cd_terms, form_derivative_oracle, \
+    form_oracle, kernel_at, monic_orthogonal_oracle, random_balanced_parts, \
+    random_gaussian_families, rh_grid_oracle, richardson_extrapolate
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -203,7 +206,7 @@ class TestCdRoute:
         def numerator(data, x, y):
             # (x - y) K(x, y): the CD combination of the neighbor forms
             return sum(float(sign * a.form(x) * b.form(y))
-                       for sign, a, b in data.terms())
+                       for sign, a, b in cd_terms(data))
 
         for x, y in ((0.3, -0.8), (1.1, 0.2)):
             a = numerator(data, x, y)
@@ -318,3 +321,125 @@ class TestRoutesReport:
                                    kernel_cd_grid(data, xs, xs), rh_grid=fake)
         assert rep["direct_vs_rh"] == 0.0
         assert rep["cd_vs_rh"] < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Stacked form evaluation against the per-form loops
+
+
+STACK_CONFIGS = {
+    "wp": (*WP, [3, 2], [2, 3]),
+    "p3": (WeightFamily([G(-0.8, 0.7), G(0.1, 1.1), G(0.9, 0.9)]),
+           WeightFamily([G(-0.4, 1.0), G(0.3, 0.6), G(0.7, 1.3)]),
+           [2, 2, 2], [2, 2, 2]),
+    # the neighbor solves of both take the extended fallback
+    "hermite12": (WeightFamily([G(0.0, 1.0)]), WeightFamily([G(0.0, 1.0)]),
+                  [12], [12]),
+    "two_start_5": None,
+}
+# the default cd-check grid, whose band is the diagonal alone, and a grid
+# whose band holds every cell
+DEFAULT_GRID = np.linspace(-2.0, 2.0, 41)
+BAND_GRID = np.linspace(-1e-5, 1e-5, 9)
+
+
+@pytest.fixture(scope="module", params=list(STACK_CONFIGS))
+def stack_data(request):
+    config = STACK_CONFIGS[request.param]
+    if config is None:
+        w1, w2, pair = config_to_weights(BrownianConfig(
+            starts=((-1.0, 5), (1.0, 5)), ends=((0.0, 10),), time=0.5))
+    else:
+        w1, w2, n, m = config
+        pair = MultiIndexPair.balanced(n, m)
+    return build_cd_data(pair, w1, w2)
+
+
+def weight_calls(monkeypatch, fn):
+    """Number of Weight.__call__ calls made by fn()."""
+    calls = []
+    exact = Weight.__call__
+
+    def counted(self, x):
+        calls.append(1)
+        return exact(self, x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Weight, "__call__", counted)
+        fn()
+    return len(calls)
+
+
+class TestStackedForms:
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, BAND_GRID],
+                             ids=["default", "band"])
+    def test_values_and_derivatives_bitwise(self, stack_data, grid):
+        for forms, stack in ((stack_data.x_forms, stack_data.x_stack),
+                             (stack_data.y_forms, stack_data.y_stack)):
+            assert np.array_equal(stack.values(grid), np.stack(
+                [form_oracle(s, grid) for s in forms]))
+            assert np.array_equal(stack.derivatives(grid), np.stack(
+                [form_derivative_oracle(s, grid) for s in forms]))
+            for s in forms:
+                assert np.array_equal(s.form(grid), form_oracle(s, grid))
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, BAND_GRID],
+                             ids=["default", "band"])
+    def test_grids_bitwise(self, stack_data, grid):
+        band = np.abs(grid[:, None] - grid[None, :]) <= stack_data.delta_diag
+        assert np.count_nonzero(band) == (grid.size if grid is DEFAULT_GRID
+                                          else grid.size ** 2)
+        assert np.array_equal(kernel_cd_grid(stack_data, grid, grid),
+                              cd_grid_oracle(stack_data, grid, grid))
+        assert np.array_equal(kernel_rh_grid(stack_data, grid, grid),
+                              rh_grid_oracle(stack_data, grid, grid))
+
+    def test_diagonal_bitwise_on_array_and_scalar(self, stack_data):
+        assert np.array_equal(kernel_cd_diagonal(stack_data, DEFAULT_GRID),
+                              cd_diagonal_oracle(stack_data, DEFAULT_GRID))
+        value = kernel_cd_diagonal(stack_data, 0.3)
+        assert type(value) is float
+        assert value == float(cd_diagonal_oracle(stack_data, 0.3))
+
+    @pytest.mark.parametrize("config", ["wp", "p3"])
+    def test_one_weight_call_per_weight_and_point_set(self, config,
+                                                      monkeypatch):
+        w1, w2, n, m = STACK_CONFIGS[config]
+        data = build_cd_data(MultiIndexPair.balanced(n, m), w1, w2)
+        p, q = len(n), len(m)
+        # forms on xs and ys, then the l'Hopital diagonal: a per-form loop
+        # made 64 (wp) and 144 (p3) calls here
+        assert weight_calls(monkeypatch, lambda: kernel_cd_grid(
+            data, DEFAULT_GRID, DEFAULT_GRID)) == 2 * (p + q)
+        # an off-diagonal band adds a fixed number, whatever its cell count
+        band = [weight_calls(monkeypatch, lambda: kernel_cd_grid(data, xs, xs))
+                for xs in (BAND_GRID, np.linspace(-1e-5, 1e-5, 17))]
+        assert band[0] == band[1] <= 3 * (p + q)
+
+
+class TestIdempotence:
+    def test_basis_values_once_per_point_set(self, monkeypatch):
+        w1, w2, n, m = STACK_CONFIGS["wp"]
+        sys = build_biorthogonal(MultiIndexPair.balanced(n, m), w1, w2)
+        xs = np.linspace(-2.0, 2.0, 41)
+        # the products of the three direct grids, as the residual defines them
+        lo, hi = sys.interval()
+        results = []
+        for degree in (256, 384):
+            nodes, wts = _leggauss(degree)
+            zs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
+            wz = 0.5 * (hi - lo) * wts
+            results.append(kernel_direct_grid(sys, xs, zs) @ (
+                wz[:, None] * kernel_direct_grid(sys, zs, xs)))
+        K = kernel_direct_grid(sys, xs, xs)
+        want = (float(np.max(np.abs(results[-1] - K))),
+                float(np.max(np.abs(results[-1] - results[0]))))
+
+        calls = []
+        for name in ("f_values", "g_values"):
+            exact = getattr(BiorthogonalSystem, name)
+            monkeypatch.setattr(BiorthogonalSystem, name,
+                                lambda self, x, exact=exact, name=name: (
+                                    calls.append(name), exact(self, x))[1])
+        assert idempotence_residual(sys, xs, xs) == want
+        assert sorted(calls) == ["f_values"] * 3 + ["g_values"] * 3
