@@ -256,27 +256,6 @@ class MixedMopSolution:
     def _stack(self) -> "FormStack":
         return FormStack.of((self,))
 
-    def poly_values(self, x) -> np.ndarray:
-        """A_l(x) for every l, stacked; accepts real or complex input.
-
-        Complex input runs Horner's rule on the real and imaginary parts,
-        so each point of an array rounds as it would alone: numpy's vector
-        complex product may fuse multiply-adds where its scalar one does
-        not, which moves a cancelling high-degree sum in its last digits.
-        """
-        x = np.asarray(x)
-        if not np.iscomplexobj(x):
-            return self._stack.poly_values(x)[0]
-        u = (x - self.center) / self.scale
-        ur, ui = u.real, u.imag
-        out = np.empty((len(self.coeffs),) + x.shape, dtype=complex)
-        for k, cf in enumerate(self.coeffs):
-            re, im = np.full(x.shape, cf[-1]), np.zeros(x.shape)
-            for c in cf[-2::-1]:
-                re, im = c + (re * ur - im * ui), re * ui + im * ur
-            out.real[k], out.imag[k] = re, im
-        return out
-
     def form(self, x) -> np.ndarray:
         """Q(x) = sum_l A_l(x) w1_l(x) on real input."""
         return self._stack.values(x)[0]
@@ -288,7 +267,7 @@ class MixedMopSolution:
         the basis change can smudge the leading 1 by a rounding ulp, so it
         is reinstated here.
         """
-        out = [shifted_to_monomial(cf, self.center, self.scale)
+        out = [affine_rebase(cf, -self.center / self.scale, 1.0 / self.scale)
                for cf in self.coeffs]
         if self.normalization.kind == "II":
             k = self.normalization.index
@@ -348,8 +327,24 @@ class FormStack:
                          np.moveaxis(coeffs, -1, 0))
 
     def poly_values(self, x) -> np.ndarray:
-        """A_rl(x), shape (R, L) + x.shape, on real input."""
-        return self._polyval(self.coeffs, np.asarray(x, dtype=float))
+        """A_rl(x), shape (R, L) + x.shape, on real or complex input.
+
+        Complex input runs Horner's rule on the real and imaginary parts,
+        so each point of an array rounds as it would alone: numpy's vector
+        complex product may fuse multiply-adds where its scalar one does
+        not, which moves a cancelling high-degree sum in its last digits.
+        """
+        x = np.asarray(x)
+        if not np.iscomplexobj(x):
+            return self._polyval(self.coeffs, np.asarray(x, dtype=float))
+        u = (x - self.center) / self.scale
+        ur, ui = u.real, u.imag
+        shape = self.coeffs.shape[:-1]
+        cs = np.moveaxis(self.coeffs, -1, 0).reshape((-1,) + shape + (1,) * x.ndim)
+        re, im = cs[-1], np.zeros(shape + x.shape)
+        for c in cs[-2::-1]:
+            re, im = c + (re * ur - im * ui), re * ui + im * ur
+        return re + 1j * im
 
     def values(self, x) -> np.ndarray:
         """Q_r(x), shape (R,) + x.shape, on real input."""
@@ -374,12 +369,18 @@ class FormStack:
         return out
 
 
-def shifted_to_monomial(coeffs: np.ndarray, center: float, scale: float) -> np.ndarray:
-    """Rewrite sum_i c_i ((x-center)/scale)^i as plain monomial coefficients."""
-    lin = np.array([-center / scale, 1.0 / scale])
-    out = np.zeros(1)
-    for c in reversed(np.asarray(coeffs, dtype=float)):
-        out = P.polyadd(P.polymul(out, lin), [c])
+def affine_rebase(coeffs, alpha, beta) -> np.ndarray:
+    """Coefficients in t of sum_i coeffs[..., i] (alpha + beta t)^i, by one
+    Horner step per coefficient over the leading axes, which broadcast with
+    alpha and beta.  The last axis keeps its length."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    out = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], alpha.shape, beta.shape)
+                   + coeffs.shape[-1:])
+    for i in reversed(range(coeffs.shape[-1])):
+        out[..., 1:] = alpha[..., None] * out[..., 1:] + beta[..., None] * out[..., :-1]
+        out[..., 0] = alpha * out[..., 0] + coeffs[..., i]
     return out
 
 

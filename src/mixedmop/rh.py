@@ -1,11 +1,13 @@
 """Riemann-Hilbert characterization: matrix assembly and verification.
 
-The (p+q) x (p+q) matrix Y is assembled entrywise from the neighbor solves:
-polynomial entries in the first p columns, Cauchy transforms of form-times-
-weight products in the last q.  Its inverse transpose X comes from the
-swapped-orientation solves.  For all-Gaussian families every Cauchy entry
-is a polynomial times a Gaussian, evaluated in closed form through the
-Faddeeva function; tabulated families go through adaptive panel quadrature.
+Y and X read the two form stacks of the CD data, one array evaluation per
+matrix: the (p+q) x (p+q) matrix Y has a row per form of x_stack, its
+polynomials in the first p columns and Cauchy transforms of form-times-w2
+products in the last q; its inverse transpose X takes the swapped forms of
+y_stack, Cauchy columns against w1 first.  For all-Gaussian families every
+Cauchy entry is a polynomial times a Gaussian, evaluated in closed form
+through the Faddeeva function from the stack coefficients rebased once per
+product Gaussian; tabulated families go through adaptive panel quadrature.
 On the real line both evaluate the boundary values Y+ and Y- exactly, as
 Plemelj limits: the Faddeeva function at a real argument, and principal
 value plus or minus i pi times the density for the panels.
@@ -25,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .kernel import CdKernelData, build_cd_data, kernel_cd_band
-from .mop import MultiIndexPair
+from .mop import FormStack, MultiIndexPair, affine_rebase
 from .weights import (AccuracyError, WeightFamily, family_interval,
                       gaussian_product_params, _leggauss)
 
@@ -188,15 +190,6 @@ def gaussian_cauchy_moments(zeta, degree: int, side: int = 0
     return C, series
 
 
-def _rebased(coeffs: np.ndarray, alpha: float, beta: float, size: int) -> np.ndarray:
-    """Coefficients in t of sum_i coeffs[i] (alpha + beta t)^i, padded to size."""
-    out = np.zeros(size)
-    for c in reversed(np.asarray(coeffs, dtype=float)):
-        out[1:] = alpha * out[1:] + beta * out[:-1]
-        out[0] = alpha * out[0] + c
-    return out
-
-
 def jump_matrix(w1: WeightFamily, w2: WeightFamily, x) -> np.ndarray:
     """The unipotent jump [[I, W(x)], [0, I]] with W = w1(x)^T w2(x): one
     (p+q) x (p+q) matrix at a real x, a stack of them at an array of x."""
@@ -209,10 +202,10 @@ def jump_matrix(w1: WeightFamily, w2: WeightFamily, x) -> np.ndarray:
 
 class _Block(NamedTuple):
     """One of Y = [P | C] and X = [C | P].  Row r holds poly_factors[r]
-    times forms[r]'s polynomials and cauchy_factors[r] times the Cauchy
-    transforms of forms[r] times each column weight."""
+    times the polynomials of the stack's form r and cauchy_factors[r] times
+    the Cauchy transforms of that form times each column weight."""
 
-    forms: tuple
+    stack: FormStack
     weights: WeightFamily
     cauchy_factors: np.ndarray
     poly_factors: np.ndarray
@@ -223,19 +216,13 @@ def _block_table(data: CdKernelData) -> dict[str, _Block]:
     of X (the swapped forms, Cauchy columns against w1)."""
     p, q = data.p, data.q
     return {
-        "y": _Block(data.x_forms, data.table.w2,
+        "y": _Block(data.x_stack, data.table.w2,
                     np.array([1.0 / TWO_PI_I] * p + [-1.0] * q),
                     np.array([1.0] * p + [-TWO_PI_I] * q)),
-        "x": _Block(data.y_forms, data.table.w1,
+        "x": _Block(data.y_stack, data.table.w1,
                     np.array([-1.0] * p + [-1.0 / TWO_PI_I] * q),
                     np.array([TWO_PI_I] * p + [1.0] * q)),
     }
-
-
-def _poly_block(block: _Block, stacked: np.ndarray) -> np.ndarray:
-    """Polynomial row factor times a stack of values with one row per form
-    on the first axis."""
-    return block.poly_factors.reshape((-1,) + (1,) * (stacked.ndim - 1)) * stacked
 
 
 class RhSystem:
@@ -267,28 +254,24 @@ class RhSystem:
             self._closed = self._closed_form_terms()
 
     def _closed_form_terms(self) -> dict:
-        """Product Gaussians of (w1_j, w2_l) and, per block, the tensor
-        T[r, l, j, d]: amplitude times coefficient d (in that Gaussian's t) of
-        form r's polynomial on its weight j, against column weight l."""
-        params = np.array([[gaussian_product_params(a, b) for b in self.w2]
-                           for a in self.w1])
-        mean, var, amp = params[..., 0], params[..., 1], params[..., 2]
-        sigma = np.sqrt(2.0 * var)
-        forms = self._blocks["y"].forms + self._blocks["x"].forms
-        size = max(len(cf) for sol in forms for cf in sol.coeffs)
-
+        """Per block, the mean and sigma of the product Gaussian of (column
+        weight l, form weight j) and the tensor T[r, l, j, d]: amplitude
+        times coefficient d (in that Gaussian's t) of form r's polynomial on
+        its weight j, padded to one length for both blocks."""
+        size = max(b.stack.coeffs.shape[-1] for b in self._blocks.values())
         terms = {}
-        for name, (sols, weights, _, _) in self._blocks.items():
-            T = np.zeros((len(sols), len(weights), len(sols[0].coeffs), size))
-            for r, sol in enumerate(sols):
-                for l in range(len(weights)):
-                    for j, cf in enumerate(sol.coeffs):
-                        g = (j, l) if name == "y" else (l, j)
-                        T[r, l, j] = amp[g] * _rebased(
-                            cf, (mean[g] - sol.center) / sol.scale,
-                            sigma[g] / sol.scale, size)
-            terms[name] = T
-        return {"mean": mean, "sigma": sigma, "degree": size - 1, **terms}
+        for name, (stack, weights, _, _) in self._blocks.items():
+            params = np.array([[gaussian_product_params(a, b)
+                                for b in stack.weights] for a in weights])
+            mean, var, amp = np.moveaxis(params, -1, 0)
+            sigma = np.sqrt(2.0 * var)
+            coeffs = np.zeros(stack.coeffs.shape[:-1] + (size,))
+            coeffs[..., :stack.coeffs.shape[-1]] = stack.coeffs
+            T = amp[..., None] * affine_rebase(
+                coeffs[:, None], (mean - stack.center) / stack.scale,
+                sigma / stack.scale)
+            terms[name] = (mean, sigma, T)
+        return terms
 
     def _cauchy_block(self, name: str, zs: np.ndarray, side: str | None
                       ) -> np.ndarray:
@@ -299,29 +282,29 @@ class RhSystem:
         block = self._blocks[name]
         factors = block.cauchy_factors[:, None]
         if self._closed is None:
+            forms = {"y": self.data.x_forms, "x": self.data.y_forms}[name]
             out = np.array([[[cauchy_transform(
                 lambda xs, s=sol, w=wl: s.form(xs) * w(xs), self.interval, z,
                 side, spread=self.spread)[0] for wl in block.weights]
-                for sol in block.forms] for z in zs])
+                for sol in forms] for z in zs])
             self.branch_counts["panel"] += out.size
             return out * factors
-        cf = self._closed
-        zeta = (zs.astype(complex)[:, None, None] - cf["mean"]) / cf["sigma"]
-        C, series = gaussian_cauchy_moments(zeta, cf["degree"],
+        mean, sigma, T = self._closed[name]
+        zeta = (zs.astype(complex)[:, None, None] - mean) / sigma
+        C, series = gaussian_cauchy_moments(zeta, T.shape[-1] - 1,
                                             SIDES.get(side, 0))
         n_series = int(np.count_nonzero(series))
         self.branch_counts["asymptotic_series"] += n_series
         self.branch_counts["recursion"] += series.size - n_series
-        spec = "rljd,zjld->zrl" if name == "y" else "rljd,zljd->zrl"
-        return np.einsum(spec, cf[name], C) * factors
+        return np.einsum("rljd,zljd->zrl", T, C) * factors
 
     def _matrix(self, name: str, z, side: str | None) -> np.ndarray:
         """Y or X at z: (N, N) at a scalar z, (Z, N, N) at a 1-D array."""
         zs = np.asarray(z)
         points = zs.reshape(-1)
         block = self._blocks[name]
-        poly = np.moveaxis(_poly_block(block, np.stack(
-            [s.poly_values(points) for s in block.forms])), -1, 0)
+        poly = block.poly_factors[:, None] * np.moveaxis(
+            block.stack.poly_values(points), -1, 0)
         cauchy = self._cauchy_block(name, points, side)
         out = np.concatenate([poly, cauchy] if name == "y" else [cauchy, poly],
                              axis=-1)
@@ -372,23 +355,18 @@ def asymptotic_errors(system: RhSystem) -> dict:
 # Kernel through the Riemann-Hilbert matrix
 
 
-def _rh_row_column(data: CdKernelData, x, y):
-    """Column Y+(x) [w1, 0]^T (through the polynomial block) and the row
-    [0, w2(y)] Y+^{-1}(y) (through the swapped forms), both complex, at the
-    points of the float arrays x and y."""
-    blocks = _block_table(data)
-    col = _poly_block(blocks["y"], np.einsum(
-        "rlx,lx->rx", data.x_stack.poly_values(x), data.table.w1.values(x)))
-    return col, _poly_block(blocks["x"], data.y_stack.values(y))
-
-
 def kernel_rh_grid(data: CdKernelData, xs, ys) -> np.ndarray:
     """The Y-route kernel on the product grid xs x ys: the Y-matrix row
     times column over 2 pi i (x - y) off the band |x - y| <= delta_diag,
     the shared CD band values (kernel_cd_band) on its cells."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    col, row = _rh_row_column(data, xs, ys)
+    blocks = _block_table(data)
+    # the column Y+(x) [w1, 0]^T through Y's polynomial block, the row
+    # [0, w2(y)] Y+^{-1}(y) through X's forms
+    col = blocks["y"].poly_factors[:, None] * np.einsum(
+        "rlx,lx->rx", blocks["y"].stack.poly_values(xs), data.table.w1.values(xs))
+    row = blocks["x"].poly_factors[:, None] * blocks["x"].stack.values(ys)
     N = np.einsum("rx,ry->xy", col, row)
     denom = TWO_PI_I * (xs[:, None] - ys[None, :])
     band = np.abs(xs[:, None] - ys[None, :]) <= data.delta_diag

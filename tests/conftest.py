@@ -308,6 +308,34 @@ def form_oracle(sol, x):
     return out
 
 
+def poly_values_oracle(sol, x):
+    """A_l(x) for every l of one solution: polyval per weight on real input;
+    on complex input Horner's rule per polynomial on the real and imaginary
+    parts, each started from its own leading coefficient and written into
+    the output part by part."""
+    x = np.asarray(x)
+    u = (x - sol.center) / sol.scale
+    if not np.iscomplexobj(x):
+        return np.stack([P.polyval(u, cf) for cf in sol.coeffs])
+    ur, ui = u.real, u.imag
+    out = np.empty((len(sol.coeffs),) + x.shape, dtype=complex)
+    for k, cf in enumerate(sol.coeffs):
+        re, im = np.full(x.shape, cf[-1]), np.zeros(x.shape)
+        for c in cf[-2::-1]:
+            re, im = c + (re * ur - im * ui), re * ui + im * ur
+        out.real[k], out.imag[k] = re, im
+    return out
+
+
+def rh_poly_block_oracle(data, name, points):
+    """The polynomial columns of Y (name "y") or X ("x") at points, shape
+    (Z, p + q, columns), from poly_values_oracle form by form."""
+    forms = data.x_forms if name == "y" else data.y_forms
+    factors = rh._block_table(data)[name].poly_factors
+    return np.moveaxis(factors[:, None, None] * np.stack(
+        [poly_values_oracle(s, points) for s in forms]), -1, 0)
+
+
 def form_derivative_oracle(sol, x):
     """dQ/dx of one solution with polyder per weight (gaussian weights)."""
     x = np.asarray(x, dtype=float)

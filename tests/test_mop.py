@@ -13,7 +13,7 @@ from mixedmop import (BrownianConfig, MultiIndex, MultiIndexPair,
                       solve_type2_classical)
 from mixedmop import mop
 from mixedmop.mop import (EXTENDED_MAX_UNKNOWNS, assemble_orthogonality_matrix,
-                          numerical_rank, shifted_to_monomial)
+                          numerical_rank, affine_rebase)
 from mixedmop.weights import build_moment_table
 
 from conftest import nullspace_oracle, random_balanced_parts, \
@@ -397,7 +397,7 @@ class TestBasisConversion:
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal(5)
         c, s = 0.7, 2.3
-        mono = shifted_to_monomial(coeffs, c, s)
+        mono = affine_rebase(coeffs, -c / s, 1.0 / s)
         xs = np.linspace(-2, 2, 9)
         u = (xs - c) / s
         np.testing.assert_allclose(np.polynomial.polynomial.polyval(xs, mono),

@@ -3,16 +3,19 @@
 import cmath
 import copy
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mixedmop import (AccuracyError, MultiIndexPair, RhSystem, Weight,
-                      WeightFamily, build_cd_data, kernel_cd_grid,
+from mixedmop import (AccuracyError, BrownianConfig, MixedMopSolution,
+                      MultiIndexPair, RhSystem, Weight, WeightFamily,
+                      build_cd_data, config_to_weights, kernel_cd_grid,
                       kernel_direct_grid, kernel_rh_grid,
                       rh_verification_report, verify_jump)
 from mixedmop.kernel import build_biorthogonal, relative_discrepancy
+from mixedmop.mop import FormStack
 from mixedmop import rh
 from mixedmop._util import write_csv
 from mixedmop.rh import (BRANCHES, MATRIX_CSV_HEADER, SERIES_RADIUS,
@@ -21,7 +24,7 @@ from mixedmop.rh import (BRANCHES, MATRIX_CSV_HEADER, SERIES_RADIUS,
                          jump_matrix, matrix_rows)
 
 from conftest import assert_band_matches_oracle, band_grids, \
-    csv_oracle_bytes, faddeeva_cauchy_gaussian, kernel_at
+    csv_oracle_bytes, faddeeva_cauchy_gaussian, kernel_at, rh_poly_block_oracle
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -607,10 +610,10 @@ class TestBatchEvaluation:
         fam = WeightFamily([G(0.0, 1.0)])
         system = RhSystem(MultiIndexPair.balanced([12], [12]), fam, fam)
         zs = np.random.default_rng(3).uniform(-2.0, 2.0, (40, 2)) @ [1, 1j]
-        for sol in system.data.x_forms + system.data.y_forms:
+        for stack in (system.data.x_stack, system.data.y_stack):
             np.testing.assert_array_equal(
-                sol.poly_values(zs),
-                np.stack([sol.poly_values(z) for z in zs], axis=-1))
+                stack.poly_values(zs),
+                np.stack([stack.poly_values(z) for z in zs], axis=-1))
 
     def test_tabulated_batch_equals_single_points(self):
         pair, _, _ = rank_one_pair()
@@ -663,3 +666,89 @@ class TestBatchEvaluation:
         assert not rep["passed"]["inverse_transpose"]
         assert rep["x_y_max"] > 1e-3
         assert rep["passed"]["det"]
+
+
+# ---------------------------------------------------------------------------
+# The polynomial blocks of Y and X from the CD form stacks
+
+
+def brownian_problem(starts, ends, t):
+    """(pair, w1, w2) of a Brownian configuration as a weight problem."""
+    w1, w2, pair = config_to_weights(BrownianConfig.from_json_dict(
+        {"starts": starts, "ends": ends, "t": t, "n_scaling": True}))
+    return pair, w1, w2
+
+
+def hermite_problem(degree):
+    fam = WeightFamily([G(0.0, 1.0)])
+    return MultiIndexPair.balanced([degree], [degree]), fam, fam
+
+
+STACK_PROBLEMS = {
+    "wp": (MultiIndexPair.balanced(WP[2], WP[3]), WP[0], WP[1]),
+    "p3": (MultiIndexPair.balanced(P3[2], P3[3]), P3[0], P3[1]),
+    "hermite1": hermite_problem(1),
+    "hermite12": hermite_problem(12),
+    # zero-padded degree-0 rows in a stack of degree-1 rows
+    "two_start_1": brownian_problem([[-1.0, 1], [1.0, 1]], [[0.0, 2]], 0.5),
+    "br": brownian_problem([[-1.0, 1], [0.0, 1], [1.0, 1]],
+                           [[-1.0, 1], [0.5, 1], [1.0, 1]], 0.5),
+}
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestPolynomialBlocksFromStacks:
+    @pytest.mark.parametrize("problem", sorted(STACK_PROBLEMS))
+    def test_blocks_match_per_form_horner_bit_for_bit(self, problem):
+        # sign bits count: a padded stack that wrote the real and imaginary
+        # parts separately would leave -0 where the per-form Horner has +0
+        system = RhSystem(*STACK_PROBLEMS[problem])
+        data, p = system.data, system.data.p
+        rep, _ = rh_verification_report(system)
+        zs = np.array([complex(pt["re"], pt["im"]) for pt in rep["z_points"]])
+        cases = [(zs, None), (1j * np.array([10.0, 20.0, 40.0]), None)]
+        cases += [(np.array(rep["jump_points"]), side) for side in "+-"]
+        for points, side in cases:
+            blocks = {"y": system.y_matrix(points, side)[..., :p],
+                      "x": system.x_matrix(points, side)[..., p:]}
+            for name, got in blocks.items():
+                want = rh_poly_block_oracle(data, name, points)
+                assert np.array_equal(bits(got), bits(want)), (name, side)
+
+    def test_closed_form_path_calls_no_solution_method(self, monkeypatch):
+        system = RhSystem(*STACK_PROBLEMS["wp"])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-solution evaluation")
+
+        for name, attr in list(vars(MixedMopSolution).items()):
+            if isinstance(attr, cached_property):
+                monkeypatch.setattr(MixedMopSolution, name, property(refuse))
+            elif callable(attr) and not name.startswith("__"):
+                monkeypatch.setattr(MixedMopSolution, name, refuse)
+        with pytest.raises(AssertionError):
+            system.data.x_forms[0].form(0.0)
+        rep, _ = rh_verification_report(system)
+        assert rep["cauchy_branches"]["panel"] == 0
+        xs = np.linspace(-2.0, 2.0, 41)
+        kernel_rh_grid(system.data, xs, xs)
+
+    def test_one_stack_evaluation_per_matrix(self, monkeypatch):
+        system = RhSystem(*STACK_PROBLEMS["p3"])
+        calls = []
+        exact = FormStack.poly_values
+
+        def counted(stack, x):
+            calls.append(stack)
+            return exact(stack, x)
+
+        monkeypatch.setattr(FormStack, "poly_values", counted)
+        zs = np.array([0.3 + 0.7j, -1.1 - 0.4j, 8j])
+        for fn, stack in (("y_matrix", system.data.x_stack),
+                          ("x_matrix", system.data.y_stack)):
+            calls.clear()
+            getattr(system, fn)(zs)
+            assert len(calls) == 1 and calls[0] is stack
