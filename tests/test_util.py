@@ -1,17 +1,21 @@
 """The CSV writer against the cell-by-cell oracle.
 
-``write_csv`` formats each distinct value of a column once when the
-column's distinct values number at most half the rows of a write block,
-and every other value in place; these tables put columns on both sides of
-that rule, so either path that drifts from ``%.17g`` shows here.
+``write_csv`` prints a block of fewer than ``CSV_ARRAY_MIN_CELLS`` cells by
+one ``%`` operation, and a larger block by exact decimal arithmetic in
+numpy, once per distinct value, with ``%.17g`` itself for the cells that
+arithmetic cannot certify.  The small tables below take the ``%`` path;
+the blocks past ``CSV_BLOCK_ROWS`` and the exactness tests take the array
+path, so either path that drifts from ``%.17g`` shows here.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mixedmop._util import CSV_BLOCK_ROWS, write_csv
+from mixedmop import _util
+from mixedmop._util import CSV_ARRAY_MIN_CELLS, CSV_BLOCK_ROWS, write_csv
 
 from conftest import csv_oracle_bytes
 
@@ -45,9 +49,10 @@ class TestWriteCsv:
         assert written(tmp_path, header, np.array(rows, dtype=float)) == \
             csv_oracle_bytes(header, rows)
 
-    @pytest.mark.parametrize("count", [CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("count", [4097, 8199])
     def test_repeats_straddle_block_seams(self, tmp_path, count):
-        # the last block holds one row when count is CSV_BLOCK_ROWS + 1
+        # several full blocks, then a last block of 1 or 7 rows
+        assert count > CSV_BLOCK_ROWS and count % CSV_BLOCK_ROWS in (1, 7)
         i = np.arange(count)
         rows = np.column_stack([i % 5 - 2.0, (i // 3) / 7.0, np.sqrt(i),
                                 np.where(i % 2, -0.0, 0.0)])
@@ -74,3 +79,101 @@ class TestWriteCsv:
         assert len(set(half)) == 5 and len(set(over)) == 6
         assert written(tmp_path, ("half", "over"), rows) == csv_oracle_bytes(
             ("half", "over"), rows)
+
+
+def _exponent(f: Fraction) -> int:
+    """floor(log10 f) of a positive rational, exactly."""
+    k = len(str(math.floor(f))) - 1 if f >= 1 else -1
+    while Fraction(10) ** k > f:
+        k -= 1
+    return k
+
+
+def _is_tie(x: float) -> bool:
+    """Whether x lies exactly halfway between two 17-digit decimals."""
+    f = abs(Fraction(x))
+    return (f * Fraction(10) ** (16 - _exponent(f))).denominator == 2
+
+
+def _exactness_values() -> np.ndarray:
+    """Over a million doubles across every branch of the array printer."""
+    rng = np.random.default_rng(20)
+    bits = rng.integers(-2 ** 63, 2 ** 63 - 1, 300_000, dtype=np.int64)
+    subnormal = rng.integers(1, 2 ** 52, 20_000, dtype=np.int64)
+    dyadic = rng.integers(1, 2 ** 24, 150_000) * np.exp2(
+        rng.integers(-60, 61, 150_000))
+    powers = np.array([float(f"1e{j}") for j in range(-300, 301)])
+    edges = np.array([1e-280, 1e280, *np.exp2(np.arange(53, 61)),
+                      99999999999999999.0, 1e16, 1e17, 1e-4, 1e-5])
+    ties = [x for x in [c / 2 ** 24 for c in range(1, 64, 2)]
+            + [c / 2 ** 25 for c in range(1, 64, 2)]
+            + [1e15 + j / 8 for j in range(8)]
+            + [2 ** 53 + 2.0 * j for j in range(8)] if _is_tie(x)]
+    assert any(x < 1e-6 for x in ties) and any(x > 1 for x in ties)
+    signed = np.concatenate([
+        dyadic,
+        rng.standard_normal(150_000) * 10.0 ** rng.integers(-20, 21, 150_000),
+        np.arange(-25_000, 25_000) * 0.1, np.arange(-25_000, 25_000) / 8,
+        np.round(rng.standard_normal(50_000) * 100, 6),
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), ties])
+    signs = (subnormal & 1) << 63  # the lowest mantissa bit picks the sign
+    values = np.concatenate([bits.view(np.float64),
+                             (subnormal | signs).view(np.float64),
+                             signed, -signed, [0.0, -0.0, np.nan, np.inf, -np.inf]])
+    return rng.permutation(values)
+
+
+class TestArrayPrinter:
+    def test_every_cell_is_percent_17g(self, tmp_path):
+        values = _exactness_values()
+        assert len(values) >= 10 ** 6
+        path = tmp_path / "cells.csv"
+        chunk = 64 * CSV_BLOCK_ROWS  # rows of four cells per file
+        for start in range(0, len(values), 4 * chunk):
+            cells = values[start:start + 4 * chunk]
+            cells = np.concatenate([cells, np.zeros(-len(cells) % 4)])
+            write_csv(str(path), ("a", "b", "c", "d"), cells.reshape(-1, 4))
+            got = path.read_bytes().split(b"\n")[1:-1]
+            want = ["%.17g" % v for v in cells.tolist()]
+            got = [c.decode() for line in got for c in line.split(b",")]
+            wrong = [(v, g, w) for v, g, w in zip(cells.tolist(), got, want)
+                     if g != w]
+            assert len(got) == len(want) and not wrong, wrong[:5]
+
+    @staticmethod
+    def count_fallback(monkeypatch) -> list:
+        """Sizes of the blocks handed to the % printer from here on."""
+        printed = []
+        percent_lines = _util._percent_lines
+
+        def counted(block):
+            printed.append(block.size)
+            return percent_lines(block)
+
+        monkeypatch.setattr(_util, "_percent_lines", counted)
+        return printed
+
+    def test_fallback_is_rare_on_normals(self, tmp_path, monkeypatch):
+        # every block here is at least CSV_ARRAY_MIN_CELLS cells, so each
+        # cell handed to the % printer is a fallback of the array path
+        assert 4 * CSV_BLOCK_ROWS >= CSV_ARRAY_MIN_CELLS
+        table = np.random.default_rng(7).standard_normal((25 * CSV_BLOCK_ROWS, 4))
+        assert table.size >= 10 ** 5
+        printed = self.count_fallback(monkeypatch)
+        got = written(tmp_path, ("a", "b", "c", "d"), table)
+        assert sum(printed) < 1e-4 * table.size
+        assert got == csv_oracle_bytes(("a", "b", "c", "d"), table.tolist())
+
+    def test_powers_of_ten_need_no_fallback(self, tmp_path, monkeypatch):
+        # log10 puts many of these in the next decade; once the decade is
+        # corrected, 10^(16 - k) is a double for all of them and every cell
+        # prints by exact arithmetic
+        powers = np.array([float(f"1e{j}") for j in range(-6, 17)])
+        values = np.concatenate([powers, np.nextafter(powers, 0),
+                                 np.nextafter(powers, np.inf)])
+        table = np.resize(values, (CSV_BLOCK_ROWS, 4))
+        printed = self.count_fallback(monkeypatch)
+        got = written(tmp_path, ("a", "b", "c", "d"), table)
+        assert sum(printed) == 0
+        assert got == csv_oracle_bytes(("a", "b", "c", "d"), table.tolist())
