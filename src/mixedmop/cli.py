@@ -27,8 +27,7 @@ from .brownian import (MAX_PATH_WALKERS, PATH_MIN_GRID, BrownianConfig,
                        write_density_grid_csv, write_paths_csv,
                        write_samples_csv)
 from .kernel import (build_biorthogonal, build_cd_data, kernel_cd_grid,
-                     kernel_direct_grid, kernel_routes_report,
-                     relative_discrepancy)
+                     kernel_direct_grid, kernel_routes_report)
 from .mop import (MultiIndexPair, Normalization, NotNormalizable,
                   check_normality, moment_table_for, solve_mixed)
 from .rh import (MATRIX_CSV_HEADER, RhSystem, kernel_rh_grid, matrix_rows,
@@ -36,6 +35,8 @@ from .rh import (MATRIX_CSV_HEADER, RhSystem, kernel_rh_grid, matrix_rows,
 from .weights import AccuracyError, adaptive_gauss_legendre, weights_from_json
 
 DEFAULT_SEED = 42
+# The --tol default of cd-check and rh-verify.
+DEFAULT_TOL = 1e-7
 GRID_LIMITS = (2, 2000)
 # Upper bounds on brownian-sample's sizes, checked before any work: the
 # draws and the path bundles are held in memory until the artifacts are
@@ -236,13 +237,10 @@ def cmd_cd_check(args, raw: dict) -> list:
     report = _base_report(args, raw, data.precision)
     report.update(kernel_routes_report(system, data, xs, xs, Kd, Kcd,
                                        rh_grid=Krh))
-    tol = args.tol if args.tol is not None else 1e-7
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     report["tolerance"] = tol
-    report["passed"] = {
-        "direct_vs_cd": report["direct_vs_cd"] < tol,
-        "direct_vs_rh": report["direct_vs_rh"] < tol,
-        "cd_vs_rh": report["cd_vs_rh"] < tol,
-    }
+    report["passed"] = {key: report[key] < tol for key in
+                        ("direct_vs_cd", "direct_vs_rh", "cd_vs_rh")}
     return [("cd_report.json", dump_json, report)]
 
 
@@ -250,7 +248,7 @@ def cmd_rh_verify(args, raw: dict) -> list:
     w1, w2, n, m = _weight_problem(raw)
     pair = _pair(n, m, "balanced")
     system = RhSystem(pair, w1, w2)
-    tol = args.tol if args.tol is not None else 1e-7
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     report = _base_report(args, raw, system.data.precision)
     certificates, Y0 = rh_verification_report(system, seed=args.seed, tol=tol)
     report.update(certificates)

@@ -255,50 +255,53 @@ def _term_sum(terms: np.ndarray) -> np.ndarray:
 
 def kernel_cd_diagonal(data: CdKernelData, x) -> np.ndarray | float:
     """K(x, x) by l'Hopital: the x-derivative of the numerator at y = x."""
-    x = np.asarray(x, dtype=float)
-    signs = data.signs.reshape((-1,) + (1,) * x.ndim)
-    acc = _term_sum(signs * data.x_stack.derivatives(x) * data.y_stack.values(x))
-    if acc.ndim == 0:
-        return float(acc)
-    return acc
+    acc = kernel_cd_band(data, x, x)
+    return float(acc) if acc.ndim == 0 else acc
 
 
-def kernel_cd_band(data: CdKernelData, x, y) -> np.ndarray:
+def kernel_cd_band(data: CdKernelData, x, y, factors=None) -> np.ndarray:
     """K at the cells (x[i], y[i]) of the band |x - y| <= delta, all at once:
-    the l'Hopital limit on the exact diagonal, else the divided differences
-    K = [N(x, y) - N(y, y)] / (x - y) of the x-side forms, with N(y, y) = 0
-    dropped, which stay accurate as x - y -> 0."""
+    sum_r factors[r] (data.signs by default) slope_r Q~_r(y), with slope_r
+    the l'Hopital derivative of x-side form r on the exact diagonal, else
+    its divided difference [Q_r(x) - Q_r(y)] / (x - y) (N(y, y) = 0
+    dropped), which stays accurate as x - y -> 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = np.empty(x.shape)
+    factors = data.signs if factors is None else factors
+    slope = np.empty(factors.shape + x.shape)
     diag = x == y
     if diag.any():
-        out[diag] = kernel_cd_diagonal(data, x[diag])
+        slope[:, diag] = data.x_stack.derivatives(x[diag])
     if not diag.all():
         xo, yo = x[~diag], y[~diag]
-        Axo, Ayo = np.split(data.x_stack.values(np.concatenate([xo, yo])), 2,
-                            axis=1)
-        out[~diag] = _term_sum(data.signs[:, None] * (Axo - Ayo) / (xo - yo)
-                               * data.y_stack.values(yo))
+        ends = data.x_stack.values(np.concatenate([xo, yo]))
+        slope[:, ~diag] = (ends[:, :xo.size] - ends[:, xo.size:]) / (xo - yo)
+    return _term_sum(factors.reshape(factors.shape + (1,) * x.ndim) * slope
+                     * data.y_stack.values(y))
+
+
+def _cd_sum(data: CdKernelData, xs, ys, factors: np.ndarray) -> np.ndarray:
+    """sum_r factors[r] Q_r(x) Q~_r(y) / (x - y) on the grid xs x ys (p and
+    q terms summed apart) off the band, kernel_cd_band on its cells."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    p = data.p
+    X = factors[:, None] * data.x_stack.values(xs)
+    Y = data.y_stack.values(ys)
+    N = np.einsum("jx,jy->xy", X[:p], Y[:p]) + np.einsum("kx,ky->xy", X[p:], Y[p:])
+    denom = xs[:, None] - ys[None, :]
+    band = np.abs(denom) <= data.delta_diag
+    out = np.empty_like(N)
+    np.divide(N, denom, out=out, where=~band)
+    ix, iy = np.nonzero(band)
+    out[ix, iy] = kernel_cd_band(data, xs[ix], ys[iy], factors)
     return out
 
 
 def kernel_cd_grid(data: CdKernelData, xs, ys) -> np.ndarray:
     """CD kernel on the product grid xs x ys: the numerator over x - y off
     the band |x - y| <= delta_diag, kernel_cd_band on its cells."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    p = data.p
-    X = data.x_stack.values(xs)
-    Y = data.y_stack.values(ys)
-    N = np.einsum("jx,jy->xy", X[:p], Y[:p]) - np.einsum("kx,ky->xy", X[p:], Y[p:])
-    denom = xs[:, None] - ys[None, :]
-    band = np.abs(denom) <= data.delta_diag
-    out = np.empty_like(N)
-    np.divide(N, denom, out=out, where=~band)
-    ix, iy = np.nonzero(band)
-    out[ix, iy] = kernel_cd_band(data, xs[ix], ys[iy])
-    return out
+    return _cd_sum(data, xs, ys, data.signs)
 
 
 # ---------------------------------------------------------------------------

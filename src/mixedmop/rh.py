@@ -4,18 +4,15 @@ Y and X read the two form stacks of the CD data, one array evaluation per
 matrix: the (p+q) x (p+q) matrix Y has a row per form of x_stack, its
 polynomials in the first p columns and Cauchy transforms of form-times-w2
 products in the last q; its inverse transpose X takes the swapped forms of
-y_stack, Cauchy columns against w1 first.  For all-Gaussian families every
-Cauchy entry is a polynomial times a Gaussian, evaluated in closed form
-through the Faddeeva function from the stack coefficients rebased once per
-product Gaussian; tabulated families go through adaptive panel quadrature.
-On the real line both evaluate the boundary values Y+ and Y- exactly, as
-Plemelj limits: the Faddeeva function at a real argument, and principal
-value plus or minus i pi times the density for the panels.
-Verification checks the four defining properties numerically: the
-multiplicative jump Y+ = Y- J on the real line, the diagonal power
-asymptotics at large |z|, unit determinant, and X^T Y = I.  The
-kernel can also be read off Y's polynomial block together with the swapped
-forms, with no Cauchy boundary values involved.
+y_stack, Cauchy columns against w1 first.  The weights are Gaussian, so
+every Cauchy entry is a polynomial times a Gaussian, evaluated in closed
+form through the Faddeeva function from the stack coefficients rebased once
+per product Gaussian; on the real line that gives the boundary values Y+
+and Y- exactly, as Plemelj limits.  Verification checks the four defining
+properties numerically: the multiplicative jump Y+ = Y- J on the real
+line, the diagonal power asymptotics at large |z|, unit determinant, and
+X^T Y = I.  The kernel read off Y and X is the CD sum with Y's block
+factors (kernel_rh_grid); no Cauchy value enters it.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .kernel import CdKernelData, build_cd_data, kernel_cd_band
+from .kernel import CdKernelData, _cd_sum, build_cd_data
 from .mop import FormStack, MultiIndexPair, affine_rebase
 from .weights import (AccuracyError, WeightFamily, family_interval,
                       gaussian_product_params, _leggauss)
@@ -49,7 +46,7 @@ _PANEL_DEGREE = 24
 # 6^j / Gamma((j+1)/2): up to 3e-9 relative at j = 7 and 2e-8 at j = 10.
 SERIES_RADIUS = 6.0
 SERIES_TERMS = 80
-BRANCHES = ("recursion", "asymptotic_series", "panel")
+BRANCHES = ("recursion", "asymptotic_series")
 
 
 def _gl_panel(f: Callable, a: float, b: float):
@@ -66,6 +63,9 @@ def adaptive_panel_integral(f: Callable, a: float, b: float, *,
     Panels refine toward any feature (in particular a pole just off the
     contour) until the local two-level estimate settles; the local budget is
     proportional to panel width so the global error stays below abs_tol.
+    No library path calls it: with cauchy_transform it is the tests' oracle
+    of the closed form, and stays here while bench/tracing.py wraps both by
+    name (ROADMAP item 10 moves them into tests/).
     """
     if b <= a:
         return 0.0 + 0.0j, 0.0
@@ -102,7 +102,8 @@ def cauchy_transform(f: Callable, interval: tuple[float, float], z: complex,
     i pi f(z) (Sokhotski-Plemelj); off the real line side is not read.  On
     the axis and near it (|Im z| < 0.05 * spread) the constant term is
     subtracted and reinstated through the exact log primitive, which keeps
-    the remaining integrand's pole residue O(f' * Im z).
+    the remaining integrand's pole residue O(f' * Im z).  No library path
+    calls it (see adaptive_panel_integral).
     """
     a, b = interval
     z = complex(z)
@@ -228,30 +229,29 @@ def _block_table(data: CdKernelData) -> dict[str, _Block]:
 class RhSystem:
     """Cached neighbor solves plus geometry for repeated Y/X evaluations.
 
-    The Cauchy columns of Y (the last q) and of X (the first p) pair the
-    forms of one orientation with the weights of the other.  For
-    all-Gaussian families each form-times-weight product is a sum of
-    polynomials times product Gaussians; their coefficients in the
-    Gaussians' own variables are tabulated here once, so that an evaluation
-    is one Faddeeva call per product Gaussian and a contraction.  A real z
-    needs side '+' or '-' and gives that boundary value of the Cauchy
-    columns; the polynomial columns carry no jump.  branch_counts tallies
-    the Cauchy evaluations by branch: one per product Gaussian and z for
-    the closed form, one per entry and z for the panel.
+    Both families must be all-Gaussian (ValueError otherwise).  The Cauchy
+    columns of Y (the last q) and of X (the first p) pair the forms of one
+    orientation with the weights of the other; each form-times-weight
+    product is a sum of polynomials times product Gaussians, whose
+    coefficients in the Gaussians' own variables are tabulated here once,
+    so that an evaluation is one Faddeeva call per product Gaussian and a
+    contraction.  A real z needs side '+' or '-' and gives that boundary
+    value of the Cauchy columns; the polynomial columns carry no jump.
+    branch_counts tallies the evaluations by closed-form branch, one per
+    product Gaussian and z.
     """
 
     def __init__(self, pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily):
+        if not (w1.all_gaussian and w2.all_gaussian):
+            raise ValueError("RhSystem needs all-gaussian weight families")
         self.pair = pair
         self.w1 = w1
         self.w2 = w2
         self.data = build_cd_data(pair, w1, w2)
         self.interval = family_interval(w1, w2)
-        self.spread = self.data.table.scale
         self.branch_counts = dict.fromkeys(BRANCHES, 0)
         self._blocks = _block_table(self.data)
-        self._closed = None
-        if w1.all_gaussian and w2.all_gaussian:
-            self._closed = self._closed_form_terms()
+        self._closed = self._closed_form_terms()
 
     def _closed_form_terms(self) -> dict:
         """Per block, the mean and sigma of the product Gaussian of (column
@@ -279,16 +279,6 @@ class RhSystem:
         weight l, for every (r, l) of the block at each of the points zs,
         shape (Z, rows, columns); on the real line the boundary value from
         the given side."""
-        block = self._blocks[name]
-        factors = block.cauchy_factors[:, None]
-        if self._closed is None:
-            forms = {"y": self.data.x_forms, "x": self.data.y_forms}[name]
-            out = np.array([[[cauchy_transform(
-                lambda xs, s=sol, w=wl: s.form(xs) * w(xs), self.interval, z,
-                side, spread=self.spread)[0] for wl in block.weights]
-                for sol in forms] for z in zs])
-            self.branch_counts["panel"] += out.size
-            return out * factors
         mean, sigma, T = self._closed[name]
         zeta = (zs.astype(complex)[:, None, None] - mean) / sigma
         C, series = gaussian_cauchy_moments(zeta, T.shape[-1] - 1,
@@ -296,7 +286,8 @@ class RhSystem:
         n_series = int(np.count_nonzero(series))
         self.branch_counts["asymptotic_series"] += n_series
         self.branch_counts["recursion"] += series.size - n_series
-        return np.einsum("rljd,zljd->zrl", T, C) * factors
+        return (np.einsum("rljd,zljd->zrl", T, C)
+                * self._blocks[name].cauchy_factors[:, None])
 
     def _matrix(self, name: str, z, side: str | None) -> np.ndarray:
         """Y or X at z: (N, N) at a scalar z, (Z, N, N) at a 1-D array."""
@@ -356,29 +347,18 @@ def asymptotic_errors(system: RhSystem) -> dict:
 
 
 def kernel_rh_grid(data: CdKernelData, xs, ys) -> np.ndarray:
-    """The Y-route kernel on the product grid xs x ys: the Y-matrix row
-    times column over 2 pi i (x - y) off the band |x - y| <= delta_diag,
-    the shared CD band values (kernel_cd_band) on its cells."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    """[0, w2(y)] Y+^{-1}(y) Y+(x) [w1(x), 0]^T / (2 pi i (x - y)) on the
+    grid xs x ys.  Its column and row are the polynomial blocks of Y and X
+    against w1 and w2: forms r of x_stack and y_stack times the blocks'
+    poly_factors.  So it is the CD sum with term factors pf_y pf_x / 2 pi i,
+    which must be real (they are the CD signs); AccuracyError otherwise."""
     blocks = _block_table(data)
-    # the column Y+(x) [w1, 0]^T through Y's polynomial block, the row
-    # [0, w2(y)] Y+^{-1}(y) through X's forms
-    col = blocks["y"].poly_factors[:, None] * np.einsum(
-        "rlx,lx->rx", blocks["y"].stack.poly_values(xs), data.table.w1.values(xs))
-    row = blocks["x"].poly_factors[:, None] * blocks["x"].stack.values(ys)
-    N = np.einsum("rx,ry->xy", col, row)
-    denom = TWO_PI_I * (xs[:, None] - ys[None, :])
-    band = np.abs(xs[:, None] - ys[None, :]) <= data.delta_diag
-    out = np.empty(N.shape, dtype=complex)
-    np.divide(N, denom, out=out, where=~band)
-    imag_max = float(np.max(np.abs(out.imag[~band]))) if np.any(~band) else 0.0
-    real = out.real.copy()
-    ix, iy = np.nonzero(band)
-    real[ix, iy] = kernel_cd_band(data, xs[ix], ys[iy])
-    if imag_max > 1e-9 * (1.0 + float(np.max(np.abs(real)))):
-        raise AccuracyError(f"kernel_rh_grid imaginary part {imag_max:.3e}")
-    return real
+    c = blocks["y"].poly_factors * blocks["x"].poly_factors / TWO_PI_I
+    imag = float(np.max(np.abs(c.imag)))
+    if imag != 0.0:
+        raise AccuracyError(f"kernel_rh_grid term factor with imaginary part "
+                            f"{imag:.3e}", achieved=imag)
+    return _cd_sum(data, xs, ys, c.real)
 
 
 # ---------------------------------------------------------------------------

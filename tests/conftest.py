@@ -392,27 +392,6 @@ def cd_grid_oracle(data, xs, ys):
     return out
 
 
-def rh_grid_oracle(data, xs, ys):
-    """kernel_rh_grid with its Y-column and row taken form by form."""
-    blocks = rh._block_table(data)
-    w1x = data.table.w1.values(xs)
-    u = (xs - data.table.center) / data.table.scale
-    col = blocks["y"].poly_factors[:, None] * np.stack([np.einsum(
-        "lx,lx->x", np.stack([P.polyval(u, cf) for cf in s.coeffs]), w1x)
-        for s in data.x_forms])
-    row = blocks["x"].poly_factors[:, None] * np.stack(
-        [form_oracle(s, ys) for s in data.y_forms])
-    N = np.einsum("rx,ry->xy", col, row)
-    denom = rh.TWO_PI_I * (xs[:, None] - ys[None, :])
-    band = np.abs(xs[:, None] - ys[None, :]) <= data.delta_diag
-    out = np.empty(N.shape, dtype=complex)
-    np.divide(N, denom, out=out, where=~band)
-    real = out.real.copy()
-    ix, iy = np.nonzero(band)
-    real[ix, iy] = cd_band_oracle(data, xs[ix], ys[iy])
-    return real
-
-
 def band_grids(delta):
     """(xs, ys) grids whose band cells lie strictly off the diagonal, and a
     mixed pair that also hits the exact diagonal."""

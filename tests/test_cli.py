@@ -646,6 +646,55 @@ class TestCdCheck:
                                     "cd_vs_rh": True}
         assert report["direct_vs_rh"] < 1e-7
 
+    @staticmethod
+    def mutated_blocks(monkeypatch, change):
+        """rh._block_table with change(poly_factors) applied to Y's block."""
+        exact = rh._block_table
+
+        def mutated(data):
+            blocks = exact(data)
+            factors = blocks["y"].poly_factors.copy()
+            change(factors)
+            blocks["y"] = blocks["y"]._replace(poly_factors=factors)
+            return blocks
+
+        monkeypatch.setattr(rh, "_block_table", mutated)
+
+    # the default grid, whose band is the diagonal, and one whose band
+    # holds every cell: the factors reach the band too
+    @pytest.mark.parametrize("grid", [[], ["--grid", "-1e-5:1e-5:9"]],
+                             ids=["default", "band"])
+    def test_flipped_block_factor_fails_cd_vs_rh(self, tmp_path, monkeypatch,
+                                                 grid):
+        code, out = run_cli(tmp_path, "cd-check", WP, *grid)
+        assert code == 0
+        report = read_json(out / "cd_report.json")
+        assert report["cd_vs_rh"] == 0.0
+        assert report["direct_vs_rh"] == report["direct_vs_cd"]
+
+        def flip(factors):
+            factors[0] = -factors[0]
+
+        self.mutated_blocks(monkeypatch, flip)
+        code, out = run_cli(tmp_path, "cd-check", WP, *grid, out_name="flipped")
+        assert code == 0
+        report = read_json(out / "cd_report.json")
+        assert report["passed"] == {"direct_vs_cd": True,
+                                    "direct_vs_rh": False,
+                                    "cd_vs_rh": False}
+
+    def test_complex_block_factor_is_numerical(self, tmp_path, monkeypatch,
+                                               capsys):
+        def tilt(factors):
+            factors[0] *= 1.0 + 1e-3j
+
+        self.mutated_blocks(monkeypatch, tilt)
+        code, out = run_cli(tmp_path, "cd-check", WP)
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("NUMERICAL: ")
+        assert os.listdir(out) == ["error_report.json"]
+
 
 class TestRhVerify:
     def test_report_and_matrix_dump(self, tmp_path):
@@ -661,7 +710,7 @@ class TestRhVerify:
         # 20 det points, 10 jump points x 2 sides, 3 radii; one product
         # Gaussian, Y and X at the det points, Y elsewhere
         branches = report["cauchy_branches"]
-        assert branches["panel"] == 0
+        assert sorted(branches) == ["asymptotic_series", "recursion"]
         assert branches["recursion"] + branches["asymptotic_series"] == 63
 
     def test_matrix_dump_adds_no_evaluation(self, tmp_path, monkeypatch):

@@ -476,10 +476,23 @@ P3 = (WeightFamily([G(-0.8, 0.7), G(0.1, 1.1), G(0.9, 0.9)]),
 
 
 def panel_twin(system):
-    """The same system (same solves) with every Cauchy entry by panels."""
+    """The same system (same solves) with every Cauchy entry by panels:
+    cauchy_transform of each form times each column weight, times the
+    block's row factor."""
     twin = copy.copy(system)
-    twin._closed = None
     twin.branch_counts = dict.fromkeys(BRANCHES, 0)
+    data = system.data
+
+    def cauchy_block(name, zs, side):
+        block = rh._block_table(data)[name]
+        forms = {"y": data.x_forms, "x": data.y_forms}[name]
+        out = np.array([[[cauchy_transform(
+            lambda xs, s=sol, w=wl: s.form(xs) * w(xs), system.interval, z,
+            side, spread=data.table.scale)[0] for wl in block.weights]
+            for sol in forms] for z in zs])
+        return out * block.cauchy_factors[:, None]
+
+    twin._cauchy_block = cauchy_block
     return twin
 
 
@@ -510,9 +523,9 @@ class TestClosedFormCauchy:
                 want = getattr(panel, fn)(z, side)
                 assert np.all(np.abs(got - want) <= 1e-10 * (1 + np.abs(want))), \
                     (fn, z, side)
-        assert system.branch_counts["panel"] == 0
         assert panel.branch_counts["recursion"] == 0
-        assert rep["cauchy_branches"]["panel"] == 0
+        assert sorted(rep["cauchy_branches"]) == ["asymptotic_series",
+                                                  "recursion"]
         assert rep["cauchy_branches"]["asymptotic_series"] > 0
 
     def test_hermite_seven_asymptotics_match_panel_route(self):
@@ -552,18 +565,14 @@ class TestClosedFormCauchy:
         with pytest.raises(ValueError):
             RhSystem(*rank_one_pair()).y_matrix(0.5)
 
-    def test_tabulated_family_uses_panels(self):
+    @pytest.mark.parametrize("side", ["w1", "w2"])
+    def test_tabulated_family_refused(self, side):
         pair, w1, w2 = rank_one_pair()
-        gauss = gaussian_callable(0.0, 1.0, 1.0)
-        tab = WeightFamily([Weight.tabulated(gauss, (-12.0, 12.0))])
-        system = RhSystem(pair, tab, tab)
-        Y = system.y_matrix(1.0 + 1.0j)
-        assert system.branch_counts == {"recursion": 0,
-                                        "asymptotic_series": 0, "panel": 2}
-        closed = RhSystem(pair, w1, w2)
-        Yc = closed.y_matrix(1.0 + 1.0j)
-        assert closed.branch_counts["panel"] == 0
-        np.testing.assert_allclose(Y, Yc, rtol=1e-9, atol=1e-12)
+        tab = WeightFamily([Weight.tabulated(gaussian_callable(0.0, 1.0, 1.0),
+                                             (-12.0, 12.0))])
+        families = {"w1": w1, "w2": w2, side: tab}
+        with pytest.raises(ValueError, match="all-gaussian"):
+            RhSystem(pair, families["w1"], families["w2"])
 
 
 # ---------------------------------------------------------------------------
@@ -614,15 +623,6 @@ class TestBatchEvaluation:
             np.testing.assert_array_equal(
                 stack.poly_values(zs),
                 np.stack([stack.poly_values(z) for z in zs], axis=-1))
-
-    def test_tabulated_batch_equals_single_points(self):
-        pair, _, _ = rank_one_pair()
-        tab = WeightFamily([Weight.tabulated(gaussian_callable(0.0, 1.0, 1.0),
-                                             (-12.0, 12.0))])
-        system = RhSystem(pair, tab, tab)
-        counts = assert_batch_matches_points(
-            system, np.array([1.0 + 1.0j, -0.5 - 0.8j]), [None])
-        assert counts == {"recursion": 0, "asymptotic_series": 0, "panel": 8}
 
     def test_jump_helpers_batch_equal_single_points(self):
         w1, w2, n, m = WP
@@ -732,7 +732,8 @@ class TestPolynomialBlocksFromStacks:
         with pytest.raises(AssertionError):
             system.data.x_forms[0].form(0.0)
         rep, _ = rh_verification_report(system)
-        assert rep["cauchy_branches"]["panel"] == 0
+        assert sorted(rep["cauchy_branches"]) == ["asymptotic_series",
+                                                  "recursion"]
         xs = np.linspace(-2.0, 2.0, 41)
         kernel_rh_grid(system.data, xs, xs)
 
