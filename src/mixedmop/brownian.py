@@ -37,14 +37,12 @@ ACCEPTANCE_WINDOW = (0.23, 0.40)
 PSRF_LIMIT = 1.05
 # Exact position sampler: Gauss-Legendre panels over the box, nodes per
 # panel (one more than the degree of each panel's Legendre series), draws
-# per block, draws per gather of panel series within a block (it bounds the
-# gathered slabs' memory), the relative tolerance on each conditional mass
-# (n - k) and on the series density, and the inverse-CDF search's relative
-# tolerance and step cap.
+# per block, the relative tolerance on each conditional mass (n - k) and on
+# the series density, and the inverse-CDF search's relative tolerance and
+# step cap.
 DPP_PANELS = 64
 DPP_NODES = 20
 DPP_BLOCK = 1024
-DPP_GATHER = 128
 MASS_TOL = 1e-9
 INVERSION_TOL = 1e-12
 INVERSION_MAX_STEPS = 60
@@ -354,6 +352,42 @@ def _panel_series(system: BiorthogonalSystem, edges: np.ndarray
         series.transpose(1, 0, 2, 3)).reshape(panels, n * n, -1)
 
 
+@lru_cache(maxsize=None)
+def _monic_legendre(terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """For l < terms: beta_l = l^2 / (4 l^2 - 1) of the monic Legendre
+    recurrence p_{l+1} = s p_l - beta_l p_{l-1}, and the leading coefficients
+    k_l = (2 l)! / (2^l l!^2), so that P_l = k_l p_l."""
+    l = np.arange(terms)
+    beta = l ** 2 / (4.0 * l ** 2 - 1.0)
+    lead = np.array([math.comb(2 * j, j) / 2.0 ** j for j in range(terms)])
+    for v in (beta, lead):
+        v.setflags(write=False)
+    return beta, lead
+
+
+def _legendre_series(s: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_l coef[l, :, d] P_l(s[d]) for every column d, shape coef.shape[1:]:
+    P_0 .. P_{L-1} once at each s by the three-term recurrence, then one
+    contraction of all the series against them.  Each column's value does
+    not depend on the other columns or on their number."""
+    beta, lead = _monic_legendre(len(coef))
+    p = np.empty((len(coef), s.size))
+    p[0] = 1.0
+    p[1] = s
+    for l in range(1, len(coef) - 1):
+        np.multiply(s, p[l], out=p[l + 1])
+        p[l + 1] -= beta[l] * p[l - 1]
+    p *= lead[:, None]
+    return np.einsum("lkd,ld->kd", coef, p)
+
+
+def _running_max(cdf: np.ndarray) -> np.ndarray:
+    """The running maximum of each row of cdf, in place, column by column."""
+    for e in range(1, cdf.shape[1]):
+        np.maximum(cdf[:, e - 1], cdf[:, e], out=cdf[:, e])
+    return cdf
+
+
 def _invert_in_panel(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                      x: np.ndarray, residual: np.ndarray, scale: np.ndarray
                      ) -> tuple[np.ndarray, float, np.ndarray]:
@@ -372,7 +406,7 @@ def _invert_in_panel(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     worst = 0.0
     index = np.arange(x.size)
     for _ in range(INVERSION_MAX_STEPS):
-        rho, mass = legendre.legval((x - mid) / half, coef, tensor=False)
+        rho, mass = _legendre_series((x - mid) / half, coef)
         miss = mass - residual
         done = np.abs(miss) <= INVERSION_TOL * scale
         below = miss < 0.0
@@ -411,7 +445,10 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
     the panel edges of the box is one contraction of M with the panel
     cumulants of phi_a psi_b; the draw is located in a panel, M is
     contracted with that panel's Legendre series of the products, and the
-    draw is refined by safeguarded Newton on the resulting series.  Each
+    draw is refined by safeguarded Newton on the resulting series.  At
+    k = 0, M = I for every draw, so the edge CDF and the panel series are
+    contracted once; later steps group the draws by panel, so that each
+    panel's series slab serves all of its draws without a copy.  Each
     conditional mass must equal tr M_k = n - k to MASS_TOL relative, and
     the series density must match the exact phi^T M psi at each drawn point
     to MASS_TOL (n - k) / panel width, or AccuracyError is raised.  Draws
@@ -424,16 +461,36 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
         np.random.SeedSequence(seed))).random((count, n))
     edges = np.linspace(box[0], box[1], DPP_PANELS + 1)
     cumulants, series = _panel_series(system, edges)
+    # at step 0 every draw has M = I: its edge CDF and its panel's series are
+    # one row of the stacked products that later steps take per draw
+    eye = np.eye(n).reshape(1, 1, n * n)
+    first_cdf = _running_max(np.matmul(eye, cumulants).reshape(1, -1))
+    first_series = np.ascontiguousarray(np.matmul(eye, series)[:, 0].T)
     out = np.empty((count, n))
     mass_dev = inversion = series_gap = 0.0
     for start in range(0, count, DPP_BLOCK):
         u = uniforms[start:start + DPP_BLOCK]
         size = u.shape[0]
+        rows = np.arange(size)
         M = np.tile(np.eye(n), (size, 1, 1))
         for k in range(n):
             flat = M.reshape(size, 1, n * n)
-            cdf = np.maximum.accumulate(
-                np.matmul(flat, cumulants).reshape(size, -1), axis=1)
+            if k == 0:
+                cdf = np.broadcast_to(first_cdf, (size, DPP_PANELS + 1))
+                target = u[:, k] * first_cdf[0, -1]
+                panel = np.searchsorted(first_cdf[0, 1:-1], target, side="right")
+                terms = first_series[:, panel]
+            else:
+                cdf = _running_max(np.matmul(flat, cumulants).reshape(size, -1))
+                target = u[:, k] * cdf[:, -1]
+                panel = np.count_nonzero(cdf[:, 1:-1] <= target[:, None], axis=1)
+                # each panel's draws times the panel's shared series slab
+                terms = np.empty((series.shape[-1], size))
+                order = np.argsort(panel, kind="stable")
+                for group in np.split(
+                        order, np.flatnonzero(np.diff(panel[order])) + 1):
+                    terms[:, group] = np.matmul(flat[group],
+                                                series[panel[group[0]]])[:, 0].T
             mass = cdf[:, -1]
             dev = float(np.max(np.abs(mass - (n - k)))) / (n - k)
             mass_dev = max(mass_dev, dev)
@@ -443,20 +500,12 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
                     f"{dev:.2e} relative (tolerance {MASS_TOL:.0e}); the box "
                     f"[{box[0]:.6g}, {box[1]:.6g}] or its panel quadrature "
                     "misses mass", value=float(mass.min()), achieved=dev)
-            target = u[:, k] * mass
-            panel = np.count_nonzero(cdf[:, 1:-1] <= target[:, None], axis=1)
-            left = cdf[np.arange(size), panel]
-            right = cdf[np.arange(size), panel + 1]
+            left, right = cdf[rows, panel], cdf[rows, panel + 1]
             lo, hi = edges[panel], edges[panel + 1]
             frac = np.divide(target - left, right - left,
                              out=np.full(size, 0.5), where=right > left)
-            # each draw's panel slab times its row of M, coefficient-major
-            coef = np.empty((DPP_NODES + 1, 2, size))
-            for c in range(0, size, DPP_GATHER):
-                rows = slice(c, c + DPP_GATHER)
-                terms = np.matmul(flat[rows], series[panel[rows]])
-                coef[..., rows] = np.moveaxis(
-                    terms.reshape(-1, DPP_NODES + 1, 2), 0, -1)
+            # coefficient-major: coef[l, 0] density, coef[l, 1] CDF
+            coef = terms.reshape(DPP_NODES + 1, 2, size)
             x, resid, rho = _invert_in_panel(
                 coef, lo, hi, lo + np.clip(frac, 0.0, 1.0) * (hi - lo),
                 target - left, mass)

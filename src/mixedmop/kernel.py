@@ -19,7 +19,7 @@ from .mop import (FormStack, MixedMopSolution, MultiIndexPair, Normalization,
                   NotNormalizable, check_normality, moment_matrix,
                   moment_table_for, pair_layouts, rank_threshold, solve_mixed)
 from .weights import (ProductMomentTable, WeightFamily, adaptive_gauss_legendre,
-                      family_interval, _leggauss)
+                      _leggauss)
 
 # Width of the guarded band around the diagonal, in units of the basis scale.
 DIAG_BAND_FACTOR = 1e-4
@@ -70,8 +70,19 @@ class BiorthogonalSystem:
         return _basis_values(self.g_layout, self.table.w2, self.table.center,
                              self.table.scale, x)
 
-    def interval(self) -> tuple[float, float]:
-        return family_interval(self.table.w1, self.table.w2)
+    def components(self) -> list[tuple[float, float]]:
+        """The union of the weights' intervals as sorted disjoint pieces: the
+        hull `family_interval(w1, w2)` alone when they overlap into one piece,
+        else one piece per separated cluster, so that quadrature spends no
+        nodes on the gaps."""
+        spans = sorted(w.interval() for w in self.w1 + self.w2)
+        merged = [spans[0]]
+        for lo, hi in spans[1:]:
+            if lo <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        return merged
 
     def diagonal(self, x) -> np.ndarray:
         """K(x, x) at the points x."""
@@ -131,26 +142,30 @@ def _direct_product(sys: BiorthogonalSystem, F: np.ndarray, G: np.ndarray
 
 
 def trace_quadrature(sys: BiorthogonalSystem) -> tuple[float, float]:
-    """integral K(x, x) dx by adaptive quadrature; equals |n| for a projection."""
-    lo, hi = sys.interval()
-    val, err = adaptive_gauss_legendre(sys.diagonal, lo, hi, abs_tol=1e-10,
-                                       rel_tol=1e-12)
-    return float(val), float(err)
+    """integral K(x, x) dx by adaptive quadrature on each of the weights'
+    components, summed with the components' error bounds; equals |n| for
+    a projection."""
+    parts = [adaptive_gauss_legendre(sys.diagonal, lo, hi, abs_tol=1e-10,
+                                     rel_tol=1e-12)
+             for lo, hi in sys.components()]
+    return float(sum(v for v, _ in parts)), float(sum(e for _, e in parts))
 
 
 def idempotence_residual(sys: BiorthogonalSystem, xs, ys) -> tuple[float, float]:
     """max |integral K(x,z)K(z,y) dz - K(x,y)| over the grid, plus a
-    quadrature stability estimate from the two finest node sets."""
-    lo, hi = sys.interval()
+    quadrature stability estimate from the two finest node sets (that many
+    Gauss-Legendre nodes on each of the weights' components)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     F, G = sys.f_values(xs), sys.g_values(ys)
     K = _direct_product(sys, F, G)
+    parts = sys.components()
     results = []
     for degree in (256, 384):
         nodes, wts = _leggauss(degree)
-        zs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-        wz = 0.5 * (hi - lo) * wts
+        zs = np.concatenate([0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
+                             for lo, hi in parts])
+        wz = np.concatenate([0.5 * (hi - lo) * wts for lo, hi in parts])
         Kxz = _direct_product(sys, F, sys.g_values(zs))
         Kzy = _direct_product(sys, sys.f_values(zs), G)
         results.append(Kxz @ (wz[:, None] * Kzy))

@@ -5,7 +5,8 @@ paths: product moments come from scipy's adaptive quadrature, monic
 orthogonal polynomials from a Hankel-system Gram-Schmidt construction,
 Cauchy transforms from the Faddeeva function, the Karlin-McGregor
 normalization from the plain tensor-grid sum, the exact sampler's
-inverse-CDF step from Gauss-Legendre quadrature of the exact integrand, and
+inverse-CDF step from Gauss-Legendre quadrature of the exact integrand and
+its shared and grouped contractions from a one-draw-at-a-time sampler, and
 null spaces from an SVD performed outside the solver.  The CSV oracle
 formats cell by cell from each value's Python type; the band oracle
 evaluates the CD kernel near the diagonal one cell at a time.
@@ -229,6 +230,88 @@ def quadrature_dpp_oracle(system, box, count, seed):
         denom = np.einsum("ia,ia->i", phiM, psi.T)
         M = M - Mpsi[:, :, None] * phiM[:, None, :] / denom[:, None, None]
     return np.sort(out, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Per-draw oracle for the exact sampler's contractions
+
+
+def _invert_by_legval(coef, lo, hi, x, residual, scale):
+    """Safeguarded Newton on each draw's panel series, evaluated by
+    numpy's Clenshaw `legval`; coef has shape (L, 2, draws).  Returns the
+    points, the largest relative miss and the series density there."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    out, rho_at = np.empty_like(x), np.empty_like(x)
+    worst = 0.0
+    active = np.arange(x.size)
+    for _ in range(brownian.INVERSION_MAX_STEPS):
+        rho, mass = np.polynomial.legendre.legval(
+            (x - mid) / half, coef, tensor=False)
+        miss = mass - residual
+        done = np.abs(miss) <= brownian.INVERSION_TOL * scale
+        below = miss < 0.0
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - miss / rho
+        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        if done.any():
+            worst = max(worst, float(np.max(np.abs(miss[done]) / scale[done])))
+            out[active[done]], rho_at[active[done]] = x[done], rho[done]
+            keep = ~done
+            active = active[keep]
+            if active.size == 0:
+                return out, worst, rho_at
+            coef = coef[..., keep]
+            step, lo, hi, mid, half, residual, scale = (
+                a[keep] for a in (step, lo, hi, mid, half, residual, scale))
+        x = step
+    raise AssertionError("series inversion did not converge")
+
+
+def per_draw_dpp_oracle(system, box, count, seed):
+    """The chain-rule sampler of `sample_projection_dpp` one draw at a time:
+    every step, the first included, contracts each draw's M with the panel
+    cumulants, running-maximizes its edge CDF with `maximum.accumulate`,
+    gathers its panel's series slab and contracts it with M, and inverts by
+    `legval`.  Returns the sorted draws and the three certificates
+    (mass deviation, inversion miss, series gap)."""
+    n = system.dimension
+    u = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed))).random((count, n))
+    edges = np.linspace(box[0], box[1], brownian.DPP_PANELS + 1)
+    cumulants, series = brownian._panel_series(system, edges)
+    out = np.empty((count, n))
+    rows = np.arange(count)
+    M = np.tile(np.eye(n), (count, 1, 1))
+    mass_dev = inversion = series_gap = 0.0
+    for k in range(n):
+        flat = M.reshape(count, 1, n * n)
+        cdf = np.maximum.accumulate(
+            np.matmul(flat, cumulants).reshape(count, -1), axis=1)
+        mass = cdf[:, -1]
+        mass_dev = max(mass_dev, float(np.max(np.abs(mass - (n - k)))) / (n - k))
+        target = u[:, k] * mass
+        panel = np.count_nonzero(cdf[:, 1:-1] <= target[:, None], axis=1)
+        left, right = cdf[rows, panel], cdf[rows, panel + 1]
+        lo, hi = edges[panel], edges[panel + 1]
+        frac = np.divide(target - left, right - left,
+                         out=np.full(count, 0.5), where=right > left)
+        terms = np.matmul(flat, series[panel])
+        coef = np.moveaxis(terms.reshape(count, brownian.DPP_NODES + 1, 2), 0, -1)
+        x, resid, rho = _invert_by_legval(
+            coef, lo, hi, lo + np.clip(frac, 0.0, 1.0) * (hi - lo),
+            target - left, mass)
+        inversion = max(inversion, resid)
+        out[:, k] = x
+        phi, psi = (np.ascontiguousarray(v.T)
+                    for v in brownian._phi_psi(system, x))
+        Mpsi = np.matmul(M, psi[:, :, None])
+        phiM = np.matmul(phi[:, None, :], M)
+        denom = np.matmul(phiM, psi[:, :, None])[:, 0, 0]
+        series_gap = max(series_gap, float(
+            np.max(np.abs(rho - denom) * (hi - lo))) / (n - k))
+        M = M - Mpsi * phiM / denom[:, None, None]
+    return np.sort(out, axis=1), (mass_dev, inversion, series_gap)
 
 
 # ---------------------------------------------------------------------------

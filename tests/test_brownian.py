@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 from scipy.integrate import dblquad, quad
 
 from mixedmop import (AccuracyError, BrownianConfig, config_to_weights,
@@ -19,8 +20,8 @@ from mixedmop.kernel import kernel_direct_grid, trace_quadrature
 from mixedmop.weights import _leggauss
 from mixedmop._util import CSV_BLOCK_ROWS
 
-from conftest import (csv_oracle_bytes, kernel_at, quadrature_dpp_oracle,
-                      tensor_normalization)
+from conftest import (csv_oracle_bytes, kernel_at, per_draw_dpp_oracle,
+                      quadrature_dpp_oracle, tensor_normalization)
 
 
 def two_walker_config(t=0.5):
@@ -356,6 +357,14 @@ def three_walker_config():
                           ends=((-1.0, 1), (0.5, 1), (1.0, 1)), time=0.5)
 
 
+def distinct_walkers(n):
+    """n walkers from i - (n-1)/2 to 0.9 (i - (n-1)/2) + 0.1, t = 0.5."""
+    return BrownianConfig(
+        starts=tuple((i - 0.5 * (n - 1), 1) for i in range(n)),
+        ends=tuple((0.9 * (i - 0.5 * (n - 1)) + 0.1, 1) for i in range(n)),
+        time=0.5)
+
+
 class TestExactSampler:
     def test_seed_determinism_and_block_independence(self, monkeypatch):
         cfg = three_walker_config()
@@ -376,12 +385,11 @@ class TestExactSampler:
 
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("cfg", [
-        BrownianConfig(starts=tuple((i - 2.5, 1) for i in range(6)),
-                       ends=tuple((0.9 * (i - 2.5) + 0.1, 1) for i in range(6)),
-                       time=0.5),
+        distinct_walkers(6),
         BrownianConfig(starts=((-1.0, 3), (1.0, 3)), ends=((0.0, 6),),
                        time=0.5),
-    ], ids=["six-distinct", "two-start-3+3"])
+        distinct_walkers(12),
+    ], ids=["six-distinct", "two-start-3+3", "twelve-distinct"])
     def test_block_independence_beyond_three_walkers(self, monkeypatch, cfg,
                                                      block):
         # numpy may pick another matmul loop for a one-draw stack whose
@@ -464,6 +472,54 @@ class TestExactSampler:
         want = quadrature_dpp_oracle(system, box, count, seed=931)
         np.testing.assert_allclose(draws.samples, want, rtol=0.0, atol=1e-10)
         assert 0.0 <= draws.series_residual_max <= 1e-9
+
+    @pytest.mark.parametrize("cfg, count", [
+        (three_walker_config(), 400),
+        (BrownianConfig(starts=((-0.6, 1), (0.5, 1)),
+                        ends=((-0.4, 1), (0.8, 1)), time=0.4), 400),
+        (BrownianConfig(starts=((-1.0, 3), (1.0, 3)), ends=((0.0, 6),),
+                        time=0.5), 150),
+        (distinct_walkers(6), 300),
+        (distinct_walkers(12), 200),
+    ], ids=["br", "two", "two-start-3+3", "six-distinct", "twelve-distinct"])
+    def test_matches_per_draw_oracle(self, cfg, count):
+        # the shared first step and the panel-grouped products are bitwise
+        # the per-draw ones; only the series evaluation rounds differently
+        # from legval, which moves draws by a few ulps through Newton
+        system = correlation_kernel(cfg)
+        box = cfg.bridge_box()
+        draws = sample_projection_dpp(system, box, count, seed=931)
+        want, certificates = per_draw_dpp_oracle(system, box, count, seed=931)
+        np.testing.assert_allclose(draws.samples, want, rtol=1e-13, atol=1e-13)
+        got = (draws.mass_deviation_max, draws.inversion_residual_max,
+               draws.series_residual_max)
+        # certificates near the rounding floor: the same order of magnitude
+        np.testing.assert_allclose(np.log10(got), np.log10(certificates),
+                                   rtol=0.0, atol=1.0)
+
+    def test_legendre_series_matches_legval(self):
+        rng = np.random.default_rng(2206)
+        eps = np.finfo(float).eps
+        for width in (1, 7, 1024):
+            coef = rng.standard_normal((21, 2, width))
+            s = rng.uniform(-1.0, 1.0, width)
+            s[:2] = (-1.0, 1.0)[:width]
+            got = brownian._legendre_series(s, coef)
+            want = legendre.legval(s, coef, tensor=False)
+            # forward error of a degree-20 sum, by either evaluation
+            assert np.all(np.abs(got - want)
+                          <= len(coef) * eps * np.abs(coef).sum(axis=0))
+
+    def test_legendre_series_columns_independent_of_width(self):
+        rng = np.random.default_rng(2207)
+        coef = rng.standard_normal((21, 2, 1024))
+        s = rng.uniform(-1.0, 1.0, 1024)
+        full = brownian._legendre_series(s, coef)
+        for width in (1, 7):
+            parts = [brownian._legendre_series(
+                s[i:i + width], np.ascontiguousarray(coef[..., i:i + width]))
+                for i in range(0, 1024, width)]
+            np.testing.assert_array_equal(np.concatenate(parts, axis=1), full)
 
     def test_narrowed_box_raises(self):
         cfg = two_walker_config()

@@ -797,6 +797,18 @@ class TestBrownianCommands:
         assert report["precision"] == "extended"
         assert report["trace_deviation"] <= 1e-9
 
+    def test_separated_walkers_kernel_integrates_per_component(self, tmp_path):
+        # walkers going -100 -> -100 and 100 -> 100: the quadratures ran over
+        # the hull [-106, 106] and exited 2 ("did not converge at degree 512")
+        config = {"starts": [[-100.0, 1], [100.0, 1]],
+                  "ends": [[-100.0, 1], [100.0, 1]], "t": 0.5}
+        code, out = run_cli(tmp_path, "brownian-kernel", config)
+        assert code == 0
+        report = read_json(out / "brownian_kernel_report.json")
+        assert report["trace_deviation"] < 1e-12
+        assert report["idempotence_residual"] < 1e-12
+        assert report["idempotence_quadrature_estimate"] < 1e-12
+
     def test_density_artifacts(self, tmp_path):
         code, out = run_cli(tmp_path, "brownian-density", TWO_WALKERS,
                             "--grid", "-2:2:5")

@@ -13,7 +13,7 @@ from mixedmop import (BiorthogonalSystem, BrownianConfig, DegeneratePair,
                       kernel_rh_grid, kernel_routes_report, transition_weight)
 from mixedmop.kernel import (idempotence_residual, relative_discrepancy,
                              trace_quadrature)
-from mixedmop.weights import _leggauss
+from mixedmop.weights import _leggauss, family_interval
 
 from conftest import assert_band_matches_oracle, band_grids, \
     cd_diagonal_oracle, cd_grid_oracle, cd_terms, form_derivative_oracle, \
@@ -425,7 +425,7 @@ class TestIdempotence:
         sys = build_biorthogonal(MultiIndexPair.balanced(n, m), w1, w2)
         xs = np.linspace(-2.0, 2.0, 41)
         # the products of the three direct grids, as the residual defines them
-        lo, hi = sys.interval()
+        (lo, hi), = sys.components()
         results = []
         for degree in (256, 384):
             nodes, wts = _leggauss(degree)
@@ -445,3 +445,20 @@ class TestIdempotence:
                                     calls.append(name), exact(self, x))[1])
         assert idempotence_residual(sys, xs, xs) == want
         assert sorted(calls) == ["f_values"] * 3 + ["g_values"] * 3
+
+    def test_components_split_only_separated_weights(self):
+        w1, w2, n, m = STACK_CONFIGS["wp"]
+        sys = build_biorthogonal(MultiIndexPair.balanced(n, m), w1, w2)
+        assert sys.components() == [family_interval(w1, w2)]
+        far = WeightFamily([Weight.gaussian(-100.0, 0.25),
+                            Weight.gaussian(100.0, 0.25)])
+        sys = build_biorthogonal(MultiIndexPair.balanced([1, 1], [1, 1]),
+                                 far, far)
+        assert sys.components() == [(-106.0, -94.0), (94.0, 106.0)]
+        # the hull [-106, 106] holds two bumps 200 apart; per component the
+        # trace and the idempotence integral settle
+        trace, _ = trace_quadrature(sys)
+        assert abs(trace - 2.0) < 1e-12
+        xs = np.linspace(-101.0, 101.0, 9)
+        resid, quad_est = idempotence_residual(sys, xs, xs)
+        assert resid < 1e-12 and quad_est < 1e-12
