@@ -22,10 +22,12 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from ._util import exact_int, json_count, json_number, real_number, write_csv
-from .kernel import BiorthogonalSystem, build_biorthogonal, kernel_direct_grid
+from .kernel import (BiorthogonalSystem, build_biorthogonal,
+                     kernel_direct_grid, merge_intervals)
 from .mop import MultiIndexPair
-from .weights import (AccuracyError, WeightFamily, _leggauss,
-                      gaussian_pair_moments, transition_weight)
+from .weights import (TAIL_SIGMAS, AccuracyError, WeightFamily, _leggauss,
+                      gaussian_pair_moments, gaussian_product_params,
+                      transition_weight)
 
 MAX_PATH_WALKERS = 4
 # Gauss-Legendre degrees per axis tried for the Karlin-McGregor normalization.
@@ -35,11 +37,11 @@ MCMC_THIN = 10
 MCMC_CHAINS = 4
 ACCEPTANCE_WINDOW = (0.23, 0.40)
 PSRF_LIMIT = 1.05
-# Exact position sampler: Gauss-Legendre panels over the box, nodes per
-# panel (one more than the degree of each panel's Legendre series), draws
-# per block, the relative tolerance on each conditional mass (n - k) and on
-# the series density, and the inverse-CDF search's relative tolerance and
-# step cap.
+# Exact position sampler: Gauss-Legendre panels over the box's pieces with
+# mass (`_panel_edges`), nodes per panel (one more than the degree of each
+# panel's Legendre series), draws per block, the relative tolerance on each
+# conditional mass (n - k) and on the series density, and the inverse-CDF
+# search's relative tolerance and step cap.
 DPP_PANELS = 64
 DPP_NODES = 20
 DPP_BLOCK = 1024
@@ -312,44 +314,71 @@ def _phi_psi(system: BiorthogonalSystem, x: np.ndarray
     return phi.reshape(shape), system.g_values(flat).reshape(shape)
 
 
+def _panel_edges(system: BiorthogonalSystem, box: tuple[float, float]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right ends of the sampler's DPP_PANELS panels.
+
+    K(x, x) is a sum of polynomials times the Gaussian products w1_j w2_k,
+    so the panels cover only the box's intersection with the products'
+    TAIL_SIGMAS-sd intervals (products that underflow to 0 are left out),
+    merged into disjoint pieces.  The panels are split among the pieces by
+    length (largest remainder, at least one per piece) and are equal within
+    a piece; one piece covering the box gives
+    np.linspace(box[0], box[1], DPP_PANELS + 1).
+    """
+    spans = []
+    for wa in system.w1:
+        for wb in system.w2:
+            mean, var, amp = gaussian_product_params(wa, wb)
+            half = TAIL_SIGMAS * math.sqrt(var)
+            lo, hi = max(box[0], mean - half), min(box[1], mean + half)
+            if amp > 0.0 and lo < hi:
+                spans.append((lo, hi))
+    pieces = merge_intervals(spans) if spans else [box]
+    length = np.array([hi - lo for lo, hi in pieces])
+    share = max(DPP_PANELS - len(pieces), 0) * length / length.sum()
+    counts = 1 + np.floor(share).astype(int)
+    spare = max(DPP_PANELS, len(pieces)) - counts.sum()
+    counts[np.argsort(np.floor(share) - share, kind="stable")[:spare]] += 1
+    edges = [np.linspace(lo, hi, c + 1) for (lo, hi), c in zip(pieces, counts)]
+    return (np.concatenate([e[:-1] for e in edges]),
+            np.concatenate([e[1:] for e in edges]))
+
+
 @lru_cache(maxsize=None)
-def _legendre_maps(nodes: int) -> np.ndarray:
-    """(nodes, nodes + 1, 2) map from values v_q at the Gauss-Legendre nodes
-    on [-1, 1] to the Legendre coefficients of their degree nodes - 1
-    interpolant ([..., 0], zero-padded) and of the interpolant's integral
-    from -1 ([..., 1]).  By the discrete orthogonality of the rule,
+def _legendre_map(nodes: int) -> np.ndarray:
+    """(nodes, nodes) map from values v_q at the Gauss-Legendre nodes on
+    [-1, 1] to the Legendre coefficients of their degree nodes - 1
+    interpolant.  By the discrete orthogonality of the rule,
     c_l = (l + 1/2) sum_q w_q P_l(t_q) v_q."""
     t, w = _leggauss(nodes)
-    interp = (np.arange(nodes) + 0.5)[:, None] * (
-        legendre.legvander(t, nodes - 1) * w[:, None]).T
-    maps = np.ascontiguousarray(np.stack(
-        [np.vstack([interp, np.zeros((1, nodes))]),
-         legendre.legint(interp, lbnd=-1)], axis=-1).transpose(1, 0, 2))
-    maps.setflags(write=False)
-    return maps
+    # C order: legvander returns a Fortran-ordered view, and the layout of
+    # this operand decides how BLAS sums the coefficients
+    interp = np.ascontiguousarray(
+        legendre.legvander(t, nodes - 1) * w[:, None] * (np.arange(nodes) + 0.5))
+    interp.setflags(write=False)
+    return interp
 
 
-def _panel_series(system: BiorthogonalSystem, edges: np.ndarray
+def _panel_series(system: BiorthogonalSystem, lo: np.ndarray, hi: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """For each product phi_a psi_b (term a n + b): int_{edges[0]}^{edges[e]}
-    at every edge e by Gauss-Legendre on each panel, shape (n*n, len(edges)),
-    and on each panel the Legendre series in s = (x - mid) / half of the
-    product's node interpolant and of its integral from the panel's left
-    edge in x, shape (panels, n*n, 2 (DPP_NODES + 1)) with coefficient l of
-    the interpolant at 2 l and of the integral at 2 l + 1."""
+    """For each product phi_a psi_b (term a n + b) on the panels [lo, hi]:
+    its integral over the panels before each panel edge by Gauss-Legendre,
+    shape (panels + 1, n*n), edge-major (row 0 is 0, row e ends panel
+    e - 1), and on each panel the DPP_NODES Legendre coefficients in
+    s = (x - mid) / half of the product's node interpolant, shape
+    (panels, n*n, DPP_NODES)."""
     t, w = _leggauss(DPP_NODES)
-    half = 0.5 * np.diff(edges)
-    pts = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * t
+    half = 0.5 * (hi - lo)
+    pts = 0.5 * (lo + hi)[:, None] + half[:, None] * t
     phi, psi = _phi_psi(system, pts)
     n, panels = phi.shape[:2]
     values = (phi[:, None] * psi[None]).reshape(n * n, panels, DPP_NODES)
     cumulants = np.concatenate([np.zeros((n * n, 1)),
                                 np.cumsum(values @ w * half, axis=-1)], axis=-1)
-    series = (values @ _legendre_maps(DPP_NODES).reshape(DPP_NODES, -1)
-              ).reshape(n * n, panels, DPP_NODES + 1, 2)
-    series[..., 1] *= half[:, None]
-    return cumulants, np.ascontiguousarray(
-        series.transpose(1, 0, 2, 3)).reshape(panels, n * n, -1)
+    series = values @ _legendre_map(DPP_NODES)
+    return (np.ascontiguousarray(cumulants.T),
+            np.ascontiguousarray(series.transpose(1, 0, 2)))
 
 
 @lru_cache(maxsize=None)
@@ -366,35 +395,54 @@ def _monic_legendre(terms: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _legendre_series(s: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_l coef[l, :, d] P_l(s[d]) for every column d, shape coef.shape[1:]:
-    P_0 .. P_{L-1} once at each s by the three-term recurrence, then one
-    contraction of all the series against them.  Each column's value does
-    not depend on the other columns or on their number."""
-    beta, lead = _monic_legendre(len(coef))
-    p = np.empty((len(coef), s.size))
+    """For each column d, the series sum_l coef[l, d] P_l(s[d]) ([0]) and its
+    integral from -1 to s[d] ([1]), shape (2, d).  P_0 .. P_L (L = len(coef))
+    come once at each s from the three-term recurrence, the integrals of
+    P_0 .. P_{L-1} from them by
+    int_{-1}^s P_l = (P_{l+1} - P_{l-1}) / (2 l + 1) (s + 1 for l = 0),
+    and both sums from one contraction.  Each column's values do not depend
+    on the other columns or on their number."""
+    terms = len(coef)
+    beta, lead = _monic_legendre(terms + 1)
+    pq = np.empty((terms + 1, 2, s.size))
+    p = pq[:, 0]
     p[0] = 1.0
     p[1] = s
-    for l in range(1, len(coef) - 1):
+    for l in range(1, terms):
         np.multiply(s, p[l], out=p[l + 1])
         p[l + 1] -= beta[l] * p[l - 1]
     p *= lead[:, None]
-    return np.einsum("lkd,ld->kd", coef, p)
+    pq[0, 1] = s + 1.0
+    pq[1:terms, 1] = (p[2:] - p[:-2]) / (
+        2.0 * np.arange(1, terms) + 1.0)[:, None]
+    return np.einsum("lkd,ld->kd", pq[:terms], coef)
 
 
-def _running_max(cdf: np.ndarray) -> np.ndarray:
-    """The running maximum of each row of cdf, in place, column by column."""
-    for e in range(1, cdf.shape[1]):
-        np.maximum(cdf[:, e - 1], cdf[:, e], out=cdf[:, e])
-    return cdf
+def _find_panels(cdf_at, target: np.ndarray, mass: np.ndarray, panels: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each draw's panel p with C(e_p) <= target < C(e_{p+1}), by bisection
+    over the edge index: cdf_at(e) is every draw's CDF at its edge e[d], and
+    edge 0 (CDF 0) and edge `panels` (CDF mass) bracket every target in
+    [0, mass).  Returns p and the CDF at the panel's two edges."""
+    lo = np.zeros(target.shape, dtype=np.intp)
+    hi = np.full(target.shape, panels)
+    left, right = np.zeros_like(target), mass
+    for _ in range((panels - 1).bit_length()):
+        mid = (lo + hi) // 2
+        value = cdf_at(mid)
+        below = value <= target
+        lo, left = np.where(below, mid, lo), np.where(below, value, left)
+        hi, right = np.where(below, hi, mid), np.where(below, right, value)
+    return lo, left, right
 
 
 def _invert_in_panel(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                      x: np.ndarray, residual: np.ndarray, scale: np.ndarray
                      ) -> tuple[np.ndarray, float, np.ndarray]:
     """x in the panel [lo, hi] with (integral from lo to x of the density
-    series) = residual, per draw, from the starting points x.  coef[l, 0]
-    and coef[l, 1] are the Legendre coefficients of each draw's density and
-    CDF series in s = (x - mid) / half on its panel, shape (L, 2, draws).
+    series) = residual, per draw, from the starting points x.  coef[l] are
+    the Legendre coefficients of each draw's density series in
+    s = (x - mid) / half on its panel, shape (L, draws).
 
     Newton steps on the series, replaced by bisection whenever a step
     leaves the bracket, until the miss is below INVERSION_TOL * scale.
@@ -406,8 +454,8 @@ def _invert_in_panel(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     worst = 0.0
     index = np.arange(x.size)
     for _ in range(INVERSION_MAX_STEPS):
-        rho, mass = _legendre_series((x - mid) / half, coef)
-        miss = mass - residual
+        rho, integral = _legendre_series((x - mid) / half, coef)
+        miss = half * integral - residual
         done = np.abs(miss) <= INVERSION_TOL * scale
         below = miss < 0.0
         lo, hi = np.where(below, x, lo), np.where(below, hi, x)
@@ -422,7 +470,7 @@ def _invert_in_panel(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             index = index[keep]
             if index.size == 0:
                 return out, worst, rho_at
-            coef = coef[..., keep]
+            coef = coef[:, keep]
             step, lo, hi, mid, half, residual, scale, miss = (
                 a[keep] for a in (step, lo, hi, mid, half, residual, scale, miss))
         x = step
@@ -442,56 +490,47 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
     With k points X drawn, the next has density phi^T M_k psi / (n - k),
     M_k = I - Psi_X (Phi_X^T Psi_X)^{-1} Phi_X^T, kept by the rank-one
     update M <- M - M psi(x) phi(x)^T M / (phi(x)^T M psi(x)).  Its CDF at
-    the panel edges of the box is one contraction of M with the panel
-    cumulants of phi_a psi_b; the draw is located in a panel, M is
-    contracted with that panel's Legendre series of the products, and the
-    draw is refined by safeguarded Newton on the resulting series.  At
-    k = 0, M = I for every draw, so the edge CDF and the panel series are
-    contracted once; later steps group the draws by panel, so that each
-    panel's series slab serves all of its draws without a copy.  Each
-    conditional mass must equal tr M_k = n - k to MASS_TOL relative, and
-    the series density must match the exact phi^T M psi at each drawn point
-    to MASS_TOL (n - k) / panel width, or AccuracyError is raised.  Draws
-    run in blocks of DPP_BLOCK from uniforms drawn up front, and every
-    per-draw operation is elementwise or a stacked per-draw product on
-    contiguous operands, so the output does not depend on the block size.
+    a panel edge (`_panel_edges`) is the contraction of M with the panel
+    cumulants of phi_a psi_b there; each draw's panel is found by bisection
+    over the edge index, M is contracted with that panel's Legendre series
+    of the products' density, and the draw is refined by safeguarded Newton
+    on the series and its integral.  At k = 0, M = I for every draw, so the
+    edge CDF and the panel series are contracted once; later steps group
+    the draws by panel, so that each panel's series slab serves all of its
+    draws without a copy.  Each conditional mass must equal tr M_k = n - k
+    to MASS_TOL relative, and the series density must match the exact
+    phi^T M psi at each drawn point to MASS_TOL (n - k) / panel width, or
+    AccuracyError is raised.  Draws run in blocks of DPP_BLOCK from uniforms
+    drawn up front, and every per-draw operation is elementwise or a stacked
+    per-draw product on contiguous operands, so the output does not depend
+    on the block size.
     """
     n = system.dimension
     uniforms = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(seed))).random((count, n))
-    edges = np.linspace(box[0], box[1], DPP_PANELS + 1)
-    cumulants, series = _panel_series(system, edges)
+    left_edge, right_edge = _panel_edges(system, box)
+    panels = left_edge.size
+    cumulants, series = _panel_series(system, left_edge, right_edge)
     # at step 0 every draw has M = I: its edge CDF and its panel's series are
     # one row of the stacked products that later steps take per draw
     eye = np.eye(n).reshape(1, 1, n * n)
-    first_cdf = _running_max(np.matmul(eye, cumulants).reshape(1, -1))
+    first_cdf = np.matmul(eye, cumulants[:, :, None])[:, 0, 0]
     first_series = np.ascontiguousarray(np.matmul(eye, series)[:, 0].T)
     out = np.empty((count, n))
     mass_dev = inversion = series_gap = 0.0
     for start in range(0, count, DPP_BLOCK):
         u = uniforms[start:start + DPP_BLOCK]
         size = u.shape[0]
-        rows = np.arange(size)
         M = np.tile(np.eye(n), (size, 1, 1))
         for k in range(n):
             flat = M.reshape(size, 1, n * n)
             if k == 0:
-                cdf = np.broadcast_to(first_cdf, (size, DPP_PANELS + 1))
-                target = u[:, k] * first_cdf[0, -1]
-                panel = np.searchsorted(first_cdf[0, 1:-1], target, side="right")
-                terms = first_series[:, panel]
+                def cdf_at(edge):
+                    return first_cdf[edge]
             else:
-                cdf = _running_max(np.matmul(flat, cumulants).reshape(size, -1))
-                target = u[:, k] * cdf[:, -1]
-                panel = np.count_nonzero(cdf[:, 1:-1] <= target[:, None], axis=1)
-                # each panel's draws times the panel's shared series slab
-                terms = np.empty((series.shape[-1], size))
-                order = np.argsort(panel, kind="stable")
-                for group in np.split(
-                        order, np.flatnonzero(np.diff(panel[order])) + 1):
-                    terms[:, group] = np.matmul(flat[group],
-                                                series[panel[group[0]]])[:, 0].T
-            mass = cdf[:, -1]
+                def cdf_at(edge):
+                    return np.matmul(flat, cumulants[edge][:, :, None])[:, 0, 0]
+            mass = cdf_at(np.full(size, panels))
             dev = float(np.max(np.abs(mass - (n - k)))) / (n - k)
             mass_dev = max(mass_dev, dev)
             if not dev <= MASS_TOL:
@@ -500,12 +539,21 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
                     f"{dev:.2e} relative (tolerance {MASS_TOL:.0e}); the box "
                     f"[{box[0]:.6g}, {box[1]:.6g}] or its panel quadrature "
                     "misses mass", value=float(mass.min()), achieved=dev)
-            left, right = cdf[rows, panel], cdf[rows, panel + 1]
-            lo, hi = edges[panel], edges[panel + 1]
+            target = u[:, k] * mass
+            panel, left, right = _find_panels(cdf_at, target, mass, panels)
+            if k == 0:
+                coef = first_series[:, panel]
+            else:
+                # each panel's draws times the panel's shared series slab
+                coef = np.empty((DPP_NODES, size))
+                order = np.argsort(panel, kind="stable")
+                for group in np.split(
+                        order, np.flatnonzero(np.diff(panel[order])) + 1):
+                    coef[:, group] = np.matmul(flat[group],
+                                               series[panel[group[0]]])[:, 0].T
+            lo, hi = left_edge[panel], right_edge[panel]
             frac = np.divide(target - left, right - left,
                              out=np.full(size, 0.5), where=right > left)
-            # coefficient-major: coef[l, 0] density, coef[l, 1] CDF
-            coef = terms.reshape(DPP_NODES + 1, 2, size)
             x, resid, rho = _invert_in_panel(
                 coef, lo, hi, lo + np.clip(frac, 0.0, 1.0) * (hi - lo),
                 target - left, mass)
@@ -523,7 +571,10 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
                     f"by {gap:.2e} of n - k = {n - k} per panel width "
                     f"(tolerance {MASS_TOL:.0e}); the panels are too wide "
                     f"for degree {DPP_NODES - 1}", achieved=gap)
-            M = M - Mpsi * phiM / denom[:, None, None]
+            # in place: the same arithmetic without two block-sized temporaries
+            update = Mpsi * phiM
+            update /= denom[:, None, None]
+            M -= update
     return DppSamples(samples=np.sort(out, axis=1), mass_deviation_max=mass_dev,
                       inversion_residual_max=inversion,
                       series_residual_max=series_gap)
@@ -706,9 +757,11 @@ def sample_paths(config: BrownianConfig, time_grid, count: int, seed: int
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     accepted = []
-    attempted = 0
-    batch = max(64, 4 * count)
-    while sum(x.shape[0] for x in accepted) < count:
+    attempted = got = 0
+    # batches of max(64, count) bundles until enough are accepted; the
+    # normals come from the stream in the same order at any batch size
+    batch = max(64, count)
+    while got < count:
         incr = rng.standard_normal((batch, n, dts.size)) * np.sqrt(
             dts / config.n_scale)
         W = np.concatenate([np.zeros((batch, n, 1)), np.cumsum(incr, axis=-1)],
@@ -719,18 +772,16 @@ def sample_paths(config: BrownianConfig, time_grid, count: int, seed: int
             else np.ones(batch, dtype=bool)
         attempted += batch
         accepted.append(paths[ok])
-        got = sum(x.shape[0] for x in accepted)
+        got += accepted[-1].shape[0]
         rate = got / attempted
         if attempted >= 200_000 and rate < PATH_MIN_ACCEPTANCE:
             raise AccuracyError(
                 f"bundle acceptance rate {rate:.2e} is below "
                 f"{PATH_MIN_ACCEPTANCE:.0e}; starting or ending points are "
                 "probably too close together for grid rejection to work")
-    total_ok = sum(x.shape[0] for x in accepted)
     paths = np.concatenate(accepted, axis=0)[:count]
     return PathBundles(times=times, paths=paths,
-                       acceptance_rate=total_ok / attempted,
-                       attempted=attempted)
+                       acceptance_rate=got / attempted, attempted=attempted)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ DEFAULT_TOL = 1e-7
 GRID_LIMITS = (2, 2000)
 # Upper bounds on brownian-sample's sizes, checked before any work: the
 # draws and the path bundles are held in memory until the artifacts are
-# written, and each bundle batch holds 4 x count bundles.
+# written, and each bundle batch holds max(64, count) bundles.
 SAMPLE_COUNT_LIMIT = 1_000_000
 PATH_COUNT_LIMIT = 1_000
 PATH_TIME_POINTS_LIMIT = 1_000

@@ -75,19 +75,24 @@ class BiorthogonalSystem:
         hull `family_interval(w1, w2)` alone when they overlap into one piece,
         else one piece per separated cluster, so that quadrature spends no
         nodes on the gaps."""
-        spans = sorted(w.interval() for w in self.w1 + self.w2)
-        merged = [spans[0]]
-        for lo, hi in spans[1:]:
-            if lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        return merged
+        return merge_intervals(w.interval() for w in self.w1 + self.w2)
 
     def diagonal(self, x) -> np.ndarray:
         """K(x, x) at the points x."""
         return np.einsum("an,ja,jn->n", self.f_values(x), self.transform,
                          self.g_values(x))
+
+
+def merge_intervals(spans) -> list[tuple[float, float]]:
+    """The union of the intervals (lo, hi) as sorted disjoint pieces."""
+    spans = sorted(spans)
+    merged = [spans[0]]
+    for lo, hi in spans[1:]:
+        if lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 def _basis_values(layout, family, center, scale, x) -> np.ndarray:

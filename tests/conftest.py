@@ -206,18 +206,19 @@ def quadrature_dpp_oracle(system, box, count, seed):
     n = system.dimension
     u = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(seed))).random((count, n))
-    edges = np.linspace(box[0], box[1], brownian.DPP_PANELS + 1)
-    cumulants, _ = brownian._panel_series(system, edges)
+    left_edge, right_edge = brownian._panel_edges(system, box)
+    cumulants, _ = brownian._panel_series(system, left_edge, right_edge)
     out = np.empty((count, n))
     M = np.tile(np.eye(n), (count, 1, 1))
     rows = np.arange(count)
     for k in range(n):
-        cdf = np.maximum.accumulate(M.reshape(count, n * n) @ cumulants, axis=1)
+        cdf = np.maximum.accumulate(M.reshape(count, n * n) @ cumulants.T,
+                                    axis=1)
         mass = cdf[:, -1]
         target = u[:, k] * mass
         panel = np.count_nonzero(cdf[:, 1:-1] <= target[:, None], axis=1)
         left, right = cdf[rows, panel], cdf[rows, panel + 1]
-        lo, hi = edges[panel], edges[panel + 1]
+        lo, hi = left_edge[panel], right_edge[panel]
         frac = np.divide(target - left, right - left,
                          out=np.full(count, 0.5), where=right > left)
         x = _invert_by_quadrature(system, M, lo, hi,
@@ -268,36 +269,56 @@ def _invert_by_legval(coef, lo, hi, x, residual, scale):
     raise AssertionError("series inversion did not converge")
 
 
+def _bisect_one_draw(cdf_at, target, panels):
+    """The panel p with C(e_p) <= target < C(e_{p+1}) of one draw, by
+    bisection between edge 0 (CDF 0) and edge `panels`, and the CDF at its
+    two edges."""
+    lo, hi, left, right = 0, panels, 0.0, cdf_at(panels)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        value = cdf_at(mid)
+        if value <= target:
+            lo, left = mid, value
+        else:
+            hi, right = mid, value
+    return lo, left, right
+
+
 def per_draw_dpp_oracle(system, box, count, seed):
     """The chain-rule sampler of `sample_projection_dpp` one draw at a time:
-    every step, the first included, contracts each draw's M with the panel
-    cumulants, running-maximizes its edge CDF with `maximum.accumulate`,
-    gathers its panel's series slab and contracts it with M, and inverts by
-    `legval`.  Returns the sorted draws and the three certificates
-    (mass deviation, inversion miss, series gap)."""
+    at every step, the first included, each draw's panel is found by its own
+    bisection on the CDF at single edges (one dot product of its M with the
+    edge's cumulants each), its panel's density series is contracted with
+    its M, the CDF series is numpy's `legint` of it, and both are inverted
+    by `legval`.  Returns the sorted draws and the three certificates (mass
+    deviation, inversion miss, series gap)."""
     n = system.dimension
     u = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(seed))).random((count, n))
-    edges = np.linspace(box[0], box[1], brownian.DPP_PANELS + 1)
-    cumulants, series = brownian._panel_series(system, edges)
+    left_edge, right_edge = brownian._panel_edges(system, box)
+    panels = left_edge.size
+    cumulants, series = brownian._panel_series(system, left_edge, right_edge)
     out = np.empty((count, n))
-    rows = np.arange(count)
     M = np.tile(np.eye(n), (count, 1, 1))
     mass_dev = inversion = series_gap = 0.0
     for k in range(n):
-        flat = M.reshape(count, 1, n * n)
-        cdf = np.maximum.accumulate(
-            np.matmul(flat, cumulants).reshape(count, -1), axis=1)
-        mass = cdf[:, -1]
+        panel = np.empty(count, dtype=int)
+        mass, left, right = np.empty(count), np.empty(count), np.empty(count)
+        density = np.empty((brownian.DPP_NODES, count))
+        for d in range(count):
+            flat = M[d].reshape(-1)
+            mass[d] = flat @ cumulants[panels]
+            panel[d], left[d], right[d] = _bisect_one_draw(
+                lambda e: flat @ cumulants[e], u[d, k] * mass[d], panels)
+            density[:, d] = flat @ series[panel[d]]
         mass_dev = max(mass_dev, float(np.max(np.abs(mass - (n - k)))) / (n - k))
         target = u[:, k] * mass
-        panel = np.count_nonzero(cdf[:, 1:-1] <= target[:, None], axis=1)
-        left, right = cdf[rows, panel], cdf[rows, panel + 1]
-        lo, hi = edges[panel], edges[panel + 1]
+        lo, hi = left_edge[panel], right_edge[panel]
         frac = np.divide(target - left, right - left,
                          out=np.full(count, 0.5), where=right > left)
-        terms = np.matmul(flat, series[panel])
-        coef = np.moveaxis(terms.reshape(count, brownian.DPP_NODES + 1, 2), 0, -1)
+        integral = np.polynomial.legendre.legint(density, lbnd=-1, axis=0)
+        coef = np.stack([np.vstack([density, np.zeros((1, count))]),
+                         integral * (0.5 * (hi - lo))], axis=1)
         x, resid, rho = _invert_by_legval(
             coef, lo, hi, lo + np.clip(frac, 0.0, 1.0) * (hi - lo),
             target - left, mass)

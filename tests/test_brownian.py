@@ -497,27 +497,102 @@ class TestExactSampler:
         np.testing.assert_allclose(np.log10(got), np.log10(certificates),
                                    rtol=0.0, atol=1.0)
 
+    @pytest.mark.parametrize("cfg", [
+        three_walker_config(),
+        BrownianConfig(starts=((-1.0, 3), (1.0, 3)), ends=((0.0, 6),),
+                       time=0.5),
+        distinct_walkers(12),
+    ], ids=["br", "two-start-3+3", "twelve-distinct"])
+    def test_bisection_finds_running_max_panel(self, monkeypatch, cfg):
+        # at every step, every draw's panel is the one the running maximum
+        # of its whole edge CDF picks, and its edge values are that CDF's
+        find = brownian._find_panels
+        steps = []
+
+        def checked(cdf_at, target, mass, panels):
+            panel, left, right = find(cdf_at, target, mass, panels)
+            cdf = np.stack([cdf_at(np.full(target.size, e))
+                            for e in range(panels + 1)], axis=1)
+            rule = np.count_nonzero(np.maximum.accumulate(cdf, axis=1)[:, 1:-1]
+                                    <= target[:, None], axis=1)
+            rows = np.arange(target.size)
+            np.testing.assert_array_equal(panel, rule)
+            np.testing.assert_array_equal(left, cdf[rows, panel])
+            np.testing.assert_array_equal(right, cdf[rows, panel + 1])
+            steps.append(target.size)
+            return panel, left, right
+
+        monkeypatch.setattr(brownian, "_find_panels", checked)
+        system = correlation_kernel(cfg)
+        sample_projection_dpp(system, cfg.bridge_box(), 300, seed=931)
+        assert steps == [300] * cfg.walkers
+
+    @pytest.mark.parametrize("cfg", [
+        three_walker_config(),
+        BrownianConfig(starts=((-0.6, 1), (0.5, 1)),
+                       ends=((-0.4, 1), (0.8, 1)), time=0.4),
+        BrownianConfig(starts=((-1.0, 3), (1.0, 3)), ends=((0.0, 6),),
+                       time=0.5),
+    ], ids=["br", "two", "two-start-3+3"])
+    def test_panels_cover_one_piece_as_linspace(self, cfg):
+        lo, hi = brownian._panel_edges(correlation_kernel(cfg),
+                                       cfg.bridge_box())
+        edges = np.linspace(*cfg.bridge_box(), brownian.DPP_PANELS + 1)
+        np.testing.assert_array_equal(lo, edges[:-1])
+        np.testing.assert_array_equal(hi, edges[1:])
+
+    def test_panels_skip_the_gap_between_separated_walkers(self):
+        # -100 -> -100 and 100 -> 100: the cross products w1_j w2_k underflow
+        # to 0, so the panels cover two pieces of 32 and none of the gap
+        cfg = BrownianConfig(starts=((-100.0, 1), (100.0, 1)),
+                             ends=((-100.0, 1), (100.0, 1)), time=0.5)
+        box = cfg.bridge_box()
+        lo, hi = brownian._panel_edges(correlation_kernel(cfg), box)
+        half = 12.0 * cfg.bridge_sd()
+        np.testing.assert_array_equal(lo[:32], np.linspace(
+            box[0], -100.0 + half, 33)[:-1])
+        np.testing.assert_array_equal(hi[32:], np.linspace(
+            100.0 - half, box[1], 33)[1:])
+        np.testing.assert_allclose(hi - lo, (box[1] - 100.0 + half) / 32,
+                                   rtol=1e-12)
+
+    def test_walker_between_separated_weights_bridge_marginal(self):
+        # one walker -10 -> 10: the 12-sd intervals of its two weights are
+        # [-18.5, -1.5] and [1.5, 18.5], but the position density
+        # w1 w2 / Z sits in the gap, at 0 with variance t (1 - t)
+        cfg = BrownianConfig(starts=((-10.0, 1),), ends=((10.0, 1),),
+                             time=0.5, variance_scaling=False)
+        system = correlation_kernel(cfg)
+        assert len(system.components()) == 2
+        draws = sample_projection_dpp(system, cfg.bridge_box(), 20_000, seed=3)
+        x = draws.samples[:, 0]
+        assert draws.mass_deviation_max < 1e-9
+        assert abs(x.mean()) < 3.0 * math.sqrt(0.25 / x.size)
+        assert abs(x.var(ddof=1) - 0.25) < 3.0 * math.sqrt(2 * 0.25 ** 2 / x.size)
+
     def test_legendre_series_matches_legval(self):
         rng = np.random.default_rng(2206)
         eps = np.finfo(float).eps
         for width in (1, 7, 1024):
-            coef = rng.standard_normal((21, 2, width))
+            coef = rng.standard_normal((brownian.DPP_NODES, width))
             s = rng.uniform(-1.0, 1.0, width)
             s[:2] = (-1.0, 1.0)[:width]
             got = brownian._legendre_series(s, coef)
-            want = legendre.legval(s, coef, tensor=False)
-            # forward error of a degree-20 sum, by either evaluation
+            want = [legendre.legval(s, c, tensor=False)
+                    for c in (coef, legendre.legint(coef, lbnd=-1, axis=0))]
+            # forward error of a degree-19 series and of its integral, by
+            # either evaluation
             assert np.all(np.abs(got - want)
                           <= len(coef) * eps * np.abs(coef).sum(axis=0))
 
     def test_legendre_series_columns_independent_of_width(self):
         rng = np.random.default_rng(2207)
-        coef = rng.standard_normal((21, 2, 1024))
+        coef = rng.standard_normal((brownian.DPP_NODES, 1024))
         s = rng.uniform(-1.0, 1.0, 1024)
         full = brownian._legendre_series(s, coef)
         for width in (1, 7):
             parts = [brownian._legendre_series(
-                s[i:i + width], np.ascontiguousarray(coef[..., i:i + width]))
+                s[i:i + width], np.ascontiguousarray(coef[:, i:i + width]))
                 for i in range(0, 1024, width)]
             np.testing.assert_array_equal(np.concatenate(parts, axis=1), full)
 
@@ -611,6 +686,30 @@ class TestPathSampling:
                              time=0.5)
         with pytest.raises(ValueError):
             sample_paths(cfg, np.linspace(0.0, 1.0, 65), 10, seed=1)
+
+    def test_batches_draw_the_stream_in_order(self):
+        # close points accept few bundles, so max(64, count) bundles per
+        # batch take several batches; one large batch of the same stream
+        # keeps the same bundles
+        cfg = BrownianConfig(starts=((-0.1, 1), (0.1, 1)),
+                             ends=((-0.1, 1), (0.1, 1)), time=0.5)
+        grid = np.linspace(0.0, 1.0, 65)
+        bundles = sample_paths(cfg, grid, 100, seed=9)
+        assert bundles.attempted >= 3 * 100 and bundles.attempted % 100 == 0
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9)))
+        dts = np.diff(grid)
+        incr = rng.standard_normal((bundles.attempted, 2, dts.size)) * np.sqrt(
+            dts / cfg.n_scale)
+        W = np.concatenate([np.zeros((bundles.attempted, 2, 1)),
+                            np.cumsum(incr, axis=-1)], axis=-1)
+        a = cfg.flat_starts()
+        paths = a[None, :, None] + W - grid * (W[:, :, -1:] - (
+            cfg.flat_ends() - a)[None, :, None])
+        ok = np.all(np.diff(paths, axis=1) > 0.0, axis=(1, 2))
+        np.testing.assert_array_equal(bundles.paths, paths[ok][:100])
+        assert bundles.acceptance_rate == ok.sum() / bundles.attempted
+        # the last batch was needed: the ones before it fell short
+        assert ok[:bundles.attempted - 100].sum() < 100
 
     def test_too_close_aborts(self):
         # four walkers a nanometer apart: grid rejection cannot resolve the

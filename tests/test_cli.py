@@ -809,6 +809,26 @@ class TestBrownianCommands:
         assert report["idempotence_residual"] < 1e-12
         assert report["idempotence_quadrature_estimate"] < 1e-12
 
+    def test_separated_walkers_sample_per_component(self, tmp_path,
+                                                    monkeypatch):
+        # the same walkers: 64 equal panels over the box [-102.8, 102.8]
+        # were 3.2 wide, and the series gate exited 2 at step 0
+        config = {"starts": [[-100.0, 1], [100.0, 1]],
+                  "ends": [[-100.0, 1], [100.0, 1]], "t": 0.5,
+                  "sampling": {"count": 1000}}
+        code, out = run_cli(tmp_path, "brownian-sample", config)
+        assert code == 0
+        report = read_json(out / "sampling_report.json")
+        assert report["chi_square_vs_r1"]["p_value"] > 0.01
+        assert report["series_residual_max"] < 1e-12
+        want = (out / "samples.csv").read_bytes()
+        for block in (1, 7):
+            monkeypatch.setattr(mixedmop.brownian, "DPP_BLOCK", block)
+            code, got = run_cli(tmp_path, "brownian-sample", config,
+                                out_name=f"block{block}")
+            assert code == 0
+            assert (got / "samples.csv").read_bytes() == want
+
     def test_density_artifacts(self, tmp_path):
         code, out = run_cli(tmp_path, "brownian-density", TWO_WALKERS,
                             "--grid", "-2:2:5")
