@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import numbers
+import os
 from typing import Any, Sequence
 
 import numpy as np
@@ -20,9 +21,9 @@ def write_csv(path: str, header: Sequence[str], rows) -> None:
     ``np.asarray(rows, dtype=float)`` makes a (rows, len(header)) array.
     Every value is printed as ``'%.17g' % value`` prints it, which
     round-trips any double and prints an integer-valued column (an index)
-    as a plain integer."""
+    as a plain integer.  The lines go to a new file at path (``new_file``)."""
     table = np.asarray(rows, dtype=float)
-    with open(path, "wb") as fh:
+    with new_file(path) as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(table), CSV_BLOCK_ROWS):
             fh.write(_format_block(table[start:start + CSV_BLOCK_ROWS]))
@@ -274,6 +275,27 @@ def json_ready(obj: Any) -> Any:
 
 def dump_json(path: str, obj: Any) -> None:
     """Write obj as indented JSON with sorted keys and a final newline, in
-    one write (``json.dump`` writes once per encoder chunk)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(json_ready(obj), indent=2, sort_keys=True) + "\n")
+    one write (``json.dump`` writes once per encoder chunk), to a new file
+    at path (``new_file``).  The text is ASCII, non-ASCII characters being
+    escaped, so its bytes do not depend on the locale."""
+    with new_file(path) as fh:
+        fh.write((json.dumps(json_ready(obj), indent=2, sort_keys=True)
+                  + "\n").encode())
+
+
+def remove_file(path: str) -> None:
+    """Remove the file or symbolic link at path, if there is one."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+
+
+def new_file(path: str):
+    """path opened for binary writing as a file created here.  Whatever was
+    at path is removed first: creating a file costs less than truncating
+    one, and a symbolic link at path is replaced, not followed.
+    ``write_csv`` and ``dump_json`` open their files here; no other library
+    code opens a file for writing (tests/test_imports.py)."""
+    remove_file(path)
+    return open(path, "xb")

@@ -1,9 +1,17 @@
 """Command-line front end: JSON config in, CSV/JSON artifacts out.
 
 Every command computes first and writes artifacts only on success, so a
-nonzero exit leaves nothing behind except error_report.json.  Reports embed
-the resolved configuration and the library version; identical config, seed,
-and version produce byte-identical outputs.
+nonzero exit leaves nothing of the command behind except error_report.json:
+a failure also removes every file name the command can write (ARTIFACTS)
+from an --out that an earlier run filled.  A success removes a stale
+error_report.json, and the command's names it did not write this time.
+Each artifact is written to a new file (``_util.new_file``), so a file or
+symbolic link already at its path is replaced, never written through.
+Reports embed the resolved configuration and the library version; identical
+config, seed, and version produce byte-identical outputs.
+
+The argument parser is built once per process: repeated in-process calls of
+``main`` reuse it.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure
 (non-normalizable index, degenerate pair, accuracy), 3 internal error.
@@ -12,6 +20,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -20,7 +29,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._util import dump_json, json_count, json_ready, known_keys, write_csv
+from ._util import (dump_json, json_count, json_ready, known_keys,
+                    remove_file, write_csv)
 from .brownian import (MAX_PATH_WALKERS, PATH_MIN_GRID, BrownianConfig,
                        chi_square_report, config_to_weights, correlation_kernel,
                        km_density, r1_grid, sample_paths, sample_projection_dpp,
@@ -353,15 +363,35 @@ COMMANDS = {
     "brownian-density": cmd_brownian_density,
     "brownian-sample": cmd_brownian_sample,
 }
+# The file names each command can write, removed from --out when a run of
+# the command fails, and by a success when it did not write them.
+ARTIFACTS = {
+    "mop-solve": ("solution.json",),
+    "kernel-grid": ("kernel_grid.csv", "kernel_report.json"),
+    "cd-check": ("cd_report.json",),
+    "rh-verify": ("rh_report.json", "y_matrix.csv"),
+    "brownian-kernel": ("kernel_grid.csv", "brownian_kernel_report.json"),
+    "brownian-density": ("density.csv", "brownian_density_report.json"),
+    "brownian-sample": ("samples.csv", "paths.csv", "sampling_report.json"),
+}
 
 
-def _write_artifacts(out_dir: str, artifacts: list) -> None:
+def _remove_stale(out_dir: str, names) -> None:
+    for name in names:
+        remove_file(os.path.join(out_dir, name))
+
+
+def _write_artifacts(out_dir: str, command: str, artifacts: list) -> None:
+    """Write the artifacts, then remove what an earlier run left under the
+    command's other names or as an error report."""
     for name, writer, *payload in artifacts:
         writer(os.path.join(out_dir, name), *payload)
+    written = {name for name, *_ in artifacts}
+    _remove_stale(out_dir, {*ARTIFACTS[command], "error_report.json"} - written)
 
 
-def _fail(out_dir: str | None, code: int, label: str, message: str,
-          detail: dict | None = None) -> int:
+def _fail(out_dir: str | None, command: str | None, code: int, label: str,
+          message: str, detail: dict | None = None) -> int:
     flat = " ".join(str(message).split())
     print(f"{label}: {flat}", file=sys.stderr)
     if out_dir is None:
@@ -374,6 +404,7 @@ def _fail(out_dir: str | None, code: int, label: str, message: str,
             "detail": json_ready(detail) if detail else None,
             "version": __version__,
         })
+        _remove_stale(out_dir, ARTIFACTS.get(command, ()))
     except OSError:
         pass
     return code
@@ -387,7 +418,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValidationFailure(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and shared by
+    every later one: nothing in it depends on the call, and parsing leaves
+    it as it was."""
     parser = _ArgumentParser(
         prog="mixedmop",
         description="Mixed-type multiple orthogonal polynomials, projection "
@@ -416,15 +451,17 @@ def _join_grid_value(argv: list[str]) -> list[str]:
     return out
 
 
-def _out_dir(argv: list[str]) -> str | None:
-    """The --out value of an argument list the full parser refused, if it
-    has one."""
+def _refused_run(argv: list[str]) -> tuple[str | None, str | None]:
+    """The command (its first positional argument) and the --out value of
+    an argument list the full parser refused, each None where it has none."""
     parser = _ArgumentParser(add_help=False)
+    parser.add_argument("command", nargs="?")
     parser.add_argument("--out")
     try:
-        return parser.parse_known_args(argv)[0].out
+        args = parser.parse_known_args(argv)[0]
     except ValidationFailure:
-        return None
+        return None, None
+    return args.command, args.out
 
 
 def main(argv=None) -> int:
@@ -432,13 +469,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except ValidationFailure as exc:
-        return _fail(_out_dir(argv), 1, "VALIDATION", str(exc))
+        command, out_dir = _refused_run(argv)
+        return _fail(out_dir, command, 1, "VALIDATION", str(exc))
     except SystemExit:  # --help; argument errors raise ValidationFailure
         return 0
-    out_dir = args.out
+    out_dir, command = args.out, args.command
     try:
         for option, readers in OPTION_READERS.items():
-            if getattr(args, option) is not None and args.command not in readers:
+            if getattr(args, option) is not None and command not in readers:
                 raise ValidationFailure(f"--{option} is read only by "
                                         + ", ".join(readers))
         if args.tol is not None and not 0.0 < args.tol < math.inf:
@@ -456,19 +494,20 @@ def main(argv=None) -> int:
         # the commands refuse with their own message; numpy's warnings would
         # add lines to stderr beside it.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            artifacts = COMMANDS[args.command](args, raw)
-        _write_artifacts(out_dir, artifacts)
+            artifacts = COMMANDS[command](args, raw)
+        _write_artifacts(out_dir, command, artifacts)
         return 0
     except ValidationFailure as exc:
-        return _fail(out_dir, 1, "VALIDATION", str(exc))
+        return _fail(out_dir, command, 1, "VALIDATION", str(exc))
     except NotNormalizable as exc:  # DegeneratePair among them
         detail = {"normality": exc.report.to_json_dict()} if exc.report else None
-        return _fail(out_dir, 2, "NUMERICAL", str(exc), detail)
+        return _fail(out_dir, command, 2, "NUMERICAL", str(exc), detail)
     except AccuracyError as exc:
-        return _fail(out_dir, 2, "NUMERICAL", str(exc),
+        return _fail(out_dir, command, 2, "NUMERICAL", str(exc),
                      {"achieved": exc.achieved})
     except Exception as exc:  # noqa: BLE001 - the exit-code contract
-        return _fail(out_dir, 3, "INTERNAL", f"{type(exc).__name__}: {exc}")
+        return _fail(out_dir, command, 3, "INTERNAL",
+                     f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -969,3 +969,118 @@ class TestCsvArtifactBytes:
                 for r in range(Y.shape[0]) for c in range(Y.shape[1])]
         assert (out / "y_matrix.csv").read_bytes() == csv_oracle_bytes(
             ("row", "col", "re", "im"), rows)
+
+
+# One small accepted run of each command: (config, extra arguments).
+SMALL_RUNS = {
+    "mop-solve": (DEFINING, ()),
+    "kernel-grid": (RANK_ONE, ("--grid", "0:1:3")),
+    "cd-check": (RANK_ONE, ("--grid", "0:1:3")),
+    "rh-verify": (RANK_ONE, ()),
+    "brownian-kernel": (TWO_WALKERS, ("--grid", "-2:2:7")),
+    "brownian-density": (TWO_WALKERS, ("--grid", "-2:2:7")),
+    "brownian-sample": (dict(TWO_WALKERS, sampling={"count": 40},
+                             paths={"count": 2, "time_points": 64}), ()),
+}
+
+
+def artifact_bytes(out) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.filterwarnings("ignore:position sampler")
+class TestRerunIntoOneOut:
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_success_failure_success(self, tmp_path, command):
+        # a failure leaves only its report, and the next success removes it
+        config, extra = SMALL_RUNS[command]
+        code, out = run_cli(tmp_path, command, config, *extra)
+        assert code == 0
+        first = artifact_bytes(out)
+        assert sorted(first) == sorted(cli.ARTIFACTS[command])
+        code, _ = run_cli(tmp_path, command, "{ not json",
+                          config_name="bad.json")
+        assert code == 1
+        assert [p.name for p in out.iterdir()] == ["error_report.json"]
+        code, _ = run_cli(tmp_path, command, config, *extra)
+        assert code == 0
+        assert artifact_bytes(out) == first
+
+    def test_refused_arguments_remove_the_named_command_artifacts(
+            self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "mop-solve", DEFINING)
+        assert code == 0
+        code, _ = run_cli(tmp_path, "mop-solve", DEFINING, "--bogus")
+        assert code == 1
+        assert [p.name for p in out.iterdir()] == ["error_report.json"]
+        capsys.readouterr()
+
+    def test_sample_without_paths_removes_stale_paths(self, tmp_path):
+        config, _ = SMALL_RUNS["brownian-sample"]
+        code, out = run_cli(tmp_path, "brownian-sample", config)
+        assert code == 0 and (out / "paths.csv").exists()
+        without = {key: value for key, value in config.items() if key != "paths"}
+        code, _ = run_cli(tmp_path, "brownian-sample", without)
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "samples.csv", "sampling_report.json"]
+
+    def test_in_process_runs_match_a_fresh_interpreter(self, tmp_path, capsys):
+        # refused and --help calls first: the parser they leave behind is the
+        # one every accepted run below parses with
+        cli.build_parser.cache_clear()
+        code, _ = run_cli(tmp_path, "mop-solve", DEFINING, "--bogus",
+                          out_name="refused")
+        assert code == 1
+        code, _ = run_cli(tmp_path, "mop-solve", DEFINING, "--tol", "1e-3",
+                          out_name="refused")
+        assert code == 1
+        assert main(["--help"]) == 0
+        argvs = {}
+        for command, (config, extra) in sorted(SMALL_RUNS.items()):
+            code, out = run_cli(tmp_path, command, config, *extra,
+                                out_name=command, config_name=command + ".json")
+            assert code == 0
+            argvs[command] = [command, "--config", str(tmp_path / (command + ".json")),
+                              "--out", str(tmp_path / "fresh" / command), *extra]
+        assert cli.build_parser.cache_info().misses == 1
+        capsys.readouterr()
+        src = os.path.dirname(os.path.dirname(mixedmop.__file__))
+        code = ("import sys; from mixedmop.cli import main; "
+                f"sys.exit(max(main(argv) for argv in {list(argvs.values())!r}))")
+        result = subprocess.run([sys.executable, "-c", code],
+                                env=dict(os.environ, PYTHONPATH=src),
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        for command in argvs:
+            assert artifact_bytes(tmp_path / command) == \
+                artifact_bytes(tmp_path / "fresh" / command), command
+
+    def test_shorter_rerun_matches_a_fresh_run(self, tmp_path):
+        # the default 61 x 61 grid, then 5 x 5 into the same --out
+        code, out = run_cli(tmp_path, "kernel-grid", RANK_ONE)
+        assert code == 0
+        longer = (out / "kernel_grid.csv").stat().st_size
+        code, _ = run_cli(tmp_path, "kernel-grid", RANK_ONE, "--grid", "-1:1:5")
+        assert code == 0
+        code, fresh = run_cli(tmp_path, "kernel-grid", RANK_ONE,
+                              "--grid", "-1:1:5", out_name="fresh")
+        assert code == 0
+        assert (out / "kernel_grid.csv").stat().st_size < longer
+        assert artifact_bytes(out) == artifact_bytes(fresh)
+
+    @pytest.mark.parametrize("name", cli.ARTIFACTS["kernel-grid"])
+    def test_symlinked_artifact_is_replaced_not_followed(self, tmp_path, name):
+        target = tmp_path / "outside.txt"
+        target.write_text("kept")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).symlink_to(target)
+        code, _ = run_cli(tmp_path, "kernel-grid", RANK_ONE, "--grid", "0:1:3")
+        assert code == 0
+        assert (out / name).is_file() and not (out / name).is_symlink()
+        assert target.read_text() == "kept"
+        code, fresh = run_cli(tmp_path, "kernel-grid", RANK_ONE,
+                              "--grid", "0:1:3", out_name="fresh")
+        assert code == 0
+        assert artifact_bytes(out) == artifact_bytes(fresh)

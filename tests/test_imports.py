@@ -7,7 +7,8 @@ somewhere in the module, or be listed in its ``__all__`` (the package's
 re-exports).  ``from __future__`` imports bind no name and are skipped.
 A top-level definition must be referenced (as a name, an attribute, an
 imported name or a string such as an ``__all__`` entry) in the library or
-in the tests.
+in the tests.  A file is opened for writing only in ``_util.new_file``,
+which creates it fresh, so that no writer truncates a file in place.
 """
 
 import ast
@@ -106,3 +107,46 @@ def test_detects_an_unreferenced_definition():
                "cli": "from .core import used\n"}
     assert unreferenced_definitions(library, []) == ["core.left_behind"]
     assert unreferenced_definitions(library, ["core.left_behind(1)"]) == []
+
+
+def write_opens(source: str) -> list[str]:
+    """The calls of ``open(file, mode, ...)`` (a name or an attribute
+    ``open``) whose mode can write: one with 'w', 'a', 'x' or '+', or one
+    not written as a string literal.  Each as 'definition (line N)', the
+    definition being the enclosing top-level function or class
+    ('<module>' at top level)."""
+    found = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (func.id if isinstance(func, ast.Name)
+                    else getattr(func, "attr", None)) != "open":
+                continue
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[1] if len(node.args) > 1 else ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                found.append(f"{where} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_files_are_written_only_through_new_file(path):
+    opens = write_opens(path.read_text(encoding="utf-8"))
+    assert [w.split()[0] for w in opens] == (
+        ["new_file"] if path.name == "_util.py" else [])
+
+
+def test_detects_a_write_open():
+    source = ("import io\n"
+              "def load(path):\n    return open(path, 'r', encoding='utf-8')\n"
+              "def save(path, mode):\n    open(path, 'w')\n"
+              "    open(path)\n    open(path, mode=mode)\n"
+              "class Store:\n    def add(self, p):\n"
+              "        return io.open(p, 'rb'), io.open(p, mode='a+b')\n"
+              "open('x.csv', 'xb')\n")
+    assert write_opens(source) == ["save (line 5)", "save (line 7)",
+                                   "Store (line 10)", "<module> (line 11)"]
