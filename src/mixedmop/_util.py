@@ -293,8 +293,10 @@ def remove_file(path: str) -> None:
 
 def new_file(path: str):
     """path opened for binary writing as a file created here.  Whatever was
-    at path is removed first: creating a file costs less than truncating
-    one, and a symbolic link at path is replaced, not followed.
+    at path is removed first, so a symbolic link at path is replaced, not
+    followed; where a file was there, creating anew also costs less than
+    truncating it.  The directory must be writable, and the old file's
+    mode, ACL and other hard links are not carried over.
     ``write_csv`` and ``dump_json`` open their files here; no other library
     code opens a file for writing (tests/test_imports.py)."""
     remove_file(path)

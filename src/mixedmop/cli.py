@@ -1,12 +1,15 @@
 """Command-line front end: JSON config in, CSV/JSON artifacts out.
 
 Every command computes first and writes artifacts only on success, so a
-nonzero exit leaves nothing of the command behind except error_report.json:
-a failure also removes every file name the command can write (ARTIFACTS)
-from an --out that an earlier run filled.  A success removes a stale
-error_report.json, and the command's names it did not write this time.
-Each artifact is written to a new file (``_util.new_file``), so a file or
-symbolic link already at its path is replaced, never written through.
+nonzero exit leaves nothing of the command behind except error_report.json.
+Before it writes its artifacts or its error report, a run removes from --out
+every file name its command can write (ARTIFACTS) and error_report.json, so
+a rerun into a used --out keeps nothing stale.  A name two commands share
+(kernel_grid.csv, written by kernel-grid and brownian-kernel) is removed by
+a run of either.  Each artifact is written to a new file
+(``_util.new_file``), so a file or symbolic link already at its path is
+replaced, never written through; this needs write permission on --out
+itself, not only on the old file.
 Reports embed the resolved configuration and the library version; identical
 config, seed, and version produce byte-identical outputs.
 
@@ -363,8 +366,8 @@ COMMANDS = {
     "brownian-density": cmd_brownian_density,
     "brownian-sample": cmd_brownian_sample,
 }
-# The file names each command can write, removed from --out when a run of
-# the command fails, and by a success when it did not write them.
+# The file names each command can write. A run removes them from --out,
+# with error_report.json, before it writes its artifacts or its report.
 ARTIFACTS = {
     "mop-solve": ("solution.json",),
     "kernel-grid": ("kernel_grid.csv", "kernel_report.json"),
@@ -376,18 +379,17 @@ ARTIFACTS = {
 }
 
 
-def _remove_stale(out_dir: str, names) -> None:
-    for name in names:
+def _remove_stale(out_dir: str, command: str | None) -> None:
+    """Remove what an earlier run left in out_dir under the command's names
+    or as an error report."""
+    for name in (*ARTIFACTS.get(command, ()), "error_report.json"):
         remove_file(os.path.join(out_dir, name))
 
 
 def _write_artifacts(out_dir: str, command: str, artifacts: list) -> None:
-    """Write the artifacts, then remove what an earlier run left under the
-    command's other names or as an error report."""
+    _remove_stale(out_dir, command)
     for name, writer, *payload in artifacts:
         writer(os.path.join(out_dir, name), *payload)
-    written = {name for name, *_ in artifacts}
-    _remove_stale(out_dir, {*ARTIFACTS[command], "error_report.json"} - written)
 
 
 def _fail(out_dir: str | None, command: str | None, code: int, label: str,
@@ -398,13 +400,13 @@ def _fail(out_dir: str | None, command: str | None, code: int, label: str,
         return code
     try:
         os.makedirs(out_dir, exist_ok=True)
+        _remove_stale(out_dir, command)
         dump_json(os.path.join(out_dir, "error_report.json"), {
             "error": label,
             "message": str(message),
             "detail": json_ready(detail) if detail else None,
             "version": __version__,
         })
-        _remove_stale(out_dir, ARTIFACTS.get(command, ()))
     except OSError:
         pass
     return code

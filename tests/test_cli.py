@@ -1015,6 +1015,19 @@ class TestRerunIntoOneOut:
         assert [p.name for p in out.iterdir()] == ["error_report.json"]
         capsys.readouterr()
 
+    def test_failure_removes_a_name_another_command_shares(self, tmp_path):
+        # kernel_grid.csv is a name of kernel-grid and of brownian-kernel
+        config, extra = SMALL_RUNS["kernel-grid"]
+        code, out = run_cli(tmp_path, "kernel-grid", config, *extra)
+        assert code == 0
+        report = (out / "kernel_report.json").read_bytes()
+        code, _ = run_cli(tmp_path, "brownian-kernel", "{ not json",
+                          config_name="bad.json")
+        assert code == 1
+        assert sorted(p.name for p in out.iterdir()) == [
+            "error_report.json", "kernel_report.json"]
+        assert (out / "kernel_report.json").read_bytes() == report
+
     def test_sample_without_paths_removes_stale_paths(self, tmp_path):
         config, _ = SMALL_RUNS["brownian-sample"]
         code, out = run_cli(tmp_path, "brownian-sample", config)
