@@ -254,33 +254,14 @@ def known_keys(obj: dict, allowed: Sequence[str], what: str) -> None:
                          + ", ".join(allowed) + ")")
 
 
-def json_ready(obj: Any) -> Any:
-    """Recursively convert numpy scalars/arrays so json.dumps can take them."""
-    if isinstance(obj, dict):
-        return {str(k): json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, complex):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    return obj
-
-
 def dump_json(path: str, obj: Any) -> None:
-    """Write obj as indented JSON with sorted keys and a final newline, in
-    one write (``json.dump`` writes once per encoder chunk), to a new file
-    at path (``new_file``).  The text is ASCII, non-ASCII characters being
-    escaped, so its bytes do not depend on the locale."""
+    """Write obj, as built of JSON types (str-keyed dicts, lists, str, int,
+    float, bool, None), as indented JSON with sorted keys and a final
+    newline, in one write (``json.dump`` writes once per encoder chunk), to
+    a new file at path (``new_file``); the text is ASCII (non-ASCII escaped),
+    so its bytes do not depend on the locale."""
     with new_file(path) as fh:
-        fh.write((json.dumps(json_ready(obj), indent=2, sort_keys=True)
-                  + "\n").encode())
+        fh.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def remove_file(path: str) -> None:

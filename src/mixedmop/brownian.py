@@ -619,12 +619,12 @@ def _chain_blocks(seed: int, chains: int, dim: int):
 
 
 def sample_positions(density: KarlinMcGregorDensity, count: int, seed: int, *,
-                     burn_in: int = MCMC_BURN_IN, thinning: int = MCMC_THIN,
-                     chains: int = MCMC_CHAINS) -> PositionSamples:
+                     burn_in: int = MCMC_BURN_IN, thinning: int = MCMC_THIN
+                     ) -> PositionSamples:
     """Random-walk Metropolis on the symmetrized joint density.
 
-    The chains run in lockstep as one vectorized walk; proposal scales adapt
-    per chain during burn-in toward the acceptance window, then freeze.
+    MCMC_CHAINS chains run in lockstep, one vectorized walk; proposal scales
+    adapt per chain during burn-in toward the acceptance window, then freeze.
     Convergence is judged by split-chain potential scale reduction on the
     sorted coordinates (sorting removes the label-switching symmetry).
     """
@@ -633,6 +633,7 @@ def sample_positions(density: KarlinMcGregorDensity, count: int, seed: int, *,
     t = cfg.time
     means = (1.0 - t) * cfg.flat_starts() + t * cfg.flat_ends()
     sd = cfg.bridge_sd()
+    chains = MCMC_CHAINS
 
     per_chain = -(-count // chains)
     keep_steps = per_chain * thinning

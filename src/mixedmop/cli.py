@@ -32,8 +32,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._util import (dump_json, json_count, json_ready, known_keys,
-                    remove_file, write_csv)
+from ._util import dump_json, json_count, known_keys, remove_file, write_csv
 from .brownian import (MAX_PATH_WALKERS, PATH_MIN_GRID, BrownianConfig,
                        chi_square_report, config_to_weights, correlation_kernel,
                        km_density, r1_grid, sample_paths, sample_projection_dpp,
@@ -57,6 +56,9 @@ GRID_LIMITS = (2, 2000)
 SAMPLE_COUNT_LIMIT = 1_000_000
 PATH_COUNT_LIMIT = 1_000
 PATH_TIME_POINTS_LIMIT = 1_000
+# Upper bound on |n|, the degree budget of a weight problem or the walker
+# count of a Brownian config, checked before any array is built.
+INDEX_SIZE_LIMIT = 256
 # The commands that read each optional argument; the others refuse it.
 OPTION_READERS = {
     "grid": ("kernel-grid", "cd-check", "brownian-kernel", "brownian-density"),
@@ -144,6 +146,9 @@ def _weight_problem(raw: dict):
         raise ValidationFailure(
             f"'n' has {len(n)} part(s) for {len(w1)} 'w1' weight(s) and 'm' "
             f"{len(m)} for {len(w2)} 'w2' weight(s): need one part per weight")
+    if sum(n) > INDEX_SIZE_LIMIT:
+        raise ValidationFailure(
+            f"|n| = {sum(n)} exceeds the size limit {INDEX_SIZE_LIMIT}")
     return w1, w2, n, m
 
 
@@ -274,9 +279,13 @@ def _brownian_config(raw: dict) -> BrownianConfig:
     _section(raw, "sampling")
     _section(raw, "paths")
     try:
-        return BrownianConfig.from_json_dict(raw)
+        config = BrownianConfig.from_json_dict(raw)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
+    if config.walkers > INDEX_SIZE_LIMIT:
+        raise ValidationFailure(f"{config.walkers} walkers exceed the size "
+                                f"limit {INDEX_SIZE_LIMIT}")
+    return config
 
 
 def cmd_brownian_kernel(args, raw: dict) -> list:
@@ -404,7 +413,7 @@ def _fail(out_dir: str | None, command: str | None, code: int, label: str,
         dump_json(os.path.join(out_dir, "error_report.json"), {
             "error": label,
             "message": str(message),
-            "detail": json_ready(detail) if detail else None,
+            "detail": detail,
             "version": __version__,
         })
     except OSError:
@@ -424,9 +433,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The command line's parser, built on the first call and shared by
     every later one: nothing in it depends on the call, and parsing leaves
-    it as it was."""
+    it as it was.  Each option has one spelling: abbreviations are refused."""
     parser = _ArgumentParser(
-        prog="mixedmop",
+        prog="mixedmop", allow_abbrev=False,
         description="Mixed-type multiple orthogonal polynomials, projection "
                     "kernels, and non-intersecting Brownian motions")
     parser.add_argument("command", choices=sorted(COMMANDS))
@@ -456,7 +465,7 @@ def _join_grid_value(argv: list[str]) -> list[str]:
 def _refused_run(argv: list[str]) -> tuple[str | None, str | None]:
     """The command (its first positional argument) and the --out value of
     an argument list the full parser refused, each None where it has none."""
-    parser = _ArgumentParser(add_help=False)
+    parser = _ArgumentParser(add_help=False, allow_abbrev=False)
     parser.add_argument("command", nargs="?")
     parser.add_argument("--out")
     try:

@@ -237,8 +237,8 @@ def build_cd_data(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
 
     Each solve picks its own arithmetic (see solve_mixed); the data's
     precision property reports whether any fell back to extended.
-    NotNormalizable from any solve is re-raised with the offending
-    (orientation, normalization kind, index) attached as context.
+    NotNormalizable from a solve propagates as raised; its message names
+    the failing pair.
     """
     if pair.relation != "balanced":
         raise ValueError("CD data needs a balanced pair (|n| = |m|)")
@@ -249,11 +249,7 @@ def build_cd_data(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
 
     def run(orientation, kind, k, n_side, m_side):
         spair = MultiIndexPair.defining(n_side.parts, m_side.parts)
-        try:
-            return solve_mixed(spair, tables[orientation], Normalization(kind, k))
-        except NotNormalizable as exc:
-            raise NotNormalizable(str(exc), report=exc.report,
-                                  context=(orientation, kind, k)) from exc
+        return solve_mixed(spair, tables[orientation], Normalization(kind, k))
 
     x_forms = tuple([run("x", "II", j, n.bumped(j, +1), m) for j in range(len(n))]
                     + [run("x", "I", k, n, m.bumped(k, -1)) for k in range(len(m))])

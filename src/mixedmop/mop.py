@@ -35,15 +35,12 @@ EXTENDED_MAX_UNKNOWNS = 32
 class NotNormalizable(RuntimeError):
     """The requested pair/normalization admits no (unique) solution.
 
-    Carries the NormalityReport explaining which rank condition failed, and,
-    when raised while building derived data, the offending (orientation, k).
+    Carries the NormalityReport explaining which rank condition failed.
     """
 
-    def __init__(self, message: str, report: "NormalityReport | None" = None,
-                 context: tuple | None = None):
+    def __init__(self, message: str, report: "NormalityReport | None" = None):
         super().__init__(message)
         self.report = report
-        self.context = context
 
 
 @dataclass(frozen=True)
@@ -439,20 +436,18 @@ def solve_mixed(pair: MultiIndexPair, table: ProductMomentTable,
     scale_res = max(1.0, float(np.max(np.abs(A))) * float(np.max(np.abs(x))))
     residual = float(np.max(np.abs(A @ x - b))) / scale_res
 
-    coeffs = _split_coefficients(x, pair.n.parts)
+    return _solution(pair, table, normalization, x, residual, "double")
+
+
+def _solution(pair: MultiIndexPair, table: ProductMomentTable,
+              normalization: Normalization, x: np.ndarray, residual: float,
+              precision: str) -> MixedMopSolution:
+    """The solution whose coefficients, weight after weight, are x."""
+    coeffs = tuple(np.split(x, np.cumsum(pair.n.parts)[:-1]))
     return MixedMopSolution(pair=pair, normalization=normalization,
                             weights=table.w1, center=table.center,
                             scale=table.scale, coeffs=coeffs,
-                            residual=residual, precision="double")
-
-
-def _split_coefficients(x: np.ndarray, n_parts: Sequence[int]) -> tuple[np.ndarray, ...]:
-    out = []
-    pos = 0
-    for deg in n_parts:
-        out.append(np.array(x[pos:pos + deg], dtype=float))
-        pos += deg
-    return tuple(out)
+                            residual=residual, precision=precision)
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +511,7 @@ def _solve_mixed_extended(pair: MultiIndexPair, table: ProductMomentTable,
         scale_res = max(mpmath.mpf(1), smax * mpmath.norm(x, p=mpmath.inf))
         residual = float(mpmath.norm(A * x - b, p=mpmath.inf) / scale_res)
 
-    coeffs = _split_coefficients(xs, pair.n.parts)
-    return MixedMopSolution(pair=pair, normalization=normalization,
-                            weights=table.w1, center=table.center,
-                            scale=table.scale, coeffs=coeffs,
-                            residual=residual, precision="extended")
+    return _solution(pair, table, normalization, xs, residual, "extended")
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ NEAR_AXIS_FACTOR = 0.05
 SIDES = {"+": 1, "-": -1}
 
 _PANEL_DEGREE = 24
+PANEL_ABS_TOL = 1e-11  # the panel quadrature's global error target
 
 # Closed form.  With t = (x - mean) / sqrt(2 var) for a product Gaussian,
 # C_j(zeta) = int t^j e^{-t^2} / (t - zeta) dt.  For |zeta| < SERIES_RADIUS
@@ -56,13 +57,13 @@ def _gl_panel(f: Callable, a: float, b: float):
 
 
 def adaptive_panel_integral(f: Callable, a: float, b: float, *,
-                            abs_tol: float = 1e-11,
                             max_depth: int = 52) -> tuple[complex, float]:
     """Recursive bisection quadrature with per-panel Gauss-Legendre rules.
 
     Panels refine toward any feature (in particular a pole just off the
     contour) until the local two-level estimate settles; the local budget is
-    proportional to panel width so the global error stays below abs_tol.
+    proportional to panel width so the global error stays below
+    PANEL_ABS_TOL.
     No library path calls it: with cauchy_transform it is the tests' oracle
     of the closed form, and stays here while bench/tracing.py wraps both by
     name (ROADMAP item 10 moves them into tests/).
@@ -70,14 +71,14 @@ def adaptive_panel_integral(f: Callable, a: float, b: float, *,
     if b <= a:
         return 0.0 + 0.0j, 0.0
     total = b - a
-    noise = abs_tol * 1e-3
+    noise = PANEL_ABS_TOL * 1e-3
 
     def rec(lo, hi, whole, depth):
         mid = 0.5 * (lo + hi)
         left = _gl_panel(f, lo, mid)
         right = _gl_panel(f, mid, hi)
         err = abs(left + right - whole)
-        budget = max(abs_tol * (hi - lo) / total, noise)
+        budget = max(PANEL_ABS_TOL * (hi - lo) / total, noise)
         if err <= budget or depth >= max_depth:
             return left + right, err
         lval, lerr = rec(lo, mid, left, depth + 1)
@@ -86,15 +87,15 @@ def adaptive_panel_integral(f: Callable, a: float, b: float, *,
 
     whole = _gl_panel(f, a, b)
     value, err = rec(a, b, whole, 0)
-    if err > 100.0 * abs_tol:
+    if err > 100.0 * PANEL_ABS_TOL:
         raise AccuracyError("panel quadrature did not settle",
                             value=value, achieved=err)
     return value, err
 
 
 def cauchy_transform(f: Callable, interval: tuple[float, float], z: complex,
-                     side: str | None = None, *, spread: float,
-                     abs_tol: float = 1e-11) -> tuple[complex, float]:
+                     side: str | None = None, *, spread: float
+                     ) -> tuple[complex, float]:
     """integral f(x) / (x - z) dx over the interval.
 
     A real z must lie inside the interval and needs side '+' or '-': the
@@ -125,7 +126,7 @@ def cauchy_transform(f: Callable, interval: tuple[float, float], z: complex,
 
     err = 0.0
     for lo, hi in ([(a, x0), (x0, b)] if inside else [(a, b)]):
-        val, e = adaptive_panel_integral(g, lo, hi, abs_tol=abs_tol)
+        val, e = adaptive_panel_integral(g, lo, hi)
         total += val
         err += e
     return total, err

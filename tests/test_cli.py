@@ -429,6 +429,58 @@ class TestValidationFailures:
         assert code == 1
         self.assert_only_error_report(out)
 
+    @pytest.mark.parametrize("size", [cli.INDEX_SIZE_LIMIT + 1, 10 ** 18])
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_index_size_above_the_limit_refused(self, tmp_path, capsys,
+                                                command, size):
+        # refused before the moment table is built: its (p, q, |n| + |m| + 5)
+        # array at |n| = 10^18 is too big for numpy (exit 3 without the bound)
+        limit = cli.INDEX_SIZE_LIMIT
+        if command.startswith("brownian"):
+            config = {"starts": [[0.0, size]], "ends": [[0.0, size]], "t": 0.5}
+            message = f"{size} walkers exceed the size limit {limit}"
+        else:
+            config = dict(RANK_ONE, n=[size],
+                          m=[size - (command == "mop-solve")])
+            message = f"|n| = {size} exceeds the size limit {limit}"
+        code, out = run_cli(tmp_path, command, config)
+        assert code == 1
+        assert self.assert_only_error_report(out)["message"] == message
+        assert capsys.readouterr().err == f"VALIDATION: {message}\n"
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_index_size_at_the_limit_is_computed(self, tmp_path, command):
+        half = cli.INDEX_SIZE_LIMIT // 2
+        config = ({"starts": [[-1.0, half], [1.0, half]],
+                   "ends": [[0.0, 2 * half]], "t": 0.5}
+                  if command.startswith("brownian") else
+                  dict(RANK_ONE, n=[2 * half],
+                       m=[2 * half - (command == "mop-solve")]))
+        assert run_cli(tmp_path, command, config)[0] in (0, 2)
+
+    @pytest.mark.parametrize("args, message", [
+        (["--conf", "c.json", "--out", "o"],
+         "the following arguments are required: --config"),
+        (["--config", "c.json", "--ou", "o"],
+         "the following arguments are required: --out"),
+        (["--config", "c.json", "--out", "o", "--gri", "-1:1:3"],
+         "unrecognized arguments: --gri -1:1:3"),
+        (["--config", "c.json", "--out", "o", "--gri=-1:1:3"],
+         "unrecognized arguments: --gri=-1:1:3")],
+        ids=["conf", "ou", "gri", "gri="])
+    def test_abbreviated_option_refused(self, tmp_path, capsys, monkeypatch,
+                                        args, message):
+        # one spelling per option: an abbreviation is an unknown option,
+        # and an abbreviated --out names no directory for the report
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps(RANK_ONE))
+        assert main(["kernel-grid", *args]) == 1
+        assert capsys.readouterr().err == f"VALIDATION: {message}\n"
+        written = [] if "--ou" in args else ["error_report.json"]
+        assert sorted(p.name for p in (tmp_path / "o").glob("*")) == written
+        assert main(["kernel-grid", "--config", "c.json", "--out", "o",
+                     "--grid", "-1:1:3"]) == 0
+
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_precision_option_refused(self, tmp_path, command, capsys):
         # the solves pick their arithmetic; no option selects it

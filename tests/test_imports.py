@@ -8,7 +8,9 @@ re-exports).  ``from __future__`` imports bind no name and are skipped.
 A top-level definition must be referenced (as a name, an attribute, an
 imported name or a string such as an ``__all__`` entry) in the library or
 in the tests.  A file is opened for writing only in ``_util.new_file``,
-which creates it fresh, so that no writer truncates a file in place.
+which creates it fresh, so that no writer truncates a file in place.  A
+parameter with a default is set by some call in the library or the tests,
+so that no option stays at the one value nothing changes.
 """
 
 import ast
@@ -150,3 +152,81 @@ def test_detects_a_write_open():
               "open('x.csv', 'xb')\n")
     assert write_opens(source) == ["save (line 5)", "save (line 7)",
                                    "Store (line 10)", "<module> (line 11)"]
+
+
+def unset_options(library: dict[str, str], callers: list[str]) -> list[str]:
+    """Parameters with a default, of the functions and methods of the
+    library modules (name -> source), that no call in the library or in
+    the caller sources sets, by keyword or by position.  A call is matched
+    by the name or attribute it calls, a constructor (``__init__``) by its
+    class name; a method's positions start after self or cls (not for a
+    static method).  A starred argument sets every position and a ``**``
+    argument every keyword.  Each as 'module.function(parameter)'."""
+    calls = {}
+    for source in [*library.values(), *callers]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for module, source in library.items():
+        tree = ast.parse(source)
+        owners = {id(item): node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) for item in node.body}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = owners.get(id(func))
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in func.decorator_list)
+            skip = 1 if owner and not static else 0
+            callee = owner if func.name == "__init__" else func.name
+            spec = func.args
+            positional = spec.posonlyargs + spec.args
+            options = [(p, i - skip) for i, p in enumerate(positional)
+                       if i >= len(positional) - len(spec.defaults)]
+            options += [(p, None) for p, d in zip(spec.kwonlyargs,
+                                                  spec.kw_defaults) if d]
+            for param, position in options:
+                if not any(_sets(call, param.arg, position)
+                           for call in calls.get(callee, [])):
+                    where = f"{owner}.{func.name}" if owner else func.name
+                    unset.append(f"{module}.{where}({param.arg})")
+    return unset
+
+
+def _sets(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether the call passes the parameter, by keyword or at position."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_option_is_set_by_some_call():
+    library = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    tests = [p.read_text(encoding="utf-8") for p in TESTS]
+    assert unset_options(library, tests) == []
+
+
+def test_detects_an_option_no_call_sets():
+    library = {"core": ("def solve(a, b=1, *, tol=1e-9, depth=3):\n"
+                        "    return solve(a, 2, depth=4)\n\n"
+                        "class Box:\n"
+                        "    def __init__(self, size=1, label=None):\n"
+                        "        self.size = Box.unit(size)\n\n"
+                        "    def grow(self, by=1):\n"
+                        "        return self.grow()\n\n"
+                        "    @staticmethod\n"
+                        "    def unit(scale=1.0, floor=0.0):\n"
+                        "        return Box(scale)\n")}
+    assert unset_options(library, []) == [
+        "core.solve(tol)", "core.Box.__init__(label)", "core.Box.grow(by)",
+        "core.Box.unit(floor)"]
+    callers = ["from core import Box, solve\n"
+               "Box(label='x').grow(2)\nsolve(0, **{'tol': 1.0})\n"
+               "Box.unit(*[1.0, 0.5])\n"]
+    assert unset_options(library, callers) == []

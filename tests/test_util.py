@@ -165,6 +165,21 @@ class TestArrayPrinter:
         assert sum(printed) < 1e-4 * table.size
         assert got == csv_oracle_bytes(("a", "b", "c", "d"), table.tolist())
 
+    def test_inexact_powers_near_a_tie_fall_back(self, tmp_path):
+        # 10^(16 - k) is no double for these, so r may be off by about
+        # 1e-14; each lies within _CERTAIN of a rounding tie or a decade end
+        # and is printed by % itself (found by scanning 10^6 random doubles)
+        values = np.array([4.1035889349340572e+208, 8.20441860184292e+261,
+                           1.3464370978065617e-120, 2.301719946256581e-172])
+        assert not _util._decimal_digits(values)[2].any()
+        assert not _util._decimal_digits(-values)[2].any()
+        table = np.resize(np.concatenate([values, -values]),
+                          (CSV_BLOCK_ROWS, 8))
+        got = written(tmp_path, tuple("abcdefgh"), table)
+        line = ",".join("%.17g" % v for v in table[0].tolist())
+        assert got.split(b"\n")[1] == line.encode()
+        assert got == csv_oracle_bytes(tuple("abcdefgh"), table.tolist())
+
     def test_powers_of_ten_need_no_fallback(self, tmp_path, monkeypatch):
         # log10 puts many of these in the next decade; once the decade is
         # corrected, 10^(16 - k) is a double for all of them and every cell
