@@ -22,8 +22,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from ._util import exact_int, json_count, json_number, real_number, write_csv
-from .kernel import (BiorthogonalSystem, build_biorthogonal,
-                     kernel_direct_grid, merge_intervals)
+from .kernel import BiorthogonalSystem, build_biorthogonal, kernel_direct_grid
 from .mop import MultiIndexPair
 from .weights import (TAIL_SIGMAS, AccuracyError, WeightFamily, _leggauss,
                       gaussian_pair_moments, gaussian_product_params,
@@ -312,6 +311,18 @@ def _phi_psi(system: BiorthogonalSystem, x: np.ndarray
     phi = sum(C[:, c, None] * F[c] for c in range(len(F)))
     shape = (len(F),) + x.shape
     return phi.reshape(shape), system.g_values(flat).reshape(shape)
+
+
+def merge_intervals(spans) -> list[tuple[float, float]]:
+    """The union of the intervals (lo, hi) as sorted disjoint pieces."""
+    spans = sorted(spans)
+    merged = [spans[0]]
+    for lo, hi in spans[1:]:
+        if lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 def _panel_edges(system: BiorthogonalSystem, box: tuple[float, float]

@@ -7,19 +7,24 @@ bases through the Gram matrix; the CD route assembles the same kernel from
 2(p+q) neighbor solves and a single division by (x - y).  The two routes
 share nothing past the moment table, which is what makes their agreement a
 meaningful check.
+
+The projection laws (trace |n|, idempotence) are integrated by Gauss-Hermite
+quadrature on each product Gaussian w1_l w2_k from basis values, which is
+exact for all-gaussian families and independent of the moment table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .mop import (FormStack, MixedMopSolution, MultiIndexPair, Normalization,
                   NotNormalizable, check_normality, moment_matrix,
                   moment_table_for, pair_layouts, rank_threshold, solve_mixed)
-from .weights import (ProductMomentTable, WeightFamily, adaptive_gauss_legendre,
-                      _leggauss)
+from .weights import ProductMomentTable, WeightFamily, gaussian_product_params
 
 # Width of the guarded band around the diagonal, in units of the basis scale.
 DIAG_BAND_FACTOR = 1e-4
@@ -70,12 +75,42 @@ class BiorthogonalSystem:
         return _basis_values(self.g_layout, self.table.w2, self.table.center,
                              self.table.scale, x)
 
-    def components(self) -> list[tuple[float, float]]:
-        """The union of the weights' intervals as sorted disjoint pieces: the
-        hull `family_interval(w1, w2)` alone when they overlap into one piece,
-        else one piece per separated cluster, so that quadrature spends no
-        nodes on the gaps."""
-        return merge_intervals(w.interval() for w in self.w1 + self.w2)
+    @cached_property
+    def quadrature_grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """Q[b, a] = integral g_b f_a dx by the exact rule, then by the check
+        rule, each of C's shape.
+
+        Block (k, l) of Q integrates a polynomial of degree n_l + m_k - 2
+        times the product Gaussian w1_l w2_k, which (n_l + m_k) // 2 + 1
+        Gauss-Hermite nodes placed on that product integrate exactly; the
+        check rule takes one node more.  Both rules' nodes go through one
+        f_values and one g_values call, and the moment table is not read:
+        the projection laws check the basis evaluation against the moments
+        that built C.  Needs all-gaussian families (ValueError otherwise).
+        """
+        if not (self.w1.all_gaussian and self.w2.all_gaussian):
+            raise ValueError("projection laws need all-gaussian weight families")
+        n, m = self.pair.n.parts, self.pair.m.parts
+        rule, node_k, node_l, zs, wz = [], [], [], [], []
+        for extra in (0, 1):
+            for k, wk in enumerate(self.w2):
+                for l, wl in enumerate(self.w1):
+                    if n[l] and m[k]:
+                        mean, var, _ = gaussian_product_params(wl, wk)
+                        t, w = _hermgauss((n[l] + m[k]) // 2 + 1 + extra)
+                        sd = math.sqrt(2.0 * var)
+                        zs.append(mean + sd * t)
+                        wz.append(sd * w)
+                        rule += [extra] * t.size
+                        node_k += [k] * t.size
+                        node_l += [l] * t.size
+        zs, wz = np.concatenate(zs), np.concatenate(wz)
+        f_weight = np.array([l for l, _ in self.f_layout])[:, None]
+        g_weight = np.array([k for k, _ in self.g_layout])[:, None]
+        F = np.where(f_weight == node_l, self.f_values(zs), 0.0)
+        G = np.where(g_weight == node_k, self.g_values(zs) * wz, 0.0)
+        exact = np.array(rule) == 0
+        return G[:, exact] @ F[:, exact].T, G[:, ~exact] @ F[:, ~exact].T
 
     def diagonal(self, x) -> np.ndarray:
         """K(x, x) at the points x."""
@@ -83,16 +118,16 @@ class BiorthogonalSystem:
                          self.g_values(x))
 
 
-def merge_intervals(spans) -> list[tuple[float, float]]:
-    """The union of the intervals (lo, hi) as sorted disjoint pieces."""
-    spans = sorted(spans)
-    merged = [spans[0]]
-    for lo, hi in spans[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+@lru_cache(maxsize=None)
+def _hermgauss(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes t and weights w e^(t^2): the rule for integral
+    v(t) dt applied to values v = p e^(-t^2), exact for p of degree below
+    2 count."""
+    t, w = np.polynomial.hermite.hermgauss(count)
+    w = w * np.exp(t * t)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 def _basis_values(layout, family, center, scale, x) -> np.ndarray:
@@ -136,46 +171,30 @@ def build_biorthogonal(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
 
 def kernel_direct_grid(sys: BiorthogonalSystem, xs, ys) -> np.ndarray:
     """K on the product grid xs x ys, shape (len(xs), len(ys))."""
-    return _direct_product(sys, sys.f_values(np.asarray(xs, dtype=float)),
-                           sys.g_values(np.asarray(ys, dtype=float)))
-
-
-def _direct_product(sys: BiorthogonalSystem, F: np.ndarray, G: np.ndarray
-                    ) -> np.ndarray:
-    """K from the F basis values at the rows and the G values at the columns."""
-    return F.T @ sys.transform.T @ G
+    F = sys.f_values(np.asarray(xs, dtype=float))
+    return F.T @ sys.transform.T @ sys.g_values(np.asarray(ys, dtype=float))
 
 
 def trace_quadrature(sys: BiorthogonalSystem) -> tuple[float, float]:
-    """integral K(x, x) dx by adaptive quadrature on each of the weights'
-    components, summed with the components' error bounds; equals |n| for
-    a projection."""
-    parts = [adaptive_gauss_legendre(sys.diagonal, lo, hi, abs_tol=1e-10,
-                                     rel_tol=1e-12)
-             for lo, hi in sys.components()]
-    return float(sum(v for v, _ in parts)), float(sum(e for _, e in parts))
+    """integral K(x, x) dx = sum C o Q by the exact product-Gaussian rule
+    (BiorthogonalSystem.quadrature_grams), and its change under the check
+    rule, which is rounding only; equals |n| for a projection."""
+    exact, check = (float(np.sum(sys.transform * Q))
+                    for Q in sys.quadrature_grams)
+    return exact, abs(check - exact)
 
 
 def idempotence_residual(sys: BiorthogonalSystem, xs, ys) -> tuple[float, float]:
-    """max |integral K(x,z)K(z,y) dz - K(x,y)| over the grid, plus a
-    quadrature stability estimate from the two finest node sets (that many
-    Gauss-Legendre nodes on each of the weights' components)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    F, G = sys.f_values(xs), sys.g_values(ys)
-    K = _direct_product(sys, F, G)
-    parts = sys.components()
-    results = []
-    for degree in (256, 384):
-        nodes, wts = _leggauss(degree)
-        zs = np.concatenate([0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-                             for lo, hi in parts])
-        wz = np.concatenate([0.5 * (hi - lo) * wts for lo, hi in parts])
-        Kxz = _direct_product(sys, F, sys.g_values(zs))
-        Kzy = _direct_product(sys, sys.f_values(zs), G)
-        results.append(Kxz @ (wz[:, None] * Kzy))
-    resid = float(np.max(np.abs(results[-1] - K)))
-    quad_est = float(np.max(np.abs(results[-1] - results[0])))
+    """max |integral K(x,z)K(z,y) dz - K(x,y)| over the grid, with the
+    integral F^T C^T Q C^T G by the exact product-Gaussian rule
+    (BiorthogonalSystem.quadrature_grams), and the largest change of the
+    integral under the check rule, which is rounding only."""
+    F = sys.f_values(np.asarray(xs, dtype=float))
+    G = sys.g_values(np.asarray(ys, dtype=float))
+    left = F.T @ sys.transform.T
+    exact, check = (Q @ sys.transform.T @ G for Q in sys.quadrature_grams)
+    resid = float(np.max(np.abs(left @ (exact - G))))
+    quad_est = float(np.max(np.abs(left @ (check - exact))))
     return resid, quad_est
 
 

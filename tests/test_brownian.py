@@ -16,7 +16,8 @@ from mixedmop.brownian import (andreief_quadrature, chi_square_report,
                                equal_mass_bins, gram_normalization,
                                write_density_grid_csv, write_paths_csv,
                                write_samples_csv)
-from mixedmop.kernel import kernel_direct_grid, trace_quadrature
+from mixedmop.kernel import (idempotence_residual, kernel_direct_grid,
+                             trace_quadrature)
 from mixedmop.weights import _leggauss
 from mixedmop._util import CSV_BLOCK_ROWS
 
@@ -204,6 +205,19 @@ class TestCorrelationKernel:
         system = correlation_kernel(cfg)
         trace, err = trace_quadrature(system)
         assert abs(trace - 2.0) < max(1e-8, 10.0 * err)
+
+    @pytest.mark.parametrize("a", [10.0, 12.0])
+    def test_separated_walker_projection_laws(self, a):
+        # one walker -a -> a: the weights' 12-sd intervals miss the product
+        # w1 w2 at 0, where the nodes of both laws sit
+        cfg = BrownianConfig(starts=((-a, 1),), ends=((a, 1),), time=0.5,
+                             variance_scaling=False)
+        system = correlation_kernel(cfg)
+        trace, _ = trace_quadrature(system)
+        assert abs(trace - 1.0) <= 1e-12
+        xs = np.linspace(*cfg.bridge_box(), 61)
+        resid, _ = idempotence_residual(system, xs, xs)
+        assert resid <= 1e-12 * np.max(np.abs(kernel_direct_grid(system, xs, xs)))
 
     def test_determinantal_identity_two_walkers(self):
         cfg = two_walker_config()
@@ -563,7 +577,8 @@ class TestExactSampler:
         cfg = BrownianConfig(starts=((-10.0, 1),), ends=((10.0, 1),),
                              time=0.5, variance_scaling=False)
         system = correlation_kernel(cfg)
-        assert len(system.components()) == 2
+        trace, _ = trace_quadrature(system)
+        assert abs(trace - 1.0) < 1e-12
         draws = sample_projection_dpp(system, cfg.bridge_box(), 20_000, seed=3)
         x = draws.samples[:, 0]
         assert draws.mass_deviation_max < 1e-9

@@ -13,7 +13,8 @@ from mixedmop import (BiorthogonalSystem, BrownianConfig, DegeneratePair,
                       kernel_rh_grid, kernel_routes_report, transition_weight)
 from mixedmop.kernel import (idempotence_residual, relative_discrepancy,
                              trace_quadrature)
-from mixedmop.weights import _leggauss, family_interval
+from mixedmop.mop import moment_table_for
+from mixedmop.weights import ProductMomentTable
 
 from conftest import assert_band_matches_oracle, band_grids, \
     cd_diagonal_oracle, cd_grid_oracle, cd_terms, form_derivative_oracle, \
@@ -424,41 +425,78 @@ class TestIdempotence:
         w1, w2, n, m = STACK_CONFIGS["wp"]
         sys = build_biorthogonal(MultiIndexPair.balanced(n, m), w1, w2)
         xs = np.linspace(-2.0, 2.0, 41)
-        # the products of the three direct grids, as the residual defines them
-        (lo, hi), = sys.components()
-        results = []
-        for degree in (256, 384):
-            nodes, wts = _leggauss(degree)
-            zs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-            wz = 0.5 * (hi - lo) * wts
-            results.append(kernel_direct_grid(sys, xs, zs) @ (
-                wz[:, None] * kernel_direct_grid(sys, zs, xs)))
-        K = kernel_direct_grid(sys, xs, xs)
-        want = (float(np.max(np.abs(results[-1] - K))),
-                float(np.max(np.abs(results[-1] - results[0]))))
-
         calls = []
         for name in ("f_values", "g_values"):
             exact = getattr(BiorthogonalSystem, name)
             monkeypatch.setattr(BiorthogonalSystem, name,
                                 lambda self, x, exact=exact, name=name: (
-                                    calls.append(name), exact(self, x))[1])
-        assert idempotence_residual(sys, xs, xs) == want
-        assert sorted(calls) == ["f_values"] * 3 + ["g_values"] * 3
+                                    calls.append((name, np.size(x))),
+                                    exact(self, x))[1])
+        trace_quadrature(sys)
+        got = idempotence_residual(sys, xs, xs)
+        # the products (n_l + m_k) of wp are 5, 6, 4, 5: 3 + 4 + 3 + 3 nodes
+        # for the exact rule and 17 for the check rule go through one call
+        # per basis, shared by both laws; the grid adds one call per basis
+        assert sorted(calls) == [("f_values", 30), ("f_values", 41),
+                                 ("g_values", 30), ("g_values", 41)]
+        # the residual of the integral F^T C^T Q C^T G with the exact Gram
+        exact, check = sys.quadrature_grams
+        F, G = sys.f_values(xs), sys.g_values(xs)
+        Ct = sys.transform.T
+        want = (float(np.max(np.abs(F.T @ Ct @ (exact @ Ct @ G - G)))),
+                float(np.max(np.abs(F.T @ Ct @ (check @ Ct @ G - exact @ Ct @ G)))))
+        assert got == want
+        # each rule integrates every block exactly: both are the Gram matrix
+        # of the moment table up to rounding
+        for Q in (exact, check):
+            assert np.max(np.abs(Q - sys.gram.T)) < 1e-14 * np.max(np.abs(sys.gram))
 
-    def test_components_split_only_separated_weights(self):
-        w1, w2, n, m = STACK_CONFIGS["wp"]
-        sys = build_biorthogonal(MultiIndexPair.balanced(n, m), w1, w2)
-        assert sys.components() == [family_interval(w1, w2)]
+    def test_separated_weights_integrate_per_product(self):
         far = WeightFamily([Weight.gaussian(-100.0, 0.25),
                             Weight.gaussian(100.0, 0.25)])
         sys = build_biorthogonal(MultiIndexPair.balanced([1, 1], [1, 1]),
                                  far, far)
-        assert sys.components() == [(-106.0, -94.0), (94.0, 106.0)]
-        # the hull [-106, 106] holds two bumps 200 apart; per component the
-        # trace and the idempotence integral settle
+        # two bumps 200 apart: the nodes sit on each product Gaussian, and
+        # the cross products underflow to 0, so nothing lands in the gap
         trace, _ = trace_quadrature(sys)
         assert abs(trace - 2.0) < 1e-12
         xs = np.linspace(-101.0, 101.0, 9)
         resid, quad_est = idempotence_residual(sys, xs, xs)
         assert resid < 1e-12 and quad_est < 1e-12
+
+
+class TestProjectionLaws:
+    @staticmethod
+    def laws(sys):
+        trace, _ = trace_quadrature(sys)
+        resid, _ = idempotence_residual(sys, DEFAULT_GRID, DEFAULT_GRID)
+        return abs(trace - sys.dimension), resid
+
+    def test_laws_fail_on_a_perturbed_moment(self):
+        # the laws integrate basis values, not the moment table: a Gram
+        # matrix built from a table with one moment off by 1e-8 relative
+        # is caught, while trace = sum C o B would read |n| to rounding
+        w1, w2, n, m = STACK_CONFIGS["wp"]
+        pair = MultiIndexPair.balanced(n, m)
+        table = moment_table_for(pair, w1, w2)
+        assert max(self.laws(build_biorthogonal(pair, w1, w2, table))) <= 1e-11
+        values = table.values.copy()
+        values[1, 1, 2] *= 1.0 + 1e-8
+        bad = ProductMomentTable(w1=w1, w2=w2, center=table.center,
+                                 scale=table.scale, kmax=table.kmax,
+                                 values=values)
+        deviation, resid = self.laws(build_biorthogonal(pair, w1, w2, bad))
+        assert deviation > 1e-7 and resid > 1e-7
+
+    @pytest.mark.parametrize("side", ["w1", "w2"])
+    def test_tabulated_family_refused(self, side):
+        fam = WeightFamily([Weight.gaussian(0.0, 1.0)])
+        tab = WeightFamily([Weight.tabulated(lambda x: np.exp(-0.5 * x * x),
+                                             (-12.0, 12.0))])
+        families = {"w1": fam, "w2": fam, side: tab}
+        sys = build_biorthogonal(MultiIndexPair.balanced([1], [1]),
+                                 families["w1"], families["w2"])
+        with pytest.raises(ValueError, match="all-gaussian"):
+            trace_quadrature(sys)
+        with pytest.raises(ValueError, match="all-gaussian"):
+            idempotence_residual(sys, DEFAULT_GRID, DEFAULT_GRID)
