@@ -42,7 +42,7 @@ from .kernel import (build_biorthogonal, build_cd_data, kernel_cd_grid,
                      kernel_direct_grid, kernel_routes_report)
 from .mop import (MultiIndexPair, Normalization, NotNormalizable,
                   check_normality, moment_table_for, solve_mixed)
-from .rh import (MATRIX_CSV_HEADER, RhSystem, kernel_rh_grid, matrix_rows,
+from .rh import (MATRIX_CSV_HEADER, RhSystem, kernel_cd_rh_grids, matrix_rows,
                  rh_verification_report)
 from .weights import AccuracyError, adaptive_gauss_legendre, weights_from_json
 
@@ -249,8 +249,7 @@ def cmd_cd_check(args, raw: dict) -> list:
     system, data = _balanced_setup(raw)
     xs = args.grid if args.grid is not None else np.linspace(-2.0, 2.0, 41)
     Kd = kernel_direct_grid(system, xs, xs)
-    Kcd = kernel_cd_grid(data, xs, xs)
-    Krh = kernel_rh_grid(data, xs, xs)
+    Kcd, Krh = kernel_cd_rh_grids(data, xs, xs)
     _refuse_nonfinite(xs, K_direct=Kd, K_cd=Kcd, K_rh=Krh)
     report = _base_report(args, raw, data.precision)
     report.update(kernel_routes_report(system, data, xs, xs, Kd, Kcd,

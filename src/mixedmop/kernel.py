@@ -22,8 +22,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .mop import (FormStack, MixedMopSolution, MultiIndexPair, Normalization,
-                  NotNormalizable, check_normality, moment_matrix,
-                  moment_table_for, pair_layouts, rank_threshold, solve_mixed)
+                  NotNormalizable, _power_expansion, _solution,
+                  _solve_past_gate, _solve_square, check_normality,
+                  column_layout, moment_gather, moment_matrix,
+                  moment_table_for, pair_layouts, rank_threshold)
 from .weights import ProductMomentTable, WeightFamily, gaussian_product_params
 
 # Width of the guarded band around the diagonal, in units of the basis scale.
@@ -155,7 +157,7 @@ def build_biorthogonal(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
     B = moment_matrix(table.values, f_layout, g_layout).T
 
     U, svals, Vt = np.linalg.svd(B)
-    if svals[-1] <= rank_threshold(B.shape, svals):
+    if svals[-1] <= rank_threshold(B.shape, svals[0]):
         report = check_normality(pair, table)
         raise DegeneratePair(
             f"Gram matrix singular for pair n={pair.n.parts} m={pair.m.parts}",
@@ -211,8 +213,11 @@ class CdKernelData:
     argument.  y_forms[r] is the swapped (w2, w1) orientation partner of
     x_forms[r], type I (m, n - e_j) then type II (m + e_k, n), and takes the
     second argument.  Term r carries sign +1 for r < p and -1 after.  Every
-    stored pair is defining in its own orientation.  x_stack and y_stack
-    evaluate each orientation's forms as one array.
+    stored pair is defining in its own orientation.  The type II solves of
+    both orientations have |n| + 1 unknowns and the type I solves |n|:
+    build_cd_data assembles each size by one gather and solves it by one
+    SVD call.  x_stack and y_stack evaluate each orientation's forms as one
+    array.
     """
 
     pair: MultiIndexPair
@@ -254,30 +259,94 @@ def build_cd_data(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
                   table: ProductMomentTable | None = None) -> CdKernelData:
     """Run the neighbor solves the CD formula needs, both orientations.
 
-    Each solve picks its own arithmetic (see solve_mixed); the data's
-    precision property reports whether any fell back to extended.
-    NotNormalizable from a solve propagates as raised; its message names
-    the failing pair.
+    The type II solves have |n| + 1 unknowns and the type I solves |n|.
+    Each kind is gathered from the moment table at once (_neighbour_systems)
+    and solved as one stack by mop's _solve_square: two SVD calls, each
+    solve bitwise equal to solve_mixed on it alone.  Solves that fail the
+    double rank gate then go, in term order, to the extended fallback
+    (_solve_past_gate); the first that fails there raises its
+    NotNormalizable, whose message names the failing pair.  The data's
+    precision property reports whether any solve fell back.
     """
     if pair.relation != "balanced":
         raise ValueError("CD data needs a balanced pair (|n| = |m|)")
     if table is None:
         table = moment_table_for(pair, w1, w2)
-    tables = {"x": table, "y": table.swapped()}
+    pair_layouts(pair, table)
+    tables = (table, table.swapped())
     n, m = pair.n, pair.m
-
-    def run(orientation, kind, k, n_side, m_side):
+    # (orientation, normalization, n side, m side); orientation 1 reads the
+    # table with the families swapped
+    terms = ([(0, Normalization.type2(j), n.bumped(j, +1), m) for j in range(len(n))]
+             + [(0, Normalization.type1(k), n, m.bumped(k, -1)) for k in range(len(m))]
+             + [(1, Normalization.type1(j), m, n.bumped(j, -1)) for j in range(len(n))]
+             + [(1, Normalization.type2(k), m.bumped(k, +1), n) for k in range(len(m))])
+    passed = {}
+    for kind in ("II", "I"):
+        group = [r for r, term in enumerate(terms) if term[1].kind == kind]
+        ok, x, residual = _solve_square(
+            *_neighbour_systems(table, [terms[r] for r in group]))
+        passed.update(zip(np.array(group)[ok].tolist(),
+                          zip(x, residual.tolist())))
+    forms = []
+    for r, (orientation, norm, n_side, m_side) in enumerate(terms):
         spair = MultiIndexPair.defining(n_side.parts, m_side.parts)
-        return solve_mixed(spair, tables[orientation], Normalization(kind, k))
-
-    x_forms = tuple([run("x", "II", j, n.bumped(j, +1), m) for j in range(len(n))]
-                    + [run("x", "I", k, n, m.bumped(k, -1)) for k in range(len(m))])
-    y_forms = tuple([run("y", "I", j, m, n.bumped(j, -1)) for j in range(len(n))]
-                    + [run("y", "II", k, m.bumped(k, +1), n) for k in range(len(m))])
+        if r in passed:
+            forms.append(_solution(spair, tables[orientation], norm,
+                                   *passed[r], "double"))
+        else:
+            forms.append(_solve_past_gate(spair, tables[orientation], norm))
+    half = len(n) + len(m)
+    x_forms, y_forms = tuple(forms[:half]), tuple(forms[half:])
     return CdKernelData(pair=pair, table=table, x_forms=x_forms, y_forms=y_forms,
                         x_stack=FormStack.of(x_forms),
                         y_stack=FormStack.of(y_forms),
                         delta_diag=DIAG_BAND_FACTOR * table.scale)
+
+
+def _neighbour_systems(table: ProductMomentTable, terms: list
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """_solve_square's (A, b, lead) for CD terms of one kind and size.  One
+    gather reads the condition rows and, for type I, the shifted moments
+    of the closing row, which are summed as in mop's _normalization_row;
+    a type II closing row is the unit row at the monic coefficient."""
+    count, size = len(terms), terms[0][2].size
+    cols = np.array([column_layout(n_side.parts) for _, _, n_side, _ in terms])
+    rows = [column_layout(m_side.parts) for _, _, _, m_side in terms]
+    type1 = terms[0][1].kind == "I"
+    if type1:
+        degrees = [m_side[norm.index] for _, norm, _, m_side in terms]
+        top = max(degrees)
+        # the shifted moments of orders t = 0..m_k, padded by repeats
+        rows = [r + [(norm.index, min(t, d)) for t in range(top + 1)]
+                for r, (_, norm, _, _), d in zip(rows, terms, degrees)]
+    rows = np.array(rows, dtype=int).reshape(count, -1, 2)
+    swap = np.array([o for o, _, _, _ in terms], dtype=bool)[:, None, None]
+    l, i = cols[:, None, :, 0], cols[:, None, :, 1]
+    k, j = rows[:, :, None, 0], rows[:, :, None, 1]
+    G = moment_gather(table.values, np.where(swap, k, l), np.where(swap, l, k),
+                      i + j)
+    A = np.zeros((count, size, size))
+    A[:, :-1] = G[:, :size - 1]
+    b = np.zeros((count, size))
+    if not type1:
+        lead = np.array([sum(n_side.parts[:norm.index + 1]) - 1
+                         for _, norm, n_side, _ in terms])
+        A[np.arange(count), -1, lead] = 1.0
+        b[:, -1] = [table.scale ** (n_side[norm.index] - 1)
+                    for _, norm, n_side, _ in terms]
+        return A, b, lead
+    weights = np.array([_power_expansion(d, table.center, table.scale)
+                        + [0.0] * (top - d) for d in degrees])
+    degrees = np.array(degrees)
+    row = np.zeros((count, size))
+    for t in range(top + 1):
+        # each row adds its own terms only, in order, as a lone solve does
+        live = degrees >= t
+        row[live] = row[live] + weights[live, t, None] * G[live, size - 1 + t]
+    A[:, -1] = row
+    b[:, -1] = 1.0
+    return A, b, None
 
 
 def _term_sum(terms: np.ndarray) -> np.ndarray:
@@ -294,16 +363,12 @@ def kernel_cd_diagonal(data: CdKernelData, x) -> np.ndarray | float:
     return float(acc) if acc.ndim == 0 else acc
 
 
-def kernel_cd_band(data: CdKernelData, x, y, factors=None) -> np.ndarray:
-    """K at the cells (x[i], y[i]) of the band |x - y| <= delta, all at once:
-    sum_r factors[r] (data.signs by default) slope_r Q~_r(y), with slope_r
-    the l'Hopital derivative of x-side form r on the exact diagonal, else
-    its divided difference [Q_r(x) - Q_r(y)] / (x - y) (N(y, y) = 0
-    dropped), which stays accurate as x - y -> 0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    factors = data.signs if factors is None else factors
-    slope = np.empty(factors.shape + x.shape)
+def _band_slopes(data: CdKernelData, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """slope_r at the cells (x[i], y[i]): the l'Hopital derivative of x-side
+    form r on the exact diagonal, else its divided difference [Q_r(x) -
+    Q_r(y)] / (x - y) (N(y, y) = 0 dropped), which stays accurate as
+    x - y -> 0."""
+    slope = np.empty((len(data.x_forms),) + x.shape)
     diag = x == y
     if diag.any():
         slope[:, diag] = data.x_stack.derivatives(x[diag])
@@ -311,32 +376,47 @@ def kernel_cd_band(data: CdKernelData, x, y, factors=None) -> np.ndarray:
         xo, yo = x[~diag], y[~diag]
         ends = data.x_stack.values(np.concatenate([xo, yo]))
         slope[:, ~diag] = (ends[:, :xo.size] - ends[:, xo.size:]) / (xo - yo)
-    return _term_sum(factors.reshape(factors.shape + (1,) * x.ndim) * slope
-                     * data.y_stack.values(y))
+    return slope
+
+
+def kernel_cd_band(data: CdKernelData, x, y) -> np.ndarray:
+    """K at the cells (x[i], y[i]) of the band |x - y| <= delta, all at once:
+    sum_r sign_r slope_r Q~_r(y), with slope_r from _band_slopes."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    factors = data.signs.reshape(data.signs.shape + (1,) * x.ndim)
+    return _term_sum(factors * _band_slopes(data, x, y) * data.y_stack.values(y))
 
 
 def _cd_sum(data: CdKernelData, xs, ys, factors: np.ndarray) -> np.ndarray:
-    """sum_r factors[r] Q_r(x) Q~_r(y) / (x - y) on the grid xs x ys (p and
-    q terms summed apart) off the band, kernel_cd_band on its cells."""
+    """For each factor set f of the stack factors (F, R): sum_r f[r] Q_r(x)
+    Q~_r(y) / (x - y) on the grid xs x ys (p and q terms summed apart) off
+    the band |x - y| <= delta_diag, and sum_r f[r] slope_r Q~_r(y)
+    (_band_slopes) on its cells; shape (F, len(xs), len(ys)).  The forms,
+    the band cells and their slopes are evaluated once for all F grids."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     p = data.p
-    X = factors[:, None] * data.x_stack.values(xs)
-    Y = data.y_stack.values(ys)
-    N = np.einsum("jx,jy->xy", X[:p], Y[:p]) + np.einsum("kx,ky->xy", X[p:], Y[p:])
+    Xv = data.x_stack.values(xs)
+    Yv = data.y_stack.values(ys)
     denom = xs[:, None] - ys[None, :]
     band = np.abs(denom) <= data.delta_diag
-    out = np.empty_like(N)
-    np.divide(N, denom, out=out, where=~band)
     ix, iy = np.nonzero(band)
-    out[ix, iy] = kernel_cd_band(data, xs[ix], ys[iy], factors)
+    slope = _band_slopes(data, xs[ix], ys[iy])
+    Yb = data.y_stack.values(ys[iy])
+    out = np.empty((len(factors),) + denom.shape)
+    for f, grid in zip(factors, out):
+        X = f[:, None] * Xv
+        N = np.einsum("jx,jy->xy", X[:p], Yv[:p]) + np.einsum("kx,ky->xy", X[p:], Yv[p:])
+        np.divide(N, denom, out=grid, where=~band)
+        grid[ix, iy] = _term_sum(f[:, None] * slope * Yb)
     return out
 
 
 def kernel_cd_grid(data: CdKernelData, xs, ys) -> np.ndarray:
     """CD kernel on the product grid xs x ys: the numerator over x - y off
     the band |x - y| <= delta_diag, kernel_cd_band on its cells."""
-    return _cd_sum(data, xs, ys, data.signs)
+    return _cd_sum(data, xs, ys, data.signs[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Literal, Sequence
 
 import numpy as np
@@ -166,17 +167,24 @@ def moment_matrix(values: np.ndarray, cols: Sequence[tuple[int, int]],
     """values[l, k, i + j] at row (k, j) and column (l, i), for a moment
     array values[w1 index, w2 index, order] of floats or of mpf objects.
 
-    The one gather behind the orthogonality system, the normalization
-    row, the normality tests and the kernel's Gram matrix; raises
-    ValueError when the array stops short of the orders it needs.
+    The gather behind the orthogonality system, the normalization row, the
+    normality tests and the kernel's Gram matrix (moment_gather).
     """
     l, i = np.array(cols, dtype=int).reshape(-1, 2).T
     k, j = np.array(rows, dtype=int).reshape(-1, 2).T
-    need = int(i.max() + j.max()) if i.size and j.size else 0
+    return moment_gather(values, l[None, :], k[:, None],
+                         i[None, :] + j[:, None])
+
+
+def moment_gather(values: np.ndarray, first: np.ndarray, second: np.ndarray,
+                  order: np.ndarray) -> np.ndarray:
+    """values[first, second, order], broadcast; raises ValueError when the
+    table stops short of the orders it needs."""
+    need = int(order.max()) if order.size else 0
     if need >= values.shape[2]:
         raise ValueError(f"table kmax={values.shape[2] - 1} too small, "
                          f"need {need}")
-    return values[l[None, :], k[:, None], i[None, :] + j[:, None]]
+    return values[first, second, order]
 
 
 def pair_layouts(pair: MultiIndexPair, table: ProductMomentTable
@@ -226,9 +234,16 @@ def _normalization_row(pair: MultiIndexPair, values: np.ndarray, center, scale,
     mk = pair.m[k]
     shifted = moment_matrix(values, cols, [(k, t) for t in range(mk + 1)])
     row = 0
-    for t in range(mk + 1):
-        row = row + math.comb(mk, t) * center ** (mk - t) * scale ** t * shifted[t]
+    for t, c in enumerate(_power_expansion(mk, center, scale)):
+        row = row + c * shifted[t]
     return row, 1
+
+
+def _power_expansion(degree: int, center, scale) -> list:
+    """c_t with x^degree = sum_t c_t u^t for u = (x - center) / scale, t =
+    0..degree: the type I closing row's weights on the shifted moments."""
+    return [math.comb(degree, t) * center ** (degree - t) * scale ** t
+            for t in range(degree + 1)]
 
 
 @dataclass(frozen=True)
@@ -381,10 +396,11 @@ def affine_rebase(coeffs, alpha, beta) -> np.ndarray:
     return out
 
 
-def rank_threshold(shape: tuple[int, ...], svals: np.ndarray) -> float:
-    """The singular value at or below which a matrix of this shape with these
-    (descending) singular values counts as rank-deficient."""
-    return max(shape) * svals[0] * RANK_RTOL
+def rank_threshold(shape: tuple[int, ...], s_max):
+    """The singular value at or below which a matrix of this shape with
+    largest singular value s_max counts as rank-deficient; for a stack of
+    shape (S, rows, cols), one per matrix from s_max of shape (S,)."""
+    return max(shape[-2:]) * s_max * RANK_RTOL
 
 
 def numerical_rank(M: np.ndarray) -> tuple[int, np.ndarray]:
@@ -393,57 +409,90 @@ def numerical_rank(M: np.ndarray) -> tuple[int, np.ndarray]:
     if M.size == 0:
         return 0, np.zeros(0)
     svals = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(svals > rank_threshold(M.shape, svals))), svals
+    return int(np.sum(svals > rank_threshold(M.shape, svals[0]))), svals
+
+
+def _solve_square(A: np.ndarray, b: np.ndarray, lead: np.ndarray | None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the stack of square systems A[s] x = b[s], A (S, N, N) and b
+    (S, N), through one SVD call.
+
+    A system passes the rank gate when its smallest singular value exceeds
+    rank_threshold.  The passing ones are solved from the SVD with one step
+    of iterative refinement; with lead given (type II systems) each x is
+    rescaled so that x[lead[s]] equals b[s, -1] exactly.  Returns (ok, x,
+    residual): ok (S,) marks the passing systems, and x (P, N) and the
+    scale-normalized residual max|A x - b| / max(1, max|A| max|x|) (P,)
+    belong to them, in order.  Failing systems are not solved.
+    """
+    U, svals, Vt = np.linalg.svd(A)
+    ok = svals[:, -1] > rank_threshold(A.shape, svals[:, 0])
+    if not ok.all():
+        A, b, U, svals, Vt = A[ok], b[ok], U[ok], svals[ok], Vt[ok]
+        lead = None if lead is None else lead[ok]
+    V, Ut, s = Vt.mT, U.mT, svals[..., None]
+    rhs = b[..., None]
+    x = V @ ((Ut @ rhs) / s)
+    x = (x + V @ ((Ut @ (rhs - A @ x)) / s))[..., 0]
+    if lead is not None:
+        rows = np.arange(len(x))
+        last = b[:, -1]
+        x *= (last / x[rows, lead])[:, None]
+        x[rows, lead] = last
+    scale_res = np.maximum(1.0, abs(A).max(axis=(1, 2)) * abs(x).max(axis=1))
+    residual = abs((A @ x[..., None])[..., 0] - b).max(axis=1) / scale_res
+    return ok, x, residual
 
 
 def solve_mixed(pair: MultiIndexPair, table: ProductMomentTable,
                 normalization: Normalization) -> MixedMopSolution:
-    """Solve the square (conditions + normalization) system for the pair.
+    """Solve the square (conditions + normalization) system for the pair,
+    as a stack of one through _solve_square, the double solve that
+    build_cd_data runs on stacks of neighbours.
 
     A system that fails the double rank gate is rerun in EXTENDED_DPS-digit
     arithmetic when both families are all-gaussian and it has at most
-    EXTENDED_MAX_UNKNOWNS unknowns.  Raises NotNormalizable, carrying a
-    NormalityReport, when the last arithmetic tried finds it singular.
+    EXTENDED_MAX_UNKNOWNS unknowns (_solve_past_gate).  Raises
+    NotNormalizable, carrying a NormalityReport, when the last arithmetic
+    tried finds it singular.
     """
     if pair.relation != "defining":
         raise ValueError("solve_mixed needs a defining pair (|n| = |m| + 1)")
     M = assemble_orthogonality_matrix(pair, table)
     row, rhs_last = _normalization_row(pair, table.values, table.center,
                                        table.scale, normalization)
-    A = np.vstack([M, row[None, :]])
-    b = np.zeros(A.shape[0])
-    b[-1] = rhs_last
-
-    U, svals, Vt = np.linalg.svd(A)
-    if svals[-1] <= rank_threshold(A.shape, svals):
-        if (table.w1.all_gaussian and table.w2.all_gaussian
-                and pair.n.size <= EXTENDED_MAX_UNKNOWNS):
-            return _solve_mixed_extended(pair, table, normalization)
-        report = check_normality(pair, table)
-        raise NotNormalizable(
-            f"singular system for pair n={pair.n.parts} m={pair.m.parts} "
-            f"({normalization.kind}, k={normalization.index})", report=report)
-    x = Vt.T @ ((U.T @ b) / svals)
-    r = b - A @ x
-    x = x + Vt.T @ ((U.T @ r) / svals)
-
-    cols = column_layout(pair.n.parts)
+    A = np.concatenate([M, row[None, :]])[None]
+    b = np.zeros((1, len(row)))
+    b[0, -1] = rhs_last
+    lead = None
     if normalization.kind == "II":
-        k = normalization.index
-        lead = cols.index((k, pair.n[k] - 1))
-        x = x * (rhs_last / x[lead])
-        x[lead] = rhs_last
-    scale_res = max(1.0, float(np.max(np.abs(A))) * float(np.max(np.abs(x))))
-    residual = float(np.max(np.abs(A @ x - b))) / scale_res
+        lead = np.array([sum(pair.n.parts[:normalization.index + 1]) - 1])
+    ok, x, residual = _solve_square(A, b, lead)
+    if not ok[0]:
+        return _solve_past_gate(pair, table, normalization)
+    return _solution(pair, table, normalization, x[0], float(residual[0]),
+                     "double")
 
-    return _solution(pair, table, normalization, x, residual, "double")
+
+def _solve_past_gate(pair: MultiIndexPair, table: ProductMomentTable,
+                     normalization: Normalization) -> MixedMopSolution:
+    """The solve of a system that failed the double rank gate: extended
+    arithmetic where solve_mixed says, else NotNormalizable."""
+    if (table.w1.all_gaussian and table.w2.all_gaussian
+            and pair.n.size <= EXTENDED_MAX_UNKNOWNS):
+        return _solve_mixed_extended(pair, table, normalization)
+    report = check_normality(pair, table)
+    raise NotNormalizable(
+        f"singular system for pair n={pair.n.parts} m={pair.m.parts} "
+        f"({normalization.kind}, k={normalization.index})", report=report)
 
 
 def _solution(pair: MultiIndexPair, table: ProductMomentTable,
               normalization: Normalization, x: np.ndarray, residual: float,
               precision: str) -> MixedMopSolution:
     """The solution whose coefficients, weight after weight, are x."""
-    coeffs = tuple(np.split(x, np.cumsum(pair.n.parts)[:-1]))
+    ends = [0, *accumulate(pair.n.parts)]
+    coeffs = tuple(x[a:b] for a, b in zip(ends, ends[1:]))
     return MixedMopSolution(pair=pair, normalization=normalization,
                             weights=table.w1, center=table.center,
                             scale=table.scale, coeffs=coeffs,

@@ -347,19 +347,34 @@ def asymptotic_errors(system: RhSystem) -> dict:
 # Kernel through the Riemann-Hilbert matrix
 
 
-def kernel_rh_grid(data: CdKernelData, xs, ys) -> np.ndarray:
-    """[0, w2(y)] Y+^{-1}(y) Y+(x) [w1(x), 0]^T / (2 pi i (x - y)) on the
-    grid xs x ys.  Its column and row are the polynomial blocks of Y and X
-    against w1 and w2: forms r of x_stack and y_stack times the blocks'
-    poly_factors.  So it is the CD sum with term factors pf_y pf_x / 2 pi i,
-    which must be real (they are the CD signs); AccuracyError otherwise."""
+def _rh_factors(data: CdKernelData) -> np.ndarray:
+    """The CD term factors of the kernel read off Y and X: pf_y pf_x / 2 pi i
+    from the blocks' poly_factors, which must be real (they are the CD
+    signs); AccuracyError otherwise."""
     blocks = _block_table(data)
     c = blocks["y"].poly_factors * blocks["x"].poly_factors / TWO_PI_I
     imag = float(np.max(np.abs(c.imag)))
     if imag != 0.0:
         raise AccuracyError(f"kernel_rh_grid term factor with imaginary part "
                             f"{imag:.3e}", achieved=imag)
-    return _cd_sum(data, xs, ys, c.real)
+    return c.real
+
+
+def kernel_rh_grid(data: CdKernelData, xs, ys) -> np.ndarray:
+    """[0, w2(y)] Y+^{-1}(y) Y+(x) [w1(x), 0]^T / (2 pi i (x - y)) on the
+    grid xs x ys.  Its column and row are the polynomial blocks of Y and X
+    against w1 and w2: forms r of x_stack and y_stack times the blocks'
+    poly_factors.  So it is the CD sum with the term factors _rh_factors."""
+    return _cd_sum(data, xs, ys, _rh_factors(data)[None])[0]
+
+
+def kernel_cd_rh_grids(data: CdKernelData, xs, ys
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """kernel_cd_grid and kernel_rh_grid on xs x ys, bit for bit, from one
+    _cd_sum call: the forms, the band cells and their slopes are evaluated
+    once for both factor sets."""
+    K_cd, K_rh = _cd_sum(data, xs, ys, np.stack([data.signs, _rh_factors(data)]))
+    return K_cd, K_rh
 
 
 # ---------------------------------------------------------------------------

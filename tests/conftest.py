@@ -20,7 +20,8 @@ import pytest
 from numpy.polynomial import polynomial as P
 from scipy import integrate, linalg, special
 
-from mixedmop import Weight, WeightFamily, kernel_cd_diagonal
+from mixedmop import (MultiIndexPair, Normalization, Weight, WeightFamily,
+                      kernel_cd_diagonal, solve_mixed)
 from mixedmop import brownian, rh
 
 
@@ -450,6 +451,33 @@ def form_derivative_oracle(sol, x):
         out = out + (P.polyval(u, dcf) / sol.scale) * w(x)
         out = out + P.polyval(u, cf) * (-(x - w.center) / w.variance * w(x))
     return out
+
+
+def neighbour_solves_oracle(pair, table):
+    """The 2(p+q) neighbour solves of the CD route in term order, each by
+    its own solve_mixed call on the table or its swap, as the CD data
+    stores them: x-side type II (n + e_j, m) and type I (n, m - e_k), then
+    y-side type I (m, n - e_j) and type II (m + e_k, n).  A failing solve
+    raises as solve_mixed does."""
+    n, m = pair.n, pair.m
+    swapped = table.swapped()
+    specs = ([(table, "II", j, n.bumped(j, 1), m) for j in range(len(n))]
+             + [(table, "I", k, n, m.bumped(k, -1)) for k in range(len(m))]
+             + [(swapped, "I", j, m, n.bumped(j, -1)) for j in range(len(n))]
+             + [(swapped, "II", k, m.bumped(k, 1), n) for k in range(len(m))])
+    return [solve_mixed(MultiIndexPair.defining(a.parts, b.parts), t,
+                        Normalization(kind, k))
+            for t, kind, k, a, b in specs]
+
+
+def assert_same_solutions(got, want):
+    """Pairs, normalizations, coefficients (bit for bit), residuals and
+    precisions agree, solution by solution."""
+    assert len(got) == len(want)
+    for s, o in zip(got, want):
+        assert (s.pair, s.normalization) == (o.pair, o.normalization)
+        assert [c.tobytes() for c in s.coeffs] == [c.tobytes() for c in o.coeffs]
+        assert (s.residual, s.precision) == (o.residual, o.precision)
 
 
 def cd_terms(data):

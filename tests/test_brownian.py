@@ -397,6 +397,27 @@ class TestExactSampler:
         assert a.mass_deviation_max < 1e-9
         assert a.inversion_residual_max < 1e-11
 
+    def test_centre_of_mass_batch_means_z_follows_student_t(self):
+        # the centre of mass of non-intersecting bridges keeps the law of the
+        # mean of independent bridges; over 40 batch means of i.i.d. draws
+        # its z = (mean - law mean) / batch-means SE is Student t with 39
+        # degrees of freedom, so a 3-SE check fails about 0.47 % of seeds
+        from scipy import stats
+
+        cfg = BrownianConfig(starts=((-0.6, 1), (0.5, 1)),
+                             ends=((-0.4, 1), (0.8, 1)), time=0.4)
+        system = correlation_kernel(cfg)
+        box = cfg.bridge_box()
+        law_mean = (1.0 - cfg.time) * cfg.flat_starts().mean() \
+            + cfg.time * cfg.flat_ends().mean()
+        zs = []
+        for seed in range(200):
+            centre = sample_projection_dpp(system, box, 1000, seed).samples.mean(axis=1)
+            batches = centre.reshape(40, 25).mean(axis=1)
+            zs.append((centre.mean() - law_mean)
+                      / (batches.std(ddof=1) / math.sqrt(40)))
+        assert stats.kstest(zs, stats.t(39).cdf).pvalue >= 1e-3
+
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("cfg", [
         distinct_walkers(6),

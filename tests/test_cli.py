@@ -849,6 +849,27 @@ class TestBrownianCommands:
         assert report["precision"] == "extended"
         assert report["trace_deviation"] <= 1e-9
 
+    def test_separated_single_walker_refused_by_a_neighbour_solve(
+            self, tmp_path, capsys):
+        # one walker -10 -> 10: the CD neighbour n = (2,), m = (1,) is
+        # singular in both arithmetics, and the stacked solves refuse it with
+        # the one-at-a-time solve's message and normality report
+        config = {"starts": [[-10.0, 1]], "ends": [[10.0, 1]], "t": 0.5,
+                  "n_scaling": False}
+        code, out = run_cli(tmp_path, "brownian-kernel", config)
+        message = "singular system (extended) for pair n=(2,) m=(1,)"
+        assert code == 2
+        assert capsys.readouterr().err == f"NUMERICAL: {message}\n"
+        assert [p.name for p in out.iterdir()] == ["error_report.json"]
+        assert read_json(out / "error_report.json") == {
+            "detail": {"normality": {
+                "condition_estimate": 1.0, "f_dimension_ok": True,
+                "kernel_dimension": 1, "normal": True,
+                "orthogonality_rank": 1, "pair": {"m": [1], "n": [2]},
+                "typeII_admissible": [True], "typeI_admissible": [True]}},
+            "error": "NUMERICAL", "message": message,
+            "version": mixedmop.__version__}
+
     def test_separated_walkers_kernel_integrates_per_component(self, tmp_path):
         # walkers going -100 -> -100 and 100 -> 100: the quadratures ran over
         # the hull [-106, 106] and exited 2 ("did not converge at degree 512")

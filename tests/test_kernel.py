@@ -1,25 +1,28 @@
 """Projection kernel: biorthogonal route, CD route, and their agreement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mixedmop import (BiorthogonalSystem, BrownianConfig, DegeneratePair,
-                      MultiIndexPair, NotNormalizable, Weight, WeightFamily,
-                      build_biorthogonal, build_cd_data, build_moment_table,
-                      check_normality, config_to_weights, kernel_cd_band,
-                      kernel_cd_diagonal, kernel_cd_grid, kernel_direct_grid,
-                      kernel_rh_grid, kernel_routes_report, transition_weight)
+                      MultiIndexPair, Normalization, NotNormalizable, Weight,
+                      WeightFamily, build_biorthogonal, build_cd_data,
+                      build_moment_table, check_normality, config_to_weights,
+                      kernel_cd_band, kernel_cd_diagonal, kernel_cd_grid,
+                      kernel_direct_grid, kernel_rh_grid, kernel_routes_report,
+                      solve_mixed, transition_weight)
 from mixedmop.kernel import (idempotence_residual, relative_discrepancy,
                              trace_quadrature)
 from mixedmop.mop import moment_table_for
 from mixedmop.weights import ProductMomentTable
 
-from conftest import assert_band_matches_oracle, band_grids, \
-    cd_diagonal_oracle, cd_grid_oracle, cd_terms, form_derivative_oracle, \
-    form_oracle, kernel_at, monic_orthogonal_oracle, random_balanced_parts, \
-    random_gaussian_families, richardson_extrapolate
+from conftest import assert_band_matches_oracle, assert_same_solutions, \
+    band_grids, cd_diagonal_oracle, cd_grid_oracle, cd_terms, \
+    form_derivative_oracle, form_oracle, kernel_at, monic_orthogonal_oracle, \
+    neighbour_solves_oracle, random_balanced_parts, random_gaussian_families, \
+    richardson_extrapolate
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -328,6 +331,12 @@ class TestRoutesReport:
 # Stacked form evaluation against the per-form loops
 
 
+def two_start(k):
+    """(w1, w2, pair) of k walkers from each of -1 and 1 to 2k at 0."""
+    return config_to_weights(BrownianConfig(
+        starts=((-1.0, k), (1.0, k)), ends=((0.0, 2 * k),), time=0.5))
+
+
 STACK_CONFIGS = {
     "wp": (*WP, [3, 2], [2, 3]),
     "p3": (WeightFamily([G(-0.8, 0.7), G(0.1, 1.1), G(0.9, 0.9)]),
@@ -348,8 +357,7 @@ BAND_GRID = np.linspace(-1e-5, 1e-5, 9)
 def stack_data(request):
     config = STACK_CONFIGS[request.param]
     if config is None:
-        w1, w2, pair = config_to_weights(BrownianConfig(
-            starts=((-1.0, 5), (1.0, 5)), ends=((0.0, 10),), time=0.5))
+        w1, w2, pair = two_start(5)
     else:
         w1, w2, n, m = config
         pair = MultiIndexPair.balanced(n, m)
@@ -418,6 +426,77 @@ class TestStackedForms:
         band = [weight_calls(monkeypatch, lambda: kernel_cd_grid(data, xs, xs))
                 for xs in (BAND_GRID, np.linspace(-1e-5, 1e-5, 17))]
         assert band[0] == band[1] <= 3 * (p + q)
+
+
+def svd_calls(monkeypatch, fn):
+    """Number of np.linalg.svd calls made by fn()."""
+    calls = []
+    exact = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return exact(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counted)
+        fn()
+    return len(calls)
+
+
+class TestStackedNeighbourSolves:
+    @pytest.mark.parametrize("config", ["wp", "p3", "two_start_3"])
+    def test_two_svd_calls_per_cd_data(self, config, monkeypatch):
+        if config == "two_start_3":
+            w1, w2, pair = two_start(3)
+        else:
+            w1, w2, n, m = STACK_CONFIGS[config]
+            pair = MultiIndexPair.balanced(n, m)
+        # one stacked solve per system size: |n| + 1 unknowns (type II) and
+        # |n| (type I); one solve_mixed per neighbour made 8, 12 and 6
+        assert svd_calls(monkeypatch,
+                         lambda: build_cd_data(pair, w1, w2)) == 2
+
+    @pytest.mark.parametrize("norm", [Normalization.type1(1),
+                                      Normalization.type2(0)], ids=["I", "II"])
+    def test_one_svd_call_per_solve(self, norm, monkeypatch):
+        w1, w2, _, _ = STACK_CONFIGS["wp"]
+        pair = MultiIndexPair.defining([3, 3], [2, 3])
+        table = moment_table_for(pair, w1, w2)
+        assert svd_calls(monkeypatch,
+                         lambda: solve_mixed(pair, table, norm)) == 1
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_fallback_matches_one_at_a_time(self, k):
+        # some neighbours fail the double rank gate inside a stack whose
+        # other members pass: no warning, and each solve as on its own
+        w1, w2, pair = two_start(k)
+        table = moment_table_for(pair, w1, w2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = build_cd_data(pair, w1, w2, table)
+        want = neighbour_solves_oracle(pair, table)
+        precisions = [s.precision for s in data.solutions]
+        assert precisions == [s.precision for s in want]
+        assert {"double", "extended"} <= set(precisions)
+        assert data.precision == "extended"
+        assert_same_solutions(data.solutions, want)
+
+    def test_failure_raised_as_one_at_a_time(self):
+        # one walker -10 -> 10: the neighbour n = (2,), m = (1,) is singular
+        # in double and in extended arithmetic
+        w1, w2, pair = config_to_weights(BrownianConfig(
+            starts=((-10.0, 1),), ends=((10.0, 1),), time=0.5,
+            variance_scaling=False))
+        table = moment_table_for(pair, w1, w2)
+        with pytest.raises(NotNormalizable) as want:
+            neighbour_solves_oracle(pair, table)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotNormalizable) as got:
+                build_cd_data(pair, w1, w2, table)
+        assert str(got.value) == str(want.value) == (
+            "singular system (extended) for pair n=(2,) m=(1,)")
+        assert got.value.report == want.value.report
 
 
 class TestIdempotence:

@@ -1,0 +1,67 @@
+"""Property test of the stacked neighbour solves and the shared CD and RH
+grid evaluation.
+
+For all-gaussian families with 1 to 3 weights per side and multi-index
+parts <= 3, every neighbour solve of build_cd_data (coefficients, residual,
+precision) equals solve_mixed on that neighbour alone, bit for bit, or both
+raise the same NotNormalizable; and kernel_cd_rh_grids gives kernel_cd_grid
+and kernel_rh_grid bit for bit, on a grid whose band is the diagonal and on
+one whose band holds every cell.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from mixedmop import (MultiIndexPair, NotNormalizable, Weight,  # noqa: E402
+                      WeightFamily, build_cd_data, kernel_cd_grid,
+                      kernel_rh_grid)
+from mixedmop.mop import moment_table_for  # noqa: E402
+from mixedmop.rh import kernel_cd_rh_grids  # noqa: E402
+
+from conftest import assert_same_solutions, neighbour_solves_oracle  # noqa: E402
+
+# every m with 1 to 3 parts <= 3, by its total
+M_BY_TOTAL = {}
+for q in (1, 2, 3):
+    for m in itertools.product((1, 2, 3), repeat=q):
+        M_BY_TOTAL.setdefault(sum(m), []).append(list(m))
+GRIDS = (np.linspace(-2.0, 2.0, 13), np.linspace(-1e-5, 1e-5, 5))
+
+
+@st.composite
+def problems(draw):
+    n = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    m = draw(st.sampled_from(M_BY_TOTAL[sum(n)]))
+    # centres and variances from a few values, so that repeated weights
+    # (singular neighbours) are drawn too
+    weight = st.builds(Weight.gaussian, st.sampled_from([-0.9, -0.3, 0.0, 0.4, 1.1]),
+                       st.sampled_from([0.4, 0.8, 1.0, 1.5]))
+    w1 = WeightFamily(draw(st.lists(weight, min_size=len(n), max_size=len(n))))
+    w2 = WeightFamily(draw(st.lists(weight, min_size=len(m), max_size=len(m))))
+    return w1, w2, MultiIndexPair.balanced(n, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_stacked_solves_and_shared_grids_bitwise(problem):
+    w1, w2, pair = problem
+    table = moment_table_for(pair, w1, w2)
+    try:
+        want = neighbour_solves_oracle(pair, table)
+    except NotNormalizable as exc:
+        with pytest.raises(NotNormalizable) as got:
+            build_cd_data(pair, w1, w2, table)
+        assert str(got.value) == str(exc)
+        assert got.value.report == exc.report
+        return
+    data = build_cd_data(pair, w1, w2, table)
+    assert_same_solutions(data.solutions, want)
+    for xs in GRIDS:
+        K_cd, K_rh = kernel_cd_rh_grids(data, xs, xs)
+        assert K_cd.tobytes() == kernel_cd_grid(data, xs, xs).tobytes()
+        assert K_rh.tobytes() == kernel_rh_grid(data, xs, xs).tobytes()
