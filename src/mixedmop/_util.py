@@ -12,37 +12,59 @@ from typing import Any, Sequence
 import numpy as np
 
 
-CSV_BLOCK_ROWS = 1024  # rows formatted per write; the whole text is never held
+# A block holds CSV_BLOCK_CELLS // width rows (at least one), so about this
+# many cells; each is formatted and written before the next, so the whole
+# text is never held.  A block of C cells with D distinct values holds at
+# its peak about 8 C + 86 D bytes while the distinct values are printed, or
+# 50 C while the NULs are dropped from its lines: under 1 MB at this budget.
+CSV_BLOCK_CELLS = 10240
 CSV_ARRAY_MIN_CELLS = 512  # smaller blocks are printed by the `%` line
 
 
 def write_csv(path: str, header: Sequence[str], rows) -> None:
     """Write a header line, then one line per row of ``rows``: anything
-    ``np.asarray(rows, dtype=float)`` makes a (rows, len(header)) array.
-    Every value is printed as ``'%.17g' % value`` prints it, which
-    round-trips any double and prints an integer-valued column (an index)
-    as a plain integer.  The lines go to a new file at path (``new_file``)."""
+    ``np.asarray(rows, dtype=float)`` makes a (rows, len(header)) array, or
+    an empty sequence for no rows; any other shape raises ValueError before
+    the file is made.  Every value is printed as ``'%.17g' % value`` prints
+    it, which round-trips any double and prints an integer-valued column
+    (an index) as a plain integer.  The rows are formatted and written in
+    blocks of about ``CSV_BLOCK_CELLS`` cells, one block at a time.  The
+    lines go to a new file at path (``new_file``)."""
     table = np.asarray(rows, dtype=float)
+    width = len(header)
+    if table.ndim == 1 and table.size == 0:
+        table = table.reshape(0, width)
+    if table.ndim != 2 or table.shape[1] != width:
+        raise ValueError(f"CSV rows must form a table of {width} columns, "
+                         f"got shape {table.shape}")
+    step = max(1, CSV_BLOCK_CELLS // max(1, width))
     with new_file(path) as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            fh.write(_format_block(table[start:start + CSV_BLOCK_ROWS]))
+        for start in range(0, len(table), step):
+            fh.write(_format_block(table[start:start + step]))
 
 
-def _format_block(block: np.ndarray) -> bytes:
+def _format_block(block: np.ndarray) -> bytes | bytearray:
     """The CSV lines of a 2-D block.  A block of fewer than
     ``CSV_ARRAY_MIN_CELLS`` cells is printed by ``_percent_lines``.  In a
     larger one each distinct value (told apart by bit pattern, so -0.0
     stays apart from 0.0) is printed once by ``_cell_text`` into a row of
-    fixed width padded with NUL bytes; the rows are gathered into the
-    block's lines and the NULs dropped."""
+    fixed width padded with NUL bytes.  ``np.take`` gathers those rows, one
+    per cell, straight into a ``bytearray`` of ``_CELL_BYTES`` a cell; the
+    last comma of each line becomes a newline, and once the ranks and the
+    distinct rows are freed, ``translate`` copies the lines without the
+    NULs."""
     if block.size < CSV_ARRAY_MIN_CELLS:
         return _percent_lines(block).encode()
     bits = np.ascontiguousarray(block).view(np.int64).ravel()
     distinct, inverse = np.unique(bits, return_inverse=True)
-    lines = _cell_text(distinct.view(np.float64))[inverse].reshape(len(block), -1)
-    lines[:, -1] = ord("\n")
-    return lines.tobytes().translate(None, b"\0")
+    text = _cell_text(distinct.view(np.float64))
+    lines = bytearray(block.size * _CELL_BYTES)
+    cells = np.frombuffer(lines, np.uint8).reshape(block.size, _CELL_BYTES)
+    np.take(text, inverse, axis=0, mode="clip", out=cells)
+    cells[block.shape[1] - 1::block.shape[1], -1] = ord("\n")
+    del distinct, inverse, text, cells  # freed before the copy without NULs
+    return lines.translate(None, b"\0")
 
 
 def _percent_lines(block: np.ndarray) -> str:
@@ -61,22 +83,19 @@ def _percent_lines(block: np.ndarray) -> str:
 # Otherwise r is off by about 1e-14 at most, and a cell whose r lies within
 # _CERTAIN of a half-integer, or whose v lies within it of a decade end, is
 # printed by `%` itself, as is every nonzero cell outside the range (nan,
-# inf, subnormals).
+# inf, subnormals).  The stages below write into arrays they made (`out=`)
+# wherever an operation's result replaces one that is no longer read; each
+# value is the same IEEE operation on the same operands as written out.
 _CERTAIN = 1e-6
 _E_MIN, _E_MAX = -264, 297  # 16 - k over |x| in [1e-280, 1e280)
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split into 26-bit halves
 _CELL_BYTES = 25  # sign, 17 digits, point, e+XXX; then the separator
 
 
-def _split(a: np.ndarray):
-    t = a * _SPLIT
-    high = t - (t - a)
-    return high, a - high
-
-
 def _powers_of_ten():
-    """10^e = h + l for e in [_E_MIN, _E_MAX], each part rounded to the
-    nearest double from the exact rational; h comes with its Dekker split."""
+    """The rows h, hh, hl, l: 10^e = h + l for e in [_E_MIN, _E_MAX], each
+    part rounded to the nearest double from the exact rational, and h's
+    Dekker split h = hh + hl."""
     hs, ls = [], []
     for e in range(_E_MIN, _E_MAX + 1):
         if e >= 0:
@@ -89,7 +108,9 @@ def _powers_of_ten():
         hs.append(h)
         ls.append(low)
     h = np.array(hs)
-    return (h, *_split(h), np.array(ls))
+    t = h * _SPLIT
+    hh = t - (t - h)
+    return np.array([h, hh, h - hh, ls])
 
 
 def _digit_groups():
@@ -116,17 +137,23 @@ def _tables():
 
 
 def _scaled(a: np.ndarray, k: np.ndarray):
-    """p and r with p + r = |x| 10^(16 - k), and whether r is exact."""
-    i = 16 - k - _E_MIN
-    h, hh, hl, low = (t[i] for t in _tables()[0])
+    """p and r with p + r = |x| 10^(16 - k), and whether r is exact.  The
+    four parts of the power come from one gather; each then holds a
+    product of Dekker's sum once it is no longer read."""
+    h, hh, hl, low = _tables()[0].take((16 - _E_MIN) - k, axis=1)
     p = a * h
-    ah, al = _split(a)
-    r = ah * hh - p
-    r += ah * hl
-    r += al * hh
-    r += al * hl
-    r += a * low
-    return p, r, low == 0
+    t = np.multiply(a, _SPLIT, out=h)  # a = ah + al, Dekker's split
+    al = t - a
+    ah = np.subtract(t, al, out=t)
+    np.subtract(a, ah, out=al)
+    r = ah * hh
+    r -= p
+    r += np.multiply(ah, hl, out=ah)
+    r += np.multiply(al, hh, out=hh)
+    r += np.multiply(al, hl, out=hl)
+    exact = low == 0
+    r += np.multiply(a, low, out=low)
+    return p, r, exact
 
 
 def _decimal_digits(x: np.ndarray):
@@ -134,23 +161,37 @@ def _decimal_digits(x: np.ndarray):
     certified; an uncertified cell has N = 10^16 and k = 0."""
     a = np.abs(x)
     zero = a == 0
-    inside = (a >= 1e-280) & (a < 1e280)
-    a = np.where(inside, a, 1.0)
-    k = np.floor(np.log10(a)).astype(np.int64)
+    inside = a >= 1e-280
+    inside &= a < 1e280
+    np.copyto(a, 1.0, where=~inside)
+    k = np.log10(a)
+    k = np.floor(k, out=k).astype(np.int64)
     p, r, exact = _scaled(a, k)
+    low, high = 1e16 - p, 1e17 - p
     for _ in range(2):  # log10 can miss the decade by one near its ends
-        off = (r >= 1e17 - p).astype(np.int64) - (r < 1e16 - p)
-        moved = np.flatnonzero(off)
+        up = r >= high
+        moved = np.flatnonzero(up | (r < low))
         if len(moved) == 0:
             break
-        k[moved] += off[moved]
+        k[moved] += np.where(up[moved], 1, -1)
         p[moved], r[moved], exact[moved] = _scaled(a[moved], k[moved])
-    n_round = np.rint(r)
-    unsure = ~exact & ((np.abs(r - (1e16 - p)) < _CERTAIN)
-                       | (np.abs(r - (1e17 - p)) < _CERTAIN)
-                       | (0.5 - np.abs(r - n_round) < _CERTAIN))
-    certified = inside & ~unsure & (r >= 1e16 - p) & (r < 1e17 - p)
-    n = p.astype(np.int64) + n_round.astype(np.int64)
+        low[moved] = 1e16 - p[moved]
+        high[moved] = 1e17 - p[moved]
+    certified = r >= low
+    certified &= r < high
+    certified &= inside
+    # unsure: r is inexact and within _CERTAIN of a decade end or a tie
+    t = np.subtract(r, low, out=low)
+    unsure = np.abs(t, out=t) < _CERTAIN
+    np.subtract(r, high, out=t)
+    unsure |= np.abs(t, out=t) < _CERTAIN
+    rounded = np.rint(r, out=high)
+    np.subtract(r, rounded, out=t)
+    unsure |= np.subtract(0.5, np.abs(t, out=t), out=t) < _CERTAIN
+    unsure &= ~exact
+    certified &= ~unsure
+    n = p.astype(np.int64)
+    n += rounded.astype(np.int64)
     carry = n == 10 ** 17
     n[carry] = 10 ** 16
     k += carry
@@ -160,27 +201,38 @@ def _decimal_digits(x: np.ndarray):
     return n, k, certified | zero
 
 
+def _digit_rows(n: np.ndarray) -> np.ndarray:
+    """Row i: the 17 digits of n[i] in ASCII, with every digit after the
+    last nonzero one as NUL.  N's four-digit groups are peeled off into one
+    index array beside its lead digit; all five are looked up by one
+    gather and laid into rows of aligned words."""
+    group_text = _tables()[1]
+    groups = np.empty((5, len(n)), np.int64)  # the lead digit, then 4 groups
+    groups[4] = n
+    # a group with no nonzero group after it takes the stripped text
+    last = np.ones(len(n), bool)
+    for j in (4, 3, 2, 1):
+        g, rest = groups[j], groups[j - 1]
+        np.floor_divide(g, 10 ** 4, out=rest)
+        g -= rest * 10 ** 4
+        np.add(g, 10000, out=g, where=last)
+        last &= g == 10000
+    words = np.take(group_text, groups, mode="clip")
+    del groups, g, rest  # freed before the rows are made
+    digits = np.empty((len(n), 20), np.uint8)  # the 17 digits at 3:
+    digits.view(np.uint32)[...] = words.T
+    return digits[:, 3:]
+
+
 def _cell_text(x: np.ndarray) -> np.ndarray:
     """Row i: ``'%.17g' % x[i]`` followed by a comma, NUL-padded to
     ``_CELL_BYTES``.  Fixed notation (-4 <= k <= 16) has one layout per k
     and e-notation one for all k, so each run of cells with one layout (x
     sorted by bit pattern has at most two per layout) is laid out by slice
-    copies."""
+    copies of the digit rows."""
     n, k, certified = _decimal_digits(x)
-    _, group_text, exponents = _tables()
-    head, tail = np.divmod(n, 10 ** 8)
-    lead, head = np.divmod(head, 10 ** 8)
-    groups = [*np.divmod(head, 10 ** 4), *np.divmod(tail, 10 ** 4)]
-    digits = np.empty((len(x), 20), np.uint8)  # 17 digits at 3:, aligned words
-    digits[:, 3] = lead + ord("0")
-    words = digits[:, 4:].view(np.uint32)
-    # a group with no nonzero group after it takes the stripped text, so
-    # every digit after the last nonzero one is NUL
-    last = np.ones(len(x), bool)
-    for j in (3, 2, 1, 0):
-        words[:, j] = group_text[groups[j] + 10000 * last]
-        last &= groups[j] == 0
-    digits = digits[:, 3:]
+    digits = _digit_rows(n)
+    exponents = _tables()[2]
     out = np.zeros((len(x), _CELL_BYTES), np.uint8)
     out[:, 0] = np.signbit(x) * np.uint8(ord("-"))
     out[:, -1] = ord(",")

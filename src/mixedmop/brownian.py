@@ -857,10 +857,13 @@ def write_samples_csv(path: str, samples: np.ndarray) -> None:
 
 
 def write_paths_csv(path: str, bundles: PathBundles) -> None:
-    """One row per bundle, walker and time point, time fastest."""
+    """One row per bundle, walker and time point, time fastest.  The table
+    is filled in place, column by column, so no column is built apart."""
     count, walkers, steps = bundles.paths.shape
+    table = np.empty((count, walkers, steps, 4))
+    table[..., 0] = bundles.times
+    table[..., 1] = np.arange(walkers)[:, None]
+    table[..., 2] = bundles.paths
+    table[..., 3] = np.arange(count)[:, None, None]
     write_csv(path, ("time", "path_index", "position", "bundle"),
-              np.column_stack([np.tile(bundles.times, count * walkers),
-                               np.tile(np.repeat(np.arange(walkers), steps), count),
-                               bundles.paths.ravel(),
-                               np.repeat(np.arange(count), walkers * steps)]))
+              table.reshape(-1, 4))

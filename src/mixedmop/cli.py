@@ -225,16 +225,20 @@ def _refuse_nonfinite(xs: np.ndarray, **routes: np.ndarray) -> None:
 def _kernel_grid_artifacts(args, raw: dict, system, data, xs: np.ndarray,
                            report_name: str, **extra) -> list:
     """kernel_grid.csv, one row (x, y, K_direct, K_cd, abs_diff) per cell of
-    the xs x xs grid with y fastest, and the route report."""
+    the xs x xs grid with y fastest, and the route report.  The table is
+    filled in place, column by column, so no column is built apart."""
     Kd = kernel_direct_grid(system, xs, xs)
     Kcd = kernel_cd_grid(data, xs, xs)
     _refuse_nonfinite(xs, K_direct=Kd, K_cd=Kcd)
     report = _base_report(args, raw, data.precision)
     report.update(kernel_routes_report(system, data, xs, xs, Kd, Kcd), **extra)
-    table = np.column_stack([np.repeat(xs, xs.size), np.tile(xs, xs.size),
-                             Kd.ravel(), Kcd.ravel(), np.abs(Kd - Kcd).ravel()])
+    table = np.empty((xs.size, xs.size, 5))
+    table[..., 0], table[..., 1] = xs[:, None], xs
+    table[..., 2], table[..., 3] = Kd, Kcd
+    diff = np.subtract(Kd, Kcd, out=table[..., 4])
+    np.abs(diff, out=diff)
     return [("kernel_grid.csv", write_csv,
-             ("x", "y", "K_direct", "K_cd", "abs_diff"), table),
+             ("x", "y", "K_direct", "K_cd", "abs_diff"), table.reshape(-1, 5)),
             (report_name, dump_json, report)]
 
 

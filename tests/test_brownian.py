@@ -19,7 +19,7 @@ from mixedmop.brownian import (andreief_quadrature, chi_square_report,
 from mixedmop.kernel import (idempotence_residual, kernel_direct_grid,
                              trace_quadrature)
 from mixedmop.weights import _leggauss
-from mixedmop._util import CSV_BLOCK_ROWS
+from mixedmop._util import CSV_BLOCK_CELLS
 
 from conftest import (csv_oracle_bytes, kernel_at, per_draw_dpp_oracle,
                       quadrature_dpp_oracle, tensor_normalization)
@@ -815,9 +815,9 @@ class TestCsvWriters:
         assert path.read_text().splitlines()[2] == "-0,1e-300"
 
     def test_samples_bytes_match_oracle(self, tmp_path):
-        # more rows than one write block, so the block seams are covered
+        # two full write blocks and 7 rows, so the block seams are covered
         samples = np.random.default_rng(5).standard_normal(
-            (2 * CSV_BLOCK_ROWS + 3, 3))
+            (2 * (CSV_BLOCK_CELLS // 3) + 7, 3))
         samples[7, 1] = -0.0
         path = tmp_path / "samples.csv"
         write_samples_csv(str(path), samples)

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -825,6 +826,45 @@ class TestImportCost:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "0 False"
+
+
+def traced_peak_kb(tmp_path, command, config, *extra) -> float:
+    """The tracemalloc peak, in KB, of one in-process run of a command
+    after a warm-up run (which builds the CSV printer's cached tables)."""
+    run_cli(tmp_path, command, config, *extra, out_name="warm-up")
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        code, _ = run_cli(tmp_path, command, config, *extra)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert code == 0
+    return peak / 1024
+
+
+class TestPeakMemory:
+    """Guards on the memory of the CSV artifacts' tables and printer.  The
+    kernel table is filled in place (no column is built apart) and each
+    printer block holds about CSV_BLOCK_CELLS cells."""
+
+    def test_kernel_grid_200_points(self, tmp_path):
+        # 2,218 KB measured (the 1.6 MB table and the K grids it is filled
+        # from); 3,156 KB when the columns were stacked from temporaries
+        assert traced_peak_kb(tmp_path, "kernel-grid", WP,
+                              "--grid", "-3:3:200") < 2700
+
+    def test_brownian_kernel_two_start_4_plus_4(self, tmp_path):
+        # 577 KB measured, most of it the printer's one block of 8,405
+        # cells; the bound allows 20 % over that
+        config = {"starts": [[-1.0, 4], [1.0, 4]], "ends": [[0.0, 8]],
+                  "t": 0.5, "n_scaling": True}
+        assert traced_peak_kb(tmp_path, "brownian-kernel", config,
+                              "--grid", "-2:2:41") < 700
 
 
 class TestBrownianCommands:

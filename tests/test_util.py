@@ -3,9 +3,10 @@
 ``write_csv`` prints a block of fewer than ``CSV_ARRAY_MIN_CELLS`` cells by
 one ``%`` operation, and a larger block by exact decimal arithmetic in
 numpy, once per distinct value, with ``%.17g`` itself for the cells that
-arithmetic cannot certify.  The small tables below take the ``%`` path;
-the blocks past ``CSV_BLOCK_ROWS`` and the exactness tests take the array
-path, so either path that drifts from ``%.17g`` shows here.
+arithmetic cannot certify.  A block holds ``CSV_BLOCK_CELLS // width`` rows
+(``block_rows``).  The small tables below take the ``%`` path; the tables
+of several blocks and the exactness tests take the array path, so either
+path that drifts from ``%.17g`` shows here.
 """
 
 import math
@@ -15,9 +16,14 @@ import numpy as np
 import pytest
 
 from mixedmop import _util
-from mixedmop._util import CSV_ARRAY_MIN_CELLS, CSV_BLOCK_ROWS, write_csv
+from mixedmop._util import CSV_ARRAY_MIN_CELLS, CSV_BLOCK_CELLS, write_csv
 
 from conftest import csv_oracle_bytes
+
+
+def block_rows(width: int) -> int:
+    """Rows per block of a table of this width at the default budget."""
+    return CSV_BLOCK_CELLS // width
 
 
 def written(tmp_path, header, rows) -> bytes:
@@ -49,10 +55,12 @@ class TestWriteCsv:
         assert written(tmp_path, header, np.array(rows, dtype=float)) == \
             csv_oracle_bytes(header, rows)
 
-    @pytest.mark.parametrize("count", [4097, 8199])
+    @pytest.mark.parametrize("count", [2 * block_rows(4) + 1,
+                                       3 * block_rows(4) + 7],
+                             ids=["last_block_1_row", "last_block_7_rows"])
     def test_repeats_straddle_block_seams(self, tmp_path, count):
         # several full blocks, then a last block of 1 or 7 rows
-        assert count > CSV_BLOCK_ROWS and count % CSV_BLOCK_ROWS in (1, 7)
+        assert count > block_rows(4) and count % block_rows(4) in (1, 7)
         i = np.arange(count)
         rows = np.column_stack([i % 5 - 2.0, (i // 3) / 7.0, np.sqrt(i),
                                 np.where(i % 2, -0.0, 0.0)])
@@ -63,6 +71,16 @@ class TestWriteCsv:
     @pytest.mark.parametrize("rows", [[], np.empty((0, 3))])
     def test_empty_table_is_the_header(self, tmp_path, rows):
         assert written(tmp_path, ("a", "b", "c"), rows) == b"a,b,c\n"
+
+    @pytest.mark.parametrize("rows", [np.zeros((4, 2)), np.zeros((4, 4)),
+                                      np.empty((0, 2)), [1.0, 2.0, 3.0],
+                                      np.zeros((2, 3, 1))])
+    def test_rows_not_a_table_of_the_header_width(self, tmp_path, rows):
+        # a width other than the header's would print misaligned rows
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match="table of 3 columns"):
+            write_csv(str(path), ("a", "b", "c"), rows)
+        assert not path.exists()
 
     def test_one_row_table(self, tmp_path):
         rows = [(-0.0, 1e-300, 7.0)]
@@ -79,6 +97,46 @@ class TestWriteCsv:
         assert len(set(half)) == 5 and len(set(over)) == 6
         assert written(tmp_path, ("half", "over"), rows) == csv_oracle_bytes(
             ("half", "over"), rows)
+
+
+@pytest.fixture(scope="module")
+def shaped_tables():
+    """(header, table, oracle bytes) for tables shaped like the artifacts:
+    kernel_grid.csv (x and y by repeat and tile, with signed zeros and
+    non-finite cells), paths.csv and samples.csv."""
+    rng = np.random.default_rng(28)
+    xs = np.linspace(-3.0, 3.0, 71)
+    Kd = np.exp(-np.add.outer(xs ** 2, xs ** 2)) * rng.standard_normal((71, 71))
+    Kcd = Kd + 1e-16 * rng.standard_normal((71, 71))
+    Kd[0, :5], Kcd[1, :5] = 0.0, -0.0
+    Kd[2, :3] = Kcd[3, :3] = [math.nan, math.inf, -math.inf]
+    kernel = np.column_stack([np.repeat(xs, 71), np.tile(xs, 71), Kd.ravel(),
+                              Kcd.ravel(), np.abs(Kd - Kcd).ravel()])
+    count, walkers, steps = 6, 3, 150
+    times = np.linspace(0.0, 1.0, steps)
+    paths = np.column_stack([
+        np.tile(times, count * walkers),
+        np.tile(np.repeat(np.arange(walkers), steps), count),
+        rng.standard_normal(count * walkers * steps),
+        np.repeat(np.arange(count), walkers * steps)])
+    samples = np.sort(rng.standard_normal((3500, 3)), axis=1)
+    samples[::500, 0] = -0.0
+    tables = [(("x", "y", "K_direct", "K_cd", "abs_diff"), kernel),
+              (("time", "path_index", "position", "bundle"), paths),
+              (("x1", "x2", "x3"), samples)]
+    return [(header, table, csv_oracle_bytes(header, table.tolist()))
+            for header, table in tables]
+
+
+class TestBlockBudget:
+    @pytest.mark.parametrize("budget", [512, 4096, CSV_BLOCK_CELLS, 10 ** 7])
+    def test_block_budget_never_changes_bytes(self, tmp_path, monkeypatch,
+                                              shaped_tables, budget):
+        # 512 cells of width 5 is a block under CSV_ARRAY_MIN_CELLS (the %
+        # path); 10^7 is one block per table
+        monkeypatch.setattr(_util, "CSV_BLOCK_CELLS", budget)
+        for header, table, oracle in shaped_tables:
+            assert written(tmp_path, header, table) == oracle
 
 
 def _exponent(f: Fraction) -> int:
@@ -129,7 +187,7 @@ class TestArrayPrinter:
         values = _exactness_values()
         assert len(values) >= 10 ** 6
         path = tmp_path / "cells.csv"
-        chunk = 64 * CSV_BLOCK_ROWS  # rows of four cells per file
+        chunk = 16 * block_rows(4)  # rows of four cells per file
         for start in range(0, len(values), 4 * chunk):
             cells = values[start:start + 4 * chunk]
             cells = np.concatenate([cells, np.zeros(-len(cells) % 4)])
@@ -157,8 +215,8 @@ class TestArrayPrinter:
     def test_fallback_is_rare_on_normals(self, tmp_path, monkeypatch):
         # every block here is at least CSV_ARRAY_MIN_CELLS cells, so each
         # cell handed to the % printer is a fallback of the array path
-        assert 4 * CSV_BLOCK_ROWS >= CSV_ARRAY_MIN_CELLS
-        table = np.random.default_rng(7).standard_normal((25 * CSV_BLOCK_ROWS, 4))
+        assert 4 * block_rows(4) >= CSV_ARRAY_MIN_CELLS
+        table = np.random.default_rng(7).standard_normal((10 * block_rows(4), 4))
         assert table.size >= 10 ** 5
         printed = self.count_fallback(monkeypatch)
         got = written(tmp_path, ("a", "b", "c", "d"), table)
@@ -174,7 +232,7 @@ class TestArrayPrinter:
         assert not _util._decimal_digits(values)[2].any()
         assert not _util._decimal_digits(-values)[2].any()
         table = np.resize(np.concatenate([values, -values]),
-                          (CSV_BLOCK_ROWS, 8))
+                          (block_rows(8), 8))
         got = written(tmp_path, tuple("abcdefgh"), table)
         line = ",".join("%.17g" % v for v in table[0].tolist())
         assert got.split(b"\n")[1] == line.encode()
@@ -187,7 +245,7 @@ class TestArrayPrinter:
         powers = np.array([float(f"1e{j}") for j in range(-6, 17)])
         values = np.concatenate([powers, np.nextafter(powers, 0),
                                  np.nextafter(powers, np.inf)])
-        table = np.resize(values, (CSV_BLOCK_ROWS, 4))
+        table = np.resize(values, (block_rows(4), 4))
         printed = self.count_fallback(monkeypatch)
         got = written(tmp_path, ("a", "b", "c", "d"), table)
         assert sum(printed) == 0
