@@ -22,10 +22,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .mop import (FormStack, MixedMopSolution, MultiIndexPair, Normalization,
-                  NotNormalizable, _power_expansion, _solution,
-                  _solve_past_gate, _solve_square, check_normality,
-                  column_layout, moment_gather, moment_matrix,
-                  moment_table_for, pair_layouts, rank_threshold)
+                  NotNormalizable, check_normality, moment_matrix,
+                  moment_table_for, pair_layouts, rank_threshold, solve_terms)
 from .weights import ProductMomentTable, WeightFamily, gaussian_product_params
 
 # Width of the guarded band around the diagonal, in units of the basis scale.
@@ -215,9 +213,9 @@ class CdKernelData:
     second argument.  Term r carries sign +1 for r < p and -1 after.  Every
     stored pair is defining in its own orientation.  The type II solves of
     both orientations have |n| + 1 unknowns and the type I solves |n|:
-    build_cd_data assembles each size by one gather and solves it by one
-    SVD call.  x_stack and y_stack evaluate each orientation's forms as one
-    array.
+    build_cd_data solves each size as one stack (mop.solve_terms), whose
+    systems mop.square_systems assembles as it does solve_mixed's.  x_stack
+    and y_stack evaluate each orientation's forms as one array.
     """
 
     pair: MultiIndexPair
@@ -259,94 +257,34 @@ def build_cd_data(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
                   table: ProductMomentTable | None = None) -> CdKernelData:
     """Run the neighbor solves the CD formula needs, both orientations.
 
-    The type II solves have |n| + 1 unknowns and the type I solves |n|.
-    Each kind is gathered from the moment table at once (_neighbour_systems)
-    and solved as one stack by mop's _solve_square: two SVD calls, each
-    solve bitwise equal to solve_mixed on it alone.  Solves that fail the
-    double rank gate then go, in term order, to the extended fallback
-    (_solve_past_gate); the first that fails there raises its
-    NotNormalizable, whose message names the failing pair.  The data's
-    precision property reports whether any solve fell back.
+    It lists the 2(p+q) terms and hands them to mop.solve_terms, which
+    stacks them by kind (the type II solves have |n| + 1 unknowns and the
+    type I solves |n|) and solves each stack by one SVD call, each solve
+    bitwise equal to solve_mixed on it alone.  Solves that fail the double
+    rank gate then go, in term order, to the extended fallback; the first
+    that fails there raises its NotNormalizable, whose message names the
+    failing pair.  The data's precision property reports whether any solve
+    fell back.
     """
     if pair.relation != "balanced":
         raise ValueError("CD data needs a balanced pair (|n| = |m|)")
     if table is None:
         table = moment_table_for(pair, w1, w2)
     pair_layouts(pair, table)
-    tables = (table, table.swapped())
     n, m = pair.n, pair.m
-    # (orientation, normalization, n side, m side); orientation 1 reads the
-    # table with the families swapped
-    terms = ([(0, Normalization.type2(j), n.bumped(j, +1), m) for j in range(len(n))]
-             + [(0, Normalization.type1(k), n, m.bumped(k, -1)) for k in range(len(m))]
-             + [(1, Normalization.type1(j), m, n.bumped(j, -1)) for j in range(len(n))]
-             + [(1, Normalization.type2(k), m.bumped(k, +1), n) for k in range(len(m))])
-    passed = {}
-    for kind in ("II", "I"):
-        group = [r for r, term in enumerate(terms) if term[1].kind == kind]
-        ok, x, residual = _solve_square(
-            *_neighbour_systems(table, [terms[r] for r in group]))
-        passed.update(zip(np.array(group)[ok].tolist(),
-                          zip(x, residual.tolist())))
-    forms = []
-    for r, (orientation, norm, n_side, m_side) in enumerate(terms):
-        spair = MultiIndexPair.defining(n_side.parts, m_side.parts)
-        if r in passed:
-            forms.append(_solution(spair, tables[orientation], norm,
-                                   *passed[r], "double"))
-        else:
-            forms.append(_solve_past_gate(spair, tables[orientation], norm))
+    # (swap, normalization, n side, m side); a swapped term reads the table
+    # with the families exchanged
+    terms = ([(False, Normalization.type2(j), n.bumped(j, +1), m) for j in range(len(n))]
+             + [(False, Normalization.type1(k), n, m.bumped(k, -1)) for k in range(len(m))]
+             + [(True, Normalization.type1(j), m, n.bumped(j, -1)) for j in range(len(n))]
+             + [(True, Normalization.type2(k), m.bumped(k, +1), n) for k in range(len(m))])
+    forms = solve_terms(table, terms)
     half = len(n) + len(m)
     x_forms, y_forms = tuple(forms[:half]), tuple(forms[half:])
     return CdKernelData(pair=pair, table=table, x_forms=x_forms, y_forms=y_forms,
                         x_stack=FormStack.of(x_forms),
                         y_stack=FormStack.of(y_forms),
                         delta_diag=DIAG_BAND_FACTOR * table.scale)
-
-
-def _neighbour_systems(table: ProductMomentTable, terms: list
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """_solve_square's (A, b, lead) for CD terms of one kind and size.  One
-    gather reads the condition rows and, for type I, the shifted moments
-    of the closing row, which are summed as in mop's _normalization_row;
-    a type II closing row is the unit row at the monic coefficient."""
-    count, size = len(terms), terms[0][2].size
-    cols = np.array([column_layout(n_side.parts) for _, _, n_side, _ in terms])
-    rows = [column_layout(m_side.parts) for _, _, _, m_side in terms]
-    type1 = terms[0][1].kind == "I"
-    if type1:
-        degrees = [m_side[norm.index] for _, norm, _, m_side in terms]
-        top = max(degrees)
-        # the shifted moments of orders t = 0..m_k, padded by repeats
-        rows = [r + [(norm.index, min(t, d)) for t in range(top + 1)]
-                for r, (_, norm, _, _), d in zip(rows, terms, degrees)]
-    rows = np.array(rows, dtype=int).reshape(count, -1, 2)
-    swap = np.array([o for o, _, _, _ in terms], dtype=bool)[:, None, None]
-    l, i = cols[:, None, :, 0], cols[:, None, :, 1]
-    k, j = rows[:, :, None, 0], rows[:, :, None, 1]
-    G = moment_gather(table.values, np.where(swap, k, l), np.where(swap, l, k),
-                      i + j)
-    A = np.zeros((count, size, size))
-    A[:, :-1] = G[:, :size - 1]
-    b = np.zeros((count, size))
-    if not type1:
-        lead = np.array([sum(n_side.parts[:norm.index + 1]) - 1
-                         for _, norm, n_side, _ in terms])
-        A[np.arange(count), -1, lead] = 1.0
-        b[:, -1] = [table.scale ** (n_side[norm.index] - 1)
-                    for _, norm, n_side, _ in terms]
-        return A, b, lead
-    weights = np.array([_power_expansion(d, table.center, table.scale)
-                        + [0.0] * (top - d) for d in degrees])
-    degrees = np.array(degrees)
-    row = np.zeros((count, size))
-    for t in range(top + 1):
-        # each row adds its own terms only, in order, as a lone solve does
-        live = degrees >= t
-        row[live] = row[live] + weights[live, t, None] * G[live, size - 1 + t]
-    A[:, -1] = row
-    b[:, -1] = 1.0
-    return A, b, None
 
 
 def _term_sum(terms: np.ndarray) -> np.ndarray:

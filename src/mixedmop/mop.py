@@ -165,26 +165,31 @@ def column_layout(n_parts: Sequence[int]) -> list[tuple[int, int]]:
 def moment_matrix(values: np.ndarray, cols: Sequence[tuple[int, int]],
                   rows: Sequence[tuple[int, int]]) -> np.ndarray:
     """values[l, k, i + j] at row (k, j) and column (l, i), for a moment
-    array values[w1 index, w2 index, order] of floats or of mpf objects.
-
-    The gather behind the orthogonality system, the normalization row, the
-    normality tests and the kernel's Gram matrix (moment_gather).
-    """
-    l, i = np.array(cols, dtype=int).reshape(-1, 2).T
-    k, j = np.array(rows, dtype=int).reshape(-1, 2).T
-    return moment_gather(values, l[None, :], k[:, None],
-                         i[None, :] + j[:, None])
+    array values[w1 index, w2 index, order] of floats or of mpf objects:
+    the gather of the normality tests and the kernel's Gram matrix."""
+    return moment_stack(values, [(False, cols, rows)])[0]
 
 
-def moment_gather(values: np.ndarray, first: np.ndarray, second: np.ndarray,
-                  order: np.ndarray) -> np.ndarray:
-    """values[first, second, order], broadcast; raises ValueError when the
-    table stops short of the orders it needs."""
-    need = int(order.max()) if order.size else 0
-    if need >= values.shape[2]:
-        raise ValueError(f"table kmax={values.shape[2] - 1} too small, "
-                         f"need {need}")
-    return values[first, second, order]
+def moment_stack(values: np.ndarray, layouts: Sequence[tuple]) -> np.ndarray:
+    """The moment_matrix of each layout (swap, cols, rows), stacked, all of
+    one shape; where swap is set the entry is values[k, l, i + j], the
+    families exchanged.  One flat gather reads them all, so the weight
+    indices must fit values, as pair_layouts checks; raises ValueError
+    when values stops short of the orders they need."""
+    _, q, K = values.shape
+    need, col_offsets, row_offsets = 0, [], []
+    for swap, cols, rows in layouts:
+        if cols and rows:
+            need = max(need, max(i for _, i in cols) + max(j for _, j in rows))
+        col_step, row_step = (K, q * K) if swap else (q * K, K)
+        col_offsets.append([l * col_step + i for l, i in cols])
+        row_offsets.append([k * row_step + j for k, j in rows])
+    if need >= K:
+        raise ValueError(f"table kmax={K - 1} too small, need {need}")
+    count = len(layouts)
+    index = (np.array(row_offsets, dtype=int).reshape(count, -1, 1)
+             + np.array(col_offsets, dtype=int).reshape(count, 1, -1))
+    return values.reshape(-1)[index]
 
 
 def pair_layouts(pair: MultiIndexPair, table: ProductMomentTable
@@ -199,17 +204,6 @@ def pair_layouts(pair: MultiIndexPair, table: ProductMomentTable
     return column_layout(pair.n.parts), column_layout(pair.m.parts)
 
 
-def assemble_orthogonality_matrix(pair: MultiIndexPair,
-                                  table: ProductMomentTable) -> np.ndarray:
-    """The |m| x |n| matrix of the orthogonality conditions.
-
-    Row (k, j) tests against u^j w2_k; column (l, i) multiplies coefficient
-    i of A_l; the entry is the table moment of order i + j for the pair
-    (w1_l, w2_k).
-    """
-    return moment_matrix(table.values, *pair_layouts(pair, table))
-
-
 def moment_table_for(pair: MultiIndexPair, w1: WeightFamily,
                      w2: WeightFamily) -> ProductMomentTable:
     """A table sized for the pair, its +-e_k neighbors, and normalization
@@ -217,33 +211,64 @@ def moment_table_for(pair: MultiIndexPair, w1: WeightFamily,
     return build_moment_table(w1, w2, max(pair.n.parts) + max(pair.m.parts) + 4)
 
 
-def _normalization_row(pair: MultiIndexPair, values: np.ndarray, center, scale,
-                       normalization: Normalization) -> tuple[np.ndarray, object]:
-    """The closing row and its right-hand side, in the arithmetic of values,
-    center and scale (floats, or mpf with values an object array)."""
-    cols = column_layout(pair.n.parts)
-    k = normalization.index
-    if k >= len(pair.n if normalization.kind == "II" else pair.m):
-        raise ValueError(f"type {normalization.kind} index out of range")
-    if normalization.kind == "II":
-        row = np.zeros(len(cols), dtype=values.dtype)
-        row[cols.index((k, pair.n[k] - 1))] = 1
-        return row, scale ** (pair.n[k] - 1)
-    # integral Q x^{m_k} w2_k dx = 1, with x^{m_k} expanded in the shifted
-    # basis; the terms are summed in order t = 0..m_k.
-    mk = pair.m[k]
-    shifted = moment_matrix(values, cols, [(k, t) for t in range(mk + 1)])
+def square_systems(values: np.ndarray, center, scale, terms: Sequence[tuple]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The defining systems of a stack of terms (swap, normalization, n
+    side, m side) of one kind and one size |n side|, as _solve_square takes
+    them: A (S, N, N), b (S, N) and, for type II, each monic coefficient's
+    index (None for type I).  A and b have the dtype of values, and center
+    and scale its arithmetic: floats, or mpf with values an object array.
+
+    The first |m side| rows are the conditions, moment_stack's layouts
+    (swap, n side, m side).  The last row closes the system.  Type II: the
+    unit row at the u^{n_k - 1} coefficient of A_k, right-hand side
+    scale^{n_k - 1} (A_k monic in x).  Type I: integral Q x^{m_k} w2_k dx =
+    1, with x^{m_k} = sum_t c_t u^t and the shifted moments summed in order
+    t = 0..m_k, read by the same gather.  Raises ValueError for a
+    normalization index past its side, or as moment_stack does.
+    """
+    kind, size = terms[0][1].kind, terms[0][2].size
+    layouts, leads, rhs, expansions = [], [], [], []
+    for swap, norm, n_side, m_side in terms:
+        k = norm.index
+        if k >= len(n_side if kind == "II" else m_side):
+            raise ValueError(f"type {kind} index out of range")
+        cols, rows = column_layout(n_side.parts), column_layout(m_side.parts)
+        if kind == "II":
+            leads.append(sum(n_side.parts[:k + 1]) - 1)
+            rhs.append(scale ** (n_side[k] - 1))
+        else:
+            d = m_side[k]
+            expansions.append([math.comb(d, t) * center ** (d - t) * scale ** t
+                               for t in range(d + 1)])
+            rows += [(k, t) for t in range(d + 1)]
+        layouts.append((swap, cols, rows))
+    height = max(len(rows) for _, _, rows in layouts)
+    for _, _, rows in layouts:
+        rows += rows[-1:] * (height - len(rows))
+    G = moment_stack(values, layouts)
+    count = len(terms)
+    A = np.zeros((count, size, size), dtype=values.dtype)
+    A[:, :-1] = G[:, :size - 1]
+    b = np.zeros((count, size), dtype=values.dtype)
+    if kind == "II":
+        lead = np.array(leads)
+        A[np.arange(count), -1, lead] = 1
+        b[:, -1] = rhs
+        return A, b, lead
+    top = max(map(len, expansions))
+    weights = np.array([c + [0] * (top - len(c)) for c in expansions],
+                       dtype=values.dtype)
+    products = weights[:, :, None] * G[:, size - 1:]
+    for products_s, c in zip(products, expansions):
+        # past a system's own degree it adds -0.0, which changes no sum
+        products_s[len(c):] = -0.0
     row = 0
-    for t, c in enumerate(_power_expansion(mk, center, scale)):
-        row = row + c * shifted[t]
-    return row, 1
-
-
-def _power_expansion(degree: int, center, scale) -> list:
-    """c_t with x^degree = sum_t c_t u^t for u = (x - center) / scale, t =
-    0..degree: the type I closing row's weights on the shifted moments."""
-    return [math.comb(degree, t) * center ** (degree - t) * scale ** t
-            for t in range(degree + 1)]
+    for t in range(top):
+        row = row + products[:, t]
+    A[:, -1] = row
+    b[:, -1] = 1
+    return A, b, None
 
 
 @dataclass(frozen=True)
@@ -446,9 +471,10 @@ def _solve_square(A: np.ndarray, b: np.ndarray, lead: np.ndarray | None
 
 def solve_mixed(pair: MultiIndexPair, table: ProductMomentTable,
                 normalization: Normalization) -> MixedMopSolution:
-    """Solve the square (conditions + normalization) system for the pair,
-    as a stack of one through _solve_square, the double solve that
-    build_cd_data runs on stacks of neighbours.
+    """Solve the square (conditions + normalization) system for the pair:
+    square_systems assembles it as a stack of one and _solve_square solves
+    it, as solve_terms does for stacks of terms.  Raises ValueError when
+    the normalization index is past its side.
 
     A system that fails the double rank gate is rerun in EXTENDED_DPS-digit
     arithmetic when both families are all-gaussian and it has at most
@@ -458,20 +484,48 @@ def solve_mixed(pair: MultiIndexPair, table: ProductMomentTable,
     """
     if pair.relation != "defining":
         raise ValueError("solve_mixed needs a defining pair (|n| = |m| + 1)")
-    M = assemble_orthogonality_matrix(pair, table)
-    row, rhs_last = _normalization_row(pair, table.values, table.center,
-                                       table.scale, normalization)
-    A = np.concatenate([M, row[None, :]])[None]
-    b = np.zeros((1, len(row)))
-    b[0, -1] = rhs_last
-    lead = None
-    if normalization.kind == "II":
-        lead = np.array([sum(pair.n.parts[:normalization.index + 1]) - 1])
-    ok, x, residual = _solve_square(A, b, lead)
+    pair_layouts(pair, table)
+    ok, x, residual = _solve_square(*square_systems(
+        table.values, table.center, table.scale,
+        [(False, normalization, pair.n, pair.m)]))
     if not ok[0]:
         return _solve_past_gate(pair, table, normalization)
     return _solution(pair, table, normalization, x[0], float(residual[0]),
                      "double")
+
+
+def solve_terms(table: ProductMomentTable, terms: Sequence[tuple]
+                ) -> list[MixedMopSolution]:
+    """The solution of each term (swap, normalization, n side, m side), in
+    term order, each side a MultiIndex and the two a defining pair; a term
+    with swap set is solved on table.swapped().
+
+    The terms are stacked by kind and size, and each stack is assembled by
+    square_systems and solved by one SVD call (_solve_square): every
+    solution is bitwise the one solve_mixed gives on its term alone.
+    Terms that fail the double rank gate then go, in term order, to the
+    extended fallback (_solve_past_gate); the first that fails there
+    raises its NotNormalizable.
+    """
+    stacks = {}
+    for r, (_, norm, n_side, _) in enumerate(terms):
+        stacks.setdefault((norm.kind, n_side.size), []).append(r)
+    passed = {}
+    for group in stacks.values():
+        ok, x, residual = _solve_square(*square_systems(
+            table.values, table.center, table.scale, [terms[r] for r in group]))
+        passed.update(zip(np.array(group)[ok].tolist(),
+                          zip(x, residual.tolist())))
+    tables = (table, table.swapped())
+    solutions = []
+    for r, (swap, norm, n_side, m_side) in enumerate(terms):
+        pair = MultiIndexPair.defining(n_side.parts, m_side.parts)
+        if r in passed:
+            solutions.append(_solution(pair, tables[swap], norm, *passed[r],
+                                       "double"))
+        else:
+            solutions.append(_solve_past_gate(pair, tables[swap], norm))
+    return solutions
 
 
 def _solve_past_gate(pair: MultiIndexPair, table: ProductMomentTable,
@@ -539,11 +593,11 @@ def _solve_mixed_extended(pair: MultiIndexPair, table: ProductMomentTable,
         c, s = mpmath.mpf(table.center), mpmath.mpf(table.scale)
         kmax = max(pair.n.parts) + max(pair.m.parts) + 2
         values = _mp_entry_provider(table.w1, table.w2, kmax, c, s)
-        M = moment_matrix(values, *pair_layouts(pair, table))
-        row, rhs = _normalization_row(pair, values, c, s, normalization)
-        size = len(row)
-        A = mpmath.matrix(np.vstack([M, row[None, :]]).tolist())
-        b = mpmath.matrix([0] * (size - 1) + [rhs])
+        A, b, _ = square_systems(values, c, s,
+                                 [(False, normalization, pair.n, pair.m)])
+        size = pair.n.size
+        A = mpmath.matrix(A[0].tolist())
+        b = mpmath.matrix(b[0].tolist())
 
         svals = mpmath.svd_r(A.copy(), compute_uv=False)
         smax = max(svals[i] for i in range(size))
@@ -605,7 +659,12 @@ class NormalityReport:
 
 def check_normality(pair: MultiIndexPair, table: ProductMomentTable) -> NormalityReport:
     """Rank tests behind normality and both normalization admissibilities.
-    Raises moment_matrix's ValueError when the table stops short of them."""
+    Raises moment_matrix's ValueError when the table stops short of them.
+
+    The tests run in double precision whatever arithmetic a solve of the
+    pair ended in: after the extended fallback they describe the double
+    system, not the solve (Hermite 11, 12 and 19 read normal False and
+    f_dimension_ok False beside a correct extended solution)."""
     cols, rows = pair_layouts(pair, table)
     M = moment_matrix(table.values, cols, rows)
     rank, svals = numerical_rank(M)

@@ -66,7 +66,7 @@ def adaptive_panel_integral(f: Callable, a: float, b: float, *,
     PANEL_ABS_TOL.
     No library path calls it: with cauchy_transform it is the tests' oracle
     of the closed form, and stays here while bench/tracing.py wraps both by
-    name (ROADMAP item 10 moves them into tests/).
+    name (ROADMAP item 5 moves them into tests/).
     """
     if b <= a:
         return 0.0 + 0.0j, 0.0

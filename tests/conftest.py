@@ -9,7 +9,9 @@ inverse-CDF step from Gauss-Legendre quadrature of the exact integrand and
 its shared and grouped contractions from a one-draw-at-a-time sampler, and
 null spaces from an SVD performed outside the solver.  The CSV oracle
 formats cell by cell from each value's Python type; the band oracle
-evaluates the CD kernel near the diagonal one cell at a time.
+evaluates the CD kernel near the diagonal one cell at a time, and the
+defining-system oracle writes each solve's square system out from its
+definition, one system at a time.
 """
 
 import itertools
@@ -23,6 +25,7 @@ from scipy import integrate, linalg, special
 from mixedmop import (MultiIndexPair, Normalization, Weight, WeightFamily,
                       kernel_cd_diagonal, solve_mixed)
 from mixedmop import brownian, rh
+from mixedmop.mop import moment_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +471,35 @@ def neighbour_solves_oracle(pair, table):
     return [solve_mixed(MultiIndexPair.defining(a.parts, b.parts), t,
                         Normalization(kind, k))
             for t, kind, k, a, b in specs]
+
+
+def square_system_oracle(values, center, scale, normalization, n, m):
+    """The defining system (A, b, lead) of the pair (n, m) on the moment
+    array values, written out from the definition: the conditions are the
+    moment_matrix of the two layouts, and the closing row is the unit row
+    at the monic coefficient (type II, right-hand side scale^(n_k - 1)) or
+    the shifted moments of orders i + t weighted by the expansion of
+    x^{m_k} in u = (x - center) / scale and summed in order t = 0..m_k
+    (type I, right-hand side 1).  lead is None for type I."""
+    cols = [(l, i) for l, deg in enumerate(n) for i in range(deg)]
+    rows = [(k, j) for k, deg in enumerate(m) for j in range(deg)]
+    k = normalization.index
+    A = np.zeros((len(cols), len(cols)), dtype=values.dtype)
+    A[:-1] = moment_matrix(values, cols, rows)
+    b = np.zeros(len(cols), dtype=values.dtype)
+    if normalization.kind == "II":
+        lead = cols.index((k, n[k] - 1))
+        A[-1, lead] = 1
+        b[-1] = scale ** (n[k] - 1)
+        return A, b, lead
+    shifted = moment_matrix(values, cols, [(k, t) for t in range(m[k] + 1)])
+    row = 0
+    for t in range(m[k] + 1):
+        c = math.comb(m[k], t) * center ** (m[k] - t) * scale ** t
+        row = row + c * shifted[t]
+    A[-1] = row
+    b[-1] = 1
+    return A, b, None
 
 
 def assert_same_solutions(got, want):

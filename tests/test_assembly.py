@@ -1,0 +1,78 @@
+"""One assembly of the defining systems, in two arithmetics.
+
+mop.square_systems builds the double systems of solve_mixed and the
+stacked neighbour solves from the moment table, and the 60-digit systems of
+the extended fallback from _mp_entry_provider's mpf table.  Here both are
+built for the same pairs and compared entry by entry; the library-level
+refusal of a normalization index past its side is pinned as well.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+
+from mixedmop import (MultiIndexPair, Normalization, Weight, WeightFamily,
+                      solve_mixed)
+from mixedmop.mop import (EXTENDED_DPS, _mp_entry_provider, moment_table_for,
+                          square_systems)
+
+G = Weight.gaussian
+FAMILIES = {
+    "wp": (WeightFamily([G(-0.5, 0.8), G(0.6, 1.2)]),
+           WeightFamily([G(0.0, 1.0), G(0.3, 0.6)]), (3, 3), (2, 3)),
+    "p3": (WeightFamily([G(-0.8, 0.7), G(0.1, 1.1), G(0.9, 0.9)]),
+           WeightFamily([G(-0.4, 1.0), G(0.3, 0.6), G(0.7, 1.3)]),
+           (2, 2, 3), (2, 2, 2)),
+    "hermite5": (WeightFamily([G(0.0, 1.0)]), WeightFamily([G(0.0, 1.0)]),
+                 (6,), (5,)),
+}
+CASES = [(name, kind, k) for name, (_, _, n, m) in FAMILIES.items()
+         for kind, side in (("I", m), ("II", n)) for k in range(len(side))]
+
+# Each double moment ends a three-term recursion of at most kmax <= 15 steps
+# from a correctly rounded start, and a type I closing entry sums at most
+# m_k + 1 <= 6 such moments times binomial weights: a few units of 2^-53 of
+# the row's largest entry (measured: at most 4.8 on these cases).  32 units
+# leave room for a libm that rounds exp or sqrt the other way; a wrong
+# order, weight pair or expansion weight is off by O(1) of the row.
+ROW_RTOL = 2.0 ** -48
+
+
+@pytest.mark.parametrize("name, kind, k", CASES,
+                         ids=[f"{n}-{kind}{k}" for n, kind, k in CASES])
+def test_double_and_60_digit_systems_agree(name, kind, k):
+    w1, w2, n, m = FAMILIES[name]
+    pair = MultiIndexPair.defining(n, m)
+    table = moment_table_for(pair, w1, w2)
+    terms = [(False, Normalization(kind, k), pair.n, pair.m)]
+    A, b, lead = square_systems(table.values, table.center, table.scale, terms)
+    with mpmath.workdps(EXTENDED_DPS):
+        c, s = mpmath.mpf(table.center), mpmath.mpf(table.scale)
+        values = _mp_entry_provider(w1, w2, table.kmax, c, s)
+        A_mp, b_mp, lead_mp = square_systems(values, c, s, terms)
+    assert A.dtype == b.dtype == float
+    assert A_mp.dtype == b_mp.dtype == object
+    assert {type(v) for v in A_mp[A_mp != 0]} <= {mpmath.mpf, int}
+    # the same zero pattern, and the same closing row position for type II
+    assert np.array_equal(A == 0, np.array(A_mp == 0, dtype=bool))
+    if kind == "II":
+        assert lead.tolist() == lead_mp.tolist() == [sum(n[:k + 1]) - 1]
+        assert np.flatnonzero(A[0, -1]).tolist() == lead.tolist()
+    else:
+        assert lead is None and lead_mp is None
+    A_near, b_near = A_mp.astype(float), b_mp.astype(float)
+    row_size = np.abs(A_near).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(A - A_near) <= ROW_RTOL * row_size)
+    assert np.all(np.abs(b - b_near) <= ROW_RTOL * np.abs(b_near))
+
+
+@pytest.mark.parametrize("kind, index, label", [
+    ("I", 2, "type I index out of range"),
+    ("II", 2, "type II index out of range"),
+])
+def test_normalization_index_past_its_side_refused(kind, index, label):
+    w1, w2, n, m = FAMILIES["wp"]
+    pair = MultiIndexPair.defining(n, m)
+    table = moment_table_for(pair, w1, w2)
+    with pytest.raises(ValueError, match=label):
+        solve_mixed(pair, table, Normalization(kind, index))

@@ -10,7 +10,9 @@ imported name or a string such as an ``__all__`` entry) in the library or
 in the tests.  A file is opened for writing only in ``_util.new_file``,
 which creates it fresh, so that no writer truncates a file in place.  A
 parameter with a default is set by some call in the library or the tests,
-so that no option stays at the one value nothing changes.
+so that no option stays at the one value nothing changes.  No library
+module imports an underscore name from ``mop``, so that the layout of the
+defining systems stays behind the solve layer.
 """
 
 import ast
@@ -58,6 +60,30 @@ def test_detects_an_unused_name():
               "import os.path\nfrom math import pi, tau as t\n"
               "__all__ = ['pi']\n")
     assert unused_imports(source) == ["os (line 2)", "t (line 3)"]
+
+
+def private_mop_imports(source: str) -> list[str]:
+    """The underscore names a module imports from mop (``from .mop import``
+    or ``from mixedmop.mop import``), each as 'name (line N)'."""
+    return [f"{alias.name} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[-1] == "mop"
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_private_mop_name_imported(path):
+    assert private_mop_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_private_mop_import():
+    source = ("from .mop import (FormStack, _solve_square,\n"
+              "                  solve_terms)\n"
+              "from mixedmop.mop import _solution as sol\n"
+              "from .weights import _leggauss\nfrom . import mop\n")
+    assert private_mop_imports(source) == ["_solve_square (line 1)",
+                                           "_solution (line 3)"]
 
 
 def referenced_names(tree: ast.AST) -> set[str]:

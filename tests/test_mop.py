@@ -12,8 +12,8 @@ from mixedmop import (BrownianConfig, MultiIndex, MultiIndexPair,
                       moment_table_for, solve_mixed, solve_type1_classical,
                       solve_type2_classical)
 from mixedmop import mop
-from mixedmop.mop import (EXTENDED_MAX_UNKNOWNS, assemble_orthogonality_matrix,
-                          numerical_rank, affine_rebase)
+from mixedmop.mop import (EXTENDED_MAX_UNKNOWNS, moment_matrix, numerical_rank,
+                          affine_rebase, pair_layouts)
 from mixedmop.weights import build_moment_table
 
 from conftest import nullspace_oracle, random_balanced_parts, \
@@ -92,7 +92,7 @@ class TestOrthogonalityMatrix:
         fam = WeightFamily([unit_gaussian])
         pair = MultiIndexPair.defining([2], [1])
         table = moment_table_for(pair, fam, fam)
-        M = assemble_orthogonality_matrix(pair, table)
+        M = moment_matrix(table.values, *pair_layouts(pair, table))
         assert M.shape == (1, 2)
         np.testing.assert_allclose(M, [[SQRT_PI, 0.0]], atol=1e-14)
 
@@ -101,7 +101,7 @@ class TestOrthogonalityMatrix:
         w1, w2 = random_gaussian_families(rng, 2, 2)
         pair = MultiIndexPair.defining([2, 2], [2, 1])
         table = moment_table_for(pair, w1, w2)
-        M = assemble_orthogonality_matrix(pair, table)
+        M = moment_matrix(table.values, *pair_layouts(pair, table))
         assert M.shape == (3, 4)
 
     def test_two_weight_row_contains_cross_moments(self):
@@ -110,7 +110,7 @@ class TestOrthogonalityMatrix:
         w2 = WeightFamily([Weight.gaussian(0.0, 1.0, 1.0)])
         pair = MultiIndexPair.defining([1, 1], [1])
         table = moment_table_for(pair, w1, w2)
-        M = assemble_orthogonality_matrix(pair, table)
+        M = moment_matrix(table.values, *pair_layouts(pair, table))
         assert M.shape == (1, 2)
         for col, j in ((0, 0), (1, 1)):
             expect, _ = quad(lambda x: w1[j](x) * w2[0](x), -14, 14,
@@ -155,7 +155,7 @@ class TestSolveMixed:
             w1, w2 = random_gaussian_families(rng, p, q)
             pair = MultiIndexPair.defining(n, m)
             table = moment_table_for(pair, w1, w2)
-            M = assemble_orthogonality_matrix(pair, table)
+            M = moment_matrix(table.values, *pair_layouts(pair, table))
             ns = nullspace_oracle(M)
             if ns.shape[1] != 1:
                 continue

@@ -1,11 +1,14 @@
-"""Property test of the stacked neighbour solves and the shared CD and RH
-grid evaluation.
+"""Property tests of the defining systems, the stacked neighbour solves
+and the shared CD and RH grid evaluation.
 
 For all-gaussian families with 1 to 3 weights per side and multi-index
-parts <= 3, every neighbour solve of build_cd_data (coefficients, residual,
-precision) equals solve_mixed on that neighbour alone, bit for bit, or both
-raise the same NotNormalizable; and kernel_cd_rh_grids gives kernel_cd_grid
-and kernel_rh_grid bit for bit, on a grid whose band is the diagonal and on
+parts <= 3, square_systems gives every neighbour's system bit for bit as
+the conftest oracle writes it out, stacked by kind or alone, read from the
+table with the swap flag or from the swapped table without it; every
+neighbour solve of build_cd_data (coefficients, residual, precision)
+equals solve_mixed on that neighbour alone, bit for bit, or both raise the
+same NotNormalizable; and kernel_cd_rh_grids gives kernel_cd_grid and
+kernel_rh_grid bit for bit, on a grid whose band is the diagonal and on
 one whose band holds every cell.
 """
 
@@ -17,13 +20,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from mixedmop import (MultiIndexPair, NotNormalizable, Weight,  # noqa: E402
-                      WeightFamily, build_cd_data, kernel_cd_grid,
-                      kernel_rh_grid)
-from mixedmop.mop import moment_table_for  # noqa: E402
+from mixedmop import (MultiIndexPair, Normalization,  # noqa: E402
+                      NotNormalizable, Weight, WeightFamily, build_cd_data,
+                      kernel_cd_grid, kernel_rh_grid)
+from mixedmop.mop import moment_table_for, square_systems  # noqa: E402
 from mixedmop.rh import kernel_cd_rh_grids  # noqa: E402
 
-from conftest import assert_same_solutions, neighbour_solves_oracle  # noqa: E402
+from conftest import (assert_same_solutions,  # noqa: E402
+                      neighbour_solves_oracle, square_system_oracle)
 
 # every m with 1 to 3 parts <= 3, by its total
 M_BY_TOTAL = {}
@@ -65,3 +69,45 @@ def test_stacked_solves_and_shared_grids_bitwise(problem):
         K_cd, K_rh = kernel_cd_rh_grids(data, xs, xs)
         assert K_cd.tobytes() == kernel_cd_grid(data, xs, xs).tobytes()
         assert K_rh.tobytes() == kernel_rh_grid(data, xs, xs).tobytes()
+
+
+def neighbour_terms(pair):
+    """The CD route's 2(p+q) terms (swap, normalization, n side, m side) in
+    term order, as build_cd_data lists them."""
+    n, m = pair.n, pair.m
+    return ([(False, Normalization.type2(j), n.bumped(j, 1), m) for j in range(len(n))]
+            + [(False, Normalization.type1(k), n, m.bumped(k, -1)) for k in range(len(m))]
+            + [(True, Normalization.type1(j), m, n.bumped(j, -1)) for j in range(len(n))]
+            + [(True, Normalization.type2(k), m.bumped(k, 1), n) for k in range(len(m))])
+
+
+def assert_systems_equal(got, want):
+    """(A, b, lead) of a stack against the oracle's systems, bit for bit."""
+    A, b, lead = got
+    assert A.tobytes() == np.stack([w[0] for w in want]).tobytes()
+    assert b.tobytes() == np.stack([w[1] for w in want]).tobytes()
+    leads = [w[2] for w in want]
+    assert (lead is None) if leads[0] is None else (lead.tolist() == leads)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_square_systems_match_oracle_bitwise(problem):
+    w1, w2, pair = problem
+    table = moment_table_for(pair, w1, w2)
+    tables = (table, table.swapped())
+    args = (table.center, table.scale)
+    terms = neighbour_terms(pair)
+    want = [square_system_oracle(tables[swap].values, *args, norm,
+                                 n_side.parts, m_side.parts)
+            for swap, norm, n_side, m_side in terms]
+    for kind in ("I", "II"):
+        group = [r for r, t in enumerate(terms) if t[1].kind == kind]
+        assert_systems_equal(
+            square_systems(table.values, *args, [terms[r] for r in group]),
+            [want[r] for r in group])
+    for (swap, norm, n_side, m_side), w in zip(terms, want):
+        assert_systems_equal(square_systems(table.values, *args,
+                                            [(swap, norm, n_side, m_side)]), [w])
+        assert_systems_equal(square_systems(tables[swap].values, *args,
+                                            [(False, norm, n_side, m_side)]), [w])
