@@ -24,8 +24,8 @@ from numpy.polynomial import legendre
 from ._util import exact_int, json_count, json_number, real_number, write_csv
 from .kernel import BiorthogonalSystem, build_biorthogonal, kernel_direct_grid
 from .mop import MultiIndexPair
-from .weights import (TAIL_SIGMAS, AccuracyError, WeightFamily, _leggauss,
-                      gaussian_pair_moments, gaussian_product_params,
+from .weights import (TAIL_SIGMAS, AccuracyError, WeightFamily,
+                      gaussian_pair_moments, gaussian_product_params, leggauss,
                       transition_weight)
 
 MAX_PATH_WALKERS = 4
@@ -214,7 +214,7 @@ def andreief_quadrature(w1: WeightFamily, w2: WeightFamily,
     """
     lo, hi = box
     h = 0.5 * (hi - lo)
-    nodes, wts = _leggauss(degree)
+    nodes, wts = leggauss(degree)
     xs = 0.5 * (lo + hi) + h * nodes
     G = (w1.values(xs) * (h * wts)) @ w2.values(xs).T
     return float(math.factorial(len(w1)) * np.linalg.det(G))
@@ -362,7 +362,7 @@ def _legendre_map(nodes: int) -> np.ndarray:
     [-1, 1] to the Legendre coefficients of their degree nodes - 1
     interpolant.  By the discrete orthogonality of the rule,
     c_l = (l + 1/2) sum_q w_q P_l(t_q) v_q."""
-    t, w = _leggauss(nodes)
+    t, w = leggauss(nodes)
     # C order: legvander returns a Fortran-ordered view, and the layout of
     # this operand decides how BLAS sums the coefficients
     interp = np.ascontiguousarray(
@@ -379,7 +379,7 @@ def _panel_series(system: BiorthogonalSystem, lo: np.ndarray, hi: np.ndarray
     e - 1), and on each panel the DPP_NODES Legendre coefficients in
     s = (x - mid) / half of the product's node interpolant, shape
     (panels, n*n, DPP_NODES)."""
-    t, w = _leggauss(DPP_NODES)
+    t, w = leggauss(DPP_NODES)
     half = 0.5 * (hi - lo)
     pts = 0.5 * (lo + hi)[:, None] + half[:, None] * t
     phi, psi = _phi_psi(system, pts)

@@ -211,11 +211,11 @@ class CdKernelData:
     argument.  y_forms[r] is the swapped (w2, w1) orientation partner of
     x_forms[r], type I (m, n - e_j) then type II (m + e_k, n), and takes the
     second argument.  Term r carries sign +1 for r < p and -1 after.  Every
-    stored pair is defining in its own orientation.  The type II solves of
-    both orientations have |n| + 1 unknowns and the type I solves |n|:
-    build_cd_data solves each size as one stack (mop.solve_terms), whose
-    systems mop.square_systems assembles as it does solve_mixed's.  x_stack
-    and y_stack evaluate each orientation's forms as one array.
+    stored pair is defining in its own orientation.  build_cd_data lists
+    each solve as a term (swap, normalization, defining pair) and hands all
+    of them to mop.solve_terms, the one solve driver, which solve_mixed
+    runs on a single term.  x_stack and y_stack evaluate each orientation's
+    forms as one array.
     """
 
     pair: MultiIndexPair
@@ -257,14 +257,14 @@ def build_cd_data(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
                   table: ProductMomentTable | None = None) -> CdKernelData:
     """Run the neighbor solves the CD formula needs, both orientations.
 
-    It lists the 2(p+q) terms and hands them to mop.solve_terms, which
-    stacks them by kind (the type II solves have |n| + 1 unknowns and the
-    type I solves |n|) and solves each stack by one SVD call, each solve
-    bitwise equal to solve_mixed on it alone.  Solves that fail the double
-    rank gate then go, in term order, to the extended fallback; the first
-    that fails there raises its NotNormalizable, whose message names the
-    failing pair.  The data's precision property reports whether any solve
-    fell back.
+    It lists the 2(p+q) terms (swap, normalization, defining pair) and
+    hands them to mop.solve_terms, which stacks them by kind (the type II
+    solves have |n| + 1 unknowns and the type I solves |n|) and solves each
+    stack by one SVD call, each solve bitwise equal to solve_mixed on it
+    alone.  Solves that fail the double rank gate then go, in term order,
+    to the extended fallback; the first that fails there raises its
+    NotNormalizable, whose message names the failing pair.  The data's
+    precision property reports whether any solve fell back.
     """
     if pair.relation != "balanced":
         raise ValueError("CD data needs a balanced pair (|n| = |m|)")
@@ -272,12 +272,13 @@ def build_cd_data(pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily,
         table = moment_table_for(pair, w1, w2)
     pair_layouts(pair, table)
     n, m = pair.n, pair.m
-    # (swap, normalization, n side, m side); a swapped term reads the table
+    # (swap, normalization, defining pair); a swapped term reads the table
     # with the families exchanged
-    terms = ([(False, Normalization.type2(j), n.bumped(j, +1), m) for j in range(len(n))]
-             + [(False, Normalization.type1(k), n, m.bumped(k, -1)) for k in range(len(m))]
-             + [(True, Normalization.type1(j), m, n.bumped(j, -1)) for j in range(len(n))]
-             + [(True, Normalization.type2(k), m.bumped(k, +1), n) for k in range(len(m))])
+    I, II, P = Normalization.type1, Normalization.type2, MultiIndexPair
+    terms = ([(False, II(j), P(n.bumped(j, +1), m)) for j in range(len(n))]
+             + [(False, I(k), P(n, m.bumped(k, -1))) for k in range(len(m))]
+             + [(True, I(j), P(m, n.bumped(j, -1))) for j in range(len(n))]
+             + [(True, II(k), P(m.bumped(k, +1), n)) for k in range(len(m))])
     forms = solve_terms(table, terms)
     half = len(n) + len(m)
     x_forms, y_forms = tuple(forms[:half]), tuple(forms[half:])
@@ -326,7 +327,7 @@ def kernel_cd_band(data: CdKernelData, x, y) -> np.ndarray:
     return _term_sum(factors * _band_slopes(data, x, y) * data.y_stack.values(y))
 
 
-def _cd_sum(data: CdKernelData, xs, ys, factors: np.ndarray) -> np.ndarray:
+def cd_sum(data: CdKernelData, xs, ys, factors: np.ndarray) -> np.ndarray:
     """For each factor set f of the stack factors (F, R): sum_r f[r] Q_r(x)
     Q~_r(y) / (x - y) on the grid xs x ys (p and q terms summed apart) off
     the band |x - y| <= delta_diag, and sum_r f[r] slope_r Q~_r(y)
@@ -354,7 +355,7 @@ def _cd_sum(data: CdKernelData, xs, ys, factors: np.ndarray) -> np.ndarray:
 def kernel_cd_grid(data: CdKernelData, xs, ys) -> np.ndarray:
     """CD kernel on the product grid xs x ys: the numerator over x - y off
     the band |x - y| <= delta_diag, kernel_cd_band on its cells."""
-    return _cd_sum(data, xs, ys, data.signs[None])[0]
+    return cd_sum(data, xs, ys, data.signs[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
+from functools import cached_property, lru_cache
+from itertools import accumulate, compress
 from typing import Literal, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from ._util import exact_int
-from .weights import (ProductMomentTable, Weight, WeightFamily,
-                      build_moment_table)
+from .weights import (TAIL_SIGMAS, ProductMomentTable, Weight, WeightFamily,
+                      basis_center_scale, build_moment_table,
+                      gaussian_pair_moments)
 
 # Singular values below max(rows, cols) * s_max * RANK_RTOL count as zero.
 RANK_RTOL = 1e-10
@@ -58,7 +59,7 @@ class MultiIndex:
         if any(v < 0 for v in parts):
             raise ValueError("multi-index parts must be >= 0")
 
-    @property
+    @cached_property
     def size(self) -> int:
         return sum(self.parts)
 
@@ -156,10 +157,12 @@ class Normalization:
 # Enumeration and assembly
 
 
-def column_layout(n_parts: Sequence[int]) -> list[tuple[int, int]]:
+@lru_cache(maxsize=1024)
+def column_layout(n_parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """(weight, shifted power i) with i < n_weight, weight-major: the order
-    of the unknowns of a solve and, for the m side, of its conditions."""
-    return [(l, i) for l, deg in enumerate(n_parts) for i in range(deg)]
+    of the unknowns of a solve and, for the m side, of its conditions.
+    Computed once per multi-index and shared, hence a tuple."""
+    return tuple((l, i) for l, deg in enumerate(n_parts) for i in range(deg))
 
 
 def moment_matrix(values: np.ndarray, cols: Sequence[tuple[int, int]],
@@ -173,14 +176,21 @@ def moment_matrix(values: np.ndarray, cols: Sequence[tuple[int, int]],
 def moment_stack(values: np.ndarray, layouts: Sequence[tuple]) -> np.ndarray:
     """The moment_matrix of each layout (swap, cols, rows), stacked, all of
     one shape; where swap is set the entry is values[k, l, i + j], the
-    families exchanged.  One flat gather reads them all, so the weight
-    indices must fit values, as pair_layouts checks; raises ValueError
-    when values stops short of the orders they need."""
-    _, q, K = values.shape
+    families exchanged.  One flat gather reads them all.  Raises ValueError
+    when a weight index falls outside values (l past its w1 axis and k past
+    its w2 axis, or the other way round where swap is set), or when values
+    stops short of the orders the layouts need."""
+    p, q, K = values.shape
     need, col_offsets, row_offsets = 0, [], []
     for swap, cols, rows in layouts:
         if cols and rows:
-            need = max(need, max(i for _, i in cols) + max(j for _, j in rows))
+            (ls, powers), (ks, orders) = zip(*cols), zip(*rows)
+            col_count, row_count = (q, p) if swap else (p, q)
+            if not (0 <= min(ls) and max(ls) < col_count
+                    and 0 <= min(ks) and max(ks) < row_count):
+                raise ValueError(f"layout weight index outside the table's "
+                                 f"{p} x {q} weight pairs")
+            need = max(need, max(powers) + max(orders))
         col_step, row_step = (K, q * K) if swap else (q * K, K)
         col_offsets.append([l * col_step + i for l, i in cols])
         row_offsets.append([k * row_step + j for k, j in rows])
@@ -213,40 +223,41 @@ def moment_table_for(pair: MultiIndexPair, w1: WeightFamily,
 
 def square_systems(values: np.ndarray, center, scale, terms: Sequence[tuple]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The defining systems of a stack of terms (swap, normalization, n
-    side, m side) of one kind and one size |n side|, as _solve_square takes
+    """The defining systems of a stack of terms (swap, normalization,
+    defining pair) of one kind and one size |n|, as _solve_square takes
     them: A (S, N, N), b (S, N) and, for type II, each monic coefficient's
-    index (None for type I).  A and b have the dtype of values, and center
-    and scale its arithmetic: floats, or mpf with values an object array.
+    index (None for type I).  A term with swap set reads values with the
+    families exchanged, its pair's n side on w2 and m side on w1.  A and b
+    have the dtype of values, and center and scale its arithmetic: floats,
+    or mpf with values an object array.
 
-    The first |m side| rows are the conditions, moment_stack's layouts
-    (swap, n side, m side).  The last row closes the system.  Type II: the
-    unit row at the u^{n_k - 1} coefficient of A_k, right-hand side
-    scale^{n_k - 1} (A_k monic in x).  Type I: integral Q x^{m_k} w2_k dx =
-    1, with x^{m_k} = sum_t c_t u^t and the shifted moments summed in order
-    t = 0..m_k, read by the same gather.  Raises ValueError for a
-    normalization index past its side, or as moment_stack does.
+    The first |m| rows are the conditions, moment_stack's layouts (swap,
+    n, m).  The last row closes the system.  Type II: the unit row at the
+    u^{n_k - 1} coefficient of A_k, right-hand side scale^{n_k - 1} (A_k
+    monic in x).  Type I: integral Q x^{m_k} w2_k dx = 1, with x^{m_k} =
+    sum_t c_t u^t and the shifted moments summed in order t = 0..m_k, read
+    by the same gather.  Raises ValueError for a normalization index past
+    its side, or as moment_stack does.
     """
-    kind, size = terms[0][1].kind, terms[0][2].size
+    kind, size = terms[0][1].kind, terms[0][2].n.size
     layouts, leads, rhs, expansions = [], [], [], []
-    for swap, norm, n_side, m_side in terms:
+    for swap, norm, pair in terms:
         k = norm.index
-        if k >= len(n_side if kind == "II" else m_side):
+        if k >= len(pair.n if kind == "II" else pair.m):
             raise ValueError(f"type {kind} index out of range")
-        cols, rows = column_layout(n_side.parts), column_layout(m_side.parts)
+        cols, rows = column_layout(pair.n.parts), column_layout(pair.m.parts)
         if kind == "II":
-            leads.append(sum(n_side.parts[:k + 1]) - 1)
-            rhs.append(scale ** (n_side[k] - 1))
+            leads.append(sum(pair.n.parts[:k + 1]) - 1)
+            rhs.append(scale ** (pair.n[k] - 1))
         else:
-            d = m_side[k]
+            d = pair.m[k]
             expansions.append([math.comb(d, t) * center ** (d - t) * scale ** t
                                for t in range(d + 1)])
-            rows += [(k, t) for t in range(d + 1)]
+            rows += tuple((k, t) for t in range(d + 1))
         layouts.append((swap, cols, rows))
     height = max(len(rows) for _, _, rows in layouts)
-    for _, _, rows in layouts:
-        rows += rows[-1:] * (height - len(rows))
-    G = moment_stack(values, layouts)
+    G = moment_stack(values, [(swap, cols, rows + rows[-1:] * (height - len(rows)))
+                              for swap, cols, rows in layouts])
     count = len(terms)
     A = np.zeros((count, size, size), dtype=values.dtype)
     A[:, :-1] = G[:, :size - 1]
@@ -276,8 +287,13 @@ class MixedMopSolution:
     """Solved coefficients of the form Q(x) = sum_l A_l(x) w1_l(x).
 
     coeffs are per-weight arrays in the shifted-scaled basis of (center,
-    scale); residual is the scale-normalized max violation of the solved
-    linear system recomputed after any exactness post-processing.
+    scale).  residual is the violation of the solved system A x = b,
+    recomputed from the returned doubles after any exactness
+    post-processing, and normalized in one of two ways by precision: a
+    double solve writes max|A x - b| / max(1, max|A| max|x|) (entrywise
+    maxima, _solve_square), an extended one ||A x - b||_inf / max(1, s_max
+    ||x||_inf) with s_max the largest singular value of the 60-digit A
+    (_solve_mixed_extended).
     """
 
     pair: MultiIndexPair
@@ -472,73 +488,56 @@ def _solve_square(A: np.ndarray, b: np.ndarray, lead: np.ndarray | None
 def solve_mixed(pair: MultiIndexPair, table: ProductMomentTable,
                 normalization: Normalization) -> MixedMopSolution:
     """Solve the square (conditions + normalization) system for the pair:
-    square_systems assembles it as a stack of one and _solve_square solves
-    it, as solve_terms does for stacks of terms.  Raises ValueError when
-    the normalization index is past its side.
-
-    A system that fails the double rank gate is rerun in EXTENDED_DPS-digit
-    arithmetic when both families are all-gaussian and it has at most
-    EXTENDED_MAX_UNKNOWNS unknowns (_solve_past_gate).  Raises
-    NotNormalizable, carrying a NormalityReport, when the last arithmetic
-    tried finds it singular.
+    solve_terms on the one term (False, normalization, pair), after the
+    checks that the pair is defining and fits the table's families.
+    Raises ValueError when either fails or the normalization index is past
+    its side, and NotNormalizable as solve_terms does.
     """
     if pair.relation != "defining":
         raise ValueError("solve_mixed needs a defining pair (|n| = |m| + 1)")
     pair_layouts(pair, table)
-    ok, x, residual = _solve_square(*square_systems(
-        table.values, table.center, table.scale,
-        [(False, normalization, pair.n, pair.m)]))
-    if not ok[0]:
-        return _solve_past_gate(pair, table, normalization)
-    return _solution(pair, table, normalization, x[0], float(residual[0]),
-                     "double")
+    return solve_terms(table, [(False, normalization, pair)])[0]
 
 
 def solve_terms(table: ProductMomentTable, terms: Sequence[tuple]
                 ) -> list[MixedMopSolution]:
-    """The solution of each term (swap, normalization, n side, m side), in
-    term order, each side a MultiIndex and the two a defining pair; a term
-    with swap set is solved on table.swapped().
+    """The solution of each term (swap, normalization, defining pair), in
+    term order; a term with swap set is solved on table.swapped(), which is
+    built only when some term is swapped.
 
     The terms are stacked by kind and size, and each stack is assembled by
-    square_systems and solved by one SVD call (_solve_square): every
-    solution is bitwise the one solve_mixed gives on its term alone.
-    Terms that fail the double rank gate then go, in term order, to the
-    extended fallback (_solve_past_gate); the first that fails there
-    raises its NotNormalizable.
+    square_systems and solved by one SVD call (_solve_square): a solution
+    does not depend on the terms stacked with it.  Terms that fail the
+    double rank gate then go, in term order, to EXTENDED_DPS-digit
+    arithmetic (_solve_mixed_extended) when both families are all-gaussian
+    and the system has at most EXTENDED_MAX_UNKNOWNS unknowns.  The first
+    term that fails its last arithmetic raises NotNormalizable, carrying
+    the NormalityReport of its pair.
     """
     stacks = {}
-    for r, (_, norm, n_side, _) in enumerate(terms):
-        stacks.setdefault((norm.kind, n_side.size), []).append(r)
-    passed = {}
+    for r, (_, norm, pair) in enumerate(terms):
+        stacks.setdefault((norm.kind, pair.n.size), []).append(r)
+    tables = (table, table.swapped() if any([t[0] for t in terms]) else None)
+    solutions = [None] * len(terms)
     for group in stacks.values():
         ok, x, residual = _solve_square(*square_systems(
             table.values, table.center, table.scale, [terms[r] for r in group]))
-        passed.update(zip(np.array(group)[ok].tolist(),
-                          zip(x, residual.tolist())))
-    tables = (table, table.swapped())
-    solutions = []
-    for r, (swap, norm, n_side, m_side) in enumerate(terms):
-        pair = MultiIndexPair.defining(n_side.parts, m_side.parts)
-        if r in passed:
-            solutions.append(_solution(pair, tables[swap], norm, *passed[r],
-                                       "double"))
+        for r, x_r, res in zip(compress(group, ok.tolist()), x, residual.tolist()):
+            swap, norm, pair = terms[r]
+            solutions[r] = _solution(pair, tables[swap], norm, x_r, res, "double")
+    for r, (swap, norm, pair) in enumerate(terms):
+        if solutions[r] is not None:
+            continue
+        on = tables[swap]
+        if (on.w1.all_gaussian and on.w2.all_gaussian
+                and pair.n.size <= EXTENDED_MAX_UNKNOWNS):
+            solutions[r] = _solve_mixed_extended(pair, on, norm)
         else:
-            solutions.append(_solve_past_gate(pair, tables[swap], norm))
+            raise NotNormalizable(
+                f"singular system for pair n={pair.n.parts} m={pair.m.parts} "
+                f"({norm.kind}, k={norm.index})",
+                report=check_normality(pair, on))
     return solutions
-
-
-def _solve_past_gate(pair: MultiIndexPair, table: ProductMomentTable,
-                     normalization: Normalization) -> MixedMopSolution:
-    """The solve of a system that failed the double rank gate: extended
-    arithmetic where solve_mixed says, else NotNormalizable."""
-    if (table.w1.all_gaussian and table.w2.all_gaussian
-            and pair.n.size <= EXTENDED_MAX_UNKNOWNS):
-        return _solve_mixed_extended(pair, table, normalization)
-    report = check_normality(pair, table)
-    raise NotNormalizable(
-        f"singular system for pair n={pair.n.parts} m={pair.m.parts} "
-        f"({normalization.kind}, k={normalization.index})", report=report)
 
 
 def _solution(pair: MultiIndexPair, table: ProductMomentTable,
@@ -557,44 +556,20 @@ def _solution(pair: MultiIndexPair, table: ProductMomentTable,
 # Extended precision
 
 
-def _mp_entry_provider(w1: WeightFamily, w2: WeightFamily, kmax: int,
-                       center, scale) -> np.ndarray:
-    """The (p, q, kmax+1) object array of mpf moments integral u^k w1_j w2_l
-    dx, u = (x - center) / scale, by the product-Gaussian recursion at the
-    working mpmath precision."""
-    import mpmath
-
-    values = np.empty((len(w1), len(w2), kmax + 1), dtype=object)
-    for j, a in enumerate(w1):
-        for l, b in enumerate(w2):
-            v1, v2 = mpmath.mpf(a.variance), mpmath.mpf(b.variance)
-            c1, c2 = mpmath.mpf(a.center), mpmath.mpf(b.center)
-            v = v1 + v2
-            var = v1 * v2 / v
-            mean = (c1 * v2 + c2 * v1) / v
-            amp = mpmath.mpf(a.amplitude) * mpmath.mpf(b.amplitude) * \
-                mpmath.e**(-(c1 - c2)**2 / (2 * v))
-            mu = (mean - center) / scale
-            sig2 = var / scale**2
-            vals = [amp * scale * mpmath.sqrt(2 * mpmath.pi * sig2)]
-            if kmax >= 1:
-                vals.append(mu * vals[0])
-            for k in range(2, kmax + 1):
-                vals.append(mu * vals[k - 1] + (k - 1) * sig2 * vals[k - 2])
-            values[j, l] = vals
-    return values
-
-
 def _solve_mixed_extended(pair: MultiIndexPair, table: ProductMomentTable,
                           normalization: Normalization) -> MixedMopSolution:
+    """The solve of a system that failed the double rank gate, at
+    EXTENDED_DPS digits from the mpmath moments of gaussian_pair_moments;
+    raises NotNormalizable when it fails the rank gate there too."""
     import mpmath
 
     with mpmath.workdps(EXTENDED_DPS):
-        c, s = mpmath.mpf(table.center), mpmath.mpf(table.scale)
         kmax = max(pair.n.parts) + max(pair.m.parts) + 2
-        values = _mp_entry_provider(table.w1, table.w2, kmax, c, s)
-        A, b, _ = square_systems(values, c, s,
-                                 [(False, normalization, pair.n, pair.m)])
+        values = np.array([[gaussian_pair_moments(wa, wb, kmax, table.center,
+                                                  table.scale, mpmath)
+                            for wb in table.w2] for wa in table.w1])
+        c, s = mpmath.mpf(table.center), mpmath.mpf(table.scale)
+        A, b, _ = square_systems(values, c, s, [(False, normalization, pair)])
         size = pair.n.size
         A = mpmath.matrix(A[0].tolist())
         b = mpmath.matrix(b[0].tolist())
@@ -707,9 +682,8 @@ def check_normality(pair: MultiIndexPair, table: ProductMomentTable) -> Normalit
 
 def _lebesgue_box(families: Sequence[WeightFamily]) -> Weight:
     """The constant weight 1 truncated where the gaussian mass lives."""
-    from .weights import basis_center_scale
     c, s = basis_center_scale(*families)
-    lo, hi = c - 12.0 * s, c + 12.0 * s
+    lo, hi = c - TAIL_SIGMAS * s, c + TAIL_SIGMAS * s
 
     def box(x):
         x = np.asarray(x, dtype=float)

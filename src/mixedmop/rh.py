@@ -23,10 +23,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .kernel import CdKernelData, _cd_sum, build_cd_data
+from .kernel import CdKernelData, build_cd_data, cd_sum
 from .mop import FormStack, MultiIndexPair, affine_rebase
 from .weights import (AccuracyError, WeightFamily, family_interval,
-                      gaussian_product_params, _leggauss)
+                      gaussian_product_params, leggauss)
 
 TWO_PI_I = 2j * math.pi
 
@@ -51,7 +51,7 @@ BRANCHES = ("recursion", "asymptotic_series")
 
 
 def _gl_panel(f: Callable, a: float, b: float):
-    nodes, wts = _leggauss(_PANEL_DEGREE)
+    nodes, wts = leggauss(_PANEL_DEGREE)
     xs = 0.5 * (a + b) + 0.5 * (b - a) * nodes
     return 0.5 * (b - a) * np.sum(wts * f(xs))
 
@@ -365,15 +365,15 @@ def kernel_rh_grid(data: CdKernelData, xs, ys) -> np.ndarray:
     grid xs x ys.  Its column and row are the polynomial blocks of Y and X
     against w1 and w2: forms r of x_stack and y_stack times the blocks'
     poly_factors.  So it is the CD sum with the term factors _rh_factors."""
-    return _cd_sum(data, xs, ys, _rh_factors(data)[None])[0]
+    return cd_sum(data, xs, ys, _rh_factors(data)[None])[0]
 
 
 def kernel_cd_rh_grids(data: CdKernelData, xs, ys
                        ) -> tuple[np.ndarray, np.ndarray]:
     """kernel_cd_grid and kernel_rh_grid on xs x ys, bit for bit, from one
-    _cd_sum call: the forms, the band cells and their slopes are evaluated
+    cd_sum call: the forms, the band cells and their slopes are evaluated
     once for both factor sets."""
-    K_cd, K_rh = _cd_sum(data, xs, ys, np.stack([data.signs, _rh_factors(data)]))
+    K_cd, K_rh = cd_sum(data, xs, ys, np.stack([data.signs, _rh_factors(data)]))
     return K_cd, K_rh
 
 

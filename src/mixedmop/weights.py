@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +37,9 @@ MIN_QUAD_DEGREE = 16
 MAX_QUAD_DEGREE = 512
 
 TWO_PI = 2.0 * math.pi
+# The default arithmetic of the gaussian-product formulas: double, under
+# the names mpmath and mpmath.iv give theirs.
+_DOUBLE = SimpleNamespace(mpf=float, exp=math.exp, sqrt=math.sqrt, pi=math.pi)
 
 
 class AccuracyError(RuntimeError):
@@ -157,36 +161,49 @@ def transition_weight(t: float, a: float, n: int = 1) -> Weight:
 # Gaussian products and closed-form moments
 
 
-def gaussian_product_params(w1: Weight, w2: Weight) -> tuple[float, float, float]:
-    """(mean, variance, amplitude) of the product of two gaussian weights."""
-    v = w1.variance + w2.variance
-    var = w1.variance * w2.variance / v
-    mean = (w1.center * w2.variance + w2.center * w1.variance) / v
-    amp = w1.amplitude * w2.amplitude * math.exp(-((w1.center - w2.center) ** 2) / (2.0 * v))
+def gaussian_product_params(w1: Weight, w2: Weight, ar=_DOUBLE
+                            ) -> tuple[float, float, float]:
+    """(mean, variance, amplitude) of the product of two gaussian weights,
+    in the arithmetic ar: a namespace of the number type mpf, exp, sqrt and
+    pi.  It is double by default; mpmath and mpmath.iv compute at their
+    working precision, the weights' doubles entering as ar.mpf of them,
+    exactly."""
+    v1, v2 = ar.mpf(w1.variance), ar.mpf(w2.variance)
+    c1, c2 = ar.mpf(w1.center), ar.mpf(w2.center)
+    v = v1 + v2
+    var = v1 * v2 / v
+    mean = (c1 * v2 + c2 * v1) / v
+    amp = (ar.mpf(w1.amplitude) * ar.mpf(w2.amplitude)
+           * ar.exp(-(c1 - c2) ** 2 / (2 * v)))
     return mean, var, amp
 
 
 def gaussian_pair_moments(w1: Weight, w2: Weight, kmax: int,
-                          center: float = 0.0, scale: float = 1.0) -> np.ndarray:
-    """Moments integral u^k w1 w2 dx for k = 0..kmax, u = (x-center)/scale.
+                          center: float = 0.0, scale: float = 1.0,
+                          ar=_DOUBLE) -> np.ndarray:
+    """Moments integral u^k w1 w2 dx for k = 0..kmax, u = (x-center)/scale,
+    in the arithmetic ar (as gaussian_product_params takes it): a float
+    array by default, else an object array of ar's numbers.
 
     Uses the three-term recursion m_k = mu m_{k-1} + (k-1) sigma^2 m_{k-2}
     on the product Gaussian.  When both centers coincide with the basis
-    center the odd moments are exactly zero by symmetry and are pinned to 0.0
-    rather than trusted to rounding.
+    center the odd moments are exactly zero by symmetry and are pinned to 0
+    rather than trusted to rounding.  This is the one home of the formula:
+    the double table, the extended fallback's table and the tests' interval
+    enclosures all come from it.
     """
-    mean, var, amp = gaussian_product_params(w1, w2)
+    mean, var, amp = gaussian_product_params(w1, w2, ar)
+    center, scale = ar.mpf(center), ar.mpf(scale)
     mu = (mean - center) / scale
     sig2 = var / scale**2
-    out = np.empty(kmax + 1)
-    m0 = amp * scale * math.sqrt(TWO_PI * sig2)
-    out[0] = m0
+    out = [amp * scale * ar.sqrt(2 * ar.pi * sig2)]
     if kmax >= 1:
-        out[1] = mu * m0
+        out.append(mu * out[0])
     for k in range(2, kmax + 1):
-        out[k] = mu * out[k - 1] + (k - 1) * sig2 * out[k - 2]
+        out.append(mu * out[k - 1] + (k - 1) * sig2 * out[k - 2])
+    out = np.array(out, dtype=float if ar is _DOUBLE else object)
     if w1.center == w2.center == center:
-        out[1::2] = 0.0
+        out[1::2] = ar.mpf(0)
     return out
 
 
@@ -195,7 +212,9 @@ def gaussian_pair_moments(w1: Weight, w2: Weight, kmax: int,
 
 
 @lru_cache(maxsize=None)
-def _leggauss(degree: int):
+def leggauss(degree: int):
+    """The Gauss-Legendre rule of the degree on [-1, 1], (nodes, weights),
+    computed once per degree."""
     return np.polynomial.legendre.leggauss(degree)
 
 
@@ -215,7 +234,7 @@ def adaptive_gauss_legendre(f: Callable, a: float, b: float, *,
     prev = None
     degree = MIN_QUAD_DEGREE
     while degree <= MAX_QUAD_DEGREE:
-        nodes, wts = _leggauss(degree)
+        nodes, wts = leggauss(degree)
         vals = np.asarray(f(mid + half * nodes))
         est = half * np.tensordot(vals, wts, axes=(vals.ndim - 1, 0))
         if prev is not None:

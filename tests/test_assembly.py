@@ -2,9 +2,11 @@
 
 mop.square_systems builds the double systems of solve_mixed and the
 stacked neighbour solves from the moment table, and the 60-digit systems of
-the extended fallback from _mp_entry_provider's mpf table.  Here both are
+the extended fallback from the mpf table that weights.gaussian_pair_moments
+gives in mpmath arithmetic.  Here both are
 built for the same pairs and compared entry by entry; the library-level
-refusal of a normalization index past its side is pinned as well.
+refusal of a normalization index past its side, and the gather's refusal
+of a weight index past its family, are pinned as well.
 """
 
 import mpmath
@@ -13,8 +15,10 @@ import pytest
 
 from mixedmop import (MultiIndexPair, Normalization, Weight, WeightFamily,
                       solve_mixed)
-from mixedmop.mop import (EXTENDED_DPS, _mp_entry_provider, moment_table_for,
+from mixedmop.mop import (EXTENDED_DPS, column_layout, moment_matrix,
+                          moment_stack, moment_table_for, solve_terms,
                           square_systems)
+from mixedmop.weights import build_moment_table, gaussian_pair_moments
 
 G = Weight.gaussian
 FAMILIES = {
@@ -44,11 +48,12 @@ def test_double_and_60_digit_systems_agree(name, kind, k):
     w1, w2, n, m = FAMILIES[name]
     pair = MultiIndexPair.defining(n, m)
     table = moment_table_for(pair, w1, w2)
-    terms = [(False, Normalization(kind, k), pair.n, pair.m)]
+    terms = [(False, Normalization(kind, k), pair)]
     A, b, lead = square_systems(table.values, table.center, table.scale, terms)
     with mpmath.workdps(EXTENDED_DPS):
         c, s = mpmath.mpf(table.center), mpmath.mpf(table.scale)
-        values = _mp_entry_provider(w1, w2, table.kmax, c, s)
+        values = np.array([[gaussian_pair_moments(a, b, table.kmax, c, s, mpmath)
+                            for b in w2] for a in w1])
         A_mp, b_mp, lead_mp = square_systems(values, c, s, terms)
     assert A.dtype == b.dtype == float
     assert A_mp.dtype == b_mp.dtype == object
@@ -76,3 +81,21 @@ def test_normalization_index_past_its_side_refused(kind, index, label):
     table = moment_table_for(pair, w1, w2)
     with pytest.raises(ValueError, match=label):
         solve_mixed(pair, table, Normalization(kind, index))
+
+
+def test_weight_index_past_its_family_refused():
+    # w1 has two weights and w2 one: m = (1, 1) asks for a condition on a
+    # second w2 weight, whose flat offset would land on w1[1] w2[0]
+    w1, w2 = WeightFamily([G(-0.5, 0.8), G(0.6, 1.2)]), WeightFamily([G(0.0, 1.0)])
+    table = build_moment_table(w1, w2, 8)
+    pair = MultiIndexPair.defining((3,), (1, 1))
+    with pytest.raises(ValueError, match="weight index"):
+        solve_terms(table, [(False, Normalization.type2(0), pair)])
+    cols, rows = column_layout((3,)), column_layout((1, 1))
+    with pytest.raises(ValueError, match="weight index"):
+        moment_matrix(table.values, cols, rows)
+    # a swapped layout's columns run over w2 and its rows over w1
+    with pytest.raises(ValueError, match="weight index"):
+        moment_stack(table.values, [(True, rows, cols)])
+    assert moment_stack(table.values, [(True, cols, rows)]).tobytes() == \
+        moment_matrix(table.swapped().values, cols, rows)[None].tobytes()

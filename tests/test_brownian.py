@@ -18,7 +18,7 @@ from mixedmop.brownian import (andreief_quadrature, chi_square_report,
                                write_samples_csv)
 from mixedmop.kernel import (idempotence_residual, kernel_direct_grid,
                              trace_quadrature)
-from mixedmop.weights import _leggauss
+from mixedmop.weights import leggauss
 from mixedmop._util import CSV_BLOCK_CELLS
 
 from conftest import (csv_oracle_bytes, kernel_at, per_draw_dpp_oracle,
@@ -479,7 +479,7 @@ class TestExactSampler:
         cfg = three_walker_config()
         system = correlation_kernel(cfg)
         lo, hi = cfg.bridge_box()
-        nodes, wts = _leggauss(200)
+        nodes, wts = leggauss(200)
         xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
         ws = 0.5 * (hi - lo) * wts
         K = kernel_direct_grid(system, xs, xs)

@@ -11,8 +11,10 @@ in the tests.  A file is opened for writing only in ``_util.new_file``,
 which creates it fresh, so that no writer truncates a file in place.  A
 parameter with a default is set by some call in the library or the tests,
 so that no option stays at the one value nothing changes.  No library
-module imports an underscore name from ``mop``, so that the layout of the
-defining systems stays behind the solve layer.
+module imports an underscore name from another module of the package
+(dunder names such as ``__version__`` aside), so that what a module keeps
+private, such as the layout of the defining systems behind the solve
+layer, stays behind its public functions.
 """
 
 import ast
@@ -62,28 +64,34 @@ def test_detects_an_unused_name():
     assert unused_imports(source) == ["os (line 2)", "t (line 3)"]
 
 
-def private_mop_imports(source: str) -> list[str]:
-    """The underscore names a module imports from mop (``from .mop import``
-    or ``from mixedmop.mop import``), each as 'name (line N)'."""
+def private_imports(source: str) -> list[str]:
+    """The underscore names, dunder names aside, that a module imports from
+    a module of the package (``from .x import`` or ``from mixedmop.x
+    import``), each as 'name (line N)'."""
     return [f"{alias.name} (line {node.lineno})"
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.ImportFrom)
-            and (node.module or "").split(".")[-1] == "mop"
-            for alias in node.names if alias.name.startswith("_")]
+            and (node.level or (node.module or "").split(".")[0] == "mixedmop")
+            for alias in node.names if alias.name.startswith("_")
+            and not (alias.name.startswith("__") and alias.name.endswith("__"))]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_private_mop_name_imported(path):
-    assert private_mop_imports(path.read_text(encoding="utf-8")) == []
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_detects_a_private_mop_import():
     source = ("from .mop import (FormStack, _solve_square,\n"
               "                  solve_terms)\n"
               "from mixedmop.mop import _solution as sol\n"
-              "from .weights import _leggauss\nfrom . import mop\n")
-    assert private_mop_imports(source) == ["_solve_square (line 1)",
-                                           "_solution (line 3)"]
+              "from .weights import _leggauss\nfrom . import mop\n"
+              "from ._util import __version__, write_csv\n"
+              "from os import _exit\nfrom mixedmop import _private\n")
+    assert private_imports(source) == ["_solve_square (line 1)",
+                                       "_solution (line 3)",
+                                       "_leggauss (line 4)",
+                                       "_private (line 8)"]
 
 
 def referenced_names(tree: ast.AST) -> set[str]:

@@ -72,13 +72,17 @@ def test_stacked_solves_and_shared_grids_bitwise(problem):
 
 
 def neighbour_terms(pair):
-    """The CD route's 2(p+q) terms (swap, normalization, n side, m side) in
+    """The CD route's 2(p+q) terms (swap, normalization, defining pair) in
     term order, as build_cd_data lists them."""
     n, m = pair.n, pair.m
-    return ([(False, Normalization.type2(j), n.bumped(j, 1), m) for j in range(len(n))]
-            + [(False, Normalization.type1(k), n, m.bumped(k, -1)) for k in range(len(m))]
-            + [(True, Normalization.type1(j), m, n.bumped(j, -1)) for j in range(len(n))]
-            + [(True, Normalization.type2(k), m.bumped(k, 1), n) for k in range(len(m))])
+    return ([(False, Normalization.type2(j), MultiIndexPair(n.bumped(j, 1), m))
+             for j in range(len(n))]
+            + [(False, Normalization.type1(k), MultiIndexPair(n, m.bumped(k, -1)))
+               for k in range(len(m))]
+            + [(True, Normalization.type1(j), MultiIndexPair(m, n.bumped(j, -1)))
+               for j in range(len(n))]
+            + [(True, Normalization.type2(k), MultiIndexPair(m.bumped(k, 1), n))
+               for k in range(len(m))])
 
 
 def assert_systems_equal(got, want):
@@ -99,15 +103,15 @@ def test_square_systems_match_oracle_bitwise(problem):
     args = (table.center, table.scale)
     terms = neighbour_terms(pair)
     want = [square_system_oracle(tables[swap].values, *args, norm,
-                                 n_side.parts, m_side.parts)
-            for swap, norm, n_side, m_side in terms]
+                                 pair.n.parts, pair.m.parts)
+            for swap, norm, pair in terms]
     for kind in ("I", "II"):
         group = [r for r, t in enumerate(terms) if t[1].kind == kind]
         assert_systems_equal(
             square_systems(table.values, *args, [terms[r] for r in group]),
             [want[r] for r in group])
-    for (swap, norm, n_side, m_side), w in zip(terms, want):
+    for (swap, norm, pair), w in zip(terms, want):
         assert_systems_equal(square_systems(table.values, *args,
-                                            [(swap, norm, n_side, m_side)]), [w])
+                                            [(swap, norm, pair)]), [w])
         assert_systems_equal(square_systems(tables[swap].values, *args,
-                                            [(False, norm, n_side, m_side)]), [w])
+                                            [(False, norm, pair)]), [w])
