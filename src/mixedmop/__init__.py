@@ -9,8 +9,7 @@ from .weights import (AccuracyError, ProductMomentTable, Weight, WeightFamily,
                       build_moment_table, transition_weight, weights_from_json)
 from .mop import (MixedMopSolution, MultiIndex, MultiIndexPair, Normalization,
                   NormalityReport, NotNormalizable, check_normality,
-                  moment_table_for, solve_mixed, solve_type1_classical,
-                  solve_type2_classical)
+                  moment_table_for, solve_mixed)
 from .kernel import (BiorthogonalSystem, CdKernelData, DegeneratePair,
                      build_biorthogonal, build_cd_data, kernel_cd_band,
                      kernel_cd_diagonal, kernel_cd_grid, kernel_direct_grid,
@@ -34,7 +33,6 @@ __all__ = [
     "kernel_direct_grid", "kernel_rh_grid", "kernel_routes_report",
     "km_density", "moment_table_for", "r1_grid", "r_m",
     "rh_verification_report", "sample_paths", "sample_positions",
-    "sample_projection_dpp", "solve_mixed", "solve_type1_classical",
-    "solve_type2_classical", "trace_quadrature", "transition_weight",
-    "verify_jump", "weights_from_json",
+    "sample_projection_dpp", "solve_mixed", "trace_quadrature",
+    "transition_weight", "verify_jump", "weights_from_json",
 ]

@@ -86,10 +86,8 @@ class BiorthogonalSystem:
         check rule takes one node more.  Both rules' nodes go through one
         f_values and one g_values call, and the moment table is not read:
         the projection laws check the basis evaluation against the moments
-        that built C.  Needs all-gaussian families (ValueError otherwise).
+        that built C.
         """
-        if not (self.w1.all_gaussian and self.w2.all_gaussian):
-            raise ValueError("projection laws need all-gaussian weight families")
         n, m = self.pair.n.parts, self.pair.m.parts
         rule, node_k, node_l, zs, wz = [], [], [], [], []
         for extra in (0, 1):

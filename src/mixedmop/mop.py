@@ -21,9 +21,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from ._util import exact_int
-from .weights import (TAIL_SIGMAS, ProductMomentTable, Weight, WeightFamily,
-                      basis_center_scale, build_moment_table,
-                      gaussian_pair_moments)
+from .weights import (AccuracyError, ProductMomentTable, WeightFamily,
+                      build_moment_table, checked_power, gaussian_pair_moments)
 
 # Singular values below max(rows, cols) * s_max * RANK_RTOL count as zero.
 RANK_RTOL = 1e-10
@@ -237,7 +236,9 @@ def square_systems(values: np.ndarray, center, scale, terms: Sequence[tuple]
     monic in x).  Type I: integral Q x^{m_k} w2_k dx = 1, with x^{m_k} =
     sum_t c_t u^t and the shifted moments summed in order t = 0..m_k, read
     by the same gather.  Raises ValueError for a normalization index past
-    its side, or as moment_stack does.
+    its side, or as moment_stack does, and AccuracyError when a power of
+    the basis center or scale overflows a double or a double type I row
+    is not finite.
     """
     kind, size = terms[0][1].kind, terms[0][2].n.size
     layouts, leads, rhs, expansions = [], [], [], []
@@ -248,10 +249,13 @@ def square_systems(values: np.ndarray, center, scale, terms: Sequence[tuple]
         cols, rows = column_layout(pair.n.parts), column_layout(pair.m.parts)
         if kind == "II":
             leads.append(sum(pair.n.parts[:k + 1]) - 1)
-            rhs.append(scale ** (pair.n[k] - 1))
+            rhs.append(checked_power(scale, pair.n[k] - 1,
+                                     "defining system: type II right-hand side"))
         else:
             d = pair.m[k]
-            expansions.append([math.comb(d, t) * center ** (d - t) * scale ** t
+            label = "defining system: type I closing row"
+            expansions.append([math.comb(d, t) * checked_power(center, d - t, label)
+                               * checked_power(scale, t, label)
                                for t in range(d + 1)])
             rows += tuple((k, t) for t in range(d + 1))
         layouts.append((swap, cols, rows))
@@ -277,6 +281,8 @@ def square_systems(values: np.ndarray, center, scale, terms: Sequence[tuple]
     row = 0
     for t in range(top):
         row = row + products[:, t]
+    if A.dtype == float and not np.isfinite(row).all():
+        raise AccuracyError("defining system: type I closing row is not finite")
     A[:, -1] = row
     b[:, -1] = 1
     return A, b, None
@@ -509,10 +515,10 @@ def solve_terms(table: ProductMomentTable, terms: Sequence[tuple]
     square_systems and solved by one SVD call (_solve_square): a solution
     does not depend on the terms stacked with it.  Terms that fail the
     double rank gate then go, in term order, to EXTENDED_DPS-digit
-    arithmetic (_solve_mixed_extended) when both families are all-gaussian
-    and the system has at most EXTENDED_MAX_UNKNOWNS unknowns.  The first
-    term that fails its last arithmetic raises NotNormalizable, carrying
-    the NormalityReport of its pair.
+    arithmetic (_solve_mixed_extended) when the system has at most
+    EXTENDED_MAX_UNKNOWNS unknowns.  The first term that fails its last
+    arithmetic raises NotNormalizable, carrying the NormalityReport of its
+    pair.
     """
     stacks = {}
     for r, (_, norm, pair) in enumerate(terms):
@@ -529,8 +535,7 @@ def solve_terms(table: ProductMomentTable, terms: Sequence[tuple]
         if solutions[r] is not None:
             continue
         on = tables[swap]
-        if (on.w1.all_gaussian and on.w2.all_gaussian
-                and pair.n.size <= EXTENDED_MAX_UNKNOWNS):
+        if pair.n.size <= EXTENDED_MAX_UNKNOWNS:
             solutions[r] = _solve_mixed_extended(pair, on, norm)
         else:
             raise NotNormalizable(
@@ -674,47 +679,3 @@ def check_normality(pair: MultiIndexPair, table: ProductMomentTable) -> Normalit
                            typeI_admissible=typeI,
                            typeII_admissible=typeII,
                            condition_estimate=cond)
-
-
-# ---------------------------------------------------------------------------
-# Classical reductions (single-weight-side specializations)
-
-
-def _lebesgue_box(families: Sequence[WeightFamily]) -> Weight:
-    """The constant weight 1 truncated where the gaussian mass lives."""
-    c, s = basis_center_scale(*families)
-    lo, hi = c - TAIL_SIGMAS * s, c + TAIL_SIGMAS * s
-
-    def box(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= lo) & (x <= hi), 1.0, 0.0)
-
-    return Weight.tabulated(box, (lo, hi))
-
-
-def solve_type1_classical(weights: WeightFamily, n: Sequence[int]) -> MixedMopSolution:
-    """Type I multiple orthogonality against plain monomials.
-
-    Q = sum_l A_l w_l with deg A_l <= n_l - 1, integral Q x^j dx = 0 for
-    j <= |n| - 2, and integral Q x^{|n|-1} dx = 1.  Realized as a mixed
-    solve against a single truncated-constant test weight.
-    """
-    n = MultiIndex(tuple(n))
-    box = WeightFamily([_lebesgue_box([weights])])
-    pair = MultiIndexPair.defining(n.parts, (n.size - 1,))
-    table = moment_table_for(pair, weights, box)
-    return solve_mixed(pair, table, Normalization.type1(0))
-
-
-def solve_type2_classical(weights: WeightFamily, m: Sequence[int]) -> MixedMopSolution:
-    """The monic type II multiple orthogonal polynomial for the index m.
-
-    P monic of degree |m| with integral P(x) x^j w_k(x) dx = 0 for j < m_k.
-    Returned as a mixed solution whose single polynomial is P (the constant
-    box weight carries it); .polynomials_original()[0] are its coefficients.
-    """
-    m = MultiIndex(tuple(m))
-    box = WeightFamily([_lebesgue_box([weights])])
-    pair = MultiIndexPair.defining((m.size + 1,), m.parts)
-    table = moment_table_for(pair, box, weights)
-    return solve_mixed(pair, table, Normalization.type2(0))

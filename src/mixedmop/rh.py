@@ -230,21 +230,18 @@ def _block_table(data: CdKernelData) -> dict[str, _Block]:
 class RhSystem:
     """Cached neighbor solves plus geometry for repeated Y/X evaluations.
 
-    Both families must be all-Gaussian (ValueError otherwise).  The Cauchy
-    columns of Y (the last q) and of X (the first p) pair the forms of one
-    orientation with the weights of the other; each form-times-weight
-    product is a sum of polynomials times product Gaussians, whose
-    coefficients in the Gaussians' own variables are tabulated here once,
-    so that an evaluation is one Faddeeva call per product Gaussian and a
-    contraction.  A real z needs side '+' or '-' and gives that boundary
-    value of the Cauchy columns; the polynomial columns carry no jump.
-    branch_counts tallies the evaluations by closed-form branch, one per
-    product Gaussian and z.
+    The Cauchy columns of Y (the last q) and of X (the first p) pair the
+    forms of one orientation with the weights of the other; each
+    form-times-weight product is a sum of polynomials times product
+    Gaussians, whose coefficients in the Gaussians' own variables are
+    computed here once, so that an evaluation is one Faddeeva call per
+    product Gaussian and a contraction.  A real z needs side '+' or '-'
+    and gives that boundary value of the Cauchy columns; the polynomial
+    columns carry no jump.  branch_counts tallies the evaluations by
+    closed-form branch, one per product Gaussian and z.
     """
 
     def __init__(self, pair: MultiIndexPair, w1: WeightFamily, w2: WeightFamily):
-        if not (w1.all_gaussian and w2.all_gaussian):
-            raise ValueError("RhSystem needs all-gaussian weight families")
         self.pair = pair
         self.w1 = w1
         self.w2 = w2

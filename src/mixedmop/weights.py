@@ -1,15 +1,18 @@
-"""Weight families on the real line and their product-moment tables.
+"""Gaussian weight families on the real line and their product-moment tables.
 
 Everything downstream (solvers, kernels, Riemann-Hilbert assembly) consumes
 weights only through evaluation and through integrals of the form
 
     integral x^k  w1_j(x) w2_l(x) dx,
 
-so this module owns the two routes to those numbers: an exact recursion for
-Gaussian pairs and adaptive Gauss-Legendre quadrature for everything else.
-Moment tables are stored in a shifted-scaled monomial basis u = (x - c)/s to
-keep the downstream linear systems tolerably conditioned; public results are
-always reported in the original variable.
+and a product of two Gaussians is a Gaussian, so this module owns the one
+route to those numbers: an exact recursion on the product Gaussian, in
+double or in any mpmath arithmetic.  Moment tables are stored in a
+shifted-scaled monomial basis u = (x - c)/s to keep the downstream linear
+systems tolerably conditioned; public results are always reported in the
+original variable.  Adaptive Gauss-Legendre quadrature stays here for the
+integrals that are not moments, such as the Brownian one-point density's
+mass.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ _DOUBLE = SimpleNamespace(mpf=float, exp=math.exp, sqrt=math.sqrt, pi=math.pi)
 
 
 class AccuracyError(RuntimeError):
-    """Quadrature failed to converge; carries the best value and its bound."""
+    """A number came out inexact or not finite; carries the best value and
+    its bound where there is one."""
 
     def __init__(self, message: str, value=None, achieved: float | None = None):
         super().__init__(message)
@@ -51,72 +55,52 @@ class AccuracyError(RuntimeError):
         self.achieved = achieved
 
 
+def checked_power(base, exponent: int, quantity: str):
+    """base ** exponent, where a double's OverflowError becomes an
+    AccuracyError naming the quantity (mpmath numbers do not overflow)."""
+    try:
+        return base ** exponent
+    except OverflowError as exc:
+        raise AccuracyError(f"{quantity} overflows a double "
+                            f"({base!r} ** {exponent})") from exc
+
+
 @dataclass(frozen=True)
 class Weight:
-    """A nonnegative weight with finite moments of every order.
+    """The gaussian weight amplitude * exp(-(x-center)^2 / (2*variance)),
+    with variance and amplitude positive and finite and |center| at most
+    MAX_CENTER_SIGMAS standard deviations (ValueError otherwise)."""
 
-    Two kinds exist.  ``gaussian`` is amplitude * exp(-(x-center)^2 /
-    (2*variance)) and supports closed-form product moments.  ``tabulated``
-    wraps a callable together with a declared finite support interval; all
-    integrals against it are truncated to that interval, which is the
-    integrability/decay declaration required of the caller.
-    """
-
-    kind: str
     center: float = 0.0
     variance: float = 1.0
     amplitude: float = 1.0
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
-    support: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.kind == "gaussian":
-            if not (self.variance > 0.0) or not math.isfinite(self.variance):
-                raise ValueError("gaussian weight needs variance > 0")
-            if not (self.amplitude > 0.0) or not math.isfinite(self.amplitude):
-                raise ValueError("gaussian weight needs amplitude > 0")
-            if not abs(self.center) <= MAX_CENTER_SIGMAS * math.sqrt(self.variance):
-                raise ValueError(f"gaussian weight needs |center| <= {MAX_CENTER_SIGMAS:g}"
-                                 f" sd, got center {self.center!r}")
-        elif self.kind == "tabulated":
-            if self.fn is None:
-                raise ValueError("tabulated weight needs a callable")
-            if self.support is None:
-                raise ValueError("tabulated weight must declare a support interval")
-            lo, hi = self.support
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError("tabulated support must be a finite interval")
-        else:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
+        if not (self.variance > 0.0) or not math.isfinite(self.variance):
+            raise ValueError("gaussian weight needs variance > 0")
+        if not (self.amplitude > 0.0) or not math.isfinite(self.amplitude):
+            raise ValueError("gaussian weight needs amplitude > 0")
+        if not abs(self.center) <= MAX_CENTER_SIGMAS * math.sqrt(self.variance):
+            raise ValueError(f"gaussian weight needs |center| <= {MAX_CENTER_SIGMAS:g}"
+                             f" sd, got center {self.center!r}")
 
     @staticmethod
     def gaussian(center: float, variance: float, amplitude: float = 1.0) -> "Weight":
-        return Weight(kind="gaussian", center=real_number(center, "center"),
+        return Weight(center=real_number(center, "center"),
                       variance=real_number(variance, "variance"),
                       amplitude=real_number(amplitude, "amplitude"))
 
-    @staticmethod
-    def tabulated(fn: Callable, support: tuple[float, float]) -> "Weight":
-        return Weight(kind="tabulated", fn=fn,
-                      support=(float(support[0]), float(support[1])))
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "gaussian":
-            return self.amplitude * np.exp(-((x - self.center) ** 2) / (2.0 * self.variance))
-        return np.asarray(self.fn(x), dtype=float)
+        return self.amplitude * np.exp(-((x - self.center) ** 2) / (2.0 * self.variance))
 
     def interval(self) -> tuple[float, float]:
         """Interval outside which the weight is treated as zero."""
-        if self.kind == "gaussian":
-            sd = math.sqrt(self.variance)
-            return self.center - TAIL_SIGMAS * sd, self.center + TAIL_SIGMAS * sd
-        return self.support
+        sd = math.sqrt(self.variance)
+        return self.center - TAIL_SIGMAS * sd, self.center + TAIL_SIGMAS * sd
 
     def log_derivative_factor(self, x):
-        """w'(x) / w(x), for gaussian kind only."""
-        if self.kind != "gaussian":
-            raise ValueError("derivative available for gaussian weights only")
+        """w'(x) / w(x)."""
         x = np.asarray(x, dtype=float)
         return -(x - self.center) / self.variance
 
@@ -131,10 +115,6 @@ class WeightFamily(tuple):
         if not all(isinstance(w, Weight) for w in weights):
             raise TypeError("WeightFamily holds Weight instances")
         return super().__new__(cls, weights)
-
-    @property
-    def all_gaussian(self) -> bool:
-        return all(w.kind == "gaussian" for w in self)
 
     def interval(self) -> tuple[float, float]:
         los, his = zip(*(w.interval() for w in self))
@@ -173,8 +153,8 @@ def gaussian_product_params(w1: Weight, w2: Weight, ar=_DOUBLE
     v = v1 + v2
     var = v1 * v2 / v
     mean = (c1 * v2 + c2 * v1) / v
-    amp = (ar.mpf(w1.amplitude) * ar.mpf(w2.amplitude)
-           * ar.exp(-(c1 - c2) ** 2 / (2 * v)))
+    dist2 = checked_power(c1 - c2, 2, "gaussian product: squared center distance")
+    amp = ar.mpf(w1.amplitude) * ar.mpf(w2.amplitude) * ar.exp(-dist2 / (2 * v))
     return mean, var, amp
 
 
@@ -195,7 +175,7 @@ def gaussian_pair_moments(w1: Weight, w2: Weight, kmax: int,
     mean, var, amp = gaussian_product_params(w1, w2, ar)
     center, scale = ar.mpf(center), ar.mpf(scale)
     mu = (mean - center) / scale
-    sig2 = var / scale**2
+    sig2 = var / checked_power(scale, 2, "moment table: squared basis scale")
     out = [amp * scale * ar.sqrt(2 * ar.pi * sig2)]
     if kmax >= 1:
         out.append(mu * out[0])
@@ -256,25 +236,12 @@ def adaptive_gauss_legendre(f: Callable, a: float, b: float, *,
 def basis_center_scale(*families: WeightFamily) -> tuple[float, float]:
     """Shifted-scaled monomial basis (x - c)/s shared by both weight families.
 
-    c is the mean of the weight centers, s the family spread (largest
-    standard deviation plus half the center range), floored away from zero.
+    c is the mean of the weight centers, s the family spread: the largest
+    standard deviation plus half the center range.
     """
-    centers: list[float] = []
-    sds: list[float] = []
-    for fam in families:
-        for w in fam:
-            if w.kind == "gaussian":
-                centers.append(w.center)
-                sds.append(math.sqrt(w.variance))
-            else:
-                lo, hi = w.support
-                centers.append(0.5 * (lo + hi))
-                sds.append(0.25 * (hi - lo))
-    c = float(np.mean(centers))
-    s = max(sds) + 0.5 * (max(centers) - min(centers))
-    if not (s > 0.0 and math.isfinite(s)):
-        s = 1.0
-    return c, float(s)
+    centers = [w.center for fam in families for w in fam]
+    sd = max(math.sqrt(w.variance) for fam in families for w in fam)
+    return float(np.mean(centers)), sd + 0.5 * (max(centers) - min(centers))
 
 
 def family_interval(*families: WeightFamily) -> tuple[float, float]:
@@ -303,22 +270,6 @@ class ProductMomentTable:
             kmax=self.kmax, values=self.values.transpose(1, 0, 2))
 
 
-def _quad_pair_moments(w1: Weight, w2: Weight, kmax: int,
-                       center: float, scale: float) -> np.ndarray:
-    lo1, hi1 = w1.interval()
-    lo2, hi2 = w2.interval()
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
-    if hi <= lo:
-        return np.zeros(kmax + 1)
-
-    def integrand(x):
-        u = (x - center) / scale
-        pows = np.vander(u, kmax + 1, increasing=True).T
-        return pows * (w1(x) * w2(x))
-
-    return np.asarray(adaptive_gauss_legendre(integrand, lo, hi)[0], dtype=float)
-
-
 def build_moment_table(w1: WeightFamily, w2: WeightFamily, kmax: int, *,
                        center: float | None = None,
                        scale: float | None = None) -> ProductMomentTable:
@@ -339,10 +290,7 @@ def build_moment_table(w1: WeightFamily, w2: WeightFamily, kmax: int, *,
     values = np.zeros((len(w1), len(w2), kmax + 1))
     for j, a in enumerate(w1):
         for l, b in enumerate(w2):
-            if a.kind == "gaussian" and b.kind == "gaussian":
-                values[j, l] = gaussian_pair_moments(a, b, kmax, c, s)
-            else:
-                values[j, l] = _quad_pair_moments(a, b, kmax, c, s)
+            values[j, l] = gaussian_pair_moments(a, b, kmax, c, s)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         j, l, k = (int(v) for v in bad[0])

@@ -11,9 +11,11 @@ null spaces from an SVD performed outside the solver.  The CSV oracle
 formats cell by cell from each value's Python type; the band oracle
 evaluates the CD kernel near the diagonal one cell at a time, and the
 defining-system oracle writes each solve's square system out from its
-definition, one system at a time.
+definition, one system at a time.  The classical reductions are not
+oracles: they are the library's mixed solve between Gaussians.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -23,7 +25,7 @@ from numpy.polynomial import polynomial as P
 from scipy import integrate, linalg, special
 
 from mixedmop import (MultiIndexPair, Normalization, Weight, WeightFamily,
-                      kernel_cd_diagonal, solve_mixed)
+                      kernel_cd_diagonal, moment_table_for, solve_mixed)
 from mixedmop import brownian, rh
 from mixedmop.mop import moment_matrix
 
@@ -74,6 +76,48 @@ def monic_orthogonal_oracle(weight, interval, count):
         coeffs.append(c)
         hs.append(float(sum(ci * mom[i + deg] for i, ci in enumerate(c))))
     return coeffs, hs
+
+
+# ---------------------------------------------------------------------------
+# Classical reductions as mixed solves between Gaussians
+
+
+def _split_off_wide_gaussian(weights):
+    """({g}, {W_l / g}) for a gaussian g wider than every W_l: g has
+    variance V = 2 max v_l and the mean of the centers c, so W_l / g has
+    variance v_l V / (V - v_l), mean (c_l V - c v_l) / (V - v_l), and its
+    value there as amplitude."""
+    V = 2.0 * max(w.variance for w in weights)
+    g = Weight.gaussian(float(np.mean([w.center for w in weights])), V)
+    quotients = []
+    for w in weights:
+        mean = (w.center * V - g.center * w.variance) / (V - w.variance)
+        quotients.append(Weight.gaussian(mean, w.variance * V / (V - w.variance),
+                                         float(w(mean) / g(mean))))
+    return WeightFamily([g]), WeightFamily(quotients)
+
+
+def classical_type2(weights, m):
+    """The monic type II multiple orthogonal polynomial P of degree |m| on
+    the family W: integral P x^j W_k dx = 0 for j < m_k.  It is the mixed
+    type II solve of ({g}, {W_k / g}) with n = (|m| + 1,), whose one
+    polynomial is P: .polynomials_original()[0]."""
+    g, quotients = _split_off_wide_gaussian(weights)
+    pair = MultiIndexPair.defining((sum(m) + 1,), m)
+    return solve_mixed(pair, moment_table_for(pair, g, quotients),
+                       Normalization.type2(0))
+
+
+def classical_type1(weights, n):
+    """The type I form Q = sum_l A_l W_l, deg A_l <= n_l - 1, with integral
+    Q x^j dx = 0 for j <= |n| - 2 and 1 at j = |n| - 1.  It is the mixed
+    type I solve of ({W_l / g}, {g}) with m = (|n| - 1,), whose form is
+    Q / g; returned on the family W, so that .form is Q itself."""
+    g, quotients = _split_off_wide_gaussian(weights)
+    pair = MultiIndexPair.defining(n, (sum(n) - 1,))
+    sol = solve_mixed(pair, moment_table_for(pair, quotients, g),
+                      Normalization.type1(0))
+    return dataclasses.replace(sol, weights=weights)
 
 
 # ---------------------------------------------------------------------------

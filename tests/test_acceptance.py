@@ -17,16 +17,16 @@ from mixedmop import (BrownianConfig, MultiIndexPair, Weight, WeightFamily,
                       build_biorthogonal, build_cd_data, check_normality,
                       correlation_kernel, kernel_cd_grid,
                       kernel_direct_grid, kernel_rh_grid, km_density,
-                      moment_table_for, r_m, sample_positions,
-                      solve_type1_classical, solve_type2_classical)
+                      moment_table_for, r_m, sample_positions)
 from mixedmop.brownian import chi_square_report
 from mixedmop.kernel import (idempotence_residual, relative_discrepancy,
                              trace_quadrature)
 from mixedmop.rh import RhSystem, rh_verification_report
 from mixedmop.weights import gaussian_product_params
 
-from conftest import (kernel_at, monic_orthogonal_oracle,
-                      random_balanced_parts, random_gaussian_families)
+from conftest import (classical_type1, classical_type2, kernel_at,
+                      monic_orthogonal_oracle, random_balanced_parts,
+                      random_gaussian_families)
 
 SEED = 20240822
 
@@ -177,12 +177,12 @@ def test_criterion_4_classical_reductions():
                                 WeightFamily([w11]), WeightFamily([w21, w22]))
     W = WeightFamily([G(*gaussian_product_params(w11, w21)),
                       G(*gaussian_product_params(w11, w22))])
-    P_m = solve_type2_classical(W, m).polynomials_original()[0]
-    P_down = [solve_type2_classical(W, (1, 2)).polynomials_original()[0],
-              solve_type2_classical(W, (2, 1)).polynomials_original()[0]]
-    Q_m = solve_type1_classical(W, m)
-    Q_up = [solve_type1_classical(W, (3, 2)),
-            solve_type1_classical(W, (2, 3))]
+    P_m = classical_type2(W, m).polynomials_original()[0]
+    P_down = [classical_type2(W, (1, 2)).polynomials_original()[0],
+              classical_type2(W, (2, 1)).polynomials_original()[0]]
+    Q_m = classical_type1(W, m)
+    Q_up = [classical_type1(W, (3, 2)),
+            classical_type1(W, (2, 3))]
 
     xs = np.linspace(-1.6, 1.9, 12)
     ys = np.linspace(-1.8, 1.7, 12) + 0.083

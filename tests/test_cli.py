@@ -341,10 +341,11 @@ class TestValidationFailures:
         ("n", 3), ("n", ["x"]), ("n", [2.7, 1]), ("n", []), ("m", [True, 1]),
         ("m", [1.0, 1]), ("center", float("nan")), ("center", 1e200),
         ("center", "0.5"), ("center", True), ("variance", "1"),
-        ("amplitude", False),
+        ("amplitude", False), ("kind", "tabulated"), ("kind", "cauchy"),
     ], ids=["n-int", "n-string-entry", "n-fraction", "n-empty", "m-bool",
             "m-float", "center-nan", "center-huge", "center-string",
-            "center-bool", "variance-string", "amplitude-bool"])
+            "center-bool", "variance-string", "amplitude-bool",
+            "kind-tabulated", "kind-cauchy"])
     def test_weight_problem_types(self, tmp_path, key, value):
         config = json.loads(json.dumps(TWO_BY_TWO))
         if key in ("n", "m"):
@@ -544,6 +545,40 @@ class TestNumericalFailures:
         assert "(0, 0), order 0" in report["message"]
         captured = capfd.readouterr()
         assert "DLASCL" not in captured.err + captured.out
+
+    TYPE_I = {"n": [3, 3], "normalization": {"kind": "I", "index": 1}}
+
+    @pytest.mark.parametrize("command, weight, entry, edit, message", [
+        ("mop-solve", 0, (-0.5, 1e250, 1.0), TYPE_I,
+         "defining system: type I closing row overflows a double"),
+        ("rh-verify", 0, (-0.5, 1e300, 1.0), {},
+         "defining system: type II right-hand side overflows a double"),
+        ("cd-check", 0, (1e160, 1e300, 1.0), {},
+         "gaussian product: squared center distance overflows a double"),
+        ("kernel-grid", 0, (1e160, 1e300, 1.0), {},
+         "gaussian product: squared center distance overflows a double"),
+        ("rh-verify", 0, (1e160, 1e300, 1.0), {},
+         "gaussian product: squared center distance overflows a double"),
+        ("kernel-grid", 1, (1e160, 1e300, 1.0), {},
+         "moment table: squared basis scale overflows a double"),
+        ("mop-solve", 0, (1e40, 1e80, 1e200), TYPE_I,
+         "defining system: type I closing row is not finite"),
+        ("rh-verify", 0, (1e60, 1e120, 1e200), {},
+         "defining system: type I closing row is not finite"),
+    ], ids=["type-I-row", "type-II-rhs", "product-cd", "product-grid",
+            "product-rh", "basis-scale", "type-I-row-nan", "type-I-row-nan-rh"])
+    def test_nonfinite_system_is_named(self, tmp_path, command, weight, entry,
+                                       edit, message):
+        # a double's ** raises OverflowError where * gives inf, and an
+        # inf - inf in the type I row would stop the SVD
+        config = dict(WP, w1=list(WP["w1"]), **edit)
+        config["w1"][weight] = dict(zip(("center", "variance", "amplitude"), entry),
+                                    kind="gaussian")
+        code, out = run_cli(tmp_path, command, config)
+        assert code == 2
+        report = read_json(out / "error_report.json")
+        assert report["error"] == "NUMERICAL"
+        assert report["message"].startswith(message)
 
     def test_five_plus_five_positions_refused_by_mass_check(self, tmp_path):
         config = {"starts": [[-1.0, 5], [1.0, 5]], "ends": [[0.0, 10]],

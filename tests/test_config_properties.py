@@ -7,13 +7,17 @@ A draw starts from a config and replaces up to two of its fields, at any
 depth, by an arbitrary JSON value, so that every field is reached with the
 rest as drawn.  Weight problems have 1 or 2 weights per side, drawn apart
 from the number of parts of n and m (so a family and its multi-index may
-disagree), and multi-index parts <= 4.  Brownian configs are valid before
-the replacement, with at most 4 walkers on well-separated points, at most
-50 draws and at most 5 path bundles.  The grid commands run on the fixed
+disagree), and multi-index parts <= 4.  A weight's variance and amplitude
+are drawn log-uniformly from [1e-300, 1e300] and its center from up to
+MAX_CENTER_SIGMAS = 1e12 standard deviations, the whole domain a config
+may declare.  Brownian configs are valid before the replacement, with at
+most 4 walkers on well-separated points, at most 50 draws and at most 5
+path bundles.  The grid commands run on the fixed
 5-point grid GRID.
 """
 
 import json
+import math
 import os
 import tempfile
 
@@ -23,6 +27,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from mixedmop.cli import main  # noqa: E402
+from mixedmop.weights import MAX_CENTER_SIGMAS  # noqa: E402
 
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-10, 10),
@@ -43,9 +48,12 @@ def _parts(draw, total):
 @st.composite
 def configs(draw, command):
     def weight():
-        return {"kind": "gaussian", "center": draw(st.floats(-1.5, 1.5)),
-                "variance": draw(st.floats(0.3, 2.0)),
-                "amplitude": draw(st.floats(0.5, 2.0))}
+        variance = 10.0 ** draw(st.floats(-300, 300))
+        sds = draw(st.floats(-1, 1)) * 10.0 ** draw(
+            st.floats(0, math.log10(MAX_CENTER_SIGMAS)))
+        return {"kind": "gaussian", "center": sds * math.sqrt(variance),
+                "variance": variance,
+                "amplitude": 10.0 ** draw(st.floats(-300, 300))}
 
     n = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
     config = {"n": n, "m": _parts(draw, sum(n) - (command == "mop-solve"))}

@@ -566,16 +566,3 @@ class TestProjectionLaws:
                                  values=values)
         deviation, resid = self.laws(build_biorthogonal(pair, w1, w2, bad))
         assert deviation > 1e-7 and resid > 1e-7
-
-    @pytest.mark.parametrize("side", ["w1", "w2"])
-    def test_tabulated_family_refused(self, side):
-        fam = WeightFamily([Weight.gaussian(0.0, 1.0)])
-        tab = WeightFamily([Weight.tabulated(lambda x: np.exp(-0.5 * x * x),
-                                             (-12.0, 12.0))])
-        families = {"w1": fam, "w2": fam, side: tab}
-        sys = build_biorthogonal(MultiIndexPair.balanced([1], [1]),
-                                 families["w1"], families["w2"])
-        with pytest.raises(ValueError, match="all-gaussian"):
-            trace_quadrature(sys)
-        with pytest.raises(ValueError, match="all-gaussian"):
-            idempotence_residual(sys, DEFAULT_GRID, DEFAULT_GRID)

@@ -8,16 +8,14 @@ from scipy.integrate import quad
 
 from mixedmop import (BrownianConfig, MultiIndex, MultiIndexPair,
                       Normalization, NotNormalizable, Weight, WeightFamily,
-                      check_normality,
-                      moment_table_for, solve_mixed, solve_type1_classical,
-                      solve_type2_classical)
+                      check_normality, moment_table_for, solve_mixed)
 from mixedmop import mop
 from mixedmop.mop import (EXTENDED_MAX_UNKNOWNS, moment_matrix, numerical_rank,
                           affine_rebase, pair_layouts)
 from mixedmop.weights import build_moment_table
 
-from conftest import nullspace_oracle, random_balanced_parts, \
-    random_gaussian_families
+from conftest import classical_type1, classical_type2, nullspace_oracle, \
+    random_balanced_parts, random_gaussian_families
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -291,8 +289,7 @@ class TestSolveMixed:
                         Normalization.type2(0))
         assert info.value.report is not None
 
-    def test_fallback_only_for_small_gaussian_systems(self, unit_gaussian,
-                                                      monkeypatch):
+    def test_fallback_only_for_small_systems(self, unit_gaussian, monkeypatch):
         calls = []
 
         def extended(pair, table, normalization):
@@ -309,21 +306,18 @@ class TestSolveMixed:
         assert hermite(EXTENDED_MAX_UNKNOWNS) == "extended"
         with pytest.raises(NotNormalizable):
             hermite(EXTENDED_MAX_UNKNOWNS + 1)
-        # the classical reductions pair a tabulated box with the family
-        with pytest.raises(NotNormalizable):
-            solve_type2_classical(fam, [11])
         assert calls == [EXTENDED_MAX_UNKNOWNS]
 
 
 class TestClassicalReductions:
     def test_type1_single_gaussian_constant(self, squared_exp_gaussian):
         # weight e^{-x^2}: normalized constant form 1/sqrt(pi) e^{-x^2}
-        sol = solve_type1_classical(WeightFamily([squared_exp_gaussian]), [1])
+        sol = classical_type1(WeightFamily([squared_exp_gaussian]), [1])
         np.testing.assert_allclose(sol.polynomials_original()[0],
                                    [1.0 / SQRT_PI], rtol=1e-12)
 
     def test_type1_even_weight_parity(self, unit_gaussian):
-        sol = solve_type1_classical(WeightFamily([unit_gaussian]), [2])
+        sol = classical_type1(WeightFamily([unit_gaussian]), [2])
         coeffs = sol.polynomials_original()[0]
         # degree-1 polynomial for an even weight: odd part only
         assert abs(coeffs[0]) < 1e-12 * max(abs(coeffs[1]), 1.0)
@@ -331,24 +325,38 @@ class TestClassicalReductions:
     def test_type1_two_weight_solvable(self):
         fam = WeightFamily([Weight.gaussian(-2.0, 0.5, 1.0),
                             Weight.gaussian(2.0, 0.5, 1.0)])
-        sol = solve_type1_classical(fam, [2, 2])
+        sol = classical_type1(fam, [2, 2])
         assert sol.residual < 1e-10
 
     def test_type2_degree_one(self, squared_exp_gaussian):
-        sol = solve_type2_classical(WeightFamily([squared_exp_gaussian]), [1])
+        sol = classical_type2(WeightFamily([squared_exp_gaussian]), [1])
         np.testing.assert_allclose(sol.polynomials_original()[0], [0.0, 1.0],
                                    atol=1e-13)
 
     def test_type2_degree_two_frozen(self, squared_exp_gaussian):
         # Gram-Schmidt on moments {sqrt(pi), 0, sqrt(pi)/2}: x^2 - 1/2
-        sol = solve_type2_classical(WeightFamily([squared_exp_gaussian]), [2])
+        sol = classical_type2(WeightFamily([squared_exp_gaussian]), [2])
         np.testing.assert_allclose(sol.polynomials_original()[0],
                                    [-0.5, 0.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("degree", [11, 15, 19])
+    def test_type2_hermite_through_extended_fallback(self, squared_exp_gaussian,
+                                                     degree):
+        # on e^{-x^2} the monic polynomial is H_d / 2^d, whose coefficients
+        # are doubles; g = N(0, 1) and W / g = N(0, 1) split e^{-x^2} exactly
+        sol = classical_type2(WeightFamily([squared_exp_gaussian]), [degree])
+        want = np.polynomial.hermite.herm2poly([0] * degree + [1]) / 2.0 ** degree
+        assert sol.precision == "extended"
+        np.testing.assert_array_equal(sol.polynomials_original()[0], want)
+
+    def test_type2_hermite_twenty_stays_singular(self, squared_exp_gaussian):
+        with pytest.raises(NotNormalizable, match="extended"):
+            classical_type2(WeightFamily([squared_exp_gaussian]), [20])
 
     def test_type2_duplicated_weights_degenerate(self, unit_gaussian):
         fam = WeightFamily([unit_gaussian, unit_gaussian])
         with pytest.raises(NotNormalizable):
-            solve_type2_classical(fam, [1, 1])
+            classical_type2(fam, [1, 1])
 
 
 class TestNormality:

@@ -565,15 +565,6 @@ class TestClosedFormCauchy:
         with pytest.raises(ValueError):
             RhSystem(*rank_one_pair()).y_matrix(0.5)
 
-    @pytest.mark.parametrize("side", ["w1", "w2"])
-    def test_tabulated_family_refused(self, side):
-        pair, w1, w2 = rank_one_pair()
-        tab = WeightFamily([Weight.tabulated(gaussian_callable(0.0, 1.0, 1.0),
-                                             (-12.0, 12.0))])
-        families = {"w1": w1, "w2": w2, side: tab}
-        with pytest.raises(ValueError, match="all-gaussian"):
-            RhSystem(pair, families["w1"], families["w2"])
-
 
 # ---------------------------------------------------------------------------
 # Array evaluation: a batch of points against one call per point

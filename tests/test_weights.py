@@ -41,11 +41,6 @@ class TestWeightBasics:
         with pytest.raises(ValueError):
             Weight.gaussian(0.0, 1.0, 0.0)
 
-    def test_tabulated_requires_declared_support(self):
-        w = Weight.tabulated(lambda x: np.exp(-np.abs(x) ** 3), (-4.0, 4.0))
-        assert w.interval() == (-4.0, 4.0)
-        assert w(0.0) == 1.0
-
     def test_family_stacks_values(self):
         fam = WeightFamily([Weight.gaussian(0.0, 1.0, 1.0),
                             Weight.gaussian(1.0, 1.0, 2.0)])
@@ -128,25 +123,20 @@ class TestProductMoments:
 
     def test_closed_form_matches_quadrature_oracle(self):
         rng = np.random.default_rng(20240817)
-        for _ in range(12):
-            w1 = Weight.gaussian(rng.uniform(-2, 2), rng.uniform(0.4, 2.0),
-                                 rng.uniform(0.5, 1.5))
-            w2 = Weight.gaussian(rng.uniform(-2, 2), rng.uniform(0.4, 2.0),
-                                 rng.uniform(0.5, 1.5))
-            vals = plain_moments(w1, w2, 6)
-            for k in (0, 1, 3, 6):
+
+        def draw():
+            return Weight.gaussian(rng.uniform(-2, 2), rng.uniform(0.4, 2.0),
+                                   rng.uniform(0.5, 1.5))
+
+        cases = [(draw(), draw(), (0, 1, 3, 6)) for _ in range(12)]
+        # one fixed pair at every order up to 7
+        cases.append((Weight.gaussian(-0.4, 0.8, 1.0),
+                      Weight.gaussian(0.9, 1.1, 0.7), range(8)))
+        for w1, w2, orders in cases:
+            vals = plain_moments(w1, w2, max(orders))
+            for k in orders:
                 expect = quad_product_moment(w1, w2, k)
                 assert vals[k] == pytest.approx(expect, abs=2e-12 + 1e-11 * abs(expect))
-
-    def test_closed_form_matches_internal_quadrature(self):
-        # the same pair as tabulated weights goes through the table's
-        # adaptive Gauss-Legendre route
-        w1 = Weight.gaussian(-0.4, 0.8, 1.0)
-        w2 = Weight.gaussian(0.9, 1.1, 0.7)
-        closed = plain_moments(w1, w2, 7)
-        quadrature = plain_moments(Weight.tabulated(w1, w1.interval()),
-                                   Weight.tabulated(w2, w2.interval()), 7)
-        np.testing.assert_allclose(closed, quadrature, rtol=1e-11, atol=1e-12)
 
     def test_product_params_reproduce_pointwise_product(self):
         w1 = Weight.gaussian(-1.0, 0.5, 2.0)
@@ -157,14 +147,6 @@ class TestProductMoments:
             w1(xs) * w2(xs), amp * np.exp(-((xs - mean) ** 2) / (2 * var)),
             rtol=1e-13, atol=1e-300)
 
-    def test_tabulated_pair_uses_quadrature(self):
-        w1 = Weight.tabulated(lambda x: np.where(np.abs(x) <= 3.0,
-                                                 np.exp(-x ** 2), 0.0),
-                              (-3.0, 3.0))
-        w2 = Weight.gaussian(0.0, 0.5, 1.0)
-        vals = plain_moments(w1, w2, 2)
-        expect = quad_product_moment(w1, w2, 2)
-        assert vals[2] == pytest.approx(expect, rel=1e-9)
 
 
 G = Weight.gaussian
