@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import functools
-import json
 import math
 import numbers
 import os
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 import numpy as np
@@ -309,11 +309,71 @@ def known_keys(obj: dict, allowed: Sequence[str], what: str) -> None:
 def dump_json(path: str, obj: Any) -> None:
     """Write obj, as built of JSON types (str-keyed dicts, lists, str, int,
     float, bool, None), as indented JSON with sorted keys and a final
-    newline, in one write (``json.dump`` writes once per encoder chunk), to
-    a new file at path (``new_file``); the text is ASCII (non-ASCII escaped),
-    so its bytes do not depend on the locale."""
+    newline, ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` byte
+    for byte (``json_text``), in one write to a new file at path
+    (``new_file``); the text is ASCII (non-ASCII escaped), so its bytes do
+    not depend on the locale."""
+    text = json_text(obj) + "\n"
     with new_file(path) as fh:
-        fh.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+        fh.write(text.encode())
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+def json_text(obj: Any, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for obj built of JSON
+    types, with indent prefixed to every line after the first.  Asked to
+    indent, json leaves its C encoder for a Python generator per container;
+    this is one call per value.  Types are tried in json's order (str,
+    None, True, False, int, float, list or tuple, dict), after the exact
+    types float, list and dict, which no earlier test of that order takes.
+    Strings and keys are written by ``encode_basestring_ascii``, numbers
+    by ``int.__repr__`` and ``float.__repr__`` (NaN, Infinity and
+    -Infinity for the others), tuples as lists, and dict keys sorted.  A
+    key that is not a str, or a value of any other type, raises
+    TypeError."""
+    kind = type(obj)
+    if kind is float:
+        text = _float_repr(obj)
+        return _NON_FINITE.get(text, text)
+    if kind is not list and kind is not dict:
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return _int_repr(obj)
+        if isinstance(obj, float):
+            text = _float_repr(obj)
+            return _NON_FINITE.get(text, text)
+        if isinstance(obj, (list, tuple)):
+            kind = list
+        elif isinstance(obj, dict):
+            kind = dict
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} "
+                            f"is not JSON serializable")
+    inner = indent + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        items = [json_text(value, inner) for value in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if not obj:
+        return "{}"
+    for key in obj:
+        if not isinstance(key, str):
+            raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+    items = [encode_basestring_ascii(key) + ": " + json_text(obj[key], inner)
+             for key in sorted(obj)]
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
 
 
 def remove_file(path: str) -> None:

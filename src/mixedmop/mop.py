@@ -392,6 +392,10 @@ class FormStack:
         so each point of an array rounds as it would alone: numpy's vector
         complex product may fuse multiply-adds where its scalar one does
         not, which moves a cancelling high-degree sum in its last digits.
+        The complex path forms u = (x - center) / scale by numpy's complex
+        division, which multiplies by the reciprocal of scale, so at a
+        real point it can differ in the last bits from the real path;
+        callers keep a point on the path of its dtype (RhSystem.y_matrix).
         """
         x = np.asarray(x)
         if not np.iscomplexobj(x):

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, NamedTuple
+from functools import lru_cache
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,21 +133,26 @@ def cauchy_transform(f: Callable, interval: tuple[float, float], z: complex,
     return total, err
 
 
+@lru_cache(maxsize=None)
 def _line_moments(count: int) -> np.ndarray:
-    """G_k = int t^k e^{-t^2} dt over the real line, k < count."""
+    """G_k = int t^k e^{-t^2} dt over the real line, k < count, as a
+    read-only array."""
     G = np.zeros(count)
     G[0] = math.sqrt(math.pi)
     for k in range(2, count, 2):
         G[k] = 0.5 * (k - 1) * G[k - 2]
+    G.setflags(write=False)
     return G
 
 
-def gaussian_cauchy_moments(zeta, degree: int, side: int = 0
+def gaussian_cauchy_moments(zeta, degree: int, side=0
                             ) -> tuple[np.ndarray, np.ndarray]:
     """C_j(zeta) = int t^j e^{-t^2} / (t - zeta) dt for j = 0..degree.
 
     Off the real line the half plane of zeta decides; a real zeta needs
     side = +1 or -1 and gets the boundary value from above or below.
+    side is one number for every argument or an array broadcast against
+    zeta, one side per argument.
     Returns (C, series): C with shape zeta.shape + (degree + 1,), and the
     mask of arguments that took the asymptotic series (|zeta| >=
     SERIES_RADIUS) instead of the recursion.
@@ -271,53 +277,80 @@ class RhSystem:
             terms[name] = (mean, sigma, T)
         return terms
 
-    def _cauchy_block(self, name: str, zs: np.ndarray, side: str | None
-                      ) -> np.ndarray:
+    def _cauchy_block(self, name: str, zs: np.ndarray,
+                      sides: Sequence[str | None]) -> np.ndarray:
         """Row factor times the Cauchy transform of form r times column
         weight l, for every (r, l) of the block at each of the points zs,
-        shape (Z, rows, columns); on the real line the boundary value from
-        the given side."""
+        shape (Z, rows, columns); a real point takes the boundary value
+        from its side in sides."""
         mean, sigma, T = self._closed[name]
         zeta = (zs.astype(complex)[:, None, None] - mean) / sigma
+        signs = np.array([SIDES.get(s, 0) for s in sides])
         C, series = gaussian_cauchy_moments(zeta, T.shape[-1] - 1,
-                                            SIDES.get(side, 0))
+                                            signs[:, None, None])
         n_series = int(np.count_nonzero(series))
         self.branch_counts["asymptotic_series"] += n_series
         self.branch_counts["recursion"] += series.size - n_series
         return (np.einsum("rljd,zljd->zrl", T, C)
                 * self._blocks[name].cauchy_factors[:, None])
 
-    def _matrix(self, name: str, z, side: str | None) -> np.ndarray:
-        """Y or X at z: (N, N) at a scalar z, (Z, N, N) at a 1-D array."""
+    def _matrix(self, name: str, z, side: str | Sequence[str | None] | None
+                ) -> np.ndarray:
+        """Y or X at z: (N, N) at a scalar z, (Z, N, N) at a 1-D array.
+        With one side for the call the dtype of z picks every point's
+        polynomial path; with one side per point a real point with a side
+        takes the real path and every other point the complex one."""
         zs = np.asarray(z)
         points = zs.reshape(-1)
+        if side is None or isinstance(side, str):
+            sides = [side] * points.size
+            real = np.full(points.shape, not np.iscomplexobj(points))
+        else:
+            sides = list(side)
+            if len(sides) != points.size:
+                raise ValueError(f"{len(sides)} sides for {points.size} points")
+            real = np.array([s in SIDES for s in sides]) & (points.imag == 0)
         block = self._blocks[name]
-        poly = block.poly_factors[:, None] * np.moveaxis(
-            block.stack.poly_values(points), -1, 0)
-        cauchy = self._cauchy_block(name, points, side)
+        values = np.empty(block.stack.coeffs.shape[:-1] + points.shape, complex)
+        for group, x in ((real, points[real].real), (~real, points[~real])):
+            if x.size:
+                values[..., group] = block.stack.poly_values(x)
+        poly = block.poly_factors[:, None] * np.moveaxis(values, -1, 0)
+        cauchy = self._cauchy_block(name, points, sides)
         out = np.concatenate([poly, cauchy] if name == "y" else [cauchy, poly],
                              axis=-1)
         return out.reshape(zs.shape + out.shape[1:])
 
-    def y_matrix(self, z, side: str | None = None) -> np.ndarray:
+    def y_matrix(self, z, side: str | Sequence[str | None] | None = None
+                 ) -> np.ndarray:
         """Y(z) = [P | C]; a real z takes the boundary value from side.
         A scalar z gives the (N, N) matrix, a 1-D array of points the
-        (Z, N, N) stack; side holds for every real point of the call."""
+        (Z, N, N) stack.  side is "+", "-" or None for every point of the
+        call, or a sequence of them, one per point of a 1-D z, so that
+        points off the line and boundary values from both sides share one
+        call.  Every point rounds as it would in a call of its own group:
+        a real-typed point, or one with its own side, takes the real
+        polynomial path and a complex-typed one the complex path, whose
+        values at a real point differ in the last bits
+        (FormStack.poly_values)."""
         return self._matrix("y", z, side)
 
-    def x_matrix(self, z, side: str | None = None) -> np.ndarray:
+    def x_matrix(self, z, side: str | Sequence[str | None] | None = None
+                 ) -> np.ndarray:
         """X(z) = Y(z)^{-T} = [C | P] from the swapped-orientation forms,
-        with the shapes of y_matrix."""
+        with the shapes and sides of y_matrix."""
         return self._matrix("x", z, side)
 
 
-def verify_jump(system: RhSystem, xs) -> list[dict]:
-    """Residual max|Y+ - Y- J| of the jump condition at each real point of
-    xs, passed below 1e-6 max(max|Y+|, 1); one dict per point."""
-    xs = np.asarray(xs, dtype=float).reshape(-1)
+def _jump_sides(count: int) -> list[str]:
+    """The sides of Y+ and then Y- at count real points."""
+    return ["+"] * count + ["-"] * count
+
+
+def _jump_rows(system: RhSystem, xs: np.ndarray, Yp: np.ndarray,
+               Ym: np.ndarray) -> list[dict]:
+    """verify_jump's rows from Y+ and Y- at the real points xs."""
     J = jump_matrix(system.w1, system.w2, xs)
-    Yp = system.y_matrix(xs, "+")
-    Ym = system.y_matrix(xs, "-")
     residuals = np.max(np.abs(Yp - Ym @ J), axis=(-2, -1))
     y_norms = np.max(np.abs(Yp), axis=(-2, -1))
     return [{"x": x, "residual": r, "y_norm": y,
@@ -326,10 +359,23 @@ def verify_jump(system: RhSystem, xs) -> list[dict]:
                                y_norms.tolist())]
 
 
-def asymptotic_errors(system: RhSystem) -> dict:
-    """|| Y(iR) diag(z^-n, z^m) - I || for R = 10, 20, 40, with decay ratios."""
-    zs = 1j * np.array([10.0, 20.0, 40.0])
-    Y = system.y_matrix(zs)
+def verify_jump(system: RhSystem, xs) -> list[dict]:
+    """Residual max|Y+ - Y- J| of the jump condition at each real point of
+    xs, passed below 1e-6 max(max|Y+|, 1); one dict per point.  Y+ and
+    Y- come from one y_matrix call."""
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    Y = system.y_matrix(np.concatenate([xs, xs]), _jump_sides(xs.size))
+    return _jump_rows(system, xs, Y[:xs.size], Y[xs.size:])
+
+
+def _asymptotic_points() -> np.ndarray:
+    """z = iR for R = 10, 20, 40."""
+    return 1j * np.array([10.0, 20.0, 40.0])
+
+
+def _asymptotics(system: RhSystem, Y: np.ndarray) -> dict:
+    """asymptotic_errors from Y at _asymptotic_points()."""
+    zs = _asymptotic_points()
     # z**k through the log, steady at large |z| and large k
     powers = np.array([-nl for nl in system.pair.n.parts]
                       + list(system.pair.m.parts))
@@ -338,6 +384,11 @@ def asymptotic_errors(system: RhSystem) -> dict:
     errors = np.max(np.abs(scaled - np.eye(len(powers))), axis=(-2, -1)).tolist()
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     return {"errors": errors, "ratios": ratios}
+
+
+def asymptotic_errors(system: RhSystem) -> dict:
+    """|| Y(iR) diag(z^-n, z^m) - I || for R = 10, 20, 40, with decay ratios."""
+    return _asymptotics(system, system.y_matrix(_asymptotic_points()))
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +435,13 @@ def rh_verification_report(system: RhSystem, *, seed: int = 42,
     real line, the jump at 10 random points on it, and the asymptotics.
     Returns the report and Y at the first of the 20 points.
 
+    Y comes from one y_matrix call at the 20 points, the jump points from
+    either side and the radii of the asymptotics, and X from one x_matrix
+    call at the 20 points; every certificate reads its slice of the two.
+    The 20 points take each of their three draws (real part, imaginary
+    part, sign) from one block of standard uniforms, as rng.uniform draws
+    them one at a time.
+
     This certifies that the assembled matrix satisfies the defining
     conditions within tolerance; it does not certify uniqueness.
     """
@@ -391,15 +449,24 @@ def rh_verification_report(system: RhSystem, *, seed: int = 42,
     rng = np.random.default_rng(seed)
     lo, hi = system.interval
     span = hi - lo
-    zs = []
-    for _ in range(20):
-        re = rng.uniform(lo + 0.25 * span, hi - 0.25 * span)
-        im = rng.uniform(0.1, 2.0) * (1 if rng.uniform() < 0.5 else -1)
-        zs.append(complex(re, im))
+    u = rng.random((20, 3))
+    zs = np.empty(20, dtype=complex)
+    # rng.uniform(low, high) is low + (high - low) times its standard draw
+    low, high = lo + 0.25 * span, hi - 0.25 * span
+    zs.real = low + (high - low) * u[:, 0]
+    zs.imag = (0.1 + (2.0 - 0.1) * u[:, 1]) * np.where(u[:, 2] < 0.5, 1, -1)
+    xs_real = np.sort(rng.uniform(lo + 0.3 * span, hi - 0.3 * span, 10))
 
-    points = np.array(zs)
-    Y = system.y_matrix(points)
-    X = system.x_matrix(points)
+    k, j = zs.size, xs_real.size
+    radii = _asymptotic_points()
+    Y_all = system.y_matrix(np.concatenate([zs, xs_real, xs_real, radii]),
+                            [None] * k + _jump_sides(j) + [None] * radii.size)
+    Y = Y_all[:k]
+    X = system.x_matrix(zs)
+    jump_reports = _jump_rows(system, xs_real, Y_all[k:k + j],
+                              Y_all[k + j:k + 2 * j])
+    asym = _asymptotics(system, Y_all[k + 2 * j:])
+
     size = Y.shape[-1]
     det_residuals = np.abs(np.linalg.det(Y) - 1.0).tolist()
     xy_residuals = np.max(np.abs(np.swapaxes(X, -2, -1) @ Y - np.eye(size)),
@@ -408,13 +475,9 @@ def rh_verification_report(system: RhSystem, *, seed: int = 42,
     xy_floors = size * 2.0 ** -52 * (np.max(np.abs(X), axis=(-2, -1))
                                      * np.max(np.abs(Y), axis=(-2, -1)))
 
-    xs_real = np.sort(rng.uniform(lo + 0.3 * span, hi - 0.3 * span, 10))
-    jump_reports = verify_jump(system, xs_real)
-    asym = asymptotic_errors(system)
-
     report = {
         "pair": system.pair.to_json_dict(),
-        "z_points": [{"re": z.real, "im": z.imag} for z in zs],
+        "z_points": [{"re": z.real, "im": z.imag} for z in zs.tolist()],
         "det_residuals": det_residuals,
         "det_max": max(det_residuals),
         "x_y_consistency": xy_residuals,

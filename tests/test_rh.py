@@ -354,8 +354,10 @@ class TestJumpVerification:
         exact = rh.gaussian_cauchy_moments
 
         def perturbed(zeta, degree, side=0):
+            # Y+ off by 0.1 % at every point taken from above
             C, series = exact(zeta, degree, side)
-            return (C * 1.001 if side == 1 else C), series
+            above = np.expand_dims(np.asarray(side) == 1, -1)
+            return np.where(above, C * 1.001, C), series
 
         monkeypatch.setattr(rh, "gaussian_cauchy_moments", perturbed)
         rep, _ = rh_verification_report(system)
@@ -483,13 +485,13 @@ def panel_twin(system):
     twin.branch_counts = dict.fromkeys(BRANCHES, 0)
     data = system.data
 
-    def cauchy_block(name, zs, side):
+    def cauchy_block(name, zs, sides):
         block = rh._block_table(data)[name]
         forms = {"y": data.x_forms, "x": data.y_forms}[name]
         out = np.array([[[cauchy_transform(
             lambda xs, s=sol, w=wl: s.form(xs) * w(xs), system.interval, z,
             side, spread=data.table.scale)[0] for wl in block.weights]
-            for sol in forms] for z in zs])
+            for sol in forms] for z, side in zip(zs, sides)])
         return out * block.cauchy_factors[:, None]
 
     twin._cauchy_block = cauchy_block
@@ -626,10 +628,40 @@ class TestBatchEvaluation:
             np.testing.assert_array_equal(Jx, jump_matrix(w1, w2, x))
             assert rep == verify_jump(system, [x])[0]
 
+    @pytest.mark.parametrize("config", [WP, P3, HERMITE5],
+                             ids=["wp", "p3", "hermite5"])
+    def test_mixed_sides_equal_per_group_calls(self, config):
+        # bitwise, sign bits included: off-axis points, boundary values
+        # from both sides (7.5 in the series branch) and the radii in one
+        # call round as in a call of their own group
+        w1, w2, n, m = config
+        system = RhSystem(MultiIndexPair.balanced(n, m), w1, w2)
+        zs = BATCH_POINTS[np.iscomplex(BATCH_POINTS)]
+        xs = np.array([-0.7, 0.1, 0.9, 0.2, -0.45, 1.3, 7.5])
+        radii = 1j * np.array([10.0, 20.0, 40.0])
+        points = np.concatenate([zs, xs, xs, radii])
+        sides = ([None] * zs.size + ["+"] * xs.size + ["-"] * xs.size
+                 + [None] * radii.size)
+        mixed_sys, group_sys = copy.copy(system), copy.copy(system)
+        mixed_sys.branch_counts = dict.fromkeys(BRANCHES, 0)
+        group_sys.branch_counts = dict.fromkeys(BRANCHES, 0)
+        for fn in ("y_matrix", "x_matrix"):
+            mixed = getattr(mixed_sys, fn)(points, sides)
+            groups = getattr(group_sys, fn)
+            want = np.concatenate([groups(zs), groups(xs, "+"),
+                                   groups(xs, "-"), groups(radii)])
+            np.testing.assert_array_equal(bits(mixed), bits(want))
+        assert mixed_sys.branch_counts == group_sys.branch_counts
+
+    def test_sides_must_match_points(self):
+        system = RhSystem(*rank_one_pair())
+        with pytest.raises(ValueError, match="2 sides for 3 points"):
+            system.y_matrix(np.array([0.1, 0.2, 0.3]), ["+", "-"])
+
     def test_report_evaluates_in_few_array_calls(self, monkeypatch):
-        # one Y and one X call at the det points, Y+ and Y- at the jump
-        # points and Y at the three radii: a per-point loop would call the
-        # closed form 63 times
+        # one Y call at the det points, Y+ and Y- at the jump points and
+        # the three radii, and one X call at the det points: a per-point
+        # loop would call the closed form 63 times
         calls = []
         exact = rh.gaussian_cauchy_moments
 
@@ -637,13 +669,52 @@ class TestBatchEvaluation:
             calls.append(np.shape(zeta))
             return exact(zeta, degree, side)
 
+        matrix_calls = []
+        for fn in ("y_matrix", "x_matrix"):
+            def recorded(system, z, side=None, fn=fn, exact=getattr(RhSystem, fn)):
+                matrix_calls.append(fn)
+                return exact(system, z, side)
+            monkeypatch.setattr(RhSystem, fn, recorded)
         monkeypatch.setattr(rh, "gaussian_cauchy_moments", counted)
         w1, w2, n, m = WP
         rep, _ = rh_verification_report(
             RhSystem(MultiIndexPair.balanced(n, m), w1, w2))
-        assert len(calls) <= 6
+        assert sorted(matrix_calls) == ["x_matrix", "y_matrix"]
+        assert len(calls) <= 2
         assert sum(math.prod(shape) for shape in calls) == sum(
             rep["cauchy_branches"].values())
+
+    @pytest.mark.parametrize("seed", [0, 7, 42, 2024])
+    def test_report_draws_equal_scalar_uniforms(self, seed):
+        # the reference: one rng.uniform call per real part, imaginary part
+        # and sign, then the 10 jump points
+        system = RhSystem(*rank_one_pair())
+        lo, hi = system.interval
+        span = hi - lo
+        rng = np.random.default_rng(seed)
+        want = []
+        for _ in range(20):
+            re = rng.uniform(lo + 0.25 * span, hi - 0.25 * span)
+            im = rng.uniform(0.1, 2.0) * (1 if rng.uniform() < 0.5 else -1)
+            want.append({"re": re, "im": im})
+        xs = np.sort(rng.uniform(lo + 0.3 * span, hi - 0.3 * span, 10))
+        rep, _ = rh_verification_report(system, seed=seed)
+        assert rep["z_points"] == want
+        assert rep["jump_points"] == xs.tolist()
+
+    @pytest.mark.parametrize("config", [WP, P3], ids=["wp", "p3"])
+    def test_report_slices_equal_separate_calls(self, config):
+        # the one Y pass gives the jump rows and asymptotics of calls of
+        # their own, and Y at the det points
+        w1, w2, n, m = config
+        system = RhSystem(MultiIndexPair.balanced(n, m), w1, w2)
+        rep, y0 = rh_verification_report(system)
+        assert rep["jump_details"] == verify_jump(system, rep["jump_points"])
+        asym = asymptotic_errors(system)
+        assert rep["asymptotic_errors"] == asym["errors"]
+        assert rep["asymptotic_ratios"] == asym["ratios"]
+        z0 = complex(rep["z_points"][0]["re"], rep["z_points"][0]["im"])
+        np.testing.assert_array_equal(bits(y0), bits(system.y_matrix(z0)))
 
     def test_misaligned_points_fail_inverse_transpose(self, monkeypatch):
         # X evaluated at the det points in reverse order no longer pairs

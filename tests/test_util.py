@@ -1,4 +1,5 @@
-"""The CSV writer against the cell-by-cell oracle.
+"""The CSV writer against the cell-by-cell oracle, and the JSON writer
+against ``json.dumps``.
 
 ``write_csv`` prints a block of fewer than ``CSV_ARRAY_MIN_CELLS`` cells by
 one ``%`` operation, and a larger block by exact decimal arithmetic in
@@ -9,14 +10,18 @@ of several blocks and the exactness tests take the array path, so either
 path that drifts from ``%.17g`` shows here.
 """
 
+import json
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedmop import _util
-from mixedmop._util import CSV_ARRAY_MIN_CELLS, CSV_BLOCK_CELLS, write_csv
+from mixedmop._util import (CSV_ARRAY_MIN_CELLS, CSV_BLOCK_CELLS, dump_json,
+                            json_text, write_csv)
 
 from conftest import csv_oracle_bytes
 
@@ -250,3 +255,70 @@ class TestArrayPrinter:
         got = written(tmp_path, ("a", "b", "c", "d"), table)
         assert sum(printed) == 0
         assert got == csv_oracle_bytes(("a", "b", "c", "d"), table.tolist())
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer
+
+
+def json_oracle(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+JSON_SCALARS = (st.none() | st.booleans()
+                | st.integers(min_value=-2 ** 70, max_value=2 ** 70)
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.text())
+# lists, tuples and str-keyed dicts (empty ones included, keys and strings
+# non-ASCII too), nested to any depth, up to 40 leaves
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=40)
+
+
+class TestJsonText:
+    @settings(derandomize=True, max_examples=400, deadline=None,
+              database=None)
+    @given(obj=JSON_VALUES)
+    def test_matches_json_dumps(self, obj):
+        assert json_text(obj) == json_oracle(obj)
+
+    def test_special_values(self):
+        obj = {"nan": [math.nan, -math.nan], "inf": (math.inf, -math.inf),
+               "ascii": "caf\u00e9 \u2014 \U0001d11e \"q\" \\ \n\t\x00",
+               "\u00e9t\u00e9": {}, "empty": [], "tuple": (), "zero": -0.0,
+               "big": 2 ** 80, "tiny": 5e-324, "flags": [True, False, None],
+               "numpy": [np.float64(0.1), np.float64(math.nan)],
+               "ordered": OrderedDict([("b", 1), ("a", 2)])}
+        assert json_text(obj) == json_oracle(obj)
+        assert json_text(obj).isascii()
+
+    def test_deep_containers(self):
+        obj = 1.5
+        for depth in range(60):
+            obj = [obj, {"k": depth}] if depth % 2 else {"d": obj, "e": []}
+        obj = [obj, {"z": [[[[]]]], "a": {"b": {}}}]
+        assert json_text(obj) == json_oracle(obj)
+
+    @pytest.mark.parametrize("obj", [{1: "a"}, {"a": {None: 1}},
+                                     [{("t",): 1}], {"a": 1, 2.5: 2}])
+    def test_non_str_key_raises(self, obj):
+        with pytest.raises(TypeError, match="keys must be str"):
+            json_text(obj)
+
+    @pytest.mark.parametrize("obj", [{"a": {1, 2}}, [b"bytes"], np.int64(3),
+                                     [1j]])
+    def test_unsupported_type_raises(self, obj):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json_text(obj)
+        with pytest.raises(TypeError):
+            json_oracle(obj)
+
+    def test_dump_json_writes_the_text_and_a_newline(self, tmp_path):
+        obj = {"b": [1.25, math.inf, "\u00fc"], "a": {"x": None}}
+        path = tmp_path / "report.json"
+        dump_json(str(path), obj)
+        assert path.read_bytes() == (json_oracle(obj) + "\n").encode()
