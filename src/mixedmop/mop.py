@@ -11,7 +11,6 @@ caller sees is in the original variable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress
@@ -220,28 +219,29 @@ def moment_table_for(pair: MultiIndexPair, w1: WeightFamily,
     return build_moment_table(w1, w2, max(pair.n.parts) + max(pair.m.parts) + 4)
 
 
-def square_systems(values: np.ndarray, center, scale, terms: Sequence[tuple]
+def square_systems(values: np.ndarray, scale, terms: Sequence[tuple]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The defining systems of a stack of terms (swap, normalization,
     defining pair) of one kind and one size |n|, as _solve_square takes
     them: A (S, N, N), b (S, N) and, for type II, each monic coefficient's
     index (None for type I).  A term with swap set reads values with the
     families exchanged, its pair's n side on w2 and m side on w1.  A and b
-    have the dtype of values, and center and scale its arithmetic: floats,
-    or mpf with values an object array.
+    have the dtype of values, and scale its arithmetic: a float, or an mpf
+    with values an object array.
 
     The first |m| rows are the conditions, moment_stack's layouts (swap,
     n, m).  The last row closes the system.  Type II: the unit row at the
     u^{n_k - 1} coefficient of A_k, right-hand side scale^{n_k - 1} (A_k
-    monic in x).  Type I: integral Q x^{m_k} w2_k dx = 1, with x^{m_k} =
-    sum_t c_t u^t and the shifted moments summed in order t = 0..m_k, read
-    by the same gather.  Raises ValueError for a normalization index past
-    its side, or as moment_stack does, and AccuracyError when a power of
-    the basis center or scale overflows a double or a double type I row
-    is not finite.
+    monic in x).  Type I: integral Q x^{m_k} w2_k dx = 1.  In u = (x - c)
+    / scale, x^{m_k} is scale^{m_k} u^{m_k} plus lower powers of u, which
+    the conditions make orthogonal to Q, so the row is scale^{m_k} times
+    the moment row of order m_k, read by the same gather.  Raises
+    ValueError for a normalization index past its side, or as
+    moment_stack does, and AccuracyError when a power of the scale
+    overflows a double or a double type I row is not finite.
     """
     kind, size = terms[0][1].kind, terms[0][2].n.size
-    layouts, leads, rhs, expansions = [], [], [], []
+    layouts, leads, powers = [], [], []
     for swap, norm, pair in terms:
         k = norm.index
         if k >= len(pair.n if kind == "II" else pair.m):
@@ -249,41 +249,27 @@ def square_systems(values: np.ndarray, center, scale, terms: Sequence[tuple]
         cols, rows = column_layout(pair.n.parts), column_layout(pair.m.parts)
         if kind == "II":
             leads.append(sum(pair.n.parts[:k + 1]) - 1)
-            rhs.append(checked_power(scale, pair.n[k] - 1,
-                                     "defining system: type II right-hand side"))
+            powers.append(checked_power(scale, pair.n[k] - 1,
+                                        "defining system: type II right-hand side"))
         else:
-            d = pair.m[k]
-            label = "defining system: type I closing row"
-            expansions.append([math.comb(d, t) * checked_power(center, d - t, label)
-                               * checked_power(scale, t, label)
-                               for t in range(d + 1)])
-            rows += tuple((k, t) for t in range(d + 1))
+            rows += ((k, pair.m[k]),)
+            powers.append(checked_power(scale, pair.m[k],
+                                        "defining system: type I closing row"))
         layouts.append((swap, cols, rows))
-    height = max(len(rows) for _, _, rows in layouts)
-    G = moment_stack(values, [(swap, cols, rows + rows[-1:] * (height - len(rows)))
-                              for swap, cols, rows in layouts])
+    G = moment_stack(values, layouts)
     count = len(terms)
     A = np.zeros((count, size, size), dtype=values.dtype)
     A[:, :-1] = G[:, :size - 1]
     b = np.zeros((count, size), dtype=values.dtype)
+    powers = np.array(powers, dtype=values.dtype)
     if kind == "II":
         lead = np.array(leads)
         A[np.arange(count), -1, lead] = 1
-        b[:, -1] = rhs
+        b[:, -1] = powers
         return A, b, lead
-    top = max(map(len, expansions))
-    weights = np.array([c + [0] * (top - len(c)) for c in expansions],
-                       dtype=values.dtype)
-    products = weights[:, :, None] * G[:, size - 1:]
-    for products_s, c in zip(products, expansions):
-        # past a system's own degree it adds -0.0, which changes no sum
-        products_s[len(c):] = -0.0
-    row = 0
-    for t in range(top):
-        row = row + products[:, t]
-    if A.dtype == float and not np.isfinite(row).all():
+    A[:, -1] = powers[:, None] * G[:, -1]
+    if A.dtype == float and not np.isfinite(A[:, -1]).all():
         raise AccuracyError("defining system: type I closing row is not finite")
-    A[:, -1] = row
     b[:, -1] = 1
     return A, b, None
 
@@ -388,20 +374,16 @@ class FormStack:
     def poly_values(self, x) -> np.ndarray:
         """A_rl(x), shape (R, L) + x.shape, on real or complex input.
 
-        Complex input runs Horner's rule on the real and imaginary parts,
-        so each point of an array rounds as it would alone: numpy's vector
+        Complex input runs Horner's rule on the real and imaginary parts of
+        u = (x - center) / scale, each formed as the real path forms u, so
+        each point of an array rounds as it would alone (numpy's vector
         complex product may fuse multiply-adds where its scalar one does
-        not, which moves a cancelling high-degree sum in its last digits.
-        The complex path forms u = (x - center) / scale by numpy's complex
-        division, which multiplies by the reciprocal of scale, so at a
-        real point it can differ in the last bits from the real path;
-        callers keep a point on the path of its dtype (RhSystem.y_matrix).
+        not), and the real part at a real point is the real path's value.
         """
         x = np.asarray(x)
         if not np.iscomplexobj(x):
             return self._polyval(self.coeffs, np.asarray(x, dtype=float))
-        u = (x - self.center) / self.scale
-        ur, ui = u.real, u.imag
+        ur, ui = (x.real - self.center) / self.scale, x.imag / self.scale
         shape = self.coeffs.shape[:-1]
         cs = np.moveaxis(self.coeffs, -1, 0).reshape((-1,) + shape + (1,) * x.ndim)
         re, im = cs[-1], np.zeros(shape + x.shape)
@@ -531,7 +513,7 @@ def solve_terms(table: ProductMomentTable, terms: Sequence[tuple]
     solutions = [None] * len(terms)
     for group in stacks.values():
         ok, x, residual = _solve_square(*square_systems(
-            table.values, table.center, table.scale, [terms[r] for r in group]))
+            table.values, table.scale, [terms[r] for r in group]))
         for r, x_r, res in zip(compress(group, ok.tolist()), x, residual.tolist()):
             swap, norm, pair = terms[r]
             solutions[r] = _solution(pair, tables[swap], norm, x_r, res, "double")
@@ -568,8 +550,9 @@ def _solution(pair: MultiIndexPair, table: ProductMomentTable,
 def _solve_mixed_extended(pair: MultiIndexPair, table: ProductMomentTable,
                           normalization: Normalization) -> MixedMopSolution:
     """The solve of a system that failed the double rank gate, at
-    EXTENDED_DPS digits from the mpmath moments of gaussian_pair_moments;
-    raises NotNormalizable when it fails the rank gate there too."""
+    EXTENDED_DPS digits: square_systems on the mpmath moments of
+    gaussian_pair_moments in the table's basis, row for row the double
+    system; raises NotNormalizable when it fails the rank gate there too."""
     import mpmath
 
     with mpmath.workdps(EXTENDED_DPS):
@@ -577,8 +560,8 @@ def _solve_mixed_extended(pair: MultiIndexPair, table: ProductMomentTable,
         values = np.array([[gaussian_pair_moments(wa, wb, kmax, table.center,
                                                   table.scale, mpmath)
                             for wb in table.w2] for wa in table.w1])
-        c, s = mpmath.mpf(table.center), mpmath.mpf(table.scale)
-        A, b, _ = square_systems(values, c, s, [(False, normalization, pair)])
+        A, b, _ = square_systems(values, mpmath.mpf(table.scale),
+                                 [(False, normalization, pair)])
         size = pair.n.size
         A = mpmath.matrix(A[0].tolist())
         b = mpmath.matrix(b[0].tolist())

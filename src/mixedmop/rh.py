@@ -258,33 +258,33 @@ class RhSystem:
         self._closed = self._closed_form_terms()
 
     def _closed_form_terms(self) -> dict:
-        """Per block, the mean and sigma of the product Gaussian of (column
-        weight l, form weight j) and the tensor T[r, l, j, d]: amplitude
-        times coefficient d (in that Gaussian's t) of form r's polynomial on
-        its weight j, padded to one length for both blocks."""
+        """Per block, the mean (less the forms' basis center) and sigma of
+        the product Gaussian of (column weight l, form weight j) and the
+        tensor T[r, l, j, d]: amplitude times coefficient d (in that
+        Gaussian's t) of form r's polynomial on its weight j, padded to one
+        length for both blocks."""
         size = max(b.stack.coeffs.shape[-1] for b in self._blocks.values())
         terms = {}
         for name, (stack, weights, _, _) in self._blocks.items():
-            params = np.array([[gaussian_product_params(a, b)
+            params = np.array([[gaussian_product_params(a, b, center=stack.center)
                                 for b in stack.weights] for a in weights])
             mean, var, amp = np.moveaxis(params, -1, 0)
             sigma = np.sqrt(2.0 * var)
             coeffs = np.zeros(stack.coeffs.shape[:-1] + (size,))
             coeffs[..., :stack.coeffs.shape[-1]] = stack.coeffs
             T = amp[..., None] * affine_rebase(
-                coeffs[:, None], (mean - stack.center) / stack.scale,
-                sigma / stack.scale)
+                coeffs[:, None], mean / stack.scale, sigma / stack.scale)
             terms[name] = (mean, sigma, T)
         return terms
 
     def _cauchy_block(self, name: str, zs: np.ndarray,
                       sides: Sequence[str | None]) -> np.ndarray:
         """Row factor times the Cauchy transform of form r times column
-        weight l, for every (r, l) of the block at each of the points zs,
+        weight l, for every (r, l) of the block at each complex point of zs,
         shape (Z, rows, columns); a real point takes the boundary value
         from its side in sides."""
         mean, sigma, T = self._closed[name]
-        zeta = (zs.astype(complex)[:, None, None] - mean) / sigma
+        zeta = ((zs - self._blocks[name].stack.center)[:, None, None] - mean) / sigma
         signs = np.array([SIDES.get(s, 0) for s in sides])
         C, series = gaussian_cauchy_moments(zeta, T.shape[-1] - 1,
                                             signs[:, None, None])
@@ -296,26 +296,16 @@ class RhSystem:
 
     def _matrix(self, name: str, z, side: str | Sequence[str | None] | None
                 ) -> np.ndarray:
-        """Y or X at z: (N, N) at a scalar z, (Z, N, N) at a 1-D array.
-        With one side for the call the dtype of z picks every point's
-        polynomial path; with one side per point a real point with a side
-        takes the real path and every other point the complex one."""
+        """Y or X at z: (N, N) at a scalar z, (Z, N, N) at a 1-D array."""
         zs = np.asarray(z)
-        points = zs.reshape(-1)
-        if side is None or isinstance(side, str):
-            sides = [side] * points.size
-            real = np.full(points.shape, not np.iscomplexobj(points))
-        else:
-            sides = list(side)
-            if len(sides) != points.size:
-                raise ValueError(f"{len(sides)} sides for {points.size} points")
-            real = np.array([s in SIDES for s in sides]) & (points.imag == 0)
+        points = zs.reshape(-1).astype(complex)
+        sides = ([side] * points.size if side is None or isinstance(side, str)
+                 else list(side))
+        if len(sides) != points.size:
+            raise ValueError(f"{len(sides)} sides for {points.size} points")
         block = self._blocks[name]
-        values = np.empty(block.stack.coeffs.shape[:-1] + points.shape, complex)
-        for group, x in ((real, points[real].real), (~real, points[~real])):
-            if x.size:
-                values[..., group] = block.stack.poly_values(x)
-        poly = block.poly_factors[:, None] * np.moveaxis(values, -1, 0)
+        poly = block.poly_factors[:, None] * np.moveaxis(
+            block.stack.poly_values(points), -1, 0)
         cauchy = self._cauchy_block(name, points, sides)
         out = np.concatenate([poly, cauchy] if name == "y" else [cauchy, poly],
                              axis=-1)
@@ -328,11 +318,7 @@ class RhSystem:
         (Z, N, N) stack.  side is "+", "-" or None for every point of the
         call, or a sequence of them, one per point of a 1-D z, so that
         points off the line and boundary values from both sides share one
-        call.  Every point rounds as it would in a call of its own group:
-        a real-typed point, or one with its own side, takes the real
-        polynomial path and a complex-typed one the complex path, whose
-        values at a real point differ in the last bits
-        (FormStack.poly_values)."""
+        call.  Every point rounds as it would in a call of its own."""
         return self._matrix("y", z, side)
 
     def x_matrix(self, z, side: str | Sequence[str | None] | None = None

@@ -141,18 +141,23 @@ def transition_weight(t: float, a: float, n: int = 1) -> Weight:
 # Gaussian products and closed-form moments
 
 
-def gaussian_product_params(w1: Weight, w2: Weight, ar=_DOUBLE
+def gaussian_product_params(w1: Weight, w2: Weight, ar=_DOUBLE, center=0.0
                             ) -> tuple[float, float, float]:
-    """(mean, variance, amplitude) of the product of two gaussian weights,
-    in the arithmetic ar: a namespace of the number type mpf, exp, sqrt and
-    pi.  It is double by default; mpmath and mpmath.iv compute at their
-    working precision, the weights' doubles entering as ar.mpf of them,
-    exactly."""
+    """(mean - center, variance, amplitude) of the product of two gaussian
+    weights, in the arithmetic ar: a namespace of the number type mpf, exp,
+    sqrt and pi.  It is double by default; mpmath and mpmath.iv compute at
+    their working precision, the weights' doubles entering as ar.mpf of
+    them, exactly.  The mean is formed as ((c1 - center) v2 + (c2 - center)
+    v1) / (v1 + v2), in the frame of center: far from the origin the
+    centers' offsets from a nearby center are exact, where the absolute
+    mean minus the center would cancel.  center 0 gives the absolute mean.
+    """
     v1, v2 = ar.mpf(w1.variance), ar.mpf(w2.variance)
     c1, c2 = ar.mpf(w1.center), ar.mpf(w2.center)
+    c = ar.mpf(center)
     v = v1 + v2
     var = v1 * v2 / v
-    mean = (c1 * v2 + c2 * v1) / v
+    mean = ((c1 - c) * v2 + (c2 - c) * v1) / v
     dist2 = checked_power(c1 - c2, 2, "gaussian product: squared center distance")
     amp = ar.mpf(w1.amplitude) * ar.mpf(w2.amplitude) * ar.exp(-dist2 / (2 * v))
     return mean, var, amp
@@ -166,25 +171,22 @@ def gaussian_pair_moments(w1: Weight, w2: Weight, kmax: int,
     array by default, else an object array of ar's numbers.
 
     Uses the three-term recursion m_k = mu m_{k-1} + (k-1) sigma^2 m_{k-2}
-    on the product Gaussian.  When both centers coincide with the basis
-    center the odd moments are exactly zero by symmetry and are pinned to 0
-    rather than trusted to rounding.  This is the one home of the formula:
-    the double table, the extended fallback's table and the tests' interval
-    enclosures all come from it.
+    on the product Gaussian, whose mean mu is formed in the basis frame
+    (gaussian_product_params with center).  When both centers coincide
+    with the basis center mu is exactly 0, and so are the odd moments.
+    This is the one home of the formula: the double table, the extended
+    fallback's table and the tests' interval enclosures all come from it.
     """
-    mean, var, amp = gaussian_product_params(w1, w2, ar)
-    center, scale = ar.mpf(center), ar.mpf(scale)
-    mu = (mean - center) / scale
+    offset, var, amp = gaussian_product_params(w1, w2, ar, center)
+    scale = ar.mpf(scale)
+    mu = offset / scale
     sig2 = var / checked_power(scale, 2, "moment table: squared basis scale")
     out = [amp * scale * ar.sqrt(2 * ar.pi * sig2)]
     if kmax >= 1:
         out.append(mu * out[0])
     for k in range(2, kmax + 1):
         out.append(mu * out[k - 1] + (k - 1) * sig2 * out[k - 2])
-    out = np.array(out, dtype=float if ar is _DOUBLE else object)
-    if w1.center == w2.center == center:
-        out[1::2] = ar.mpf(0)
-    return out
+    return np.array(out, dtype=float if ar is _DOUBLE else object)
 
 
 # ---------------------------------------------------------------------------

@@ -463,13 +463,14 @@ def form_oracle(sol, x):
 def poly_values_oracle(sol, x):
     """A_l(x) for every l of one solution: polyval per weight on real input;
     on complex input Horner's rule per polynomial on the real and imaginary
-    parts, each started from its own leading coefficient and written into
-    the output part by part."""
+    parts of u, (x.real - center) / scale and x.imag / scale, each started
+    from its own leading coefficient and written into the output part by
+    part."""
     x = np.asarray(x)
-    u = (x - sol.center) / sol.scale
     if not np.iscomplexobj(x):
-        return np.stack([P.polyval(u, cf) for cf in sol.coeffs])
-    ur, ui = u.real, u.imag
+        return np.stack([P.polyval((x - sol.center) / sol.scale, cf)
+                         for cf in sol.coeffs])
+    ur, ui = (x.real - sol.center) / sol.scale, x.imag / sol.scale
     out = np.empty((len(sol.coeffs),) + x.shape, dtype=complex)
     for k, cf in enumerate(sol.coeffs):
         re, im = np.full(x.shape, cf[-1]), np.zeros(x.shape)
@@ -517,14 +518,14 @@ def neighbour_solves_oracle(pair, table):
             for t, kind, k, a, b in specs]
 
 
-def square_system_oracle(values, center, scale, normalization, n, m):
+def square_system_oracle(values, scale, normalization, n, m):
     """The defining system (A, b, lead) of the pair (n, m) on the moment
     array values, written out from the definition: the conditions are the
     moment_matrix of the two layouts, and the closing row is the unit row
     at the monic coefficient (type II, right-hand side scale^(n_k - 1)) or
-    the shifted moments of orders i + t weighted by the expansion of
-    x^{m_k} in u = (x - center) / scale and summed in order t = 0..m_k
-    (type I, right-hand side 1).  lead is None for type I."""
+    scale^(m_k) times the shifted moments of orders i + m_k, integral Q
+    x^{m_k} w2_k dx less the terms the conditions zero (type I, right-hand
+    side 1).  lead is None for type I."""
     cols = [(l, i) for l, deg in enumerate(n) for i in range(deg)]
     rows = [(k, j) for k, deg in enumerate(m) for j in range(deg)]
     k = normalization.index
@@ -536,14 +537,23 @@ def square_system_oracle(values, center, scale, normalization, n, m):
         A[-1, lead] = 1
         b[-1] = scale ** (n[k] - 1)
         return A, b, lead
+    A[-1] = scale ** m[k] * moment_matrix(values, cols, [(k, m[k])])[0]
+    b[-1] = 1
+    return A, b, None
+
+
+def expanded_type1_row(values, center, scale, n, m, k):
+    """The type I closing row integral Q x^{m_k} w2_k dx in full: the
+    shifted moments of orders i + t weighted by the binomial expansion of
+    x^{m_k} in u = (x - center) / scale and summed in order t = 0..m_k.
+    A reference for the reduced row, which drops the terms t < m_k."""
+    cols = [(l, i) for l, deg in enumerate(n) for i in range(deg)]
     shifted = moment_matrix(values, cols, [(k, t) for t in range(m[k] + 1)])
     row = 0
     for t in range(m[k] + 1):
         c = math.comb(m[k], t) * center ** (m[k] - t) * scale ** t
         row = row + c * shifted[t]
-    A[-1] = row
-    b[-1] = 1
-    return A, b, None
+    return row
 
 
 def assert_same_solutions(got, want):

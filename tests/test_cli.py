@@ -827,6 +827,55 @@ class TestRhVerify:
             (tmp_path / "y0.csv").read_bytes()
 
 
+def shifted(config, s):
+    """config with every weight center moved by s."""
+    return dict(config, **{side: [dict(w, center=w["center"] + s)
+                                  for w in config[side]] for side in ("w1", "w2")})
+
+
+class TestTranslation:
+    """K_s(x + s, y + s) = K(x, y) when every center moves by s.  The
+    shifted grid is built first and the base grid is it minus s, which is
+    exact; the bounds, relative to 1 + |K|, leave room for the rounding of
+    the shifted centers and grid (measured 3.8e-12 and 5.4e-11)."""
+
+    @pytest.mark.parametrize("s, bound", [(1e3, 1e-10), (1e6, 1e-9)])
+    def test_shifted_wp_solves_in_double(self, tmp_path, s, bound):
+        config = shifted(WP, s)
+        grid = f"{s - 2.0!r}:{s + 2.0!r}:21"
+        code, out = run_cli(tmp_path, "kernel-grid", config, "--grid", grid,
+                            out_name="kg")
+        assert code == 0
+        assert read_json(out / "kernel_report.json")["precision"] == "double"
+        rows = np.loadtxt(out / "kernel_grid.csv", delimiter=",", skiprows=1)
+        xs = rows[::21, 0] - s
+        pair = MultiIndexPair.balanced(WP["n"], WP["m"])
+        w1, w2 = weights_from_json(WP)
+        for column, K in ((2, kernel_direct_grid(build_biorthogonal(pair, w1, w2),
+                                                 xs, xs)),
+                          (3, kernel_cd_grid(build_cd_data(pair, w1, w2), xs, xs))):
+            K = K.ravel()
+            assert np.max(np.abs(rows[:, column] - K) / (1.0 + np.abs(K))) <= bound
+
+        code, out = run_cli(tmp_path, "cd-check", config, "--grid", grid,
+                            out_name="cd")
+        assert code == 0
+        report = read_json(out / "cd_report.json")
+        assert report["precision"] == "double"
+        assert all(report["passed"].values())
+
+        code, out = run_cli(tmp_path, "rh-verify", config, out_name="rh")
+        assert code == 0
+        passed = read_json(out / "rh_report.json")["passed"]
+        assert passed["det"] and passed["jump"] and passed["asymptotics"]
+
+        for k in (0, 1):
+            solve = dict(config, m=[2, 2], normalization={"kind": "I", "index": k})
+            code, out = run_cli(tmp_path, "mop-solve", solve, out_name=f"mop{k}")
+            assert code == 0
+            assert read_json(out / "solution.json")["precision"] == "double"
+
+
 class TestImportCost:
     def test_cli_import_loads_no_scipy(self):
         src = os.path.dirname(os.path.dirname(mixedmop.__file__))

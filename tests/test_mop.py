@@ -236,8 +236,9 @@ class TestSolveMixed:
         assert e.precision == "extended"
 
     def test_extended_type1_agrees_with_double(self):
-        # the type I row expands x^{m_k} in the shifted basis in both
-        # precisions; a shifted family makes every binomial term count
+        # the type I row is scale^{m_k} times the moment row of order m_k
+        # in both precisions; a family off the origin puts the basis center
+        # away from 0, which the row no longer reads
         w1 = WeightFamily([Weight.gaussian(-0.6, 0.8, 1.0),
                            Weight.gaussian(0.7, 1.2, 0.9)])
         w2 = WeightFamily([Weight.gaussian(0.4, 1.0, 1.1)])

@@ -100,18 +100,18 @@ def test_square_systems_match_oracle_bitwise(problem):
     w1, w2, pair = problem
     table = moment_table_for(pair, w1, w2)
     tables = (table, table.swapped())
-    args = (table.center, table.scale)
+    scale = table.scale
     terms = neighbour_terms(pair)
-    want = [square_system_oracle(tables[swap].values, *args, norm,
+    want = [square_system_oracle(tables[swap].values, scale, norm,
                                  pair.n.parts, pair.m.parts)
             for swap, norm, pair in terms]
     for kind in ("I", "II"):
         group = [r for r, t in enumerate(terms) if t[1].kind == kind]
         assert_systems_equal(
-            square_systems(table.values, *args, [terms[r] for r in group]),
+            square_systems(table.values, scale, [terms[r] for r in group]),
             [want[r] for r in group])
     for (swap, norm, pair), w in zip(terms, want):
-        assert_systems_equal(square_systems(table.values, *args,
+        assert_systems_equal(square_systems(table.values, scale,
                                             [(swap, norm, pair)]), [w])
-        assert_systems_equal(square_systems(tables[swap].values, *args,
+        assert_systems_equal(square_systems(tables[swap].values, scale,
                                             [(False, norm, pair)]), [w])

@@ -633,7 +633,8 @@ class TestBatchEvaluation:
     def test_mixed_sides_equal_per_group_calls(self, config):
         # bitwise, sign bits included: off-axis points, boundary values
         # from both sides (7.5 in the series branch) and the radii in one
-        # call round as in a call of their own group
+        # call round as in a call of their own group; a real point typed
+        # complex gives what it gives typed real
         w1, w2, n, m = config
         system = RhSystem(MultiIndexPair.balanced(n, m), w1, w2)
         zs = BATCH_POINTS[np.iscomplex(BATCH_POINTS)]
@@ -651,6 +652,14 @@ class TestBatchEvaluation:
             want = np.concatenate([groups(zs), groups(xs, "+"),
                                    groups(xs, "-"), groups(radii)])
             np.testing.assert_array_equal(bits(mixed), bits(want))
+            alone = getattr(system, fn)
+            for side in "+-":
+                np.testing.assert_array_equal(bits(alone(xs.astype(complex), side)),
+                                              bits(alone(xs, side)))
+        for stack in (system.data.x_stack, system.data.y_stack):
+            np.testing.assert_array_equal(
+                bits(stack.poly_values(xs.astype(complex)).real),
+                bits(stack.poly_values(xs)))
         assert mixed_sys.branch_counts == group_sys.branch_counts
 
     def test_sides_must_match_points(self):

@@ -170,12 +170,19 @@ def _two_start_table(k):
     return moment_table_for(pair, w1, w2)
 
 
-# The tables the CLI builds for wp, p3, two-start 6 + 6, and a Hermite
-# N(0, 1) x N(0, 1) table of orders up to 44.
+def _wp_table(shift=0.0):
+    return _table_problem(WeightFamily([G(shift - 0.5, 0.8), G(shift + 0.6, 1.2)]),
+                          WeightFamily([G(shift, 1.0), G(shift + 0.3, 0.6)]),
+                          [3, 2], [2, 3])
+
+
+# The tables the CLI builds for wp, wp with every center shifted by 1e3 and
+# by 1e6, p3, two-start 6 + 6, and a Hermite N(0, 1) x N(0, 1) table of
+# orders up to 44.
 ENCLOSED_TABLES = {
-    "wp": lambda: _table_problem(WeightFamily([G(-0.5, 0.8), G(0.6, 1.2)]),
-                                 WeightFamily([G(0.0, 1.0), G(0.3, 0.6)]),
-                                 [3, 2], [2, 3]),
+    "wp": _wp_table,
+    "wp_shift_1e3": lambda: _wp_table(1e3),
+    "wp_shift_1e6": lambda: _wp_table(1e6),
     "p3": lambda: _table_problem(
         WeightFamily([G(-0.8, 0.7), G(0.1, 1.1), G(0.9, 0.9)]),
         WeightFamily([G(-0.4, 1.0), G(0.3, 0.6), G(0.7, 1.3)]),
@@ -197,8 +204,10 @@ def test_double_table_within_its_interval_enclosure(name):
     both sides, so a wrong formula would pass; the quadrature comparisons
     of TestProductMoments check the formula.  The double entries lie
     within 32 units of 2^-53 of the enclosure's midpoint, relative to it
-    (measured at most 8.7, 8.4, 1.6 and 9.5 on wp, p3, Hermite and
-    two-start 6 + 6), and are exactly 0 where the enclosure is [0, 0].
+    (measured at most 8.7, 11.4, 5.8, 8.4, 1.6 and 9.5 in table order; a
+    product mean formed in absolute coordinates reads 8,607 and 1.06e7
+    units on the shifted tables), and are exactly 0 where the enclosure is
+    [0, 0].
     """
     table = ENCLOSED_TABLES[name]()
     iv = mpmath.iv
