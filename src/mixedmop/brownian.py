@@ -43,7 +43,7 @@ PSRF_LIMIT = 1.05
 # search's relative tolerance and step cap.
 DPP_PANELS = 64
 DPP_NODES = 20
-DPP_BLOCK = 1024
+DPP_BLOCK = 2048
 MASS_TOL = 1e-9
 INVERSION_TOL = 1e-12
 INVERSION_MAX_STEPS = 60
@@ -411,8 +411,20 @@ def _legendre_series(s: np.ndarray, coef: np.ndarray) -> np.ndarray:
     come once at each s from the three-term recurrence, the integrals of
     P_0 .. P_{L-1} from them by
     int_{-1}^s P_l = (P_{l+1} - P_{l-1}) / (2 l + 1) (s + 1 for l = 0),
-    and both sums from one contraction.  Each column's values do not depend
-    on the other columns or on their number."""
+    and both sums from one contraction.  The columns run in chunks of at
+    most DPP_BLOCK // 2, so the (L + 1, 2, chunk) table of P_l and their
+    integrals stays at most half a block wide.  Each column's values do not
+    depend on the other columns or on their number."""
+    width = max(DPP_BLOCK // 2, 1)
+    out = np.empty((2, s.size))
+    for a in range(0, s.size, width):
+        out[:, a:a + width] = _legendre_chunk(s[a:a + width],
+                                              coef[:, a:a + width])
+    return out
+
+
+def _legendre_chunk(s: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """_legendre_series on one chunk of columns, its table filled in place."""
     terms = len(coef)
     beta, lead = _monic_legendre(terms + 1)
     pq = np.empty((terms + 1, 2, s.size))
@@ -423,9 +435,10 @@ def _legendre_series(s: np.ndarray, coef: np.ndarray) -> np.ndarray:
         np.multiply(s, p[l], out=p[l + 1])
         p[l + 1] -= beta[l] * p[l - 1]
     p *= lead[:, None]
-    pq[0, 1] = s + 1.0
-    pq[1:terms, 1] = (p[2:] - p[:-2]) / (
-        2.0 * np.arange(1, terms) + 1.0)[:, None]
+    np.add(s, 1.0, out=pq[0, 1])
+    integrals = pq[1:terms, 1]
+    np.subtract(p[2:], p[:-2], out=integrals)
+    integrals /= (2.0 * np.arange(1, terms) + 1.0)[:, None]
     return np.einsum("lkd,ld->kd", pq[:terms], coef)
 
 
@@ -456,9 +469,14 @@ def _invert_in_panel(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     s = (x - mid) / half on its panel, shape (L, draws).
 
     Newton steps on the series, replaced by bisection whenever a step
-    leaves the bracket, until the miss is below INVERSION_TOL * scale.
-    Returns the points, the largest miss relative to scale, and the series
-    density at the points.
+    leaves the bracket, until the miss is below INVERSION_TOL * scale.  A
+    draw that is done keeps its x, and is evaluated again unchanged, until
+    at least half of the draws still held are done; only then are the
+    others compacted into fresh arrays, so that each compaction copies at
+    most half of the coefficients.  Every operation is per draw, so the
+    points do not depend on when the compaction happens.  Returns the
+    points, the largest miss relative to scale, and the series density at
+    the points.
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     out, rho_at = np.empty_like(x), np.empty_like(x)
@@ -468,28 +486,30 @@ def _invert_in_panel(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         rho, integral = _legendre_series((x - mid) / half, coef)
         miss = half * integral - residual
         done = np.abs(miss) <= INVERSION_TOL * scale
-        below = miss < 0.0
-        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = x - miss / rho
-        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-        if done.any():
+        if 2 * np.count_nonzero(done) >= done.size:
             worst = max(worst, float(np.max(np.abs(miss[done]) / scale[done])))
             out[index[done]], rho_at[index[done]] = x[done], rho[done]
-            # the draws still searching, compacted once per step that ends some
             keep = ~done
             index = index[keep]
             if index.size == 0:
                 return out, worst, rho_at
             coef = coef[:, keep]
-            step, lo, hi, mid, half, residual, scale, miss = (
-                a[keep] for a in (step, lo, hi, mid, half, residual, scale, miss))
-        x = step
-    achieved = float(np.max(np.abs(miss) / scale))
+            x, lo, hi, mid, half, residual, scale, miss, rho, done = (
+                a[keep] for a in (x, lo, hi, mid, half, residual, scale, miss,
+                                  rho, done))
+        below = miss < 0.0
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - miss / rho
+        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        x = np.where(done, x, step)
+    # only the draws still searching count
+    left = ~done
+    achieved = float(np.max(np.abs(miss[left]) / scale[left]))
     raise AccuracyError(
-        f"inverse-CDF search left {index.size} draws with a relative miss "
-        f"up to {achieved:.2e} after {INVERSION_MAX_STEPS} steps (tolerance "
-        f"{INVERSION_TOL:.0e})", achieved=achieved)
+        f"inverse-CDF search left {np.count_nonzero(left)} draws with a "
+        f"relative miss up to {achieved:.2e} after {INVERSION_MAX_STEPS} steps "
+        f"(tolerance {INVERSION_TOL:.0e})", achieved=achieved)
 
 
 def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
@@ -514,7 +534,11 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
     AccuracyError is raised.  Draws run in blocks of DPP_BLOCK from uniforms
     drawn up front, and every per-draw operation is elementwise or a stacked
     per-draw product on contiguous operands, so the output does not depend
-    on the block size.
+    on the block size.  The block's memory is held down instead by chunking:
+    the series runs over at most half a block of columns at a time
+    (`_legendre_series`), the Newton search compacts its draws only once
+    half of them are done (`_invert_in_panel`), and each step's block-sized
+    products are freed before the next step's panel search.
     """
     n = system.dimension
     uniforms = np.random.Generator(np.random.PCG64(
@@ -586,6 +610,8 @@ def sample_projection_dpp(system: BiorthogonalSystem, box: tuple[float, float],
             update = Mpsi * phiM
             update /= denom[:, None, None]
             M -= update
+            # freed before the next panel search rather than when rebound
+            del update, Mpsi, phiM, phi, psi, denom, coef, x, rho
     return DppSamples(samples=np.sort(out, axis=1), mass_deviation_max=mass_dev,
                       inversion_residual_max=inversion,
                       series_residual_max=series_gap)

@@ -44,7 +44,8 @@ from .mop import (MultiIndexPair, Normalization, NotNormalizable,
                   check_normality, moment_table_for, solve_mixed)
 from .rh import (MATRIX_CSV_HEADER, RhSystem, kernel_cd_rh_grids, matrix_rows,
                  rh_verification_report)
-from .weights import AccuracyError, adaptive_gauss_legendre, weights_from_json
+from .weights import (AccuracyError, adaptive_gauss_legendre,
+                      basis_center_scale, weights_from_json)
 
 DEFAULT_SEED = 42
 # The --tol default of cd-check and rh-verify.
@@ -242,16 +243,25 @@ def _kernel_grid_artifacts(args, raw: dict, system, data, xs: np.ndarray,
             (report_name, dump_json, report)]
 
 
+def _family_grid(args, system, count: int) -> np.ndarray:
+    """--grid, or count points on c +- 2 s, the basis centre and scale of
+    the two families (`basis_center_scale`)."""
+    if args.grid is not None:
+        return args.grid
+    c, s = basis_center_scale(system.w1, system.w2)
+    return np.linspace(c - 2.0 * s, c + 2.0 * s, count)
+
+
 def cmd_kernel_grid(args, raw: dict) -> list:
     system, data = _balanced_setup(raw)
-    xs = args.grid if args.grid is not None else np.linspace(-2.0, 2.0, 61)
+    xs = _family_grid(args, system, 61)
     return _kernel_grid_artifacts(args, raw, system, data, xs,
                                   "kernel_report.json")
 
 
 def cmd_cd_check(args, raw: dict) -> list:
     system, data = _balanced_setup(raw)
-    xs = args.grid if args.grid is not None else np.linspace(-2.0, 2.0, 41)
+    xs = _family_grid(args, system, 41)
     Kd = kernel_direct_grid(system, xs, xs)
     Kcd, Krh = kernel_cd_rh_grids(data, xs, xs)
     _refuse_nonfinite(xs, K_direct=Kd, K_cd=Kcd, K_rh=Krh)

@@ -1,6 +1,7 @@
 """Non-intersecting Brownian motion: density, kernel, correlations, sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,15 +388,46 @@ class TestExactSampler:
         a = sample_projection_dpp(system, box, 300, seed=11)
         b = sample_projection_dpp(system, box, 300, seed=11)
         c = sample_projection_dpp(system, box, 300, seed=12)
+        # more draws than one default block: two full blocks and a partial
+        wide = sample_projection_dpp(system, box, 4100, seed=11)
+        monkeypatch.setattr(brownian, "DPP_BLOCK", 1024)
+        narrow = sample_projection_dpp(system, box, 4100, seed=11)
         monkeypatch.setattr(brownian, "DPP_BLOCK", 1)
         one = sample_projection_dpp(system, box, 300, seed=11)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
         np.testing.assert_array_equal(one.samples, a.samples)
+        np.testing.assert_array_equal(narrow.samples, wide.samples)
+        assert (narrow.mass_deviation_max, narrow.inversion_residual_max,
+                narrow.series_residual_max) == (
+            wide.mass_deviation_max, wide.inversion_residual_max,
+            wide.series_residual_max)
         assert a.samples.shape == (300, 3)
         assert np.all(np.diff(a.samples, axis=1) > 0.0)
         assert a.mass_deviation_max < 1e-9
         assert a.inversion_residual_max < 1e-11
+
+    def test_traced_peak_within_the_1024_block_budget(self):
+        # br at 4,000 draws traced 1.82 MB with 1,024-draw blocks; the
+        # 2,048 block stays within it by the chunked series, the half-done
+        # compaction and freeing each step's products (1.74 MB measured,
+        # 3.26 MB with the 2,048 block and none of the three)
+        cfg = three_walker_config()
+        system = correlation_kernel(cfg)
+        box = cfg.bridge_box()
+        sample_projection_dpp(system, box, 4000, seed=11)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sample_projection_dpp(system, box, 4000, seed=11)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 1.82e6
 
     def test_centre_of_mass_batch_means_z_follows_student_t(self):
         # the centre of mass of non-intersecting bridges keeps the law of the

@@ -28,6 +28,7 @@ from mixedmop import (BrownianConfig, MultiIndexPair, RhSystem,
 from mixedmop._util import write_csv
 from mixedmop.cli import GRID_LIMITS, main
 from mixedmop.kernel import relative_discrepancy
+from mixedmop.weights import basis_center_scale
 
 from conftest import csv_oracle_bytes, kernel_grid_rows
 
@@ -874,6 +875,31 @@ class TestTranslation:
             code, out = run_cli(tmp_path, "mop-solve", solve, out_name=f"mop{k}")
             assert code == 0
             assert read_json(out / "solution.json")["precision"] == "double"
+
+
+    def test_default_grids_follow_the_families(self, tmp_path):
+        # with no --grid both commands span c +- 2 s of the families; the
+        # fixed -2:2 read K = 0 on every cell of wp shifted by 1e6, and both
+        # reports passed with every route discrepancy 0.0
+        config = shifted(WP, 1e6)
+        c, s = basis_center_scale(*weights_from_json(config))
+        for command, count, csv_name, report_name in (
+                ("kernel-grid", 61, "kernel_grid.csv", "kernel_report.json"),
+                ("cd-check", 41, None, "cd_report.json")):
+            code, out = run_cli(tmp_path, command, config, out_name=command)
+            assert code == 0
+            report = read_json(out / report_name)
+            assert report["precision"] == "double"
+            assert report["direct_vs_cd"] > 0.0
+            if csv_name is not None:
+                rows = np.loadtxt(out / csv_name, delimiter=",", skiprows=1)
+                assert rows.shape == (count * count, 5)
+                np.testing.assert_array_equal(
+                    rows[::count, 0], np.linspace(c - 2.0 * s, c + 2.0 * s, count))
+                assert np.count_nonzero(rows[:, 2]) > count * count // 2
+            else:
+                assert report["direct_vs_rh"] > 0.0
+                assert all(report["passed"].values())
 
 
 class TestImportCost:
