@@ -25,10 +25,9 @@ from .weights import (AccuracyError, ProductMomentTable, WeightFamily,
 
 # Singular values below max(rows, cols) * s_max * RANK_RTOL count as zero.
 RANK_RTOL = 1e-10
-EXTENDED_RANK_RTOL = 1e-25
 EXTENDED_DPS = 60
-# Largest solve that falls back to extended arithmetic: a failing extended
-# solve costs ~0.4 s at 32 unknowns, growing like n^3; none succeeds past 25.
+# Largest solve that falls back to extended arithmetic, whose cost grows
+# like n^3: Hermite degree 31 solves at 32 unknowns in about 0.13 s.
 EXTENDED_MAX_UNKNOWNS = 32
 
 
@@ -226,8 +225,8 @@ def square_systems(values: np.ndarray, scale, terms: Sequence[tuple]
     them: A (S, N, N), b (S, N) and, for type II, each monic coefficient's
     index (None for type I).  A term with swap set reads values with the
     families exchanged, its pair's n side on w2 and m side on w1.  A and b
-    have the dtype of values, and scale its arithmetic: a float, or an mpf
-    with values an object array.
+    have the dtype of values, and scale its arithmetic: a float, or an
+    mpmath (interval) number with values an object array.
 
     The first |m| rows are the conditions, moment_stack's layouts (swap,
     n, m).  The last row closes the system.  Type II: the unit row at the
@@ -279,13 +278,10 @@ class MixedMopSolution:
     """Solved coefficients of the form Q(x) = sum_l A_l(x) w1_l(x).
 
     coeffs are per-weight arrays in the shifted-scaled basis of (center,
-    scale).  residual is the violation of the solved system A x = b,
-    recomputed from the returned doubles after any exactness
-    post-processing, and normalized in one of two ways by precision: a
-    double solve writes max|A x - b| / max(1, max|A| max|x|) (entrywise
-    maxima, _solve_square), an extended one ||A x - b||_inf / max(1, s_max
-    ||x||_inf) with s_max the largest singular value of the 60-digit A
-    (_solve_mixed_extended).
+    scale).  residual is max|A x - b| / max(1, max|A| max|x|), entrywise
+    maxima, of the solved system A x = b at the returned doubles, after any
+    exactness post-processing; an extended solve reads A and b at
+    EXTENDED_DPS digits.
     """
 
     pair: MultiIndexPair
@@ -500,8 +496,8 @@ def solve_terms(table: ProductMomentTable, terms: Sequence[tuple]
     The terms are stacked by kind and size, and each stack is assembled by
     square_systems and solved by one SVD call (_solve_square): a solution
     does not depend on the terms stacked with it.  Terms that fail the
-    double rank gate then go, in term order, to EXTENDED_DPS-digit
-    arithmetic (_solve_mixed_extended) when the system has at most
+    double rank gate then go, in term order, to EXTENDED_DPS-digit interval
+    LU (_solve_mixed_extended) when the system has at most
     EXTENDED_MAX_UNKNOWNS unknowns.  The first term that fails its last
     arithmetic raises NotNormalizable, carrying the NormalityReport of its
     pair.
@@ -525,8 +521,8 @@ def solve_terms(table: ProductMomentTable, terms: Sequence[tuple]
             solutions[r] = _solve_mixed_extended(pair, on, norm)
         else:
             raise NotNormalizable(
-                f"singular system for pair n={pair.n.parts} m={pair.m.parts} "
-                f"({norm.kind}, k={norm.index})",
+                f"size {pair.n.size} exceeds the extended cap for pair n={pair.n.parts} "
+                f"m={pair.m.parts} ({norm.kind}, k={norm.index})",
                 report=check_normality(pair, on))
     return solutions
 
@@ -549,38 +545,40 @@ def _solution(pair: MultiIndexPair, table: ProductMomentTable,
 
 def _solve_mixed_extended(pair: MultiIndexPair, table: ProductMomentTable,
                           normalization: Normalization) -> MixedMopSolution:
-    """The solve of a system that failed the double rank gate, at
-    EXTENDED_DPS digits: square_systems on the mpmath moments of
-    gaussian_pair_moments in the table's basis, row for row the double
-    system; raises NotNormalizable when it fails the rank gate there too."""
+    """The solve of a system that failed the double rank gate: interval LU
+    at EXTENDED_DPS digits on square_systems of gaussian_pair_moments in
+    mpmath.iv, which proves the system nonsingular or raises
+    NotNormalizable.  Returns the midpoints rounded to nearest doubles;
+    AccuracyError when one is not finite."""
     import mpmath
 
-    with mpmath.workdps(EXTENDED_DPS):
+    iv, prec = mpmath.iv, mpmath.iv.prec
+    iv.dps = EXTENDED_DPS
+    try:
         kmax = max(pair.n.parts) + max(pair.m.parts) + 2
         values = np.array([[gaussian_pair_moments(wa, wb, kmax, table.center,
-                                                  table.scale, mpmath)
+                                                  table.scale, iv)
                             for wb in table.w2] for wa in table.w1])
-        A, b, _ = square_systems(values, mpmath.mpf(table.scale),
+        A, b, _ = square_systems(values, iv.mpf(table.scale),
                                  [(False, normalization, pair)])
-        size = pair.n.size
-        A = mpmath.matrix(A[0].tolist())
-        b = mpmath.matrix(b[0].tolist())
-
-        svals = mpmath.svd_r(A.copy(), compute_uv=False)
-        smax = max(svals[i] for i in range(size))
-        smin = min(svals[i] for i in range(size))
-        if smin <= size * smax * mpmath.mpf(EXTENDED_RANK_RTOL):
-            report = check_normality(pair, table)
+        try:
+            x = iv.lu_solve(iv.matrix(A[0].tolist()), iv.matrix(b[0].tolist()))
+        except (ZeroDivisionError, TypeError):  # no provably nonzero pivot
             raise NotNormalizable(
-                f"singular system (extended) for pair n={pair.n.parts} "
-                f"m={pair.m.parts}", report=report)
-        x = mpmath.lu_solve(A, b)
-        xs = np.array([float(x[i]) for i in range(size)])
-        # the residual of the doubles returned, not of the 60-digit x
-        x = mpmath.matrix(xs.tolist())
-        scale_res = max(mpmath.mpf(1), smax * mpmath.norm(x, p=mpmath.inf))
-        residual = float(mpmath.norm(A * x - b, p=mpmath.inf) / scale_res)
-
+                f"not proven nonsingular at {EXTENDED_DPS} digits for pair "
+                f"n={pair.n.parts} m={pair.m.parts}",
+                report=check_normality(pair, table)) from None
+        xs = np.array([float(mpmath.mpf(v.mid)) for v in x])
+        if not np.isfinite(xs).all():
+            raise AccuracyError(f"extended solve for pair n={pair.n.parts} "
+                                f"m={pair.m.parts}: a coefficient is not finite")
+        mid = np.frompyfunc(lambda v: mpmath.mpf(iv.mpf(v).mid), 1, 1)
+        with mpmath.workdps(EXTENDED_DPS):
+            A, b = mid(A[0]), mid(b[0])
+            scale_res = max(1, abs(A).max() * abs(xs).max())
+            residual = float(abs(A @ xs - b).max() / scale_res)
+    finally:
+        iv.prec = prec
     return _solution(pair, table, normalization, xs, residual, "extended")
 
 

@@ -354,14 +354,14 @@ def verify_jump(system: RhSystem, xs) -> list[dict]:
     return _jump_rows(system, xs, Y[:xs.size], Y[xs.size:])
 
 
-def _asymptotic_points() -> np.ndarray:
-    """z = iR for R = 10, 20, 40."""
-    return 1j * np.array([10.0, 20.0, 40.0])
+def _asymptotic_points(system: RhSystem) -> np.ndarray:
+    """z = c + iR for R = 10, 20, 40, c the system's basis center."""
+    return system.data.table.center + 1j * np.array([10.0, 20.0, 40.0])
 
 
 def _asymptotics(system: RhSystem, Y: np.ndarray) -> dict:
-    """asymptotic_errors from Y at _asymptotic_points()."""
-    zs = _asymptotic_points()
+    """asymptotic_errors from Y at _asymptotic_points(system)."""
+    zs = _asymptotic_points(system) - system.data.table.center
     # z**k through the log, steady at large |z| and large k
     powers = np.array([-nl for nl in system.pair.n.parts]
                       + list(system.pair.m.parts))
@@ -373,8 +373,10 @@ def _asymptotics(system: RhSystem, Y: np.ndarray) -> dict:
 
 
 def asymptotic_errors(system: RhSystem) -> dict:
-    """|| Y(iR) diag(z^-n, z^m) - I || for R = 10, 20, 40, with decay ratios."""
-    return _asymptotics(system, system.y_matrix(_asymptotic_points()))
+    """|| Y(z) diag((z - c)^-n, (z - c)^m) - I || at z = c + iR for R = 10,
+    20, 40, c the basis center, with decay ratios: a translation of every
+    weight leaves the errors as they were."""
+    return _asymptotics(system, system.y_matrix(_asymptotic_points(system)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +446,7 @@ def rh_verification_report(system: RhSystem, *, seed: int = 42,
     xs_real = np.sort(rng.uniform(lo + 0.3 * span, hi - 0.3 * span, 10))
 
     k, j = zs.size, xs_real.size
-    radii = _asymptotic_points()
+    radii = _asymptotic_points(system)
     Y_all = system.y_matrix(np.concatenate([zs, xs_real, xs_real, radii]),
                             [None] * k + _jump_sides(j) + [None] * radii.size)
     Y = Y_all[:k]

@@ -175,7 +175,7 @@ def gaussian_pair_moments(w1: Weight, w2: Weight, kmax: int,
     (gaussian_product_params with center).  When both centers coincide
     with the basis center mu is exactly 0, and so are the odd moments.
     This is the one home of the formula: the double table, the extended
-    fallback's table and the tests' interval enclosures all come from it.
+    fallback's interval table and the tests' enclosures all come from it.
     """
     offset, var, amp = gaussian_product_params(w1, w2, ar, center)
     scale = ar.mpf(scale)

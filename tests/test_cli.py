@@ -693,7 +693,8 @@ class TestMopSolve:
         assert solution["normalization"] == {"kind": "I", "index": 0}
 
     @pytest.mark.parametrize("degree, precision", [
-        (10, "double"), (11, "extended"), (19, "extended")])
+        (10, "double"), (11, "extended"), (19, "extended"), (20, "extended"),
+        (25, "extended"), (31, "extended")])
     def test_hermite_solves_pick_their_arithmetic(self, tmp_path, degree,
                                                   precision):
         config = dict(DEFINING, n=[degree + 1], m=[degree])
@@ -707,14 +708,30 @@ class TestMopSolve:
             / 2.0 ** degree
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_hermite_twenty_is_not_normalizable(self, tmp_path):
-        config = dict(DEFINING, n=[21], m=[20])
+    def test_hermite_past_the_extended_cap_is_not_normalizable(self, tmp_path,
+                                                               capsys):
+        config = dict(DEFINING, n=[33], m=[32])
         code, out = run_cli(tmp_path, "mop-solve", config)
         assert code == 2
         assert [p.name for p in out.iterdir()] == ["error_report.json"]
         report = read_json(out / "error_report.json")
         assert report["error"] == "NUMERICAL"
-        assert report["detail"]["normality"]["pair"] == {"n": [21], "m": [20]}
+        assert report["message"] == ("size 33 exceeds the extended cap for "
+                                     "pair n=(33,) m=(32,) (II, k=0)")
+        assert capsys.readouterr().err == f"NUMERICAL: {report['message']}\n"
+        assert report["detail"]["normality"]["pair"] == {"n": [33], "m": [32]}
+
+    def test_non_finite_coefficients_exit_two(self, tmp_path):
+        # N(0, 1) against N(100, 1): the type I coefficients are about
+        # e^2500.  They were written as [-Infinity, Infinity] with exit 0.
+        config = {"w1": [GAUSS], "w2": [dict(GAUSS, center=100.0)],
+                  "n": [2], "m": [1], "normalization": {"kind": "I", "index": 0}}
+        code, out = run_cli(tmp_path, "mop-solve", config)
+        assert code == 2
+        report = read_json(out / "error_report.json")
+        assert report["error"] == "NUMERICAL"
+        assert report["message"] == ("extended solve for pair n=(2,) m=(1,): "
+                                     "a coefficient is not finite")
 
     def test_bad_normalization_rejected(self, tmp_path):
         config = dict(DEFINING, normalization={"kind": "III"})
@@ -802,6 +819,19 @@ class TestRhVerify:
         assert sorted(branches) == ["asymptotic_series", "recursion"]
         assert branches["recursion"] + branches["asymptotic_series"] == 63
 
+    def test_duplicated_weight_refused_with_exit_two(self, tmp_path, capsys):
+        # a weight given twice makes the neighbour system singular: interval
+        # LU finds no provably nonzero pivot (mpmath raises TypeError there),
+        # which is a refusal, not an internal error
+        w = dict(GAUSS, center=-0.9, variance=0.4)
+        config = {"w1": [w, w, dict(w, center=-0.3)], "w2": [w],
+                  "n": [1, 1, 1], "m": [3]}
+        code, out = run_cli(tmp_path, "rh-verify", config)
+        message = "not proven nonsingular at 60 digits for pair n=(2, 1, 1) m=(3,)"
+        assert code == 2
+        assert capsys.readouterr().err == f"NUMERICAL: {message}\n"
+        assert read_json(out / "error_report.json")["message"] == message
+
     def test_matrix_dump_adds_no_evaluation(self, tmp_path, monkeypatch):
         # y_matrix.csv is Y at the first z point, taken from the report's
         # stack: the command makes the report's closed-form calls and no more
@@ -867,8 +897,16 @@ class TestTranslation:
 
         code, out = run_cli(tmp_path, "rh-verify", config, out_name="rh")
         assert code == 0
-        passed = read_json(out / "rh_report.json")["passed"]
+        report = read_json(out / "rh_report.json")
+        passed = report["passed"]
         assert passed["det"] and passed["jump"] and passed["asymptotics"]
+        # the asymptotics are read about the basis center, so they do not
+        # grow with the shift (measured within 1.6e-10 of the unshifted)
+        code, base = run_cli(tmp_path, "rh-verify", WP, out_name="rh0")
+        assert code == 0
+        np.testing.assert_allclose(
+            report["asymptotic_errors"],
+            read_json(base / "rh_report.json")["asymptotic_errors"], rtol=1e-8)
 
         for k in (0, 1):
             solve = dict(config, m=[2, 2], normalization={"kind": "I", "index": k})
@@ -1001,13 +1039,14 @@ class TestBrownianCommands:
 
     def test_separated_single_walker_refused_by_a_neighbour_solve(
             self, tmp_path, capsys):
-        # one walker -10 -> 10: the CD neighbour n = (2,), m = (1,) is
-        # singular in both arithmetics, and the stacked solves refuse it with
-        # the one-at-a-time solve's message and normality report
+        # one walker -10 -> 10: the CD neighbour n = (2,), m = (1,) fails the
+        # double rank gate and is not proven nonsingular at 60 digits, and
+        # the stacked solves refuse it with the one-at-a-time solve's
+        # message and normality report
         config = {"starts": [[-10.0, 1]], "ends": [[10.0, 1]], "t": 0.5,
                   "n_scaling": False}
         code, out = run_cli(tmp_path, "brownian-kernel", config)
-        message = "singular system (extended) for pair n=(2,) m=(1,)"
+        message = "not proven nonsingular at 60 digits for pair n=(2,) m=(1,)"
         assert code == 2
         assert capsys.readouterr().err == f"NUMERICAL: {message}\n"
         assert [p.name for p in out.iterdir()] == ["error_report.json"]
@@ -1019,6 +1058,19 @@ class TestBrownianCommands:
                 "typeII_admissible": [True], "typeI_admissible": [True]}},
             "error": "NUMERICAL", "message": message,
             "version": mixedmop.__version__}
+
+    @pytest.mark.parametrize("a", [6.0, 8.0])
+    def test_separated_single_walker_solves_in_extended(self, tmp_path, a):
+        # one walker -a -> a: the CD neighbour fails the double rank gate and
+        # interval LU proves it nonsingular (a = 6 and 8 exited 2 before)
+        config = {"starts": [[-a, 1]], "ends": [[a, 1]], "t": 0.5,
+                  "n_scaling": False}
+        code, out = run_cli(tmp_path, "brownian-kernel", config)
+        assert code == 0
+        report = read_json(out / "brownian_kernel_report.json")
+        assert report["precision"] == "extended"
+        assert report["direct_vs_cd"] <= 1e-14
+        assert report["trace_deviation"] <= 1e-10
 
     def test_separated_walkers_kernel_integrates_per_component(self, tmp_path):
         # walkers going -100 -> -100 and 100 -> 100: the quadratures ran over

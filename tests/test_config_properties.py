@@ -24,7 +24,7 @@ import tempfile
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from mixedmop.cli import main  # noqa: E402
 from mixedmop.weights import MAX_CENTER_SIGMAS  # noqa: E402
@@ -118,8 +118,15 @@ PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
                     database=None)
 
 
+# type I coefficients of about e^2500, which exited 0 with infinite ones
+FAR_APART = {"w1": [{"kind": "gaussian", "center": 0.0, "variance": 1.0}],
+             "w2": [{"kind": "gaussian", "center": 100.0, "variance": 1.0}],
+             "n": [2], "m": [1], "normalization": {"kind": "I", "index": 0}}
+
+
 @PROPERTY
 @given(config=configs("mop-solve"))
+@example(config=FAR_APART)
 def test_mop_solve_exit_code(config):
     assert exit_code("mop-solve", config) in (0, 1, 2)
 

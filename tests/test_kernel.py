@@ -482,8 +482,9 @@ class TestStackedNeighbourSolves:
         assert_same_solutions(data.solutions, want)
 
     def test_failure_raised_as_one_at_a_time(self):
-        # one walker -10 -> 10: the neighbour n = (2,), m = (1,) is singular
-        # in double and in extended arithmetic
+        # one walker -10 -> 10: the neighbour n = (2,), m = (1,) fails the
+        # double rank gate, and 60-digit interval LU cannot prove it
+        # nonsingular
         w1, w2, pair = config_to_weights(BrownianConfig(
             starts=((-10.0, 1),), ends=((10.0, 1),), time=0.5,
             variance_scaling=False))
@@ -495,7 +496,7 @@ class TestStackedNeighbourSolves:
             with pytest.raises(NotNormalizable) as got:
                 build_cd_data(pair, w1, w2, table)
         assert str(got.value) == str(want.value) == (
-            "singular system (extended) for pair n=(2,) m=(1,)")
+            "not proven nonsingular at 60 digits for pair n=(2,) m=(1,)")
         assert got.value.report == want.value.report
 
 

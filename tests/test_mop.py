@@ -251,18 +251,22 @@ class TestSolveMixed:
         # the residual of the returned doubles: their rounding, no more
         assert 1e-30 < e.residual < 1e-15
 
-    @pytest.mark.parametrize("degree", [11, 19])
+    @pytest.mark.parametrize("degree, kind", [
+        *[pytest.param(d, "II", id=str(d)) for d in (11, 19, 25, 31)],
+        *[pytest.param(d, "I", id=f"I-{d}") for d in (11, 19, 25, 31)]])
     def test_hermite_past_the_double_gate_falls_back(self, unit_gaussian,
-                                                     degree):
+                                                     degree, kind):
         # double calls these systems singular; extended solves them.  The
-        # product weight is exp(-x^2), so the answer is H_d / 2^d.
+        # product weight is exp(-x^2), so the type II answer is H_d / 2^d,
+        # and the type I polynomial, the same direction with integral
+        # A x^d e^{-x^2} dx = 1, is H_d / (sqrt(pi) d!).
         fam = WeightFamily([unit_gaussian])
         pair = MultiIndexPair.defining([degree + 1], [degree])
-        sol = solve_mixed(pair, moment_table_for(pair, fam, fam),
-                          Normalization.type2(0))
+        norm = Normalization.type2(0) if kind == "II" else Normalization.type1(0)
+        sol = solve_mixed(pair, moment_table_for(pair, fam, fam), norm)
         assert sol.precision == "extended"
         want = np.polynomial.hermite.herm2poly([0.0] * degree + [1.0]) \
-            / 2.0 ** degree
+            / (2.0 ** degree if kind == "II" else SQRT_PI * math.factorial(degree))
         got = sol.polynomials_original()[0]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -282,13 +286,16 @@ class TestSolveMixed:
         assert 1e-30 < sols[0].residual < 1e-9
         assert sols[1].residual < 1e-60
 
-    def test_hermite_twenty_stays_singular(self, unit_gaussian):
+    def test_hermite_twenty_solves_exactly(self, unit_gaussian):
+        # an interval solve proves the degree-20 system nonsingular; the
+        # monic answer H_20 / 2^20 has double coefficients and comes out exact
         fam = WeightFamily([unit_gaussian])
         pair = MultiIndexPair.defining([21], [20])
-        with pytest.raises(NotNormalizable, match="extended") as info:
-            solve_mixed(pair, moment_table_for(pair, fam, fam),
-                        Normalization.type2(0))
-        assert info.value.report is not None
+        sol = solve_mixed(pair, moment_table_for(pair, fam, fam),
+                          Normalization.type2(0))
+        assert sol.precision == "extended"
+        want = np.polynomial.hermite.herm2poly([0.0] * 20 + [1.0]) / 2.0 ** 20
+        np.testing.assert_array_equal(sol.polynomials_original()[0], want)
 
     def test_fallback_only_for_small_systems(self, unit_gaussian, monkeypatch):
         calls = []
@@ -305,7 +312,7 @@ class TestSolveMixed:
         monkeypatch.setattr(mop, "_solve_mixed_extended", extended)
         fam = WeightFamily([unit_gaussian])
         assert hermite(EXTENDED_MAX_UNKNOWNS) == "extended"
-        with pytest.raises(NotNormalizable):
+        with pytest.raises(NotNormalizable, match="exceeds the extended cap"):
             hermite(EXTENDED_MAX_UNKNOWNS + 1)
         assert calls == [EXTENDED_MAX_UNKNOWNS]
 
@@ -340,7 +347,7 @@ class TestClassicalReductions:
         np.testing.assert_allclose(sol.polynomials_original()[0],
                                    [-0.5, 0.0, 1.0], atol=1e-12)
 
-    @pytest.mark.parametrize("degree", [11, 15, 19])
+    @pytest.mark.parametrize("degree", [11, 15, 19, 20, 25])
     def test_type2_hermite_through_extended_fallback(self, squared_exp_gaussian,
                                                      degree):
         # on e^{-x^2} the monic polynomial is H_d / 2^d, whose coefficients
@@ -349,10 +356,6 @@ class TestClassicalReductions:
         want = np.polynomial.hermite.herm2poly([0] * degree + [1]) / 2.0 ** degree
         assert sol.precision == "extended"
         np.testing.assert_array_equal(sol.polynomials_original()[0], want)
-
-    def test_type2_hermite_twenty_stays_singular(self, squared_exp_gaussian):
-        with pytest.raises(NotNormalizable, match="extended"):
-            classical_type2(WeightFamily([squared_exp_gaussian]), [20])
 
     def test_type2_duplicated_weights_degenerate(self, unit_gaussian):
         fam = WeightFamily([unit_gaussian, unit_gaussian])

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from mixedmop import (MultiIndexPair, Normalization,  # noqa: E402
                       NotNormalizable, Weight, WeightFamily, build_cd_data,
@@ -50,8 +50,16 @@ def problems(draw):
     return w1, w2, MultiIndexPair.balanced(n, m)
 
 
+# a repeated weight: the 60-digit solve of a neighbour finds no provably
+# nonzero pivot, which both routes must refuse alike
+REPEATED = (WeightFamily([Weight.gaussian(-0.9, 0.4)] * 2 + [Weight.gaussian(-0.3, 0.4)]),
+            WeightFamily([Weight.gaussian(-0.9, 0.4)]),
+            MultiIndexPair.balanced([1, 1, 1], [3]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(problems())
+@example(REPEATED)
 def test_stacked_solves_and_shared_grids_bitwise(problem):
     w1, w2, pair = problem
     table = moment_table_for(pair, w1, w2)
