@@ -5,17 +5,18 @@ m_k), and are observed at an intermediate time t.  The positions form a
 determinantal process whose kernel is the projection kernel of the mixed
 orthogonality problem with Gaussian transition weights.  This module wires
 the configuration to the weight families, provides the joint density in
-Karlin-McGregor form with a certified normalization constant, the m-point
-correlation functions, an exact chain-rule sampler of the positions, and
-two Monte Carlo validators: a Metropolis sampler of the joint density and a
-bridge simulator with grid non-intersection rejection.
+Karlin-McGregor form with its closed-form normalization constant, the
+m-point correlation functions and the one-point mass over a box, an exact
+chain-rule sampler of the positions, and two Monte Carlo validators: a
+Metropolis sampler of the joint density and a bridge simulator with grid
+non-intersection rejection.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -23,14 +24,12 @@ from numpy.polynomial import legendre
 
 from ._util import exact_int, json_count, json_number, real_number, write_csv
 from .kernel import BiorthogonalSystem, build_biorthogonal, kernel_direct_grid
-from .mop import MultiIndexPair
+from .mop import MultiIndexPair, moment_matrix
 from .weights import (TAIL_SIGMAS, AccuracyError, WeightFamily,
-                      gaussian_pair_moments, gaussian_product_params, leggauss,
-                      transition_weight)
+                      gaussian_pair_moments, gaussian_pair_tail_moments,
+                      gaussian_product_params, leggauss, transition_weight)
 
 MAX_PATH_WALKERS = 4
-# Gauss-Legendre degrees per axis tried for the Karlin-McGregor normalization.
-NORMALIZATION_DEGREES = (16, 32, 64, 128, 256, 512)
 MCMC_BURN_IN = 10_000
 MCMC_THIN = 10
 MCMC_CHAINS = 4
@@ -56,12 +55,15 @@ CHI_SQUARE_BINS = 40
 @dataclass(frozen=True)
 class BrownianConfig:
     """Start/end points with multiplicities, observation time, and the
-    variance convention (True scales the transition variance by 1/n)."""
+    variance convention (True scales the transition variance by 1/n).
+    The transition weights are built once, on construction, and kept in
+    weights (config_to_weights)."""
 
     starts: tuple[tuple[float, int], ...]
     ends: tuple[tuple[float, int], ...]
     time: float
     variance_scaling: bool = True
+    weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         def parsed(label, pts):
@@ -84,7 +86,8 @@ class BrownianConfig:
                              "(paths are conserved)")
         if not 0.0 < self.time < 1.0:
             raise ValueError("observation time must lie strictly in (0, 1)")
-        config_to_weights(self)  # refuses points too far out for the variance
+        # refuses points too far out for the variance
+        object.__setattr__(self, "weights", _transition_weights(self))
 
     @property
     def walkers(self) -> int:
@@ -143,7 +146,12 @@ def config_to_weights(config: BrownianConfig
     """Gaussian transition weights at the observation time: p weights
     centered at the starts with variance t/n_scale, q at the ends with
     variance (1-t)/n_scale, and the balanced multi-index pair of
-    multiplicities."""
+    multiplicities, as the config built them."""
+    return config.weights
+
+
+def _transition_weights(config: BrownianConfig
+                        ) -> tuple[WeightFamily, WeightFamily, MultiIndexPair]:
     t = config.time
     ns = config.n_scale
     w1 = WeightFamily([transition_weight(t, a, ns) for a, _ in config.starts])
@@ -162,19 +170,15 @@ class KarlinMcGregorDensity:
     """Joint position density (1/Z) det[w1_j(x_k)] det[w2_j(x_k)].
 
     The determinant product is permutation-symmetric, so evaluation accepts
-    coordinates in any order.  z_n is the Gauss-Legendre quadrature of the
-    n-fold integral over the bridge box, evaluated by the discrete Andreief
-    identity, and z_n_accuracy the change over its last degree doubling;
-    z_n_gram is the independent closed-form cross-check
-    n! det[int w1_i w2_j].
+    coordinates in any order.  z_n is the closed form of the n-fold integral
+    over the whole line, n! det[integral w1_i w2_j] (`gram_normalization`);
+    box is the bridge box, where the density's mass lies.
     """
 
     config: BrownianConfig
     w1: WeightFamily
     w2: WeightFamily
     z_n: float
-    z_n_accuracy: float
-    z_n_gram: float
     box: tuple[float, float]
 
     @property
@@ -203,56 +207,36 @@ class KarlinMcGregorDensity:
     __call__ = density
 
 
-def andreief_quadrature(w1: WeightFamily, w2: WeightFamily,
-                        box: tuple[float, float], degree: int) -> float:
-    """integral over box^n of det[w1_i(x_j)] det[w2_i(x_j)] by the tensor
-    Gauss-Legendre rule of the given degree on each axis, evaluated as
-    n! det[sum_k h w_k w1_i(x_k) w2_j(x_k)] (h the half-width of the box).
-
-    By the discrete Andreief (Cauchy-Binet) identity this equals the degree^n
-    tensor sum exactly, at O(n^2 degree) cost instead of O(n! degree^n).
-    """
-    lo, hi = box
-    h = 0.5 * (hi - lo)
-    nodes, wts = leggauss(degree)
-    xs = 0.5 * (lo + hi) + h * nodes
-    G = (w1.values(xs) * (h * wts)) @ w2.values(xs).T
-    return float(math.factorial(len(w1)) * np.linalg.det(G))
-
-
 def gram_normalization(w1: WeightFamily, w2: WeightFamily, n: int) -> float:
-    """n! det[ integral w1_i w2_j ], the Andreief identity route."""
+    """The Karlin-McGregor normalization Z_n = integral over R^n of
+    det[w1_i(x_j)] det[w2_i(x_j)] dx, in closed form by Andreief's identity:
+    n! det[integral w1_i w2_j], each entry a Gaussian product's mass
+    (`gaussian_pair_moments`).  The determinant is positive by the
+    Karlin-McGregor theorem; AccuracyError, naming Z_n, unless the result is
+    a finite positive double."""
     G = np.array([[gaussian_pair_moments(wa, wb, 0)[0] for wb in w2] for wa in w1])
-    return float(math.factorial(n) * np.linalg.det(G))
+    try:
+        z = float(math.factorial(n) * np.linalg.det(G))
+    except OverflowError:  # n! past the double range
+        z = math.inf
+    if not (z > 0.0 and math.isfinite(z)):
+        raise AccuracyError(f"the normalization Z_n = n! det[integral w1_i "
+                            f"w2_j] of {n} walkers is {z!r}, not a finite "
+                            "positive double", value=z)
+    return z
 
 
 def km_density(config: BrownianConfig) -> KarlinMcGregorDensity:
-    """Joint density for distinct points.  z_n is Gauss-Legendre quadrature
-    by the discrete Andreief identity (`andreief_quadrature`) at doubling
-    degrees until two values agree to 1e-9 relative, cross-checked against
-    the closed-form Gram route (`gram_normalization`)."""
+    """Joint density for distinct points, normalized by the closed-form
+    Z_n of `gram_normalization`."""
     if not config.distinct:
         raise ValueError("the Karlin-McGregor determinant form needs all "
                          "multiplicities equal to 1; use the kernel for "
                          "confluent configurations")
     w1, w2, _ = config_to_weights(config)
-    box = config.bridge_box()
-    z = andreief_quadrature(w1, w2, box, NORMALIZATION_DEGREES[0])
-    for degree in NORMALIZATION_DEGREES[1:]:
-        prev, z = z, andreief_quadrature(w1, w2, box, degree)
-        z_acc = abs(z - prev)
-        if z_acc <= 1e-9 * max(abs(z), 1e-300):
-            break
-    else:
-        raise AccuracyError(
-            f"normalization quadrature did not settle at degree "
-            f"{NORMALIZATION_DEGREES[-1]}", value=z, achieved=z_acc)
-    if z <= 0.0:
-        raise AccuracyError(f"normalization came out nonpositive ({z:.3e})")
-    return KarlinMcGregorDensity(config=config, w1=w1, w2=w2, z_n=z,
-                                 z_n_accuracy=z_acc,
-                                 z_n_gram=gram_normalization(w1, w2, len(w1)),
-                                 box=box)
+    return KarlinMcGregorDensity(config=config, w1=w1, w2=w2,
+                                 z_n=gram_normalization(w1, w2, len(w1)),
+                                 box=config.bridge_box())
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +263,28 @@ def r_m(system: BiorthogonalSystem, points) -> float:
 def r1_grid(system: BiorthogonalSystem, xs) -> np.ndarray:
     """The one-point function r1(x) = K(x, x) at the points xs."""
     return system.diagonal(xs)
+
+
+def r1_box_integral(system: BiorthogonalSystem, box: tuple[float, float]
+                    ) -> float:
+    """integral of r1 over the box, in closed form.
+
+    r1(x) = sum_(a, j) f_a(x) C[j, a] g_j(x), and f_a g_j is a monomial in
+    the basis frame times a Gaussian product, so the integral is
+    sum C^T o (B - B_tail): B is the Gram matrix of the whole line
+    (`BiorthogonalSystem.gram`), and B_tail the same moment_matrix gather
+    of each product's moments outside the box
+    (`gaussian_pair_tail_moments`).  Over the whole line the sum is
+    tr(C B) = n; the tails are the box's truncation mass.
+    """
+    table = system.table
+    order = (max(i for _, i in system.f_layout)
+             + max(j for _, j in system.g_layout))
+    tails = np.array([[gaussian_pair_tail_moments(wa, wb, order, *box,
+                                                  table.center, table.scale)
+                       for wb in table.w2] for wa in table.w1])
+    B_tail = moment_matrix(tails, system.f_layout, system.g_layout).T
+    return float(np.sum(system.transform.T * (system.gram - B_tail)))
 
 
 # ---------------------------------------------------------------------------
@@ -844,12 +850,46 @@ def equal_mass_bins(system: BiorthogonalSystem, box: tuple[float, float]
     return np.concatenate([[-np.inf], inner, [np.inf]])
 
 
+def _erfc_sqrt(y: float) -> float:
+    """erfc(sqrt y), corrected to first order for the rounding of sqrt y,
+    which erfc's relative slope of about -2 sqrt y would turn into up to y
+    ulps.  z^2 = p + e exactly by Veltkamp's split, and y - p is exact
+    (Sterbenz), so the miss y - z^2 = 2 z dz comes out to rounding."""
+    z = math.sqrt(y)
+    if z == 0.0:
+        return 1.0
+    big = 134217729.0 * z
+    hi = big - (big - z)
+    lo = z - hi
+    p = z * z
+    dz = ((y - p) - (((hi * hi - p) + 2.0 * hi * lo) + lo * lo)) / (2.0 * z)
+    return math.erfc(z) - 2.0 / math.sqrt(math.pi) * math.exp(-y) * dz
+
+
+def chi_square_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-squared with dof >= 1 degrees of freedom: the
+    regularized upper incomplete gamma function Q(dof/2, y), y = x/2, in
+    closed form.  Q(1/2, y) = erfc(sqrt y) and Q(a + 1, y) = Q(a, y) +
+    e^(-y) y^a / Gamma(a + 1), so for odd dof
+    Q = erfc(sqrt y) + e^(-y) sum_(j < (dof-1)/2) y^(j+1/2) / Gamma(j+3/2),
+    and for even dof Q = e^(-y) sum_(j < dof/2) y^j / j!.  Every term is
+    positive, so nothing cancels; each is the one before times y / (j + a),
+    with a = 3/2 for odd dof and 1 for even."""
+    odd = dof % 2
+    y = 0.5 * x
+    total = _erfc_sqrt(y) if odd else 0.0
+    term = math.exp(-y) * (math.sqrt(y) / math.gamma(1.5) if odd else 1.0)
+    for j in range(dof // 2):
+        total += term
+        term *= y / (j + 1.0 + 0.5 * odd)
+    return total
+
+
 def chi_square_report(samples: np.ndarray, system: BiorthogonalSystem,
                       box: tuple[float, float]) -> dict:
     """Chi-squared comparison of pooled sample coordinates against the
-    one-point correlation, on equal-mass bins."""
-    from scipy.special import chdtrc
-
+    one-point correlation, on equal-mass bins; the p-value is the closed
+    form `chi_square_sf`."""
     pooled = np.asarray(samples, dtype=float).ravel()
     bins = CHI_SQUARE_BINS
     edges = equal_mass_bins(system, box)
@@ -857,13 +897,12 @@ def chi_square_report(samples: np.ndarray, system: BiorthogonalSystem,
     expected = np.full(bins, pooled.size / bins)
     statistic = float(np.sum((observed - expected) ** 2 / expected))
     dof = bins - 1
-    p_value = float(chdtrc(dof, statistic))
     return {
         "bins": bins,
         "points": int(pooled.size),
         "statistic": statistic,
         "degrees_of_freedom": dof,
-        "p_value": p_value,
+        "p_value": chi_square_sf(statistic, dof),
         "observed": observed.tolist(),
         "expected_per_bin": float(pooled.size / bins),
     }

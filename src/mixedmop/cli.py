@@ -35,7 +35,8 @@ from . import __version__
 from ._util import dump_json, json_count, known_keys, remove_file, write_csv
 from .brownian import (MAX_PATH_WALKERS, PATH_MIN_GRID, BrownianConfig,
                        chi_square_report, config_to_weights, correlation_kernel,
-                       km_density, r1_grid, sample_paths, sample_projection_dpp,
+                       gram_normalization, r1_box_integral, r1_grid,
+                       sample_paths, sample_projection_dpp,
                        write_density_grid_csv, write_paths_csv,
                        write_samples_csv)
 from .kernel import (build_biorthogonal, build_cd_data, kernel_cd_grid,
@@ -44,8 +45,7 @@ from .mop import (MultiIndexPair, Normalization, NotNormalizable,
                   check_normality, moment_table_for, solve_mixed)
 from .rh import (MATRIX_CSV_HEADER, RhSystem, kernel_cd_rh_grids, matrix_rows,
                  rh_verification_report)
-from .weights import (AccuracyError, adaptive_gauss_legendre,
-                      basis_center_scale, weights_from_json)
+from .weights import AccuracyError, basis_center_scale, weights_from_json
 
 DEFAULT_SEED = 42
 # The --tol default of cd-check and rh-verify.
@@ -313,21 +313,16 @@ def cmd_brownian_kernel(args, raw: dict) -> list:
 def cmd_brownian_density(args, raw: dict) -> list:
     config = _brownian_config(raw)
     system = correlation_kernel(config)
-    lo, hi = config.bridge_box()
-    xs = args.grid if args.grid is not None else np.linspace(lo, hi, 201)
+    box = config.bridge_box()
+    xs = args.grid if args.grid is not None else np.linspace(*box, 201)
     r1 = r1_grid(system, xs)
-    integral, _ = adaptive_gauss_legendre(
-        lambda t: r1_grid(system, t), lo, hi, abs_tol=1e-9)
+    integral = r1_box_integral(system, box)
     report = _base_report(args, raw, "double")
     report["walkers"] = config.walkers
-    report["r1_integral"] = float(integral)
-    report["r1_integral_deviation"] = abs(float(integral) - config.walkers)
-    if config.distinct and config.walkers <= 4:
-        dens = km_density(config)
-        report["z_n"] = dens.z_n
-        report["z_n_quadrature_accuracy"] = dens.z_n_accuracy
-        report["z_n_gram_route"] = dens.z_n_gram
-        report["z_n_route_gap"] = abs(dens.z_n - dens.z_n_gram) / abs(dens.z_n)
+    report["r1_integral"] = integral
+    report["r1_integral_deviation"] = abs(integral - config.walkers)
+    if config.distinct:
+        report["z_n"] = gram_normalization(system.w1, system.w2, config.walkers)
     return [("density.csv", write_density_grid_csv, xs, r1),
             ("brownian_density_report.json", dump_json, report)]
 

@@ -496,11 +496,12 @@ def solve_terms(table: ProductMomentTable, terms: Sequence[tuple]
     The terms are stacked by kind and size, and each stack is assembled by
     square_systems and solved by one SVD call (_solve_square): a solution
     does not depend on the terms stacked with it.  Terms that fail the
-    double rank gate then go, in term order, to EXTENDED_DPS-digit interval
-    LU (_solve_mixed_extended) when the system has at most
-    EXTENDED_MAX_UNKNOWNS unknowns.  The first term that fails its last
-    arithmetic raises NotNormalizable, carrying the NormalityReport of its
-    pair.
+    double rank gate, or whose double solution has a coefficient or a
+    residual that is not finite, then go, in term order, to
+    EXTENDED_DPS-digit interval LU (_solve_mixed_extended) when the system
+    has at most EXTENDED_MAX_UNKNOWNS unknowns.  The first term that fails
+    its last arithmetic raises NotNormalizable, carrying the NormalityReport
+    of its pair.
     """
     stacks = {}
     for r, (_, norm, pair) in enumerate(terms):
@@ -510,7 +511,9 @@ def solve_terms(table: ProductMomentTable, terms: Sequence[tuple]
     for group in stacks.values():
         ok, x, residual = _solve_square(*square_systems(
             table.values, table.scale, [terms[r] for r in group]))
-        for r, x_r, res in zip(compress(group, ok.tolist()), x, residual.tolist()):
+        finite = np.isfinite(x).all(axis=1) & np.isfinite(residual)
+        for r, x_r, res in compress(zip(compress(group, ok.tolist()), x,
+                                        residual.tolist()), finite.tolist()):
             swap, norm, pair = terms[r]
             solutions[r] = _solution(pair, tables[swap], norm, x_r, res, "double")
     for r, (swap, norm, pair) in enumerate(terms):

@@ -10,9 +10,10 @@ route to those numbers: an exact recursion on the product Gaussian, in
 double or in any mpmath arithmetic.  Moment tables are stored in a
 shifted-scaled monomial basis u = (x - c)/s to keep the downstream linear
 systems tolerably conditioned; public results are always reported in the
-original variable.  Adaptive Gauss-Legendre quadrature stays here for the
-integrals that are not moments, such as the Brownian one-point density's
-mass.
+original variable.  The same recursion with a boundary term gives the
+moments outside an interval, so a mass over a box is closed-form too.
+Adaptive Gauss-Legendre quadrature stays here as a general integrator that
+the tests use as an oracle.
 """
 
 from __future__ import annotations
@@ -187,6 +188,40 @@ def gaussian_pair_moments(w1: Weight, w2: Weight, kmax: int,
     for k in range(2, kmax + 1):
         out.append(mu * out[k - 1] + (k - 1) * sig2 * out[k - 2])
     return np.array(out, dtype=float if ar is _DOUBLE else object)
+
+
+def gaussian_pair_tail_moments(w1: Weight, w2: Weight, kmax: int, lo: float,
+                               hi: float, center: float = 0.0,
+                               scale: float = 1.0) -> np.ndarray:
+    """Moments integral u^k w1 w2 dx over the two tails x < lo and x > hi,
+    k = 0..kmax, u = (x-center)/scale, in double: subtracted from
+    gaussian_pair_moments they give the moments over [lo, hi].
+
+    In u the product is phi(u) = amp scale exp(-(u - mu)^2 / (2 sigma^2)),
+    and (u - mu) phi = -sigma^2 phi'.  Integrating u^(k-1) (u - mu) phi by
+    parts over the tail beyond an end e gives gaussian_pair_moments'
+    recursion with a boundary term,
+    T_k = mu T_(k-1) + (k-1) sigma^2 T_(k-2) +- sigma^2 e^(k-1) phi(e),
+    + for the upper tail and - for the lower, from
+    T_0 = amp scale sigma sqrt(pi/2) erfc(d / (sigma sqrt 2)), d the end's
+    distance from mu measured outward.
+    """
+    offset, var, amp = gaussian_product_params(w1, w2, center=center)
+    mu = offset / scale
+    sig2 = var / checked_power(scale, 2, "moment table: squared basis scale")
+    sig = math.sqrt(sig2)
+    total = [0.0] * (kmax + 1)
+    for side, end in ((-1.0, (lo - center) / scale), (1.0, (hi - center) / scale)):
+        z = side * (end - mu) / (sig * math.sqrt(2.0))
+        edge = side * sig2 * amp * scale * math.exp(-z * z)
+        last = amp * scale * sig * math.sqrt(0.5 * math.pi) * math.erfc(z)
+        before = 0.0
+        total[0] += last
+        for k in range(1, kmax + 1):
+            before, last = last, mu * last + (k - 1) * sig2 * before + edge
+            total[k] += last
+            edge *= end
+    return np.array(total)
 
 
 # ---------------------------------------------------------------------------

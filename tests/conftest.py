@@ -4,7 +4,9 @@ The oracles deliberately avoid the library's own quadrature and solver
 paths: product moments come from scipy's adaptive quadrature, monic
 orthogonal polynomials from a Hankel-system Gram-Schmidt construction,
 Cauchy transforms from the Faddeeva function, the Karlin-McGregor
-normalization from the plain tensor-grid sum, the exact sampler's
+normalization from Gauss-Legendre quadrature over the bridge box by the
+discrete Andreief identity (a doubling ladder), itself checked against the
+plain tensor-grid sum, the exact sampler's
 inverse-CDF step from Gauss-Legendre quadrature of the exact integrand and
 its shared and grouped contractions from a one-draw-at-a-time sampler, and
 null spaces from an SVD performed outside the solver.  The CSV oracle
@@ -24,8 +26,9 @@ import pytest
 from numpy.polynomial import polynomial as P
 from scipy import integrate, linalg, special
 
-from mixedmop import (MultiIndexPair, Normalization, Weight, WeightFamily,
-                      kernel_cd_diagonal, moment_table_for, solve_mixed)
+from mixedmop import (AccuracyError, MultiIndexPair, Normalization, Weight,
+                      WeightFamily, kernel_cd_diagonal, moment_table_for,
+                      solve_mixed)
 from mixedmop import brownian, rh
 from mixedmop.mop import moment_matrix
 
@@ -177,7 +180,43 @@ def richardson_extrapolate(values, steps):
 
 
 # ---------------------------------------------------------------------------
-# Tensor-grid oracle for the Karlin-McGregor normalization
+# Quadrature oracles for the Karlin-McGregor normalization
+
+# Gauss-Legendre degrees per axis of the Andreief ladder.
+NORMALIZATION_DEGREES = (16, 32, 64, 128, 256, 512)
+
+
+def andreief_quadrature(w1: WeightFamily, w2: WeightFamily, box,
+                        degree: int) -> float:
+    """integral over box^n of det[w1_i(x_j)] det[w2_i(x_j)] by the tensor
+    Gauss-Legendre rule of the given degree on each axis, evaluated as
+    n! det[sum_k h w_k w1_i(x_k) w2_j(x_k)] (h the half-width of the box).
+
+    By the discrete Andreief (Cauchy-Binet) identity this equals the degree^n
+    tensor sum exactly, at O(n^2 degree) cost instead of O(n! degree^n).
+    """
+    lo, hi = box
+    h = 0.5 * (hi - lo)
+    nodes, wts = np.polynomial.legendre.leggauss(degree)
+    xs = 0.5 * (lo + hi) + h * nodes
+    G = (w1.values(xs) * (h * wts)) @ w2.values(xs).T
+    return float(math.factorial(len(w1)) * np.linalg.det(G))
+
+
+def andreief_ladder(w1: WeightFamily, w2: WeightFamily, box,
+                    degrees=NORMALIZATION_DEGREES) -> tuple[float, float]:
+    """Z_n over the box by andreief_quadrature at the degrees in turn, until
+    two successive values agree to 1e-9 relative: (value, last change).
+    AccuracyError, carrying the last change, when the ladder runs out."""
+    z = andreief_quadrature(w1, w2, box, degrees[0])
+    for degree in degrees[1:]:
+        prev, z = z, andreief_quadrature(w1, w2, box, degree)
+        change = abs(z - prev)
+        if change <= 1e-9 * max(abs(z), 1e-300):
+            return z, change
+    raise AccuracyError(f"normalization quadrature did not settle at degree "
+                        f"{degrees[-1]}", value=z, achieved=change)
+
 
 
 def tensor_normalization(w1: WeightFamily, w2: WeightFamily, box, degree):

@@ -24,8 +24,8 @@ from mixedmop.kernel import (idempotence_residual, relative_discrepancy,
 from mixedmop.rh import RhSystem, rh_verification_report
 from mixedmop.weights import gaussian_product_params
 
-from conftest import (classical_type1, classical_type2, kernel_at,
-                      monic_orthogonal_oracle, random_balanced_parts,
+from conftest import (andreief_ladder, classical_type1, classical_type2,
+                      kernel_at, monic_orthogonal_oracle, random_balanced_parts,
                       random_gaussian_families)
 
 SEED = 20240822
@@ -219,8 +219,8 @@ def test_criterion_5_determinantal_identity():
     ):
         config = BrownianConfig(starts=starts, ends=ends, time=t)
         density = km_density(config)
-        assert density.z_n_accuracy < 1e-8 * density.z_n
-        assert abs(density.z_n - density.z_n_gram) < 1e-8 * density.z_n
+        oracle, _ = andreief_ladder(density.w1, density.w2, density.box)
+        assert abs(density.z_n - oracle) < 1e-8 * density.z_n
         system = correlation_kernel(config)
         a = np.array([pos for pos, _ in starts])
         b = np.array([pos for pos, _ in ends])

@@ -13,22 +13,37 @@ from mixedmop import (AccuracyError, BrownianConfig, config_to_weights,
                       r_m, sample_paths, sample_positions,
                       sample_projection_dpp)
 from mixedmop import brownian
-from mixedmop.brownian import (andreief_quadrature, chi_square_report,
+from mixedmop.brownian import (chi_square_report, chi_square_sf,
                                equal_mass_bins, gram_normalization,
-                               write_density_grid_csv, write_paths_csv,
-                               write_samples_csv)
+                               r1_box_integral, write_density_grid_csv,
+                               write_paths_csv, write_samples_csv)
 from mixedmop.kernel import (idempotence_residual, kernel_direct_grid,
                              trace_quadrature)
-from mixedmop.weights import leggauss
+from mixedmop.weights import (adaptive_gauss_legendre,
+                              gaussian_pair_tail_moments, leggauss)
 from mixedmop._util import CSV_BLOCK_CELLS
 
-from conftest import (csv_oracle_bytes, kernel_at, per_draw_dpp_oracle,
-                      quadrature_dpp_oracle, tensor_normalization)
+from conftest import (andreief_ladder, andreief_quadrature, csv_oracle_bytes,
+                      kernel_at, per_draw_dpp_oracle, quadrature_dpp_oracle,
+                      tensor_normalization)
 
 
 def two_walker_config(t=0.5):
     return BrownianConfig(starts=((-1.0, 1), (1.0, 1)),
                           ends=((-1.0, 1), (1.0, 1)), time=t)
+
+
+def three_walker_config():
+    return BrownianConfig(starts=((-1.0, 1), (0.0, 1), (1.0, 1)),
+                          ends=((-1.0, 1), (0.5, 1), (1.0, 1)), time=0.5)
+
+
+def distinct_walkers(n):
+    """n walkers from i - (n-1)/2 to 0.9 (i - (n-1)/2) + 0.1, t = 0.5."""
+    return BrownianConfig(
+        starts=tuple((i - 0.5 * (n - 1), 1) for i in range(n)),
+        ends=tuple((0.9 * (i - 0.5 * (n - 1)) + 0.1, 1) for i in range(n)),
+        time=0.5)
 
 
 def window_4sd(cfg):
@@ -142,8 +157,9 @@ class TestKmDensity:
     def test_normalization_routes_agree(self):
         for cfg in (two_walker_config(0.5), two_walker_config(0.25)):
             dens = km_density(cfg)
-            assert dens.z_n == pytest.approx(dens.z_n_gram, rel=1e-8)
-            assert dens.z_n_accuracy < 1e-8 * max(dens.z_n, 1e-300)
+            z, change = andreief_ladder(dens.w1, dens.w2, dens.box)
+            assert dens.z_n == pytest.approx(z, rel=1e-8)
+            assert change < 1e-8 * max(z, 1e-300)
 
     def test_gram_route_standalone(self):
         cfg = two_walker_config()
@@ -162,22 +178,39 @@ class TestKmDensity:
         cfg = BrownianConfig(starts=pts, ends=pts, time=0.5)
         dens = km_density(cfg)
         w1, w2, _ = config_to_weights(cfg)
-        assert dens.z_n == pytest.approx(gram_normalization(w1, w2, 5),
-                                         rel=1e-8)
+        z, _ = andreief_ladder(w1, w2, cfg.bridge_box())
+        assert dens.z_n == pytest.approx(z, rel=1e-8)
 
-    def test_unsettled_normalization_reports_gap(self, monkeypatch):
-        monkeypatch.setattr(brownian, "NORMALIZATION_DEGREES", (16, 32))
+    def test_unsettled_normalization_reports_gap(self):
+        # the oracle ladder refuses to settle rather than report a value
         pts = tuple((float(i), 1) for i in range(6))
         cfg = BrownianConfig(starts=pts, ends=pts, time=0.5)
+        w1, w2, _ = config_to_weights(cfg)
         with pytest.raises(AccuracyError) as info:
-            km_density(cfg)
+            andreief_ladder(w1, w2, cfg.bridge_box(), degrees=(16, 32))
         assert info.value.achieved > 0.0
 
     @pytest.mark.parametrize("walkers", [6, 8, 10, 12])
     def test_ladder_settles_on_gram_route(self, walkers):
         pts = tuple((float(i), 1) for i in range(walkers))
         dens = km_density(BrownianConfig(starts=pts, ends=pts, time=0.5))
-        assert abs(dens.z_n - dens.z_n_gram) / abs(dens.z_n) <= 1e-8
+        z, _ = andreief_ladder(dens.w1, dens.w2, dens.box)
+        assert abs(dens.z_n - z) / abs(dens.z_n) <= 1e-8
+
+    @pytest.mark.parametrize("starts, ends, walkers", [
+        # a diagonal Gram with entries near 1.7e-32: the determinant
+        # underflows
+        ([(10.0 * i, 1) for i in range(12)],
+         [(10.0 * i + 3.5, 1) for i in range(12)], 12),
+        # 171! is past the double range
+        ([(0.0, 1)], [(0.0, 1)], 171),
+    ], ids=["underflow", "factorial-overflow"])
+    def test_unrepresentable_normalization_names_z_n(self, starts, ends,
+                                                     walkers):
+        cfg = BrownianConfig(starts=tuple(starts), ends=tuple(ends), time=0.5)
+        w1, w2, _ = config_to_weights(cfg)
+        with pytest.raises(AccuracyError, match="Z_n"):
+            gram_normalization(w1, w2, walkers)
 
     @pytest.mark.parametrize("walkers", [2, 3])
     @pytest.mark.parametrize("degree", [16, 32])
@@ -197,6 +230,42 @@ class TestKmDensity:
         assert batch.shape == (3,)
         for row, val in zip(pts, batch):
             assert val == pytest.approx(dens(row), rel=1e-14)
+
+
+class TestR1BoxIntegral:
+    @pytest.mark.parametrize("cfg", [
+        three_walker_config(),
+        BrownianConfig(starts=((-0.6, 1), (0.5, 1)),
+                       ends=((-0.4, 1), (0.8, 1)), time=0.4),
+        BrownianConfig(starts=tuple((x, 1) for x in (-1.5, -0.5, 0.5, 1.5)),
+                       ends=tuple((x, 1) for x in (-1.5, -0.5, 0.5, 1.5)),
+                       time=0.5),
+        BrownianConfig(starts=((-1.0, 3), (1.0, 3)), ends=((0.0, 6),),
+                       time=0.5),
+        BrownianConfig(starts=((-1.0, 6), (1.0, 6)), ends=((0.0, 12),),
+                       time=0.5),
+    ], ids=["br", "two", "four-distinct", "two-start-3+3", "two-start-6+6"])
+    def test_matches_adaptive_quadrature(self, cfg):
+        system = correlation_kernel(cfg)
+        box = cfg.bridge_box()
+        want, _ = adaptive_gauss_legendre(lambda x: r1_grid(system, x), *box,
+                                          abs_tol=1e-12)
+        assert abs(r1_box_integral(system, box) - want) <= 1e-10
+
+    def test_six_plus_six_truncation_mass(self):
+        # the bridge box misses 3.7e-8 of the r1 mass per walker here
+        cfg = BrownianConfig(starts=((-1.0, 6), (1.0, 6)), ends=((0.0, 12),),
+                             time=0.5)
+        system = correlation_kernel(cfg)
+        missing = cfg.walkers - r1_box_integral(system, cfg.bridge_box())
+        assert 4.35e-7 < missing < 4.45e-7
+
+    def test_whole_line_gives_walker_count(self):
+        cfg = three_walker_config()
+        lo, hi = cfg.bridge_box()
+        wide = (lo - 50.0, hi + 50.0)
+        assert r1_box_integral(correlation_kernel(cfg), wide) == pytest.approx(
+            cfg.walkers, abs=1e-13)
 
 
 class TestCorrelationKernel:
@@ -365,19 +434,6 @@ class TestPositionSampling:
             np.sort(flipped.ravel()).tolist()
         np.testing.assert_array_equal(np.sort(out.samples, axis=1),
                                       np.sort(flipped, axis=1))
-
-
-def three_walker_config():
-    return BrownianConfig(starts=((-1.0, 1), (0.0, 1), (1.0, 1)),
-                          ends=((-1.0, 1), (0.5, 1), (1.0, 1)), time=0.5)
-
-
-def distinct_walkers(n):
-    """n walkers from i - (n-1)/2 to 0.9 (i - (n-1)/2) + 0.1, t = 0.5."""
-    return BrownianConfig(
-        starts=tuple((i - 0.5 * (n - 1), 1) for i in range(n)),
-        ends=tuple((0.9 * (i - 0.5 * (n - 1)) + 0.1, 1) for i in range(n)),
-        time=0.5)
 
 
 class TestExactSampler:
@@ -704,6 +760,15 @@ class TestChiSquare:
             rep = chi_square_report(pts, system, cfg.bridge_box())
             want = stats.chi2.sf(rep["statistic"], rep["degrees_of_freedom"])
             assert rep["p_value"] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("dof", [1, 2, 38, 39])
+    def test_sf_matches_chdtrc(self, dof):
+        from scipy.special import chdtrc
+
+        xs = np.concatenate([np.linspace(0.0, 1e3, 2001),
+                             np.logspace(-12, 3, 301)])
+        got = np.array([chi_square_sf(float(x), dof) for x in xs])
+        np.testing.assert_allclose(got, chdtrc(dof, xs), rtol=1e-13, atol=0.0)
 
     def test_report_detects_wrong_density(self):
         cfg = two_walker_config()

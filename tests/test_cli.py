@@ -30,7 +30,7 @@ from mixedmop.cli import GRID_LIMITS, main
 from mixedmop.kernel import relative_discrepancy
 from mixedmop.weights import basis_center_scale
 
-from conftest import csv_oracle_bytes, kernel_grid_rows
+from conftest import andreief_ladder, csv_oracle_bytes, kernel_grid_rows
 
 GAUSS = {"kind": "gaussian", "center": 0.0, "variance": 1.0, "amplitude": 1.0}
 
@@ -80,6 +80,15 @@ def read_rows(path):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def assert_z_n_matches_oracle(report, config):
+    """The report's z_n against the Andreief quadrature ladder over the
+    bridge box, to 1e-8 relative."""
+    brownian = BrownianConfig.from_json_dict(config)
+    w1, w2, _ = config_to_weights(brownian)
+    oracle, _ = andreief_ladder(w1, w2, brownian.bridge_box())
+    assert abs(report["z_n"] - oracle) <= 1e-8 * oracle
 
 
 class TestKernelGrid:
@@ -733,6 +742,25 @@ class TestMopSolve:
         assert report["message"] == ("extended solve for pair n=(2,) m=(1,): "
                                      "a coefficient is not finite")
 
+    def test_nan_double_solution_falls_back_and_exits_two(self, tmp_path):
+        # N(0, 1) against N(54, 1): the double solve passed its rank gate
+        # and wrote [[NaN, NaN]] with exit 0; a non-finite coefficient now
+        # fails as the rank gate does, and the extended solve refuses it
+        config = {"w1": [GAUSS], "w2": [dict(GAUSS, center=54.0)],
+                  "n": [2], "m": [1], "normalization": {"kind": "I", "index": 0}}
+        code, out = run_cli(tmp_path, "mop-solve", config)
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == ["error_report.json"]
+        assert read_json(out / "error_report.json")["message"] == (
+            "extended solve for pair n=(2,) m=(1,): a coefficient is not finite")
+        # one unit nearer, the double solution is finite and stays in double
+        config["w2"][0]["center"] = 53.0
+        code, out = run_cli(tmp_path, "mop-solve", config, out_name="c53")
+        assert code == 0
+        solution = read_json(out / "solution.json")
+        assert solution["precision"] == "double"
+        assert np.isfinite(solution["solution"]["coefficients_original"]).all()
+
     def test_bad_normalization_rejected(self, tmp_path):
         config = dict(DEFINING, normalization={"kind": "III"})
         code, out = run_cli(tmp_path, "mop-solve", config)
@@ -969,11 +997,12 @@ class TestImportCost:
         code = ("import sys; from mixedmop.cli import main; "
                 f"code = main(['brownian-sample', '--config', {str(cfg)!r}, "
                 f"'--out', {str(tmp_path / 'out')!r}]); "
-                "print(code, 'scipy.stats' in sys.modules)")
+                "print(code, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "0 False"
+        assert result.stdout.strip() == "0 []"
 
 
 def traced_peak_kb(tmp_path, command, config, *extra) -> float:
@@ -1113,7 +1142,7 @@ class TestBrownianCommands:
         assert all(float(r["r1"]) >= 0.0 for r in rows)
         report = read_json(out / "brownian_density_report.json")
         assert report["r1_integral_deviation"] < 1e-6
-        assert report["z_n_route_gap"] < 1e-8
+        assert_z_n_matches_oracle(report, TWO_WALKERS)
 
     def test_four_walker_density_normalizes(self, tmp_path):
         pts = [[-1.5, 1], [-0.5, 1], [0.5, 1], [1.5, 1]]
@@ -1123,7 +1152,31 @@ class TestBrownianCommands:
         assert code == 0
         report = read_json(out / "brownian_density_report.json")
         assert report["walkers"] == 4
-        assert report["z_n_route_gap"] < 1e-8
+        assert_z_n_matches_oracle(report, config)
+
+    @pytest.mark.parametrize("walkers", [5, 8, 12])
+    def test_many_walker_density_reports_z_n(self, tmp_path, walkers):
+        pts = [[float(i), 1] for i in range(walkers)]
+        config = {"starts": pts, "ends": pts, "t": 0.5}
+        code, out = run_cli(tmp_path, "brownian-density", config,
+                            "--grid", "-2:2:5")
+        assert code == 0
+        report = read_json(out / "brownian_density_report.json")
+        assert report["walkers"] == walkers
+        assert report["r1_integral_deviation"] < 1e-9
+        assert_z_n_matches_oracle(report, config)
+
+    def test_unrepresentable_z_n_exits_2(self, tmp_path, capsys):
+        # twelve walkers 10 apart, each moving 3.5: the Gram is diagonal to
+        # rounding, with entries near 1.7e-32, so its determinant underflows
+        # while the kernel, which needs only its inverse, is built
+        config = {"starts": [[10.0 * i, 1] for i in range(12)],
+                  "ends": [[10.0 * i + 3.5, 1] for i in range(12)], "t": 0.5}
+        code, out = run_cli(tmp_path, "brownian-density", config)
+        assert code == 2
+        assert "Z_n" in capsys.readouterr().err
+        assert not (out / "brownian_density_report.json").exists()
+        assert "Z_n" in read_json(out / "error_report.json")["message"]
 
     def test_five_walker_positions(self, tmp_path):
         pts = [[float(i), 1] for i in range(5)]

@@ -12,6 +12,7 @@ from mixedmop import (BrownianConfig, MultiIndexPair, Weight, WeightFamily,
 from mixedmop.weights import (AccuracyError, adaptive_gauss_legendre,
                               basis_center_scale, build_moment_table,
                               family_interval, gaussian_pair_moments,
+                              gaussian_pair_tail_moments,
                               gaussian_product_params, transition_weight)
 
 from conftest import quad_product_moment
@@ -145,6 +146,36 @@ class TestProductMoments:
             lambda x: np.vander(x, 8, increasing=True).T * (w1(x) * w2(x)),
             lo, hi)
         np.testing.assert_allclose(closed, quadrature, rtol=1e-11, atol=1e-12)
+
+    def test_tail_moments_match_quadrature_oracle(self):
+        from scipy.integrate import quad
+
+        rng = np.random.default_rng(37)
+        for _ in range(8):
+            w1 = Weight.gaussian(rng.uniform(-2, 2), rng.uniform(0.2, 2.0),
+                                 rng.uniform(0.5, 1.5))
+            w2 = Weight.gaussian(rng.uniform(-2, 2), rng.uniform(0.2, 2.0),
+                                 rng.uniform(0.5, 1.5))
+            c, s = rng.uniform(-1, 1), rng.uniform(0.5, 2.0)
+            lo, hi = np.sort(rng.uniform(-2.5, 2.5, 2))
+            tails = gaussian_pair_tail_moments(w1, w2, 6, lo, hi, c, s)
+            for k in range(7):
+                def f(x):
+                    return ((x - c) / s) ** k * w1(x) * w2(x)
+                want = (quad(f, -np.inf, lo, epsabs=1e-15, epsrel=1e-13)[0]
+                        + quad(f, hi, np.inf, epsabs=1e-15, epsrel=1e-13)[0])
+                assert tails[k] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_tails_of_an_empty_box_are_the_moments(self):
+        w1 = Weight.gaussian(-0.4, 0.8, 1.0)
+        w2 = Weight.gaussian(0.9, 1.1, 0.7)
+        for end in (-3.0, 0.2, 4.0):
+            np.testing.assert_allclose(
+                gaussian_pair_tail_moments(w1, w2, 7, end, end, 0.3, 1.4),
+                gaussian_pair_moments(w1, w2, 7, 0.3, 1.4),
+                rtol=1e-13, atol=1e-15)
+        # and a box far wider than the product has none
+        assert not gaussian_pair_tail_moments(w1, w2, 7, -60.0, 60.0).any()
 
     def test_product_params_reproduce_pointwise_product(self):
         w1 = Weight.gaussian(-1.0, 0.5, 2.0)
